@@ -5,9 +5,10 @@
 //   engines with 1/2/4/8 shards; throughput = events applied per second
 //   from first submit to flush() (the epoch barrier).  The sketch is linear,
 //   so more shards = more independent builders absorbing the same stream.
-// Series 2: with ingest running, barrier-less clustering queries snapshot,
-//   merge, and solve concurrently; we report per-query merge/solve/total
-//   latency and the ingest throughput sustained while querying.
+// Series 2: with ingest running, barrier-less clustering queries fold the
+//   shard sketches and solve concurrently; we report per-query merge/solve/
+//   total latency and the ingest throughput sustained while querying.
+// E17: the single-shard batched drain's throughput and coreset quality.
 #include <algorithm>
 #include <thread>
 
@@ -109,8 +110,8 @@ int main() {
   }
 
   header("E13: query latency under concurrent ingest",
-         "barrier-less queries snapshot + merge + solve while producers keep "
-         "pushing; ingest never stalls beyond the per-shard snapshot locks");
+         "barrier-less queries fold the shards + solve while producers keep "
+         "pushing; each shard stalls only for its own merge_from");
   {
     ClusteringEngine engine(dim, params,
                             engine_options(4, log_delta, 2 * stream.size()));
@@ -160,10 +161,9 @@ int main() {
         .kv("query_p999_ms", em.query_latency.p999_millis())
         .kv("query_count", em.query_latency.count);
   }
-  header("E17: ingest mode sweep — batched exact vs sampled CountMin",
-         "the flag-gated NitroSketch-style sampled mode trades one-sided "
-         "CountMin estimates for drain throughput; coreset quality must stay "
-         "within the envelope");
+  header("E17: batched ingest — throughput and coreset quality",
+         "the single-shard batched drain (the serving default); coreset "
+         "quality must stay within the envelope");
   {
     // Quality is evaluated on a dedicated small stream (n small enough for
     // exact capacitated-cost probes, like bench_streaming); throughput is
@@ -174,46 +174,41 @@ int main() {
     const Stream q_stream = make_stream(nq, k, dim, log_delta);
     row("%-14s %12s %10s %8s %10s %10s", "mode", "events/s", "ingest_ms",
         "coreset", "q_upper", "q_lower");
-    for (const bool sampled : {false, true}) {
-      EngineOptions opt = engine_options(1, log_delta, stream.size());
-      opt.streaming.sampled_countmin = sampled;
-      ClusteringEngine engine(dim, params, opt);
-      Timer timer;
-      multi_producer_submit(engine, stream, producers);
-      engine.flush();
-      const double ms = timer.millis();
-      EngineQuery q;
-      q.summary_only = true;
-      const EngineQueryResult res = engine.query(q);
-      EngineOptions qopt = engine_options(1, log_delta, q_stream.size());
-      qopt.streaming.sampled_countmin = sampled;
-      ClusteringEngine q_engine(dim, params, qopt);
-      multi_producer_submit(q_engine, q_stream, producers);
-      q_engine.flush();
-      const EngineQueryResult q_res = q_engine.query(q);
-      QualityEnvelope env;
-      if (q_res.ok) {
-        env = measure_quality(q_survivors, q_res.summary.points, k,
-                              LrOrder{2.0}, 0.3, log_delta);
-      }
-      row("%-14s %12.0f %10.0f %8lld %10.3f %10.3f",
-          sampled ? "sampled" : "exact-batched",
-          1e3 * static_cast<double>(stream.size()) / ms, ms,
-          res.ok ? static_cast<long long>(res.summary.points.size()) : -1,
-          env.upper, env.lower);
-      report.record()
-          .kv("series", "ingest_mode_sweep")
-          .kv("mode", sampled ? "sampled" : "exact_batched")
-          .kv("shards", 1)
-          .kv("events", static_cast<std::int64_t>(stream.size()))
-          .kv("ingest_ms", ms)
-          .kv("events_per_s", 1e3 * static_cast<double>(stream.size()) / ms)
-          .kv("coreset_points",
-              res.ok ? static_cast<std::int64_t>(res.summary.points.size())
-                     : std::int64_t{-1})
-          .kv("quality_upper", env.upper)
-          .kv("quality_lower", env.lower);
+    ClusteringEngine engine(dim, params,
+                            engine_options(1, log_delta, stream.size()));
+    Timer timer;
+    multi_producer_submit(engine, stream, producers);
+    engine.flush();
+    const double ms = timer.millis();
+    EngineQuery q;
+    q.summary_only = true;
+    const EngineQueryResult res = engine.query(q);
+    ClusteringEngine q_engine(dim, params,
+                              engine_options(1, log_delta, q_stream.size()));
+    multi_producer_submit(q_engine, q_stream, producers);
+    q_engine.flush();
+    const EngineQueryResult q_res = q_engine.query(q);
+    QualityEnvelope env;
+    if (q_res.ok) {
+      env = measure_quality(q_survivors, q_res.summary.points, k, LrOrder{2.0},
+                            0.3, log_delta);
     }
+    row("%-14s %12.0f %10.0f %8lld %10.3f %10.3f", "exact-batched",
+        1e3 * static_cast<double>(stream.size()) / ms, ms,
+        res.ok ? static_cast<long long>(res.summary.points.size()) : -1,
+        env.upper, env.lower);
+    report.record()
+        .kv("series", "ingest_mode_sweep")
+        .kv("mode", "exact_batched")
+        .kv("shards", 1)
+        .kv("events", static_cast<std::int64_t>(stream.size()))
+        .kv("ingest_ms", ms)
+        .kv("events_per_s", 1e3 * static_cast<double>(stream.size()) / ms)
+        .kv("coreset_points",
+            res.ok ? static_cast<std::int64_t>(res.summary.points.size())
+                   : std::int64_t{-1})
+        .kv("quality_upper", env.upper)
+        .kv("quality_lower", env.lower);
   }
   report.write();
   return 0;

@@ -13,8 +13,6 @@
 #include "skc/common/timer.h"
 #include "skc/obs/flight_recorder.h"
 #include "skc/obs/trace.h"
-#include "skc/solve/capacitated_kmedian.h"
-#include "skc/solve/cost.h"
 
 namespace skc::cluster {
 
@@ -439,15 +437,13 @@ EngineQueryResult ClusterCoordinator::query(const EngineQuery& q) {
       return result;
     }
 
-    result = EngineQueryResult{};
-    Timer merge_timer;
+    const Timer merge_timer;
     bool round_failed = false;
     int failed_owner = -1;
-
-    if (options_.merge_mode == MergeMode::kSketch) {
+    StreamingCoresetBuilder merged(options_.dim, options_.params,
+                                   options_.streaming);
+    {
       SKC_TRACE_SPAN("cluster_merge");
-      StreamingCoresetBuilder merged(options_.dim, options_.params,
-                                     options_.streaming);
       StreamingCoresetBuilder scratch(options_.dim, options_.params,
                                       options_.streaming);
       bool first = true;
@@ -486,108 +482,17 @@ EngineQueryResult ClusterCoordinator::query(const EngineQuery& q) {
         if (!first) merged.merge_from(scratch);
         first = false;
       }
-      if (!round_failed) {
-        result.net_points = merged.net_count();
-        if (result.net_points <= 0) {
-          result.error = "cluster holds no surviving points";
-          return result;
-        }
-        StreamingResult streamed = merged.finalize();
-        if (!streamed.ok) {
-          result.error =
-              "merged coreset construction failed (every o-guess FAILed)";
-          return result;
-        }
-        result.summary = std::move(streamed.coreset);
-      }
-    } else {
-      SKC_TRACE_SPAN("cluster_compose");
-      WeightedPointSet merged_points(options_.dim);
-      double o_accepted = 0.0;
-      for (const int owner : owners) {
-        WorkerLink& link = *links_[static_cast<std::size_t>(owner)];
-        net::CoresetReply rep;
-        bool ok = false;
-        {
-          std::lock_guard<std::mutex> lock(link.mu);
-          obs::LatencyRecorder rec(link.merge_latency);
-          ok = link.data.fetch_coreset(rep);
-          if (ok) {
-            account(protocol_net_, link.id, link.data.last_request_payload(),
-                    link.data.last_reply_payload());
-            merge_rounds_.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        if (!ok) {
-          round_failed = true;
-          failed_owner = owner;
-          break;
-        }
-        result.net_points += rep.net_points;
-        if (!rep.ok) {
-          if (rep.net_points <= 0) continue;  // empty worker, not an error
-          result.error = "worker coreset failed: " + rep.error;
-          return result;
-        }
-        o_accepted = std::max(o_accepted, rep.o);
-        const std::size_t dim = static_cast<std::size_t>(options_.dim);
-        for (std::size_t i = 0; i < rep.weights.size(); ++i) {
-          merged_points.push_back(
-              std::span<const Coord>(rep.coords.data() + i * dim, dim),
-              rep.weights[i]);
-        }
-      }
-      if (!round_failed) {
-        if (result.net_points <= 0) {
-          result.error = "cluster holds no surviving points";
-          return result;
-        }
-        result.summary.points = std::move(merged_points);
-        result.summary.o = o_accepted;
-      }
     }
-
     if (round_failed) {
       handle_worker_failure(failed_owner);
       continue;
     }
-    result.merge_millis = merge_timer.millis();
-
-    if (!q.summary_only) {
-      SKC_TRACE_SPAN("cluster_solve");
-      Timer solve_timer;
-      const int k = q.k > 0 ? q.k : options_.params.k;
-      const double n = static_cast<double>(result.net_points);
-      const double w = result.summary.points.total_weight();
-      if (w <= 0.0) {
-        result.error = "merged summary carries no weight";
-        return result;
-      }
-      // Identical solve path (capacity scaling, seed derivation, solver
-      // choice) to ClusteringEngine::query, so a cluster query over a
-      // partitioned stream matches a single engine fed the union.
-      result.capacity = tight_capacity(n, k) * q.capacity_slack;
-      const double t_summary = result.capacity * w / n;
-      Rng rng(options_.params.seed ^ 0x71756572795f3173ULL);
-      if (options_.params.r.r <= 1.0) {
-        result.solution =
-            capacitated_kmedian(result.summary.points, k, t_summary,
-                                options_.params.r, LocalSearchOptions{}, rng);
-      } else {
-        CapacitatedSolverOptions sopts;
-        sopts.restarts = q.solver_restarts;
-        sopts.delta = Coord{1} << options_.streaming.log_delta;
-        result.solution =
-            capacitated_kmeans(result.summary.points, k, t_summary,
-                               options_.params.r, sopts, rng);
-      }
-      result.solve_millis = solve_timer.millis();
-    }
-    result.ok = true;
-    return result;
+    // The same finalize-and-solve tail a single engine runs, so a cluster
+    // query over a partitioned stream matches one engine fed the union.
+    return solve_merged(merged, q, options_.params, options_.streaming.log_delta,
+                        merge_timer);
   }
-  result.ok = false;
-  if (result.error.empty()) result.error = "query failed after failover retry";
+  result.error = "query failed after failover retry";
   return result;
 }
 
@@ -997,9 +902,11 @@ net::Status ClusterCoordinator::dispatch(const net::FrameHeader& header,
     case MsgType::kWorkerHello:
     case MsgType::kHeartbeat:
     case MsgType::kMergeSketch:
-    case MsgType::kFetchCoreset:
     case MsgType::kShipSnapshot:
       // Worker-side RPCs; a coordinator is not a worker.
+      break;
+
+    case MsgType::kReserved12:  // reserved; no server implements it
       break;
 
     case MsgType::kTenantStats:

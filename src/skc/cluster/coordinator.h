@@ -17,8 +17,8 @@
 //             like a single engine would.  The per-round communication is
 //             W sketches, each O~(d poly(eps^-1 eta^-1 k log Delta)) in
 //             sketch mode — independent of n, which bench_cluster measures.
-//             MergeMode::kCompose instead fetches finalized per-worker
-//             coresets (kFetchCoreset) and unions them.
+//             The finalize-and-solve step is solve_merged() (engine.h), the
+//             same function ClusteringEngine::query ends in.
 //
 //   failover  every fetched sketch doubles as that worker's member
 //             checkpoint: the coordinator keeps the blob plus a replay
@@ -76,7 +76,6 @@ struct CoordinatorOptions {
   int dim = 2;
   CoresetParams params;
   StreamingOptions streaming;
-  MergeMode merge_mode = MergeMode::kSketch;
 
   net::ClientOptions client;
   int heartbeat_interval_ms = 250;

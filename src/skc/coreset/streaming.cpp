@@ -50,7 +50,6 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
       cm.width = options.countmin_width;
       cm.depth = options.countmin_depth;
       cm.exact = options.exact_storing;
-      cm.sampled = options.sampled_countmin;
       guess.counts.emplace_back(
           grid_, i, cm, sketch_seed(params, guess_index, SamplerPurpose::kCounting, i));
       // Point stores are deduplicated by (level, phi.m): guesses with the
@@ -86,13 +85,6 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
   }
   h_count_scratch_.resize(static_cast<std::size_t>(L + 1));
   h_core_scratch_.resize(static_cast<std::size_t>(L + 1));
-}
-
-void StreamingCoresetBuilder::set_countmin_sample_skip(std::uint32_t m) {
-  for (GuessState& guess : guesses_) {
-    if (guess.pruned) continue;
-    for (CellCountMin& cm : guess.counts) cm.set_sample_skip(m);
-  }
 }
 
 namespace {

@@ -84,15 +84,6 @@ struct StreamingOptions {
   /// prunes.  0 disables.
   std::int64_t prune_interval = 4096;
   double prune_slack = 100.0;
-
-  /// NitroSketch-style sampled CountMin updates (flag-gated, OFF by
-  /// default): each kept counting-substream event updates one sampled
-  /// sketch row with a compensating depth x increment instead of all rows,
-  /// and the engine may raise the skip factor under queue pressure
-  /// (set_countmin_sample_skip).  Cuts per-event sketch cost ~depth x at the
-  /// price of statistical (two-sided) count estimates; ignored in exact
-  /// mode.  See DESIGN.md §12.
-  bool sampled_countmin = false;
 };
 
 struct StreamingResult {
@@ -125,12 +116,6 @@ class StreamingCoresetBuilder {
 
   /// Feeds a whole stream (batched).
   void consume(const Stream& stream);
-
-  /// Sampled-countmin mode only (StreamingOptions::sampled_countmin):
-  /// forwards the skip factor m to every live CountMin; 1 = sample every
-  /// kept event onto one row, m > 1 = land ~1/m of them with m-scaled
-  /// compensation.  The engine adapts m to its queue depth.
-  void set_countmin_sample_skip(std::uint32_t m);
 
   /// Linear-sketch merge: folds another builder constructed with IDENTICAL
   /// (dim, params, options) into this one (checked).  Because every

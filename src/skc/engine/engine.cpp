@@ -12,7 +12,6 @@
 #include "skc/common/crc64.h"
 #include "skc/common/random.h"
 #include "skc/common/serial.h"
-#include "skc/coreset/compose.h"
 #include "skc/engine/bounded_queue.h"
 #include "skc/obs/histogram.h"
 #include "skc/obs/trace.h"
@@ -176,20 +175,6 @@ void ClusteringEngine::drain(Shard& shard) {
     {
       SKC_TRACE_SPAN("drain");
       std::lock_guard<std::mutex> lock(shard.builder_mu);
-      if (options_.streaming.sampled_countmin) {
-        // Adapt the NitroSketch skip factor to queue pressure: a deep
-        // backlog trades sketch-row coverage for drain throughput, an empty
-        // queue restores exact (skip 1) landing.  Thresholds are in events
-        // relative to the configured drain batch.
-        const std::size_t depth = shard.queue.size();
-        std::uint32_t skip = 1;
-        if (depth >= 8 * options_.drain_batch) {
-          skip = 4;
-        } else if (depth >= 2 * options_.drain_batch) {
-          skip = 2;
-        }
-        shard.builder->set_countmin_sample_skip(skip);
-      }
       shard.builder->update_batch(batch);
     }
     const auto applied = static_cast<std::int64_t>(batch.size());
@@ -213,88 +198,74 @@ void ClusteringEngine::flush() {
   }
 }
 
-std::string ClusteringEngine::snapshot_shard(Shard& shard) {
-  SKC_TRACE_SPAN("snapshot");
-  std::ostringstream out(std::ios::binary);
-  std::lock_guard<std::mutex> lock(shard.builder_mu);
-  shard.builder->save(out);
-  return std::move(out).str();
+std::unique_ptr<StreamingCoresetBuilder> ClusteringEngine::fold_shards() {
+  SKC_TRACE_SPAN("merge");
+  // The builder is linear, so adding each live shard into an empty builder
+  // yields the sketch of the union.  One shard lock at a time: the others
+  // keep ingesting while this one merges.
+  auto folded =
+      std::make_unique<StreamingCoresetBuilder>(dim_, params_, options_.streaming);
+  for (auto& shard : shards_) {
+    SKC_TRACE_SPAN("snapshot");
+    std::lock_guard<std::mutex> lock(shard->builder_mu);
+    folded->merge_from(*shard->builder);
+  }
+  return folded;
 }
 
-EngineQueryResult ClusteringEngine::merge_snapshots() {
+EngineQueryResult solve_merged(const StreamingCoresetBuilder& merged,
+                               const EngineQuery& q, const CoresetParams& params,
+                               int log_delta, const Timer& merge_timer) {
   EngineQueryResult result;
-  // Brief per-shard locks; everything after works on the private snapshots
-  // while ingest proceeds.
-  std::vector<std::string> blobs;
-  blobs.reserve(shards_.size());
-  for (auto& shard : shards_) blobs.push_back(snapshot_shard(*shard));
-
-  SKC_TRACE_SPAN("merge");
-  Timer merge_timer;
-  auto thaw = [&](const std::string& blob, StreamingCoresetBuilder& into) {
-    std::istringstream in(blob);
-    const bool ok = into.load(in);
-    SKC_CHECK_MSG(ok, "shard snapshot failed to round-trip");
-  };
-
-  if (options_.merge_mode == MergeMode::kSketch) {
-    StreamingCoresetBuilder merged(dim_, params_, options_.streaming);
-    StreamingCoresetBuilder scratch(dim_, params_, options_.streaming);
-    thaw(blobs[0], merged);
-    for (std::size_t s = 1; s < blobs.size(); ++s) {
-      thaw(blobs[s], scratch);
-      merged.merge_from(scratch);
-    }
-    result.net_points = merged.net_count();
-    if (result.net_points <= 0) {
-      result.error = "engine holds no surviving points";
-      return result;
-    }
-    StreamingResult streamed = merged.finalize();
-    if (!streamed.ok) {
-      result.error = "merged coreset construction failed (every o-guess FAILed)";
-      return result;
-    }
-    result.summary = std::move(streamed.coreset);
-  } else {
-    // kCompose: finalize each shard independently, union the outputs.  The
-    // union of per-shard strong coresets is a strong coreset of the union;
-    // the optional re-coreset below trades one extra (eps, eta) compounding
-    // step for a bounded summary size, exactly as in merge-reduce.
-    StreamingCoresetBuilder scratch(dim_, params_, options_.streaming);
-    WeightedPointSet merged_points(dim_);
-    double o_accepted = 0.0;
-    for (const std::string& blob : blobs) {
-      thaw(blob, scratch);
-      result.net_points += scratch.net_count();
-      if (scratch.events() == 0) continue;  // shard never saw an event
-      StreamingResult streamed = scratch.finalize();
-      if (!streamed.ok) {
-        result.error = "a shard coreset construction failed";
-        return result;
-      }
-      merged_points.append(streamed.coreset.points);
-      o_accepted = std::max(o_accepted, streamed.coreset.o);
-    }
-    if (result.net_points <= 0) {
-      result.error = "engine holds no surviving points";
-      return result;
-    }
-    if (options_.compose_reduce_threshold > 0 &&
-        merged_points.size() > options_.compose_reduce_threshold) {
-      const OfflineBuildResult reduced = build_weighted_coreset(
-          merged_points, params_, options_.streaming.log_delta);
-      if (!reduced.ok) {
-        result.error = "re-coreset of the shard union failed";
-        return result;
-      }
-      result.summary = reduced.coreset;
-    } else {
-      result.summary.points = std::move(merged_points);
-      result.summary.o = o_accepted;
-    }
+  result.net_points = merged.net_count();
+  if (result.net_points <= 0) {
+    result.error = "the merged sketch holds no surviving points";
+    return result;
   }
+  StreamingResult streamed = merged.finalize();
+  if (!streamed.ok) {
+    result.error = "merged coreset construction failed (every o-guess FAILed)";
+    return result;
+  }
+  result.summary = std::move(streamed.coreset);
   result.merge_millis = merge_timer.millis();
+  if (q.summary_only) {
+    result.ok = true;
+    return result;
+  }
+
+  const int k = q.k > 0 ? q.k : params.k;
+  const WeightedPointSet& points = result.summary.points;
+  if (points.size() < k) {
+    // The solvers require k <= n; a tiny stream must get an answer, not an
+    // abort.
+    result.error = "k = " + std::to_string(k) + " exceeds the " +
+                   std::to_string(points.size()) + "-point merged summary";
+    return result;
+  }
+  const double w = points.total_weight();
+  if (w <= 0.0) {
+    result.error = "merged summary carries no weight";
+    return result;
+  }
+  SKC_TRACE_SPAN("solve");
+  Timer solve_timer;
+  // Capacity in full-data units, rescaled onto the summary's weight (the
+  // summary's total weight is an unbiased estimate of n).
+  const double n = static_cast<double>(result.net_points);
+  result.capacity = tight_capacity(n, k) * q.capacity_slack;
+  const double t_summary = result.capacity * w / n;
+  Rng rng(params.seed ^ 0x71756572795f3173ULL);
+  if (params.r.r <= 1.0) {
+    result.solution =
+        capacitated_kmedian(points, k, t_summary, params.r, LocalSearchOptions{}, rng);
+  } else {
+    CapacitatedSolverOptions sopts;
+    sopts.restarts = q.solver_restarts;
+    sopts.delta = Coord{1} << log_delta;
+    result.solution = capacitated_kmeans(points, k, t_summary, params.r, sopts, rng);
+  }
+  result.solve_millis = solve_timer.millis();
   result.ok = true;
   return result;
 }
@@ -303,35 +274,10 @@ EngineQueryResult ClusteringEngine::query(const EngineQuery& q) {
   SKC_TRACE_SPAN("query");
   obs::LatencyRecorder latency(counters_.query_latency);
   if (q.barrier) flush();
-  EngineQueryResult result = merge_snapshots();
-  if (result.ok && !q.summary_only) {
-    SKC_TRACE_SPAN("solve");
-    Timer solve_timer;
-    const int k = q.k > 0 ? q.k : params_.k;
-    const double n = static_cast<double>(result.net_points);
-    const double w = result.summary.points.total_weight();
-    if (w <= 0.0) {
-      result.ok = false;
-      result.error = "merged summary carries no weight";
-    } else {
-      // Capacity in full-data units, rescaled onto the summary's weight (the
-      // summary's total weight is an unbiased estimate of n).
-      result.capacity = tight_capacity(n, k) * q.capacity_slack;
-      const double t_summary = result.capacity * w / n;
-      Rng rng(params_.seed ^ 0x71756572795f3173ULL);
-      if (params_.r.r <= 1.0) {
-        result.solution = capacitated_kmedian(result.summary.points, k, t_summary,
-                                              params_.r, LocalSearchOptions{}, rng);
-      } else {
-        CapacitatedSolverOptions sopts;
-        sopts.restarts = q.solver_restarts;
-        sopts.delta = Coord{1} << options_.streaming.log_delta;
-        result.solution = capacitated_kmeans(result.summary.points, k, t_summary,
-                                             params_.r, sopts, rng);
-      }
-      result.solve_millis = solve_timer.millis();
-    }
-  }
+  const Timer merge_timer;
+  const auto folded = fold_shards();
+  EngineQueryResult result =
+      solve_merged(*folded, q, params_, options_.streaming.log_delta, merge_timer);
   counters_.queries.fetch_add(1, std::memory_order_relaxed);
   // `latency` records the full wall time (barrier included) into
   // counters_.query_latency when it leaves scope.
@@ -452,26 +398,15 @@ bool ClusteringEngine::restore(const std::string& path) {
 EngineSketchExport ClusteringEngine::export_sketch() {
   SKC_TRACE_SPAN("export_sketch");
   flush();
-  // Same thaw-and-add path as a kSketch query merge: the export is the
-  // linear sum of the shard sketches, i.e. exactly what a single builder
-  // fed every applied event would hold (bit-identical in exact mode).
-  StreamingCoresetBuilder merged(dim_, params_, options_.streaming);
-  StreamingCoresetBuilder scratch(dim_, params_, options_.streaming);
-  bool first = true;
-  for (auto& shard : shards_) {
-    const std::string blob = snapshot_shard(*shard);
-    std::istringstream in(blob);
-    StreamingCoresetBuilder& target = first ? merged : scratch;
-    const bool ok = target.load(in);
-    SKC_CHECK_MSG(ok, "shard snapshot failed to round-trip");
-    if (!first) merged.merge_from(scratch);
-    first = false;
-  }
+  // The same fold a query runs: the linear sum of the shard sketches, i.e.
+  // exactly what a single builder fed every applied event would hold (the
+  // same multiset of samples in exact mode).
+  const auto folded = fold_shards();
   EngineSketchExport out;
-  out.net_points = merged.net_count();
-  out.events_applied = merged.events();
+  out.net_points = folded->net_count();
+  out.events_applied = folded->events();
   std::ostringstream blob(std::ios::binary);
-  merged.save(blob);
+  folded->save(blob);
   out.blob = std::move(blob).str();
   return out;
 }
@@ -530,7 +465,6 @@ std::uint64_t engine_config_fingerprint(int dim, const CoresetParams& params,
   mix(static_cast<std::uint64_t>(streaming.distinct_budget));
   mix(static_cast<std::uint64_t>(streaming.prune_interval));
   mix_d(streaming.prune_slack);
-  mix(streaming.sampled_countmin ? 1 : 0);
   return h;
 }
 

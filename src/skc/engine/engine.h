@@ -19,20 +19,14 @@
 //            its sub-multiset.
 //
 //   query    query(q) takes an epoch barrier (waits until every event
-//            submitted before the call has been applied), snapshots each
-//            shard's builder via its checkpoint serialization (brief
-//            per-shard lock — ingest resumes immediately), merges the
-//            snapshots, and solves capacitated k-median/k-means on the
-//            merged coreset.  Merge strategies:
-//              kSketch  — add the linear sketches (merge_from) and finalize
-//                         once: identical to a single-shard run in exact
-//                         mode, and the default.
-//              kCompose — finalize each shard separately and concatenate
-//                         the per-shard coresets (re-coreset via the
-//                         weighted construction when the union grows past
-//                         compose_reduce_threshold); one extra (eps, eta)
-//                         compounding step, but finalize cost is paid
-//                         per-shard in parallel.
+//            submitted before the call has been applied), then folds the
+//            shards: a query-local builder merge_from()s each live shard
+//            builder under that shard's lock, one shard at a time, so ingest
+//            on the other shards never stalls.  The fold is the linear sum
+//            of the shard sketches: in exact mode, the state of one builder
+//            fed the whole stream.  solve_merged() then finalizes once and
+//            solves capacitated k-median/k-means on the merged coreset — the
+//            same tail the cluster coordinator runs on its workers' sketches.
 //
 //   durability  checkpoint(path)/restore(path) persist every shard builder
 //            behind a versioned header; any mismatch or truncation makes
@@ -62,11 +56,6 @@
 
 namespace skc {
 
-enum class MergeMode : std::uint8_t {
-  kSketch = 0,   ///< add shard sketches, finalize once (linear merge)
-  kCompose = 1,  ///< finalize per shard, concatenate / re-coreset the outputs
-};
-
 struct EngineOptions {
   int num_shards = 4;
   /// Drain workers on the internal pool; -1 = one per shard, 0 = inline
@@ -88,17 +77,13 @@ struct EngineOptions {
   /// of the WHOLE stream, not one shard's slice, so that every shard
   /// enumerates the same o-guess grid (required by the sketch merge).
   StreamingOptions streaming;
-  MergeMode merge_mode = MergeMode::kSketch;
-  /// kCompose only: re-coreset the concatenated shard coresets when the
-  /// union exceeds this many points (0 = never).
-  PointIndex compose_reduce_threshold = 1 << 15;
 };
 
 struct EngineQuery {
   int k = 0;                    ///< 0 = the k the engine's params carry
   double capacity_slack = 1.1;  ///< capacity = slack * ceil(n / k)
-  /// Wait for all previously submitted events before snapshotting (the
-  /// epoch barrier).  false = snapshot whatever has been applied so far.
+  /// Wait for all previously submitted events before folding the shards
+  /// (the epoch barrier).  false = fold whatever has been applied so far.
   bool barrier = true;
   /// Skip the solver and return only the merged summary.
   bool summary_only = false;
@@ -115,9 +100,24 @@ struct EngineQueryResult {
   CapacitatedSolution solution;
   std::int64_t net_points = 0;  ///< surviving points at the epoch
   double capacity = 0.0;        ///< per-center capacity used (full-data units)
+  /// Everything before the solver: the shard fold (or the cluster's merge
+  /// round) and the finalize.
   double merge_millis = 0.0;
-  double solve_millis = 0.0;
+  double solve_millis = 0.0;    ///< the capacitated solver alone
 };
+
+/// The query tail shared by ClusteringEngine::query (after the shard fold)
+/// and cluster::ClusterCoordinator::query (after the worker merge round):
+/// one finalize of the summed sketch, the mapping of its failures onto
+/// `error`, then — unless q.summary_only — capacity scaling onto the
+/// summary's weight, the solver seed and the solver choice (k-median local
+/// search for r <= 1, balanced Lloyd otherwise).  A k larger than the
+/// summary is answered with ok = false, never handed to the solver.
+/// `merge_timer` started before the fold; merge_millis reads it just
+/// before the solver runs.
+EngineQueryResult solve_merged(const StreamingCoresetBuilder& merged,
+                               const EngineQuery& q, const CoresetParams& params,
+                               int log_delta, const Timer& merge_timer);
 
 /// Serialized single-builder export of the engine's whole state plus its
 /// epoch watermarks — the unit the cluster protocol ships (kMergeSketch
@@ -162,8 +162,8 @@ class ClusteringEngine {
   /// been applied to its shard builder.
   void flush();
 
-  /// Merged-coreset clustering query; never stalls ingest beyond the
-  /// per-shard snapshot locks.
+  /// Merged-coreset clustering query; stalls each shard's ingest only for
+  /// the merge_from of that shard into the query-local fold.
   EngineQueryResult query(const EngineQuery& q);
 
   /// Persists every shard builder behind a versioned header.  Takes the
@@ -186,7 +186,8 @@ class ClusteringEngine {
   bool load_state(std::istream& in);
 
   /// Cluster export: takes the epoch barrier, folds every shard builder
-  /// into one via the linear merge, and serializes the result.  The blob
+  /// into one via the linear merge (the same fold query() runs), and
+  /// serializes the result.  The blob
   /// summarizes every event applied to this engine and merges losslessly
   /// with any engine of identical configuration (exact mode: bit-identical
   /// to feeding one builder the union).
@@ -226,8 +227,9 @@ class ClusteringEngine {
   void route(const StreamEvent& event);
   void schedule_drain(Shard& shard);
   void drain(Shard& shard);
-  std::string snapshot_shard(Shard& shard);
-  EngineQueryResult merge_snapshots();
+  /// Sums every shard sketch into a fresh query-local builder, holding each
+  /// shard's builder lock only for that shard's merge_from.
+  std::unique_ptr<StreamingCoresetBuilder> fold_shards();
   void save_body(std::ostream& out);
   bool load_body(std::istream& in);
 

@@ -259,13 +259,6 @@ bool SkcClient::ship_snapshot(const SketchSnapshot& snapshot) {
   return request(MsgType::kShipSnapshot, snapshot.encode(), body);
 }
 
-bool SkcClient::fetch_coreset(CoresetReply& reply) {
-  std::string body;
-  if (!request(MsgType::kFetchCoreset, std::string_view{}, body)) return false;
-  if (!reply.decode(body)) return fail("undecodable coreset reply");
-  return true;
-}
-
 bool SkcClient::tenant_stats(std::string& json) {
   std::string body;
   if (!request(MsgType::kTenantStats, std::string_view{}, body)) return false;

@@ -102,8 +102,6 @@ class SkcClient {
   bool merge_sketch(SketchSnapshot& snapshot);
   /// Ships a snapshot for the worker to adopt (failover restore).
   bool ship_snapshot(const SketchSnapshot& snapshot);
-  /// Fetches the worker's finalized local coreset (kCompose-mode merge).
-  bool fetch_coreset(CoresetReply& reply);
 
   /// Per-tenant stats JSON from a multi-tenant server: the client's tenant
   /// when one is set, the whole registry otherwise.

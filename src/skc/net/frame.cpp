@@ -273,7 +273,9 @@ std::string QueryRequest::encode() const {
 bool QueryRequest::decode(std::string_view body) {
   Reader r(body);
   return r.get(k) && k >= 0 && r.get(capacity_slack) && r.get_bool(barrier) &&
-         r.get_bool(summary_only) && r.get(solver_restarts) && r.done();
+         r.get_bool(summary_only) && r.get(solver_restarts) &&
+         solver_restarts >= 0 && solver_restarts <= kMaxSolverRestarts &&
+         r.done();
 }
 
 std::string QueryReply::encode() const {
@@ -381,34 +383,6 @@ bool SketchSnapshot::decode(std::string_view body) {
   if (!r.get(net_points) || !r.get(events_applied)) return false;
   if (!r.get_string(blob) || !r.done()) return false;
   return blob.size() <= kMaxSketchPayloadBytes;
-}
-
-std::string CoresetReply::encode() const {
-  Writer w;
-  put_bool(w, ok);
-  w.put_string(error);
-  w.put(net_points);
-  w.put(o);
-  w.put(dim);
-  w.put_vector(weights);
-  w.put_vector(coords);
-  return w.take();
-}
-
-bool CoresetReply::decode(std::string_view body) {
-  Reader r(body);
-  if (!r.get_bool(ok) || !r.get_string(error) || !r.get(net_points) ||
-      !r.get(o) || !r.get(dim)) {
-    return false;
-  }
-  if (dim < 0 || dim > kMaxDim) return false;
-  if (!r.get_vector(weights) || !r.get_vector(coords) || !r.done()) {
-    return false;
-  }
-  if (dim == 0) return weights.empty() && coords.empty();
-  // The coordinate block must be exactly dim coordinates per weighted point.
-  return coords.size() ==
-         weights.size() * static_cast<std::size_t>(dim);
 }
 
 HistogramWire HistogramWire::from(const obs::HistogramSnapshot& snapshot) {

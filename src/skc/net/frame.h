@@ -33,11 +33,12 @@
 // bounds-checked: a frame with a bad magic, unknown version/type, or an
 // over-limit length is rejected at the header (decode_header names the
 // Status to answer with before closing), and payload decoders reject
-// truncated bodies, impossible sizes, and trailing garbage — a malformed
-// peer can terminate its connection, never crash the process.  A malformed
-// or unknown *stream id* is NOT a framing error: frames are length-
-// delimited, so the server answers a typed kUnknownTenant error and keeps
-// the connection.
+// truncated bodies, impossible sizes, out-of-range fields and trailing
+// garbage — a malformed peer can terminate its connection, never crash the
+// process.  A payload that fails its decoder, or a malformed or unknown
+// *stream id*, is NOT a framing error: frames are length-delimited, so the
+// server answers a typed error (kMalformed / kUnknownTenant) and keeps the
+// connection.
 //
 // The simulated coordinator network (src/skc/dist/) accounts its messages
 // with frame_wire_bytes() so Theorem 4.7's measured communication equals
@@ -72,13 +73,16 @@ inline constexpr std::size_t kMaxTenantIdBytes = 64;
 /// max_payload_bytes().
 inline constexpr std::uint32_t kMaxPayloadBytes = 8u << 20;
 /// Cap for frames whose body is a serialized coreset builder (MERGE_SKETCH
-/// and SHIP_SNAPSHOT replies/requests, FETCH_CORESET replies).  Sketch-mode
+/// replies and SHIP_SNAPSHOT requests).  Sketch-mode
 /// builders are size-capped independent of n, but exact-mode snapshots grow
 /// with the data, and a failover restore must be able to ship one whole.
 inline constexpr std::uint32_t kMaxSketchPayloadBytes = 256u << 20;
 /// Caps inside payloads (points per batch, coordinates per point).
 inline constexpr std::uint64_t kMaxBatchPoints = 1u << 20;
 inline constexpr std::int32_t kMaxDim = 4096;
+/// Cap on QueryRequest::solver_restarts: the k-means solver allocates one
+/// solution per restart up front, so the count must be bounded at the wire.
+inline constexpr std::int32_t kMaxSolverRestarts = 64;
 
 enum class MsgType : std::uint8_t {
   kPing = 0,
@@ -94,7 +98,9 @@ enum class MsgType : std::uint8_t {
   kWorkerHello = 9,   ///< config-fingerprint handshake; reply: WorkerHelloReply
   kHeartbeat = 10,    ///< empty request; reply: HeartbeatReply
   kMergeSketch = 11,  ///< empty request; reply: SketchSnapshot (engine export)
-  kFetchCoreset = 12, ///< empty request; reply: CoresetReply (finalized)
+  kReserved12 = 12,   ///< formerly FETCH_CORESET; every server answers
+                      ///< kUnsupported.  Kept so the enum stays dense and
+                      ///< 13-17 keep their wire values.
   kShipSnapshot = 13, ///< request: SketchSnapshot to adopt (failover restore)
   // Multi-tenant protocol (src/skc/tenant/).
   kTenantStats = 14,  ///< reply: per-tenant registry stats JSON (encode_text);
@@ -156,7 +162,6 @@ inline constexpr std::uint64_t frame_wire_bytes(std::uint64_t payload_bytes) {
 constexpr std::uint32_t max_payload_bytes(MsgType type) {
   switch (type) {
     case MsgType::kMergeSketch:
-    case MsgType::kFetchCoreset:
     case MsgType::kShipSnapshot:
       return kMaxSketchPayloadBytes;
     default:
@@ -235,7 +240,8 @@ struct BatchReply {
   bool decode(std::string_view body);
 };
 
-/// QUERY request — mirrors EngineQuery.
+/// QUERY request — mirrors EngineQuery.  decode() rejects a negative k and
+/// a solver_restarts outside [0, kMaxSolverRestarts].
 struct QueryRequest {
   std::int32_t k = 0;
   double capacity_slack = 1.1;
@@ -324,21 +330,6 @@ struct SketchSnapshot {
   std::int64_t net_points = 0;
   std::int64_t events_applied = 0;  ///< events folded into the blob
   std::string blob;
-
-  std::string encode() const;
-  bool decode(std::string_view body);
-};
-
-/// FETCH_CORESET reply (the request body is empty): the worker's finalized
-/// local coreset — the kCompose-mode alternative to shipping raw sketches.
-struct CoresetReply {
-  bool ok = false;
-  std::string error;  ///< set iff !ok
-  std::int64_t net_points = 0;
-  double o = 0.0;     ///< accepted OPT guess
-  std::int32_t dim = 0;
-  std::vector<double> weights;
-  std::vector<Coord> coords;  ///< row-major, dim per point
 
   std::string encode() const;
   bool decode(std::string_view body);

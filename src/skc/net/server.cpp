@@ -163,8 +163,9 @@ void FrameServer::serve_connection(Conn& conn) {
             frame_wire_bytes(reply.size())));
       }
     }
+    // Dispatch errors, kMalformed bodies included, keep the connection: the
+    // body was read whole by its length prefix, so the stream offset holds.
     if (!send_reply(conn, header.type, status, reply)) break;
-    if (status == Status::kMalformed) break;  // stream integrity is gone
     if (header.type == MsgType::kShutdown && status == Status::kOk) {
       request_shutdown();
       break;
@@ -421,28 +422,9 @@ Status EngineServer::dispatch(const FrameHeader& header, std::string_view body,
       return Status::kOk;
     }
 
-    case MsgType::kFetchCoreset: {
-      if (draining()) return Status::kShuttingDown;
-      EngineQuery q;
-      q.summary_only = true;  // barrier defaults to true: a clean epoch
-      const EngineQueryResult res = engine_.query(q);
-      CoresetReply out;
-      out.ok = res.ok;
-      out.error = res.error;
-      out.net_points = res.net_points;
-      out.o = res.summary.o;
-      out.dim = res.summary.points.dim();
-      const WeightedPointSet& pts = res.summary.points;
-      out.weights.assign(pts.weights().begin(), pts.weights().end());
-      out.coords.reserve(static_cast<std::size_t>(pts.size()) *
-                         static_cast<std::size_t>(engine_.dim()));
-      for (PointIndex i = 0; i < pts.size(); ++i) {
-        const auto p = pts.point(i);
-        out.coords.insert(out.coords.end(), p.begin(), p.end());
-      }
-      reply = out.encode();
-      return Status::kOk;
-    }
+    case MsgType::kReserved12:
+      reply = encode_text("message type 12 is reserved");
+      return Status::kUnsupported;
 
     case MsgType::kTenantStats:
       reply = encode_text("tenant stats require a multi-tenant server");

@@ -14,10 +14,7 @@ CellCountMin::CellCountMin(const HierarchicalGrid& grid, int level,
   SKC_CHECK(level >= 0 && level <= grid.log_delta());
   SKC_CHECK(config.width >= 8);
   SKC_CHECK(config.depth >= 1 && config.depth <= 8);
-  if (config_.exact) {
-    config_.sampled = false;  // exact mode keeps full-precision counts
-    return;
-  }
+  if (config_.exact) return;
   Rng rng(seed ^ 0xC0047C0047ULL);
   fold_ = VectorFold(rng);
   row_hash_.reserve(static_cast<std::size_t>(config.depth));
@@ -25,22 +22,6 @@ CellCountMin::CellCountMin(const HierarchicalGrid& grid, int level,
   counters_.assign(static_cast<std::size_t>(config.depth) *
                        static_cast<std::size_t>(config.width),
                    0);
-  if (config_.sampled) sample_rng_.reseed(seed ^ 0x4e17205ce7c0ULL);
-}
-
-void CellCountMin::set_sample_skip(std::uint32_t m) {
-  sample_skip_ = std::max<std::uint32_t>(m, 1);
-}
-
-void CellCountMin::apply_sampled(std::uint64_t folded, std::int64_t delta) {
-  // Land the update with probability 1/m on one uniformly chosen row; the
-  // increment carries the inverse probability (depth * m) so every row's
-  // counter remains an unbiased estimator of its exact value.
-  if (sample_skip_ > 1 && sample_rng_.next_below(sample_skip_) != 0) return;
-  const int row =
-      static_cast<int>(sample_rng_.next_below(static_cast<std::uint64_t>(config_.depth)));
-  counters_[slot(row, folded)] +=
-      delta * config_.depth * static_cast<std::int64_t>(sample_skip_);
 }
 
 void CellCountMin::update(std::span<const Coord> p, std::int64_t delta) {
@@ -64,10 +45,6 @@ void CellCountMin::update(std::span<const Coord> p, std::int64_t delta) {
   grid_->cell_index_of(p, level_, std::span<std::int32_t>(idx32, p.size()));
   for (std::size_t j = 0; j < p.size(); ++j) idx64[j] = idx32[j];
   const std::uint64_t folded = fold_(std::span<const std::int64_t>(idx64, p.size()));
-  if (config_.sampled) {
-    apply_sampled(folded, delta);
-    return;
-  }
   for (int r = 0; r < config_.depth; ++r) counters_[slot(r, folded)] += delta;
 }
 
@@ -97,10 +74,6 @@ void CellCountMin::update_cells(const std::int32_t* cell_idx,
   for (std::size_t base = 0; base < n; base += f61::kBatchTile) {
     const std::size_t tn = std::min(f61::kBatchTile, n - base);
     fold_.fold_cells_batch(cell_idx + base * dim, dim, tn, folds);
-    if (config_.sampled) {
-      for (std::size_t b = 0; b < tn; ++b) apply_sampled(folds[b], deltas[base + b]);
-      continue;
-    }
     for (int r = 0; r < config_.depth; ++r) {
       for (std::size_t b = 0; b < tn; ++b) h[b] = folds[b];
       row_hash_[static_cast<std::size_t>(r)].eval_batch(h, tn);
@@ -149,7 +122,6 @@ void CellCountMin::merge(const CellCountMin& other) {
   SKC_CHECK(other.config_.exact == config_.exact);
   SKC_CHECK(other.config_.width == config_.width);
   SKC_CHECK(other.config_.depth == config_.depth);
-  SKC_CHECK(other.config_.sampled == config_.sampled);
   events_ += other.events_;
   if (config_.exact) {
     for (const auto& [key, count] : other.exact_) {

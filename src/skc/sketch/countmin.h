@@ -30,16 +30,6 @@ struct CellCountMinConfig {
   int width = 2048;  ///< counters per row
   int depth = 3;     ///< rows (estimate = min over rows)
   bool exact = false;
-  /// NitroSketch-style sampled updates (Liu et al., SIGCOMM 2019): instead
-  /// of touching all `depth` rows per event, update ONE uniformly chosen row
-  /// with a compensating `depth x delta` increment, so every row's counter
-  /// stays an unbiased estimator of its exact value (each row is hit with
-  /// probability 1/depth; see DESIGN.md §12 for the compensation argument).
-  /// A further skip factor m (set_sample_skip) lands only ~1/m of updates,
-  /// scaling increments by m — variance traded for throughput under load.
-  /// Ignored in exact mode; estimates become statistical (no longer
-  /// one-sided), so this mode is flag-gated and off by default.
-  bool sampled = false;
 };
 
 class CellCountMin {
@@ -56,17 +46,10 @@ class CellCountMin {
   /// Batch form over precomputed level-`level()` cell indices: `cell_idx`
   /// holds n rows of grid().dim() entries (the layout cell_index_of_batch
   /// emits), deltas[i] the signed multiplicity of row i.  Equivalent to n
-  /// pointwise updates in order — bit-identical in exact and non-sampled
-  /// sketch mode (same field ops, reorganized); in sampled mode the row
-  /// draws consume the internal Rng in batch order instead.
+  /// pointwise updates in order — bit-identical in exact and sketch mode
+  /// (same field ops, reorganized).
   void update_cells(const std::int32_t* cell_idx, const std::int64_t* deltas,
                     std::size_t n);
-
-  /// Sampled-mode skip factor m >= 1 (no-op unless config.sampled): an
-  /// update lands with probability 1/m, with its increment scaled by m.
-  /// The engine adapts m to queue depth.
-  void set_sample_skip(std::uint32_t m);
-  std::uint32_t sample_skip() const { return sample_skip_; }
 
   /// Estimated count of `cell` (>= true count in expectation; exact in
   /// exact mode).  `cell.level` must equal level().
@@ -90,8 +73,6 @@ class CellCountMin {
   bool load(std::istream& in);
 
  private:
-  void apply_sampled(std::uint64_t folded, std::int64_t delta);
-
   std::size_t slot(int row, std::uint64_t fold) const {
     return static_cast<std::size_t>(row) * static_cast<std::size_t>(config_.width) +
            static_cast<std::size_t>(
@@ -109,10 +90,6 @@ class CellCountMin {
   std::unordered_map<CellKey, std::int64_t, CellKeyHash> exact_;
   bool released_ = false;
   std::int64_t events_ = 0;
-  // Sampled mode only: row/skip draws.  Not checkpointed (restored sketches
-  // restart the draw stream; counters stay valid — they are just sums).
-  Rng sample_rng_{0};
-  std::uint32_t sample_skip_ = 1;
 };
 
 }  // namespace skc

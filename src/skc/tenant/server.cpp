@@ -226,9 +226,11 @@ Status TenantServer::dispatch(const net::FrameHeader& header,
     case MsgType::kWorkerHello:
     case MsgType::kHeartbeat:
     case MsgType::kMergeSketch:
-    case MsgType::kFetchCoreset:
     case MsgType::kShipSnapshot:
       // Cluster worker RPCs; a tenant host is not a cluster worker.
+      break;
+
+    case MsgType::kReserved12:  // reserved; no server implements it
       break;
   }
   reply = net::encode_text("unsupported message type at the tenant server");

@@ -3,17 +3,14 @@
 // The batch APIs (hash_batch / cell_index_of_batch / update_cells /
 // update_batch, and StreamingCoresetBuilder::update_batch above them) claim
 // to be pure reorganizations of the pointwise field operations: in exact
-// mode AND in non-sampled sketch mode, feeding the same events through the
-// batch path must leave every structure in a byte-identical serialized
-// state.  These tests pin that claim at every layer, then bound the
-// statistical error of the flag-gated sampled CountMin mode against the
-// plain sketch at matched memory.
+// mode AND in sketch mode, feeding the same events through the batch path
+// must leave every structure in a byte-identical serialized state.  These
+// tests pin that claim at every layer.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
-#include <unordered_map>
 #include <vector>
 
 #include "skc/coreset/sampling.h"
@@ -380,7 +377,6 @@ TEST(BatchIngest, EngineCoresetIdenticalToPointwiseBuilderEveryShardCount) {
     eopt.num_shards = shards;
     eopt.worker_threads = 0;  // inline drains: deterministic
     eopt.streaming = opt;
-    eopt.merge_mode = MergeMode::kSketch;
     ClusteringEngine engine(2, params, eopt);
     engine.submit(stream);
     EngineQuery q;
@@ -391,106 +387,6 @@ TEST(BatchIngest, EngineCoresetIdenticalToPointwiseBuilderEveryShardCount) {
     EXPECT_EQ(testutil::canonical_multiset(got.summary.points),
               testutil::canonical_multiset(want.coreset.points))
         << "shards " << shards;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sampled CountMin: statistical error bound at matched memory.
-// ---------------------------------------------------------------------------
-
-TEST(SampledCountMin, ErrorBoundedVersusExactAtMatchedMemory) {
-  const HierarchicalGrid grid = make_grid(2, 8, 9);
-  const int level = 3;
-  CellCountMinConfig cfg;
-  cfg.width = 512;
-  cfg.depth = 3;
-  CellCountMinConfig scfg = cfg;
-  scfg.sampled = true;  // same width * depth memory, sampled landing
-
-  CellCountMin plain(grid, level, cfg, 123);
-  CellCountMin sampled(grid, level, scfg, 123);
-  std::unordered_map<CellKey, std::int64_t, CellKeyHash> truth;
-
-  // Skewed workload: a handful of hot points carry most of the mass.
-  Rng rng(33);
-  const std::size_t kPoints = 64, kEvents = 60000;
-  std::vector<Coord> pts(kPoints * 2);
-  for (auto& c : pts) c = static_cast<Coord>(rng.uniform_int(1, 1 << 8));
-  for (std::size_t e = 0; e < kEvents; ++e) {
-    // Zipf-ish pick: index ~ min of two uniforms biases toward 0.
-    const auto a = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(kPoints) - 1));
-    const auto b = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(kPoints) - 1));
-    const std::size_t i = std::min(a, b);
-    const std::span<const Coord> p(pts.data() + i * 2, 2);
-    plain.update(p, +1);
-    sampled.update(p, +1);
-    truth[grid.cell_of(p, level)] += 1;
-  }
-
-  for (const auto& [key, count] : truth) {
-    if (count < 2000) continue;  // bound the heavy hitters, where the
-                                 // relative-error claim is meaningful
-    const double t = static_cast<double>(count);
-    // Plain CountMin estimates are one-sided (never undercount).
-    EXPECT_GE(plain.query(key), t);
-    EXPECT_LE(plain.query(key), 1.25 * t);
-    // Sampled estimates are two-sided but concentrated: with depth 3 and
-    // >= 2000 landings expected per heavy cell, 25% relative slack holds
-    // with huge margin for the fixed seed.
-    EXPECT_NEAR(sampled.query(key), t, 0.25 * t) << "cell count " << count;
-  }
-
-  // Raising the skip factor keeps estimates unbiased (looser tolerance:
-  // variance grows by the skip).
-  CellCountMin skipped(grid, level, scfg, 321);
-  skipped.set_sample_skip(4);
-  std::unordered_map<CellKey, std::int64_t, CellKeyHash> truth2;
-  for (std::size_t e = 0; e < kEvents; ++e) {
-    const auto i = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(kPoints) / 8));
-    const std::span<const Coord> p(pts.data() + i * 2, 2);
-    skipped.update(p, +1);
-    truth2[grid.cell_of(p, level)] += 1;
-  }
-  for (const auto& [key, count] : truth2) {
-    if (count < 4000) continue;
-    const double t = static_cast<double>(count);
-    EXPECT_NEAR(skipped.query(key), t, 0.4 * t) << "cell count " << count;
-  }
-}
-
-TEST(SampledCountMin, MergeRefusesMixedModes) {
-  const HierarchicalGrid grid = make_grid(2, 6, 10);
-  CellCountMinConfig cfg;
-  cfg.width = 32;
-  cfg.depth = 2;
-  CellCountMinConfig scfg = cfg;
-  scfg.sampled = true;
-  CellCountMin plain(grid, 2, cfg, 1);
-  CellCountMin sampled(grid, 2, scfg, 1);
-  EXPECT_DEATH(plain.merge(sampled), "sampled");
-}
-
-TEST(SampledCountMin, ExactModeIgnoresSampledFlag) {
-  const HierarchicalGrid grid = make_grid(2, 6, 11);
-  CellCountMinConfig cfg;
-  cfg.width = 32;
-  cfg.depth = 2;
-  cfg.exact = true;
-  cfg.sampled = true;  // must be ignored: exact mode stays exact
-  CellCountMin cm(grid, 2, cfg, 1);
-  Rng rng(44);
-  std::vector<Coord> p(2);
-  std::unordered_map<CellKey, std::int64_t, CellKeyHash> truth;
-  for (int e = 0; e < 500; ++e) {
-    for (auto& c : p) c = static_cast<Coord>(rng.uniform_int(1, 1 << 6));
-    cm.update(p, +1);
-    truth[grid.cell_of(p, 2)] += 1;
-  }
-  for (const auto& [key, count] : truth) {
-    EXPECT_DOUBLE_EQ(cm.query(key), static_cast<double>(count));
   }
 }
 

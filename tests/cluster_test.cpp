@@ -22,6 +22,7 @@
 #include "skc/engine/engine.h"
 #include "skc/net/client.h"
 #include "skc/stream/events.h"
+#include "wire_util.h"
 
 namespace skc::cluster {
 namespace {
@@ -304,26 +305,49 @@ TEST(Cluster, TwoWorkerIngestAndQueryMatchSingleEngine) {
   EXPECT_EQ(w1.wait(), 0);
 }
 
-TEST(Cluster, ComposeModeUnionsFinalizedCoresets) {
-  WorkerProcess w0, w1;
+// The coordinator shares the engine's query tail and the reserved type 12:
+// a type-12 frame is answered kUnsupported, a query with k above the
+// merged summary gets a typed error, and the same front-door connection
+// keeps serving.
+TEST(Cluster, FrontDoorAnswersReservedTypeAndTinyQueriesOnALiveConnection) {
+  WorkerProcess w0;
   ASSERT_TRUE(spawn_worker(w0)) << w0.error();
-  ASSERT_TRUE(spawn_worker(w1)) << w1.error();
-
-  CoordinatorOptions copts = coordinator_options({&w0, &w1}, /*exact=*/true);
-  copts.merge_mode = MergeMode::kCompose;
-  ClusterCoordinator coord(copts);
+  ClusterCoordinator coord(coordinator_options({&w0}, /*exact=*/true));
   std::string error;
   ASSERT_TRUE(coord.connect(error)) << error;
+  ASSERT_TRUE(coord.start(error)) << error;
 
-  const Stream stream = small_stream(120, 9);
-  ASSERT_TRUE(coord.submit(stream));
-  coord.flush();
-  const EngineQueryResult got = coord.query({});
-  ASSERT_TRUE(got.ok) << got.error;
-  EXPECT_EQ(got.net_points, net_count_of(stream));
-  EXPECT_GT(got.summary.points.size(), 0u);
-  EXPECT_FALSE(got.solution.centers.empty());
+  testutil::RawConnection conn(coord.port());
+  net::Status status = net::Status::kOk;
+  std::string payload;
+  ASSERT_TRUE(conn.exchange(
+      net::encode_frame(net::MsgType::kReserved12, net::Status::kOk, ""),
+      status, payload));
+  EXPECT_EQ(status, net::Status::kUnsupported);
+  EXPECT_TRUE(conn.ping_echoes());
+
+  net::PointBatch batch;
+  batch.dim = kDim;
+  batch.coords = {8, 8, 56, 56};
+  ASSERT_TRUE(conn.exchange(net::encode_frame(net::MsgType::kInsertBatch,
+                                              net::Status::kOk, batch.encode()),
+                            status, payload));
+  ASSERT_EQ(status, net::Status::kOk);
+  ASSERT_TRUE(conn.exchange(net::encode_frame(net::MsgType::kQuery,
+                                              net::Status::kOk,
+                                              net::QueryRequest{}.encode()),
+                            status, payload));
+  EXPECT_EQ(status, net::Status::kOk);
+  net::QueryReply reply;
+  ASSERT_TRUE(reply.decode(payload));
+  EXPECT_FALSE(reply.ok);
+  EXPECT_NE(reply.error.find("k = 4 exceeds"), std::string::npos) << reply.error;
+  EXPECT_EQ(reply.net_points, 2);
+  EXPECT_TRUE(conn.ping_echoes());
+
+  coord.stop();
   coord.shutdown_workers();
+  EXPECT_EQ(w0.wait(), 0);
 }
 
 TEST(Cluster, HandshakeRefusesAMisconfiguredWorker) {

@@ -4,9 +4,12 @@
 // concurrent ingest) must hold up under threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -153,20 +156,150 @@ TEST(Engine, QuerySolvesBalancedClustering) {
   EXPECT_GT(result.summary.points.size(), 0);
 }
 
-// Compose-mode merge (per-shard finalize + weighted union) must also serve
-// queries; it is the lossier but cheaper merge strategy.
-TEST(Engine, ComposeMergeServesQueries) {
-  const Stream stream = churn_workload(1200, 400, 51);
-  EngineOptions opt = engine_options(4, /*exact=*/true);
-  opt.merge_mode = MergeMode::kCompose;
-  ClusteringEngine engine(kDim, test_params(), opt);
-  engine.submit(stream);
-  const EngineQueryResult result = engine.query(EngineQuery{});
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_TRUE(result.solution.feasible);
-  EXPECT_EQ(result.net_points, 1200);
-  // The union's total weight stays an unbiased estimate of n.
-  EXPECT_GT(result.summary.points.total_weight(), 0.0);
+// Options for the fold tests: mid-stream pruning on and the default
+// distinct budget, so shards prune different guesses (releasing their
+// stores) and the fold has to propagate that.  Exact mode never prunes.
+StreamingOptions pruning_options(bool exact) {
+  StreamingOptions opt;
+  opt.log_delta = kLogDelta;
+  opt.max_points = 4000;
+  opt.exact_storing = exact;
+  opt.prune_interval = 128;
+  return opt;
+}
+
+/// Splits a stream into `shards` builders by point hash (an insert and its
+/// delete land together, as in the engine).
+std::vector<std::unique_ptr<StreamingCoresetBuilder>> shard_builders(
+    const Stream& stream, int shards, const CoresetParams& params,
+    const StreamingOptions& opt) {
+  std::vector<Stream> split(static_cast<std::size_t>(shards));
+  for (const StreamEvent& e : stream) {
+    std::uint64_t h = 0x5eed;
+    for (const Coord c : e.point) {
+      std::uint64_t state = h ^ static_cast<std::uint64_t>(c);
+      h = splitmix64(state);
+    }
+    split[h % split.size()].push_back(e);
+  }
+  std::vector<std::unique_ptr<StreamingCoresetBuilder>> out;
+  for (const Stream& part : split) {
+    out.push_back(std::make_unique<StreamingCoresetBuilder>(kDim, params, opt));
+    out.back()->consume(part);
+  }
+  return out;
+}
+
+std::string saved(const StreamingCoresetBuilder& b) {
+  std::ostringstream out(std::ios::binary);
+  b.save(out);
+  return std::move(out).str();
+}
+
+// The query fold (a fresh builder merge_from-ing each live shard) must give
+// the same coreset as summing serialized snapshots (load(save(shard)), then
+// merge_from) — at every shard count, in both modes, with pruned guesses in
+// play.  Only the multiset is compared: map iteration order may differ.
+TEST(Engine, LiveShardFoldMatchesSnapshotMerge) {
+  const Stream stream = churn_workload(1200, 600, 101);
+  const CoresetParams params = test_params();
+  for (const bool exact : {true, false}) {
+    const StreamingOptions opt = pruning_options(exact);
+    for (const int shards : {1, 2, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << (exact ? "exact" : "sketch")
+                                      << " mode, " << shards << " shards");
+      const auto live = shard_builders(stream, shards, params, opt);
+
+      StreamingCoresetBuilder folded(kDim, params, opt);
+      for (const auto& shard : live) folded.merge_from(*shard);
+
+      StreamingCoresetBuilder thawed(kDim, params, opt);
+      StreamingCoresetBuilder scratch(kDim, params, opt);
+      for (std::size_t s = 0; s < live.size(); ++s) {
+        std::istringstream in(saved(*live[s]));
+        ASSERT_TRUE((s == 0 ? thawed : scratch).load(in));
+        if (s > 0) thawed.merge_from(scratch);
+      }
+
+      const StreamingResult got = folded.finalize();
+      const StreamingResult want = thawed.finalize();
+      ASSERT_TRUE(want.ok);
+      ASSERT_TRUE(got.ok);
+      EXPECT_EQ(folded.net_count(), thawed.net_count());
+      EXPECT_EQ(folded.events(), static_cast<std::int64_t>(stream.size()));
+      EXPECT_DOUBLE_EQ(got.coreset.o, want.coreset.o);
+      EXPECT_EQ(got.diagnostics.guess_outcomes, want.diagnostics.guess_outcomes);
+      EXPECT_EQ(testutil::canonical_multiset(got.coreset.points),
+                testutil::canonical_multiset(want.coreset.points));
+      if (!exact) {
+        const auto& outcomes = got.diagnostics.guess_outcomes;
+        EXPECT_NE(std::find(outcomes.begin(), outcomes.end(),
+                            "pruned mid-stream (below OPT lower bound)"),
+                  outcomes.end())
+            << "the stream must prune guesses for this test to bite";
+      }
+    }
+  }
+}
+
+// export_sketch() runs the same fold and saves it once: the blob must load
+// and finalize to the summary a query answers with.
+TEST(Engine, ExportSketchFinalizesToTheQuerySummary) {
+  const Stream stream = churn_workload(1200, 600, 103);
+  const CoresetParams params = test_params();
+  for (const bool exact : {true, false}) {
+    for (const int shards : {1, 2, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << (exact ? "exact" : "sketch")
+                                      << " mode, " << shards << " shards");
+      EngineOptions eopt = engine_options(shards, exact);
+      eopt.streaming = pruning_options(exact);
+      ClusteringEngine engine(kDim, params, eopt);
+      engine.submit(stream);
+      EngineQuery q;
+      q.summary_only = true;
+      const EngineQueryResult got = engine.query(q);
+      ASSERT_TRUE(got.ok) << got.error;
+
+      const EngineSketchExport exported = engine.export_sketch();
+      EXPECT_EQ(exported.net_points, got.net_points);
+      EXPECT_EQ(exported.events_applied, static_cast<std::int64_t>(stream.size()));
+      StreamingCoresetBuilder loaded(kDim, params, eopt.streaming);
+      std::istringstream in(exported.blob);
+      ASSERT_TRUE(loaded.load(in));
+      const StreamingResult want = loaded.finalize();
+      ASSERT_TRUE(want.ok);
+      EXPECT_DOUBLE_EQ(got.summary.o, want.coreset.o);
+      EXPECT_EQ(testutil::canonical_multiset(got.summary.points),
+                testutil::canonical_multiset(want.coreset.points));
+    }
+  }
+}
+
+// A k above the summary size: the solvers require k <= n, so the query
+// must answer with an error naming both numbers instead of aborting.
+TEST(Engine, QueryWithKAboveTheSummaryIsAnErrorNotAnAbort) {
+  ClusteringEngine engine(kDim, test_params(),
+                          engine_options(2, /*exact=*/true, /*workers=*/0));
+  for (const Coord c : {5, 90, 300}) engine.insert(std::vector<Coord>{c, c});
+  EngineQuery summary;
+  summary.summary_only = true;
+  const EngineQueryResult merged = engine.query(summary);
+  ASSERT_TRUE(merged.ok) << merged.error;
+  const PointIndex n = merged.summary.points.size();
+  ASSERT_GE(n, 1);
+
+  EngineQuery q;
+  q.k = static_cast<int>(n) + 1;
+  const EngineQueryResult result = engine.query(q);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error, "k = " + std::to_string(n + 1) + " exceeds the " +
+                              std::to_string(n) + "-point merged summary");
+  EXPECT_EQ(result.net_points, 3);
+
+  q.k = static_cast<int>(n);  // k == n still solves
+  const EngineQueryResult solved = engine.query(q);
+  ASSERT_TRUE(solved.ok) << solved.error;
+  EXPECT_EQ(solved.solution.centers.size(), n);
 }
 
 TEST(Engine, CheckpointRestoreRoundTrip) {

@@ -181,6 +181,25 @@ TEST(Frame, QueryRequestRoundTripAndValidation) {
   EXPECT_FALSE(out.decode(body));
 }
 
+// solver_restarts sizes an up-front allocation in the k-means solver, so the
+// decoder bounds it: [0, kMaxSolverRestarts] decodes, anything else (an
+// INT32_MAX would throw bad_alloc in the solver) is malformed.
+TEST(Frame, QueryRequestBoundsSolverRestarts) {
+  QueryRequest in;
+  QueryRequest out;
+  for (const std::int32_t ok : {0, 1, 5, kMaxSolverRestarts}) {
+    in.solver_restarts = ok;
+    ASSERT_TRUE(out.decode(in.encode())) << ok;
+    EXPECT_EQ(out.solver_restarts, ok);
+  }
+  for (const std::int32_t bad : {-1, kMaxSolverRestarts + 1,
+                                 std::numeric_limits<std::int32_t>::max(),
+                                 std::numeric_limits<std::int32_t>::min()}) {
+    in.solver_restarts = bad;
+    EXPECT_FALSE(out.decode(in.encode())) << bad;
+  }
+}
+
 TEST(Frame, QueryReplyRoundTrip) {
   QueryReply in;
   in.ok = true;
@@ -288,32 +307,6 @@ TEST(Frame, SketchSnapshotRoundTrip) {
   expect_strict<SketchSnapshot>(in.encode());
 }
 
-TEST(Frame, CoresetReplyRoundTrip) {
-  CoresetReply in;
-  in.ok = true;
-  in.net_points = 900;
-  in.o = 2.5e4;
-  in.dim = 2;
-  in.weights = {1.0, 2.5, 3.0};
-  in.coords = {1, 2, 3, 4, 5, 6};
-  CoresetReply out;
-  ASSERT_TRUE(out.decode(in.encode()));
-  EXPECT_TRUE(out.ok);
-  EXPECT_EQ(out.net_points, 900);
-  EXPECT_DOUBLE_EQ(out.o, 2.5e4);
-  EXPECT_EQ(out.weights, in.weights);
-  EXPECT_EQ(out.coords, in.coords);
-  expect_strict<CoresetReply>(in.encode());
-
-  // Structural validation: coords must be dim * weights.size().
-  CoresetReply bad = in;
-  bad.coords.push_back(7);
-  EXPECT_FALSE(out.decode(bad.encode()));
-  bad = in;
-  bad.weights.push_back(4.0);
-  EXPECT_FALSE(out.decode(bad.encode()));
-}
-
 // Exhaustive per-type round-trip: a representative payload for every one of
 // the kNumMsgTypes opcodes framed and decoded end to end, so adding a
 // MsgType without a codec (or with a lax one) fails here, not in
@@ -327,7 +320,7 @@ TEST(Frame, EveryMessageTypeHasAStrictPayloadCodec) {
       case MsgType::kPing:
       case MsgType::kHeartbeat:
       case MsgType::kMergeSketch:
-      case MsgType::kFetchCoreset:
+      case MsgType::kReserved12:  // reserved: no codec, no body
       case MsgType::kShutdown:
       case MsgType::kTenantStats:
       case MsgType::kClusterTraceDump:
@@ -418,9 +411,9 @@ TEST(Frame, PerTypePayloadCapBoundaries) {
     EXPECT_EQ(decode_header(frame, h), Status::kTooLarge) << "type " << t;
 
     // The sketch types' cap must exceed the ordinary one (that asymmetry is
-    // the point), and the ordinary types must reject a sketch-sized body.
+    // the point), and the ordinary types — the reserved type 12 included —
+    // must reject a sketch-sized body.
     const bool sketchy = type == MsgType::kMergeSketch ||
-                         type == MsgType::kFetchCoreset ||
                          type == MsgType::kShipSnapshot;
     EXPECT_EQ(cap, sketchy ? kMaxSketchPayloadBytes : kMaxPayloadBytes);
     if (!sketchy) {

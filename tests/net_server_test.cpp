@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "skc/obs/trace.h"
 #include "skc/stream/generators.h"
 #include "test_util.h"
+#include "wire_util.h"
 
 namespace skc {
 namespace {
@@ -261,6 +263,66 @@ TEST(NetServer, MalformedFramesNeverKillTheServer) {
 
   const EngineMetrics m = fx.server.metrics();
   EXPECT_GE(m.net_malformed_frames, 4);
+}
+
+/// A full QUERY frame (solve on, the engine's k) with `restarts` restarts.
+std::string query_frame(std::int32_t restarts) {
+  net::QueryRequest q;
+  q.solver_restarts = restarts;
+  return net::encode_frame(net::MsgType::kQuery, net::Status::kOk, q.encode());
+}
+
+std::string insert_frame(const std::vector<Coord>& coords) {
+  net::PointBatch batch;
+  batch.dim = kDim;
+  batch.coords = coords;
+  return net::encode_frame(net::MsgType::kInsertBatch, net::Status::kOk,
+                           batch.encode());
+}
+
+// Requests no solver may see: a full query at the default k against fewer
+// than k points (the solvers check k <= n) and one asking for INT32_MAX
+// solver restarts (the k-means solver allocates one solution per restart).
+// Each, like the reserved type 12, gets a typed reply, and the same
+// connection keeps serving.
+TEST(NetServer, OutOfRangeQueriesGetTypedRepliesOnALiveConnection) {
+  ServerFixture fx;
+  ASSERT_TRUE(fx.started);
+  testutil::RawConnection conn(fx.server.port());
+  net::Status status = net::Status::kOk;
+  std::string payload;
+
+  ASSERT_TRUE(conn.exchange(insert_frame({5, 5, 400, 400}), status, payload));
+  ASSERT_EQ(status, net::Status::kOk);
+  ASSERT_TRUE(conn.exchange(query_frame(1), status, payload));
+  EXPECT_EQ(status, net::Status::kOk);
+  net::QueryReply reply;
+  ASSERT_TRUE(reply.decode(payload));
+  EXPECT_FALSE(reply.ok);
+  EXPECT_NE(reply.error.find("k = 3 exceeds"), std::string::npos) << reply.error;
+  EXPECT_EQ(reply.net_points, 2);
+  EXPECT_TRUE(conn.ping_echoes());
+
+  ASSERT_TRUE(conn.exchange(insert_frame({9, 9, 200, 30, 30, 200, 350, 90}),
+                            status, payload));
+  ASSERT_EQ(status, net::Status::kOk);
+  ASSERT_TRUE(conn.exchange(
+      query_frame(std::numeric_limits<std::int32_t>::max()), status, payload));
+  EXPECT_EQ(status, net::Status::kMalformed);
+  EXPECT_TRUE(conn.ping_echoes());
+
+  ASSERT_TRUE(conn.exchange(
+      net::encode_frame(net::MsgType::kReserved12, net::Status::kOk, ""),
+      status, payload));
+  EXPECT_EQ(status, net::Status::kUnsupported);
+  EXPECT_TRUE(conn.ping_echoes());
+
+  // An ordinary full query still solves on the same connection.
+  ASSERT_TRUE(conn.exchange(query_frame(1), status, payload));
+  ASSERT_EQ(status, net::Status::kOk);
+  ASSERT_TRUE(reply.decode(payload));
+  EXPECT_TRUE(reply.ok) << reply.error;
+  EXPECT_EQ(reply.net_points, 6);
 }
 
 // --------------------------------------------------------------------------

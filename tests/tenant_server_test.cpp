@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "skc/tenant/registry.h"
 #include "skc/tenant/server.h"
 #include "test_util.h"
+#include "wire_util.h"
 
 namespace skc {
 namespace {
@@ -237,6 +239,59 @@ TEST(TenantServer, MalformedTenantPrefixAnswersTypedAndKeepsServing) {
       net::MsgType::kPing, net::Status::kOk, "ok-tenant", "probe");
   EXPECT_EQ(exchange(good, payload), net::Status::kOk);
   EXPECT_EQ(payload, "probe");
+}
+
+// The tenant host forwards queries to per-tenant engines, so a k above the
+// summary, INT32_MAX solver restarts and the reserved type 12 must each get
+// a typed reply there too, on a connection that keeps serving.
+TEST(TenantServer, OutOfRangeQueriesGetTypedRepliesOnALiveConnection) {
+  TenantServerFixture fx;
+  ASSERT_TRUE(fx.started);
+  testutil::RawConnection conn(fx.server.port());
+  net::Status status = net::Status::kOk;
+  std::string payload;
+  const auto frame = [](net::MsgType type, const std::string& body) {
+    return net::encode_tenant_frame(type, net::Status::kOk, "small-7", body);
+  };
+  const auto insert = [&](int n, int offset) {
+    net::PointBatch batch;
+    batch.dim = kDim;
+    batch.coords = grid_coords(n, offset);
+    ASSERT_TRUE(conn.exchange(frame(net::MsgType::kInsertBatch, batch.encode()),
+                              status, payload));
+    ASSERT_EQ(status, net::Status::kOk);
+  };
+  const auto query = [&](std::int32_t restarts) {
+    net::QueryRequest q;
+    q.solver_restarts = restarts;
+    return frame(net::MsgType::kQuery, q.encode());
+  };
+
+  insert(2, 0);
+  ASSERT_TRUE(conn.exchange(query(1), status, payload));
+  EXPECT_EQ(status, net::Status::kOk);
+  net::QueryReply reply;
+  ASSERT_TRUE(reply.decode(payload));
+  EXPECT_FALSE(reply.ok);
+  EXPECT_NE(reply.error.find("k = 3 exceeds"), std::string::npos) << reply.error;
+  EXPECT_TRUE(conn.ping_echoes());
+
+  insert(40, 100);
+  ASSERT_TRUE(conn.exchange(query(std::numeric_limits<std::int32_t>::max()),
+                            status, payload));
+  EXPECT_EQ(status, net::Status::kMalformed);
+  EXPECT_TRUE(conn.ping_echoes());
+
+  ASSERT_TRUE(conn.exchange(frame(net::MsgType::kReserved12, ""), status,
+                            payload));
+  EXPECT_EQ(status, net::Status::kUnsupported);
+  EXPECT_TRUE(conn.ping_echoes());
+
+  ASSERT_TRUE(conn.exchange(query(1), status, payload));
+  ASSERT_EQ(status, net::Status::kOk);
+  ASSERT_TRUE(reply.decode(payload));
+  EXPECT_TRUE(reply.ok) << reply.error;
+  EXPECT_EQ(reply.net_points, 42);
 }
 
 TEST(TenantServer, QuotaExceededIsTypedAndDoesNotStallNeighbors) {

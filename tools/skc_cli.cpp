@@ -32,7 +32,7 @@
 //                    [--slow-ms <t>]                    cluster worker: engine
 //                                                       on TCP, prints PORT <n>
 //   skc_cli coordinator <dim> <k> [log_delta] --worker host:port ...
-//                    [--tcp N] [--compose] [--trace] [--slow-ms <t>]
+//                    [--tcp N] [--trace] [--slow-ms <t>]
 //                                                       cluster front end over
 //                                                       the given workers
 //
@@ -70,7 +70,7 @@ int usage() {
                "  skc_cli worker   <dim> <k> [shards=4] [log_delta=12] "
                "[--port N] [--trace] [--slow-ms <t>]\n"
                "  skc_cli coordinator <dim> <k> [log_delta=12] "
-               "--worker host:port [--worker ...] [--tcp N] [--compose]\n"
+               "--worker host:port [--worker ...] [--tcp N]\n"
                "                   [--trace] [--slow-ms <t>]\n");
   return 2;
 }
@@ -805,8 +805,6 @@ int cmd_coordinator(int argc, char** argv) {
       if (i + 1 >= argc) return usage();
       tcp_port = std::atol(argv[++i]);
       if (tcp_port < 0 || tcp_port > 65535) return usage();
-    } else if (!std::strcmp(argv[i], "--compose")) {
-      copts.merge_mode = MergeMode::kCompose;
     } else if (!std::strcmp(argv[i], "--trace")) {
       obs::Tracer::instance().set_enabled(true);
     } else if (!std::strcmp(argv[i], "--slow-ms")) {
@@ -814,6 +812,8 @@ int cmd_coordinator(int argc, char** argv) {
       const double threshold = std::atof(argv[++i]);
       if (threshold < 0) return usage();
       obs::FlightRecorder::instance().set_threshold_millis(threshold);
+    } else if (!std::strncmp(argv[i], "--", 2)) {
+      return usage();  // unknown option
     } else {
       pos.push_back(argv[i]);
     }
