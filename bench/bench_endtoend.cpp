@@ -16,8 +16,8 @@ int main() {
 
   const int dim = 2;
   const int log_delta = 11;
-  row("%8s %6s %9s %10s %10s %12s %10s", "n", "k", "coreset", "full_s",
-      "coreset_s", "cost ratio", "speedup");
+  row("%8s %6s %9s %10s %10s %12s %10s", "n", "k", "coreset", "full_ms",
+      "coreset_ms", "cost ratio", "speedup");
   for (const auto& [n, k] : std::vector<std::pair<PointIndex, int>>{
            {1500, 3}, {3000, 4}, {6000, 4}}) {
     const PointSet pts = standard_workload(n, k, dim, log_delta, 1.3, 55);
@@ -38,14 +38,14 @@ int main() {
     Rng r_full(9);
     const CapacitatedSolution full_sol =
         capacitated_kmeans(WeightedPointSet::unit(pts), k, t, LrOrder{2.0}, sopts, r_full);
-    const double full_secs = full_timer.seconds();
+    const double full_ms = full_timer.millis();
 
     Timer coreset_timer;
     Rng r_core(9);
     const double tc = t * built.coreset.total_weight() / static_cast<double>(n);
     const CapacitatedSolution core_sol =
         capacitated_kmeans(built.coreset.points, k, tc, LrOrder{2.0}, sopts, r_core);
-    const double coreset_secs = coreset_timer.seconds();
+    const double coreset_ms = coreset_timer.millis();
 
     if (!full_sol.feasible || !core_sol.feasible) {
       row("%8lld  SOLVER INFEASIBLE", static_cast<long long>(n));
@@ -57,11 +57,12 @@ int main() {
     const double eval_full = capacitated_cost(pts, full_sol.centers,
                                               t * (1.0 + params.eta), LrOrder{2.0});
     row("%8lld %6d %9lld %10.2f %10.2f %12.3f %9.1fx", static_cast<long long>(n), k,
-        static_cast<long long>(built.coreset.points.size()), full_secs, coreset_secs,
-        eval_core / eval_full, full_secs / std::max(coreset_secs, 1e-9));
+        static_cast<long long>(built.coreset.points.size()), full_ms, coreset_ms,
+        eval_core / eval_full, full_ms / std::max(coreset_ms, 1e-6));
   }
   row("\nexpected shape: cost ratio ~1 (coreset centers as good as full-data");
-  row("centers) at a 5-100x speedup growing with n.");
+  row("centers); both solves are near-linear in their input, so the speedup");
+  row("follows n / coreset size, which grows with n.");
 
   header("E10: capacity violation of the full-data assignment (§3.3)",
          "max load <= (1 + O(eta)) * t via half-space transfer");

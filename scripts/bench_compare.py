@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Ingest-throughput regression gate.
+"""Bench regression gate for throughput and query latency.
 
 Compares freshly written BENCH_<name>.json reports (the JsonReport format
-of bench/bench_util.h) against the checked-in floors in bench/baselines/
-<name>.json and exits non-zero when a watched throughput metric drops more
-than --tolerance below its baseline (default 20%).
+of bench/bench_util.h) against the checked-in baselines in bench/baselines/
+<name>.json and exits non-zero when a watched metric regresses by more than
+--tolerance (default 20%): a higher-is-better metric (throughput, speedup)
+fails below baseline x (1 - tolerance), a lower-is-better one (query
+latency) fails above baseline x (1 + tolerance).
 
 Records are matched on their identity keys (series, mode, shards, ...);
 records without a baseline counterpart are noted and never fail the run,
 so adding a bench series does not require touching the baseline first.
 
-Absolute events/s is hardware-dependent: the committed baselines are
-conservative floors recorded on the 1-core experiment host (see each
-record's "note"), and shared CI runners pass a looser --tolerance. When
-the hot path intentionally changes speed, re-run the benches and refresh
-bench/baselines/ by hand — the floor should trail the typical measurement
+Absolute events/s and milliseconds are hardware-dependent: the committed
+baselines are conservative floors and ceilings (see each record's "note"),
+and shared CI runners pass a looser --tolerance. When the hot path
+intentionally changes speed, re-run the benches and refresh
+bench/baselines/ by hand — the bound should trail the typical measurement
 by enough to absorb run-to-run noise on a loaded box.
 """
 
@@ -24,8 +26,12 @@ import json
 import os
 import sys
 
-# Higher-is-better throughput metrics guarded by the gate.
-WATCHED = ("events_per_s", "batch_speedup")
+# Metrics guarded by the gate, with the direction in which they improve.
+WATCHED = {
+    "events_per_s": "higher",
+    "batch_speedup": "higher",
+    "query_p50_ms": "lower",
+}
 # Keys that identify a record within a bench report.
 ID_KEYS = ("series", "mode", "shards", "simd", "lambda", "keys", "dim",
            "clients", "workers", "tenants", "trace")
@@ -41,16 +47,16 @@ def fmt_key(key):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="fail when BENCH_*.json throughput regresses vs baselines")
+        description="fail when BENCH_*.json metrics regress vs baselines")
     parser.add_argument("current", nargs="*",
                         help="BENCH_*.json files (default: BENCH_*.json in cwd)")
     parser.add_argument("--baseline-dir",
                         default=os.path.join(os.path.dirname(
                             os.path.abspath(__file__)), "..", "bench",
                             "baselines"),
-                        help="directory with checked-in <bench>.json floors")
+                        help="directory with checked-in <bench>.json baselines")
     parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed fractional drop below baseline "
+                        help="allowed fractional regression vs baseline "
                              "(default 0.20)")
     args = parser.parse_args()
 
@@ -76,15 +82,21 @@ def main():
             brec = base_by_key.get(key)
             if brec is None:
                 continue
-            for metric in WATCHED:
+            for metric, better in WATCHED.items():
                 if metric not in rec or metric not in brec:
                     continue
-                floor = brec[metric] * (1.0 - args.tolerance)
-                ok = rec[metric] >= floor
+                if better == "higher":
+                    bound_name = "floor"
+                    bound = brec[metric] * (1.0 - args.tolerance)
+                    ok = rec[metric] >= bound
+                else:
+                    bound_name = "ceiling"
+                    bound = brec[metric] * (1.0 + args.tolerance)
+                    ok = rec[metric] <= bound
                 compared += 1
                 print(f"{'ok' if ok else 'REGRESSION':>10}  {cur['bench']}: "
                       f"{fmt_key(key)}  {metric}={rec[metric]:g} "
-                      f"baseline={brec[metric]:g} floor={floor:g}")
+                      f"baseline={brec[metric]:g} {bound_name}={bound:g}")
                 if not ok:
                     regressions.append((cur["bench"], key, metric))
 

@@ -40,8 +40,9 @@ for b in build/bench/bench_*; do
   esac
 done
 
-# Ingest-throughput regression gate: the benches above wrote BENCH_*.json
-# into the repo root; fail on >20% drops below the bench/baselines floors.
+# Bench regression gate: the benches above wrote BENCH_*.json into the repo
+# root; fail on >20% ingest-throughput drops below the bench/baselines
+# floors or engine query p50 rises above their ceilings.
 if ls BENCH_*.json > /dev/null 2>&1; then
   ./scripts/bench_compare.py
 fi

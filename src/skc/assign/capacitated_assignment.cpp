@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
+#include <utility>
 
 #include "skc/common/check.h"
-#include "skc/flow/mcmf.h"
 #include "skc/geometry/metric.h"
 
 namespace skc {
@@ -28,17 +29,24 @@ std::vector<std::int64_t> integral_weights(const WeightedPointSet& points) {
   return w;
 }
 
-/// Shared flow construction: source -> point (cap w_p), point -> center
-/// (cap w_p, cost dist^r), center -> sink (cap per `center_cap`).
+/// Candidate moves along the center-graph edge a -> b: the points p carrying
+/// flow on a, keyed by cost(p, b) - cost(p, a), as a min-heap.  Keys are true
+/// costs, so a potential update never rekeys a heap; entries whose point has
+/// since left a are dropped lazily when they reach the top.
+using MoveHeap = std::vector<std::pair<double, PointIndex>>;
+
+/// Exact min-cost transportation of the point weights into `center_cap` by
+/// successive shortest paths on the k-node center graph (see the header).
 CapacitatedAssignment solve_flow(const WeightedPointSet& points,
                                  const PointSet& centers,
                                  const std::vector<std::int64_t>& center_cap,
                                  LrOrder r) {
   const PointIndex n = points.size();
   const int k = static_cast<int>(centers.size());
+  const auto kk = static_cast<std::size_t>(k);
   CapacitatedAssignment out;
   out.assignment.assign(static_cast<std::size_t>(n), kUnassigned);
-  out.loads.assign(static_cast<std::size_t>(k), 0.0);
+  out.loads.assign(kk, 0.0);
 
   const std::vector<std::int64_t> w = integral_weights(points);
   const std::int64_t total =
@@ -47,28 +55,95 @@ CapacitatedAssignment solve_flow(const WeightedPointSet& points,
       std::accumulate(center_cap.begin(), center_cap.end(), std::int64_t{0});
   if (total > cap_total) return out;  // infeasible by counting
 
-  // Node layout: 0 = source, 1..n = points, n+1..n+k = centers, n+k+1 = sink.
-  MinCostMaxFlow flow(static_cast<int>(n) + k + 2);
-  const int source = 0;
-  const int sink = static_cast<int>(n) + k + 1;
-  std::vector<int> pc_edge(static_cast<std::size_t>(n) * static_cast<std::size_t>(k));
+  // cost[at(p, j)] = dist(p, z_j)^r and flow[at(p, j)] = weight of p routed to j.
+  auto at = [kk](PointIndex p, std::size_t j) {
+    return static_cast<std::size_t>(p) * kk + j;
+  };
+  std::vector<double> cost(static_cast<std::size_t>(n) * kk);
   for (PointIndex i = 0; i < n; ++i) {
-    flow.add_edge(source, static_cast<int>(i) + 1, w[static_cast<std::size_t>(i)], 0.0);
     for (int j = 0; j < k; ++j) {
-      const double cost = dist_pow(points.point(i), centers[j], r);
-      pc_edge[static_cast<std::size_t>(i) * static_cast<std::size_t>(k) +
-              static_cast<std::size_t>(j)] =
-          flow.add_edge(static_cast<int>(i) + 1, static_cast<int>(n) + 1 + j,
-                        w[static_cast<std::size_t>(i)], cost);
+      cost[at(i, static_cast<std::size_t>(j))] = dist_pow(points.point(i), centers[j], r);
     }
   }
-  for (int j = 0; j < k; ++j) {
-    flow.add_edge(static_cast<int>(n) + 1 + j, sink,
-                  center_cap[static_cast<std::size_t>(j)], 0.0);
-  }
+  std::vector<std::int64_t> flow(cost.size(), 0);
 
-  const MinCostMaxFlow::Result res = flow.solve(source, sink);
-  if (res.flow != total) return out;  // could not route all weight
+  std::vector<MoveHeap> heaps(kk * kk);
+  auto add_flow = [&](PointIndex p, std::size_t a, std::int64_t x) {
+    if (flow[at(p, a)] == 0) {  // p starts carrying flow on a: a -> b moves open
+      for (std::size_t b = 0; b < kk; ++b) {
+        if (b == a) continue;
+        MoveHeap& h = heaps[a * kk + b];
+        h.emplace_back(cost[at(p, b)] - cost[at(p, a)], p);
+        std::push_heap(h.begin(), h.end(), std::greater<>());
+      }
+    }
+    flow[at(p, a)] += x;
+  };
+
+  std::vector<std::int64_t> room(center_cap);
+  std::vector<double> potential(kk, 0.0), dist(kk);
+  std::vector<int> prev(kk);
+  std::vector<PointIndex> via(kk);
+  std::vector<char> done(kk);
+  for (PointIndex q = 0; q < n; ++q) {
+    std::int64_t rest = w[static_cast<std::size_t>(q)];
+    while (rest > 0) {
+      // Dense Dijkstra from q over the centers on reduced costs, which the
+      // potentials keep nonnegative on every center-graph edge.
+      for (std::size_t j = 0; j < kk; ++j) {
+        dist[j] = cost[at(q, j)] - potential[j];
+        prev[j] = -1;
+        done[j] = 0;
+      }
+      for (int step = 0; step < k; ++step) {
+        std::size_t a = kk;
+        for (std::size_t j = 0; j < kk; ++j) {
+          if (!done[j] && (a == kk || dist[j] < dist[a])) a = j;
+        }
+        done[a] = 1;
+        for (std::size_t b = 0; b < kk; ++b) {
+          if (done[b]) continue;
+          MoveHeap& h = heaps[a * kk + b];
+          while (!h.empty() && flow[at(h.front().second, a)] == 0) {
+            std::pop_heap(h.begin(), h.end(), std::greater<>());
+            h.pop_back();
+          }
+          if (h.empty()) continue;
+          // Clamp floating-point noise below zero.
+          const double rc = std::max(0.0, h.front().first + potential[a] - potential[b]);
+          if (dist[a] + rc < dist[b]) {
+            dist[b] = dist[a] + rc;
+            prev[b] = static_cast<int>(a);
+            via[b] = h.front().second;
+          }
+        }
+      }
+      // New potentials are the true distances from q; the path ends at the
+      // closest center with room (lowest index on ties).
+      std::size_t t = kk;
+      for (std::size_t j = 0; j < kk; ++j) {
+        potential[j] += dist[j];
+        if (room[j] > 0 && (t == kk || potential[j] < potential[t])) t = j;
+      }
+      SKC_CHECK(t < kk);  // total <= cap_total leaves room while q has weight
+
+      // Push the bottleneck: q's remaining weight, t's room, and the flow of
+      // each point the path moves off its center.
+      std::int64_t push = std::min(rest, room[t]);
+      std::size_t b = t;
+      for (; prev[b] >= 0; b = static_cast<std::size_t>(prev[b])) {
+        push = std::min(push, flow[at(via[b], static_cast<std::size_t>(prev[b]))]);
+      }
+      SKC_CHECK(push > 0);
+      for (b = t; prev[b] >= 0; b = static_cast<std::size_t>(prev[b])) {
+        add_flow(via[b], b, push);
+        flow[at(via[b], static_cast<std::size_t>(prev[b]))] -= push;
+      }
+      add_flow(q, b, push);  // b is now the path's first center
+      room[t] -= push;
+      rest -= push;
+    }
+  }
 
   out.feasible = true;
   out.cost = 0.0;
@@ -77,13 +152,11 @@ CapacitatedAssignment solve_flow(const WeightedPointSet& points,
     // centers; each point is labeled with the center carrying the plurality
     // of its weight while the cost/loads account the true (split) flow.
     std::int64_t best_flow = -1;
-    for (int j = 0; j < k; ++j) {
-      const std::int64_t f =
-          flow.flow_on(pc_edge[static_cast<std::size_t>(i) * static_cast<std::size_t>(k) +
-                               static_cast<std::size_t>(j)]);
+    for (std::size_t j = 0; j < kk; ++j) {
+      const std::int64_t f = flow[at(i, j)];
       if (f > 0) {
-        out.loads[static_cast<std::size_t>(j)] += static_cast<double>(f);
-        out.cost += static_cast<double>(f) * dist_pow(points.point(i), centers[j], r);
+        out.loads[j] += static_cast<double>(f);
+        out.cost += static_cast<double>(f) * cost[at(i, j)];
         if (f > best_flow) {
           best_flow = f;
           out.assignment[static_cast<std::size_t>(i)] = static_cast<CenterIndex>(j);
@@ -101,9 +174,12 @@ CapacitatedAssignment optimal_capacitated_assignment(const WeightedPointSet& poi
                                                      double t, LrOrder r) {
   SKC_CHECK(!centers.empty());
   SKC_CHECK(centers.dim() == points.dim() || points.empty());
-  const std::int64_t cap = static_cast<std::int64_t>(std::floor(t + 1e-9));
-  std::vector<std::int64_t> caps(static_cast<std::size_t>(centers.size()),
-                                 std::max<std::int64_t>(cap, 0));
+  SKC_CHECK_MSG(!std::isnan(t), "capacity t must not be NaN");
+  // A capacity at or above the total weight never binds; clamping before the
+  // integer cast keeps huge and infinite t defined.
+  const double bounded = std::min(std::max(t, 0.0), points.total_weight());
+  const auto cap = static_cast<std::int64_t>(std::floor(bounded + 1e-9));
+  std::vector<std::int64_t> caps(static_cast<std::size_t>(centers.size()), cap);
   return solve_flow(points, centers, caps, r);
 }
 
@@ -118,102 +194,6 @@ CapacitatedAssignment exact_size_assignment(const WeightedPointSet& points,
   SKC_CHECK_MSG(std::llround(total) == size_sum,
                 "prescribed sizes must sum to the total weight");
   return solve_flow(points, centers, sizes, r);
-}
-
-CapacitatedAssignment greedy_capacitated_assignment(const WeightedPointSet& points,
-                                                    const PointSet& centers,
-                                                    double t, LrOrder r,
-                                                    int max_swap_rounds) {
-  const PointIndex n = points.size();
-  const int k = static_cast<int>(centers.size());
-  SKC_CHECK(k >= 1);
-  CapacitatedAssignment out;
-  out.assignment.assign(static_cast<std::size_t>(n), kUnassigned);
-  out.loads.assign(static_cast<std::size_t>(k), 0.0);
-  const double cap = std::floor(t + 1e-9);
-
-  auto cost_of = [&](PointIndex i, int j) {
-    return dist_pow(points.point(i), centers[j], r);
-  };
-
-  // Regret order: points whose best option beats their second-best by the
-  // most go first (they have the most to lose from a full center).
-  std::vector<PointIndex> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), PointIndex{0});
-  std::vector<double> regret(static_cast<std::size_t>(n), 0.0);
-  for (PointIndex i = 0; i < n; ++i) {
-    double best = kInfCost, second = kInfCost;
-    for (int j = 0; j < k; ++j) {
-      const double c = cost_of(i, j);
-      if (c < best) {
-        second = best;
-        best = c;
-      } else if (c < second) {
-        second = c;
-      }
-    }
-    regret[static_cast<std::size_t>(i)] = (k > 1 ? second - best : best);
-  }
-  std::sort(order.begin(), order.end(), [&](PointIndex a, PointIndex b) {
-    return regret[static_cast<std::size_t>(a)] > regret[static_cast<std::size_t>(b)];
-  });
-
-  out.cost = 0.0;
-  for (PointIndex i : order) {
-    const double w = points.weight(i);
-    int best = -1;
-    double best_cost = kInfCost;
-    for (int j = 0; j < k; ++j) {
-      if (out.loads[static_cast<std::size_t>(j)] + w > cap + 1e-9) continue;
-      const double c = cost_of(i, j);
-      if (c < best_cost) {
-        best_cost = c;
-        best = j;
-      }
-    }
-    if (best < 0) {
-      out.feasible = false;
-      out.cost = kInfCost;
-      return out;
-    }
-    out.assignment[static_cast<std::size_t>(i)] = static_cast<CenterIndex>(best);
-    out.loads[static_cast<std::size_t>(best)] += w;
-    out.cost += w * best_cost;
-  }
-  out.feasible = true;
-
-  // Pairwise improvement: swap the assigned centers of two points when that
-  // lowers the cost; unequal weights additionally require a capacity check.
-  for (int round = 0; round < max_swap_rounds; ++round) {
-    bool improved = false;
-    for (PointIndex a = 0; a < n; ++a) {
-      const int ca = out.assignment[static_cast<std::size_t>(a)];
-      const double wa = points.weight(a);
-      for (PointIndex b = a + 1; b < n; ++b) {
-        const int cb = out.assignment[static_cast<std::size_t>(b)];
-        if (ca == cb) continue;
-        const double wb = points.weight(b);
-        if (wa != wb) {
-          const double la = out.loads[static_cast<std::size_t>(ca)] - wa + wb;
-          const double lb = out.loads[static_cast<std::size_t>(cb)] - wb + wa;
-          if (la > cap + 1e-9 || lb > cap + 1e-9) continue;
-        }
-        const double before = wa * cost_of(a, ca) + wb * cost_of(b, cb);
-        const double after = wa * cost_of(a, cb) + wb * cost_of(b, ca);
-        if (after + 1e-9 < before) {
-          out.assignment[static_cast<std::size_t>(a)] = static_cast<CenterIndex>(cb);
-          out.assignment[static_cast<std::size_t>(b)] = static_cast<CenterIndex>(ca);
-          out.loads[static_cast<std::size_t>(ca)] += wb - wa;
-          out.loads[static_cast<std::size_t>(cb)] += wa - wb;
-          out.cost += after - before;
-          improved = true;
-          break;
-        }
-      }
-    }
-    if (!improved) break;
-  }
-  return out;
 }
 
 }  // namespace skc

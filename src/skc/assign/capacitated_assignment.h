@@ -4,12 +4,19 @@
 // clusters with per-cluster weight at most t (Section 2 of the paper).
 // With integral weights (which this library guarantees for its coresets)
 // the transportation LP has an integral optimum, realized exactly by the
-// min-cost max-flow reduction of §3.3.
+// min-cost flow reduction of §3.3.
 //
-// For inputs too large for exact flow, `greedy_capacitated_assignment`
-// provides the regret-greedy + local-swap heuristic used by the large-n
-// benchmark sweeps (its result is an upper bound on the optimum, and the
-// tests compare it against the exact solver on overlapping sizes).
+// The flow is solved by successive shortest paths on the k-node center
+// graph rather than on the (n + k + 2)-node point graph, since k << n.
+// Points are routed one at a time in index order.  Moving a point p that
+// carries flow on center a over to center b is a center-graph edge a -> b
+// of cost dist(p,b)^r - dist(p,a)^r; one lazy-deletion min-heap per ordered
+// center pair yields the cheapest such move.  Each augmentation is a dense
+// Dijkstra over the k centers with Johnson potentials, ending at the
+// closest center with room, so it costs O(k^2 + k log n) plus the heap
+// pushes of the points it moves.  The result is an exact optimum: its cost
+// equals the general min-cost max-flow reduction's (differentially tested),
+// though among equal-cost optima the labels may differ.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +41,9 @@ struct CapacitatedAssignment {
 };
 
 /// Exact optimal assignment under capacity `t` per center.  Weights must be
-/// integral (SKC_CHECK enforced); `t` is floored to an integer capacity.
+/// integral and `t` not NaN (SKC_CHECK enforced); `t` is clamped to
+/// [0, total weight], where a larger capacity never binds, and floored to an
+/// integer capacity.
 CapacitatedAssignment optimal_capacitated_assignment(const WeightedPointSet& points,
                                                      const PointSet& centers,
                                                      double t, LrOrder r);
@@ -46,13 +55,5 @@ CapacitatedAssignment exact_size_assignment(const WeightedPointSet& points,
                                             const PointSet& centers,
                                             const std::vector<std::int64_t>& sizes,
                                             LrOrder r);
-
-/// Heuristic: regret-ordered greedy fill followed by pairwise improvement
-/// swaps.  Always feasible when total weight <= k * floor(t) and every
-/// single weight fits; cost is an upper bound on the optimum.
-CapacitatedAssignment greedy_capacitated_assignment(const WeightedPointSet& points,
-                                                    const PointSet& centers,
-                                                    double t, LrOrder r,
-                                                    int max_swap_rounds = 3);
 
 }  // namespace skc

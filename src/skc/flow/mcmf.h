@@ -1,6 +1,9 @@
-// Min-cost max-flow — the substrate behind every exact capacitated
-// assignment in this library (§3.3 of the paper reduces capacitated
-// assignment to minimum-cost flow).
+// Min-cost max-flow on a general graph.  Capacitated k-center uses it for
+// its radius-feasibility flows, and the tests use it as the differential
+// oracle for capacitated assignment.  The assignment itself (§3.3 of the
+// paper reduces it to minimum-cost flow) does not go through this class:
+// it solves the same flow by shortest paths on the k-node center graph
+// (assign/capacitated_assignment.h).
 //
 // Successive shortest augmenting paths with Johnson potentials: edge costs
 // are nonnegative reals (dist^r), so Dijkstra applies from the start and

@@ -1,5 +1,6 @@
 #include "skc/net/frame.h"
 
+#include <cmath>
 #include <cstring>
 #include <type_traits>
 
@@ -272,8 +273,9 @@ std::string QueryRequest::encode() const {
 
 bool QueryRequest::decode(std::string_view body) {
   Reader r(body);
-  return r.get(k) && k >= 0 && r.get(capacity_slack) && r.get_bool(barrier) &&
-         r.get_bool(summary_only) && r.get(solver_restarts) &&
+  return r.get(k) && k >= 0 && r.get(capacity_slack) &&
+         std::isfinite(capacity_slack) && capacity_slack > 0.0 &&
+         r.get_bool(barrier) && r.get_bool(summary_only) && r.get(solver_restarts) &&
          solver_restarts >= 0 && solver_restarts <= kMaxSolverRestarts &&
          r.done();
 }

@@ -240,8 +240,9 @@ struct BatchReply {
   bool decode(std::string_view body);
 };
 
-/// QUERY request — mirrors EngineQuery.  decode() rejects a negative k and
-/// a solver_restarts outside [0, kMaxSolverRestarts].
+/// QUERY request — mirrors EngineQuery.  decode() rejects a negative k, a
+/// non-finite or non-positive capacity_slack, and a solver_restarts outside
+/// [0, kMaxSolverRestarts].
 struct QueryRequest {
   std::int32_t k = 0;
   double capacity_slack = 1.1;

@@ -12,14 +12,6 @@ namespace skc {
 
 namespace {
 
-CapacitatedAssignment assign(const WeightedPointSet& points, const PointSet& centers,
-                             double t, LrOrder r,
-                             const CapacitatedSolverOptions& options) {
-  return options.use_greedy_assignment
-             ? greedy_capacitated_assignment(points, centers, t, r)
-             : optimal_capacitated_assignment(points, centers, t, r);
-}
-
 PointSet centroid_update(const WeightedPointSet& points, const PointSet& old_centers,
                          const std::vector<CenterIndex>& assignment, LrOrder r,
                          Coord delta) {
@@ -71,7 +63,7 @@ CapacitatedSolution solve_once(const WeightedPointSet& points, int k, double t,
   CapacitatedSolution best;
   PointSet centers = kmeanspp_seed(points, k, r, rng);
   for (int iter = 0; iter < options.max_iters; ++iter) {
-    CapacitatedAssignment a = assign(points, centers, t, r, options);
+    CapacitatedAssignment a = optimal_capacitated_assignment(points, centers, t, r);
     if (!a.feasible) break;
     if (a.cost < best.cost) {
       best.feasible = true;

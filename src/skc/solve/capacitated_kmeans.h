@@ -1,9 +1,9 @@
 // Capacitated (balanced) k-means — the (alpha, beta)-approximation black box
 // the paper's theorems compose with (Fact 2.3).
 //
-// Balanced Lloyd: alternate an *optimal capacitated assignment* (min-cost
-// flow, so each iterate's assignment step is exact) with the centroid
-// update, keeping the best iterate.  With capacity t = ceil(n/k) this is the
+// Balanced Lloyd: alternate an *optimal capacitated assignment* (an exact
+// min-cost flow on the k-center graph, see capacitated_assignment.h) with
+// the centroid update, keeping the best iterate.  With capacity t = ceil(n/k) this is the
 // classic balanced k-means heuristic; with t = infinity it degenerates to
 // Lloyd.  Centers live on the integer grid as the paper requires.
 #pragma once
@@ -21,7 +21,6 @@ struct CapacitatedSolverOptions {
   double rel_tol = 1e-4;
   Coord delta = 0;       ///< clamp centers into [1, delta]; 0 = no clamp
   int restarts = 1;      ///< independent k-means++ restarts; best kept
-  bool use_greedy_assignment = false;  ///< heuristic assignment for large n
 };
 
 struct CapacitatedSolution {
@@ -34,8 +33,7 @@ struct CapacitatedSolution {
 };
 
 /// Solves capacitated k-means/k-clustering in l_r over a weighted set with
-/// per-center capacity t.  Requires integral weights unless
-/// options.use_greedy_assignment is set.
+/// per-center capacity t.  Requires integral weights.
 CapacitatedSolution capacitated_kmeans(const WeightedPointSet& points, int k,
                                        double t, LrOrder r,
                                        const CapacitatedSolverOptions& options,

@@ -1,9 +1,9 @@
 // Capacitated clustering cost evaluation — cost_t^{(r)}(Q, Z[, w]) of §2.
 //
-// The exact evaluator reduces to min-cost flow (integral weights); the
-// heuristic evaluator upper-bounds the cost for instances too large for the
-// flow solver.  Both report per-center loads so benchmarks can measure
-// capacity violations (E10).
+// The exact evaluator is the min-cost flow of capacitated_assignment.h
+// (integral weights); evaluate_assignment reports the cost and per-center
+// loads of a fixed assignment so benchmarks can measure capacity violations
+// (E10).
 #pragma once
 
 #include "skc/assign/capacitated_assignment.h"

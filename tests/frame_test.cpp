@@ -200,6 +200,22 @@ TEST(Frame, QueryRequestBoundsSolverRestarts) {
   }
 }
 
+TEST(Frame, QueryRequestBoundsCapacitySlack) {
+  QueryRequest in;
+  QueryRequest out;
+  for (const double ok : {1e-9, 1.0, 1.1, 64.0, 1e300}) {
+    in.capacity_slack = ok;
+    ASSERT_TRUE(out.decode(in.encode())) << ok;
+    EXPECT_EQ(out.capacity_slack, ok);
+  }
+  for (const double bad : {0.0, -0.0, -1.1, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    in.capacity_slack = bad;
+    EXPECT_FALSE(out.decode(in.encode())) << bad;
+  }
+}
+
 TEST(Frame, QueryReplyRoundTrip) {
   QueryReply in;
   in.ok = true;

@@ -143,7 +143,7 @@ TEST(Integration, CoresetSpeedsUpWithoutDestroyingCost) {
   cfg.dim = 2;
   cfg.log_delta = 10;
   cfg.clusters = 4;
-  cfg.n = 2500;
+  cfg.n = 20000;  // large enough that the full solve dwarfs timer noise
   cfg.skew = 1.0;
   const PointSet pts = gaussian_mixture(cfg, rng);
   const CoresetParams params = CoresetParams::practical(4, LrOrder{2.0}, 0.3, 0.3);

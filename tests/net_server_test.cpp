@@ -266,9 +266,10 @@ TEST(NetServer, MalformedFramesNeverKillTheServer) {
 }
 
 /// A full QUERY frame (solve on, the engine's k) with `restarts` restarts.
-std::string query_frame(std::int32_t restarts) {
+std::string query_frame(std::int32_t restarts, double slack = 1.1) {
   net::QueryRequest q;
   q.solver_restarts = restarts;
+  q.capacity_slack = slack;
   return net::encode_frame(net::MsgType::kQuery, net::Status::kOk, q.encode());
 }
 
@@ -308,6 +309,11 @@ TEST(NetServer, OutOfRangeQueriesGetTypedRepliesOnALiveConnection) {
   ASSERT_EQ(status, net::Status::kOk);
   ASSERT_TRUE(conn.exchange(
       query_frame(std::numeric_limits<std::int32_t>::max()), status, payload));
+  EXPECT_EQ(status, net::Status::kMalformed);
+  EXPECT_TRUE(conn.ping_echoes());
+
+  ASSERT_TRUE(conn.exchange(
+      query_frame(1, std::numeric_limits<double>::quiet_NaN()), status, payload));
   EXPECT_EQ(status, net::Status::kMalformed);
   EXPECT_TRUE(conn.ping_echoes());
 

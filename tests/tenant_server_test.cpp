@@ -261,9 +261,10 @@ TEST(TenantServer, OutOfRangeQueriesGetTypedRepliesOnALiveConnection) {
                               status, payload));
     ASSERT_EQ(status, net::Status::kOk);
   };
-  const auto query = [&](std::int32_t restarts) {
+  const auto query = [&](std::int32_t restarts, double slack = 1.1) {
     net::QueryRequest q;
     q.solver_restarts = restarts;
+    q.capacity_slack = slack;
     return frame(net::MsgType::kQuery, q.encode());
   };
 
@@ -278,6 +279,11 @@ TEST(TenantServer, OutOfRangeQueriesGetTypedRepliesOnALiveConnection) {
 
   insert(40, 100);
   ASSERT_TRUE(conn.exchange(query(std::numeric_limits<std::int32_t>::max()),
+                            status, payload));
+  EXPECT_EQ(status, net::Status::kMalformed);
+  EXPECT_TRUE(conn.ping_echoes());
+
+  ASSERT_TRUE(conn.exchange(query(1, std::numeric_limits<double>::quiet_NaN()),
                             status, payload));
   EXPECT_EQ(status, net::Status::kMalformed);
   EXPECT_TRUE(conn.ping_echoes());
