@@ -49,7 +49,9 @@ void multi_producer_submit(ClusteringEngine& engine, const Stream& stream,
         std::min(stream.size(), static_cast<std::size_t>(t) * chunk);
     const std::size_t end = std::min(stream.size(), begin + chunk);
     threads.emplace_back([&engine, &stream, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) engine.submit(stream[i]);
+      for (std::size_t i = begin; i < end; ++i) {
+        engine.submit(Stream{stream[i]});
+      }
     });
   }
   for (auto& t : threads) t.join();

@@ -26,7 +26,16 @@ std::string address_label(const WorkerAddress& a) {
 }  // namespace
 
 ClusterCoordinator::ClusterCoordinator(const CoordinatorOptions& options)
-    : net::FrameServer(options.server),
+    : net::FrameServer(
+          options.server,
+          // The front door speaks version 2, but each worker hosts one
+          // single-tenant engine, so only the default tenant has storage
+          // behind it (the routing layer — owner_of(tenant, point) — is
+          // already tenant-aware for deployments that put multi-tenant
+          // servers behind the coordinator).
+          net::FrontDoor{options.dim, options.streaming.log_delta,
+                         "cluster workers host only the default tenant",
+                         "unsupported message type at the coordinator"}),
       options_(options),
       protocol_net_(static_cast<int>(options.workers.size()) + 1),
       ingest_net_(static_cast<int>(options.workers.size()) + 1) {
@@ -246,20 +255,6 @@ bool ClusterCoordinator::submit(const Stream& batch) {
     }
   }
   return pending.empty();
-}
-
-bool ClusterCoordinator::insert(std::span<const Coord> p) {
-  StreamEvent e;
-  e.op = StreamOp::kInsert;
-  e.point.assign(p.begin(), p.end());
-  return submit(Stream{std::move(e)});
-}
-
-bool ClusterCoordinator::erase(std::span<const Coord> p) {
-  StreamEvent e;
-  e.op = StreamOp::kDelete;
-  e.point.assign(p.begin(), p.end());
-  return submit(Stream{std::move(e)});
 }
 
 void ClusterCoordinator::flush() {
@@ -601,24 +596,7 @@ ClusterMetrics ClusterCoordinator::metrics() const {
   m.worker_status = registry_.all();
   m.query_latency = query_latency_.snapshot();
   m.forward_latency = forward_latency_.snapshot();
-
-  m.net_connections_active =
-      counters_.connections_active.load(std::memory_order_relaxed);
-  m.net_connections_total =
-      counters_.connections_total.load(std::memory_order_relaxed);
-  m.net_bytes_in = counters_.bytes_in.load(std::memory_order_relaxed);
-  m.net_bytes_out = counters_.bytes_out.load(std::memory_order_relaxed);
-  m.net_busy_rejections =
-      counters_.busy_rejections.load(std::memory_order_relaxed);
-  m.net_malformed_frames =
-      counters_.malformed_frames.load(std::memory_order_relaxed);
-  m.net_requests_by_type.resize(net::kNumMsgTypes);
-  for (int t = 0; t < net::kNumMsgTypes; ++t) {
-    m.net_requests_by_type[static_cast<std::size_t>(t)] =
-        counters_.requests_by_type[static_cast<std::size_t>(t)].load(
-            std::memory_order_relaxed);
-  }
-  m.net_request_latency = counters_.request_latency.snapshot();
+  static_cast<TransportMetrics&>(m) = transport_metrics();
   return m;
 }
 
@@ -749,105 +727,29 @@ std::string ClusterCoordinator::cluster_trace_json() {
   return out;
 }
 
-net::Status ClusterCoordinator::dispatch(const net::FrameHeader& header,
-                                         std::string_view body,
-                                         std::string& reply) {
+net::Status ClusterCoordinator::ingest(std::string_view /*tenant*/,
+                                       const Stream& events,
+                                       std::string& reply) {
+  if (submit(events)) return net::Status::kOk;
+  reply = net::encode_text("cluster could not accept the batch");
+  return net::Status::kEngineError;
+}
+
+net::Status ClusterCoordinator::answer_query(std::string_view /*tenant*/,
+                                             const EngineQuery& q,
+                                             EngineQueryResult& result,
+                                             std::string& /*reply*/) {
+  result = query(q);
+  return net::Status::kOk;  // a cluster-level miss travels in result.ok/error
+}
+
+net::Status ClusterCoordinator::serve(net::MsgType type,
+                                      std::string_view /*tenant*/,
+                                      std::string_view /*body*/,
+                                      std::string& reply) {
   using net::MsgType;
   using net::Status;
-  // The front door speaks version 2, but this coordinator's workers each
-  // host one single-tenant engine, so only the default tenant has storage
-  // behind it: a non-empty stream id gets the typed refusal (the routing
-  // layer — owner_of(tenant, point) — is already tenant-aware for
-  // deployments that put multi-tenant servers behind the coordinator).
-  std::string_view tenant, inner;
-  const Status split = split_tenant(header, body, tenant, inner, reply);
-  if (split != Status::kOk) return split;
-  if (!tenant.empty()) {
-    reply = net::encode_text("cluster workers host only the default tenant");
-    return Status::kUnknownTenant;
-  }
-  body = inner;
-  const MsgType type = header.type;
   switch (type) {
-    case MsgType::kPing:
-      reply.assign(body);  // echo
-      return Status::kOk;
-
-    case MsgType::kInsertBatch:
-    case MsgType::kDeleteBatch: {
-      net::PointBatch batch;
-      if (!batch.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = net::encode_text("undecodable point batch");
-        return Status::kMalformed;
-      }
-      if (batch.dim != options_.dim) {
-        reply = net::encode_text("batch dimension does not match the cluster");
-        return Status::kEngineError;
-      }
-      const Coord max_coord = Coord{1} << options_.streaming.log_delta;
-      for (const Coord c : batch.coords) {
-        if (c < 1 || c > max_coord) {
-          reply = net::encode_text("coordinate outside [1, Delta]");
-          return Status::kEngineError;
-        }
-      }
-      if (draining()) return Status::kShuttingDown;
-      const std::size_t dim = static_cast<std::size_t>(batch.dim);
-      const std::uint64_t count = batch.count();
-      Stream events(static_cast<std::size_t>(count));
-      const StreamOp op = type == MsgType::kInsertBatch ? StreamOp::kInsert
-                                                        : StreamOp::kDelete;
-      for (std::uint64_t i = 0; i < count; ++i) {
-        events[i].op = op;
-        const Coord* first = batch.coords.data() + i * dim;
-        events[i].point.assign(first, first + dim);
-      }
-      if (!submit(events)) {
-        reply = net::encode_text("cluster could not accept the batch");
-        return Status::kEngineError;
-      }
-      net::BatchReply ack;
-      ack.accepted = count;
-      ack.backlog = 0;  // forwards are acknowledged, never queued here
-      reply = ack.encode();
-      return Status::kOk;
-    }
-
-    case MsgType::kQuery: {
-      net::QueryRequest request;
-      if (!request.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = net::encode_text("undecodable query");
-        return Status::kMalformed;
-      }
-      EngineQuery q;
-      q.k = request.k;
-      q.capacity_slack = request.capacity_slack;
-      q.barrier = request.barrier;
-      q.summary_only = request.summary_only;
-      q.solver_restarts = request.solver_restarts;
-      const EngineQueryResult res = query(q);
-      net::QueryReply out;
-      out.ok = res.ok;
-      out.error = res.error;
-      out.net_points = res.net_points;
-      out.summary_points =
-          static_cast<std::uint64_t>(res.summary.points.size());
-      out.capacity = res.capacity;
-      out.cost = res.solution.cost;
-      out.feasible = res.solution.feasible;
-      out.merge_millis = res.merge_millis;
-      out.solve_millis = res.solve_millis;
-      out.dim = res.solution.centers.dim();
-      for (PointIndex c = 0; c < res.solution.centers.size(); ++c) {
-        const auto p = res.solution.centers[c];
-        out.center_coords.insert(out.center_coords.end(), p.begin(), p.end());
-      }
-      reply = out.encode();
-      return Status::kOk;  // a cluster-level miss travels in out.ok/error
-    }
-
     case MsgType::kMetrics:
       reply = net::encode_text(cluster_metrics_json(metrics()));
       return Status::kOk;
@@ -863,13 +765,6 @@ net::Status ClusterCoordinator::dispatch(const net::FrameHeader& header,
       return Status::kOk;
     }
 
-    case MsgType::kShutdown:
-      return Status::kOk;  // the base server drains after replying
-
-    case MsgType::kTraceDump:
-      reply = net::encode_text(obs::Tracer::instance().dump_chrome_json());
-      return Status::kOk;
-
     case MsgType::kPrometheus:
       // Coordinator-local families plus the skc_cluster_* fleet section
       // merged from every worker's WORKER_STATS pull.
@@ -877,44 +772,25 @@ net::Status ClusterCoordinator::dispatch(const net::FrameHeader& header,
                                fleet_prometheus_text(fleet_stats()));
       return Status::kOk;
 
-    case MsgType::kClusterTraceDump:
-      reply = net::encode_text(cluster_trace_json());
-      return Status::kOk;
-
     case MsgType::kWorkerStats: {
       // The coordinator's own lane of the fleet scrape: fan-out ops map
       // onto the shared op vocabulary (forward = submit_batch, query =
       // query); there is no local checkpoint histogram.
+      const TransportMetrics transport = transport_metrics();
       net::WorkerStatsReply out;
       out.submit = net::HistogramWire::from(forward_latency_.snapshot());
       out.query = net::HistogramWire::from(query_latency_.snapshot());
-      out.net_request =
-          net::HistogramWire::from(counters_.request_latency.snapshot());
-      out.trace_dropped_spans = obs::Tracer::instance().total_dropped();
+      out.net_request = net::HistogramWire::from(transport.net_request_latency);
+      out.trace_dropped_spans = transport.trace_dropped_spans;
       reply = out.encode();
       return Status::kOk;
     }
 
-    case MsgType::kFlightRecorder:
-      reply = net::encode_text(obs::FlightRecorder::instance().dump_json());
-      return Status::kOk;
-
-    case MsgType::kWorkerHello:
-    case MsgType::kHeartbeat:
-    case MsgType::kMergeSketch:
-    case MsgType::kShipSnapshot:
-      // Worker-side RPCs; a coordinator is not a worker.
-      break;
-
-    case MsgType::kReserved12:  // reserved; no server implements it
-      break;
-
-    case MsgType::kTenantStats:
-      // Single-tenant workers — see the tenant refusal above.
-      break;
+    default:
+      // Worker-side RPCs (a coordinator is not a worker) and TENANT_STATS
+      // (its workers are single-tenant engines).
+      return unsupported(reply);
   }
-  reply = net::encode_text("unsupported message type at the coordinator");
-  return net::Status::kUnsupported;
 }
 
 }  // namespace skc::cluster

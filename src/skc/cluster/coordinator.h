@@ -103,8 +103,6 @@ class ClusterCoordinator : public net::FrameServer {
   /// Routes a batch to the owning workers.  Returns false when no live
   /// worker remains to accept some slice of it.
   bool submit(const Stream& batch);
-  bool insert(std::span<const Coord> p);
-  bool erase(std::span<const Coord> p);
 
   /// Cluster epoch barrier: polls worker heartbeats until every event this
   /// coordinator forwarded has been applied.  (Queries do not need this —
@@ -141,12 +139,21 @@ class ClusterCoordinator : public net::FrameServer {
   /// worker's TRACE_DUMP, each rebased onto the coordinator's tracer clock
   /// via the heartbeat offset estimate and emitted as its own
   /// chrome://tracing process lane (pid 0 = coordinator, pid id+1 =
-  /// worker id).
-  std::string cluster_trace_json();
+  /// worker id).  The CLUSTER_TRACE_DUMP reply.
+  std::string cluster_trace_json() override;
 
  protected:
-  net::Status dispatch(const net::FrameHeader& header, std::string_view body,
-                       std::string& reply) override;
+  // The front door (FrameServer) decodes and validates every generic
+  // request; the coordinator forwards batches to its workers, answers
+  // queries with one merge round, and serves its own fleet METRICS,
+  // PROMETHEUS, WORKER_STATS and CHECKPOINT.
+  net::Status ingest(std::string_view tenant, const Stream& events,
+                     std::string& reply) override;
+  net::Status answer_query(std::string_view tenant, const EngineQuery& q,
+                           EngineQueryResult& result,
+                           std::string& reply) override;
+  net::Status serve(net::MsgType type, std::string_view tenant,
+                    std::string_view body, std::string& reply) override;
 
  private:
   /// Buffered event for failover replay (flat copy of one stream event).

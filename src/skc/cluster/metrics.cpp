@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "skc/obs/prom_format.h"
+#include "skc/obs/prometheus.h"
 
 namespace skc::cluster {
 
@@ -125,19 +126,7 @@ std::string cluster_metrics_json(const ClusterMetrics& m) {
     out += '}';
   }
   out += "],";
-  append_kv(out, "net_connections_active", m.net_connections_active);
-  out += ',';
-  append_kv(out, "net_connections_total", m.net_connections_total);
-  out += ',';
-  append_kv(out, "net_bytes_in", m.net_bytes_in);
-  out += ',';
-  append_kv(out, "net_bytes_out", m.net_bytes_out);
-  out += ',';
-  append_kv(out, "net_busy_rejections", m.net_busy_rejections);
-  out += ',';
-  append_kv(out, "net_malformed_frames", m.net_malformed_frames);
-  out += ',';
-  append_kv(out, "net_requests_by_type", m.net_requests_by_type);
+  append_net_counters_json(out, m);
   out += '}';
   return out;
 }
@@ -241,18 +230,7 @@ std::string cluster_prometheus_text(const ClusterMetrics& m) {
                                 m.worker_merge_latency[w]);
   }
 
-  gauge_i(out, "skc_net_connections_active", "Open TCP connections.",
-          m.net_connections_active);
-  counter(out, "skc_net_connections_total", "TCP connections accepted.",
-          m.net_connections_total);
-  counter(out, "skc_net_bytes_in_total", "Wire bytes received.",
-          m.net_bytes_in);
-  counter(out, "skc_net_bytes_out_total", "Wire bytes sent.", m.net_bytes_out);
-  counter(out, "skc_net_busy_rejections_total", "Load-shed BUSY replies.",
-          m.net_busy_rejections);
-  counter(out, "skc_net_malformed_frames_total",
-          "Rejected headers and payloads.", m.net_malformed_frames);
-
+  obs::append_net_families(out, m);
   return out;
 }
 

@@ -18,12 +18,16 @@
 #include <vector>
 
 #include "skc/cluster/registry.h"
+#include "skc/engine/metrics.h"
 #include "skc/net/frame.h"
 #include "skc/obs/histogram.h"
 
 namespace skc::cluster {
 
-struct ClusterMetrics {
+/// The inherited transport block is the front door's (FrameServer)
+/// snapshot, filled when serving TCP; the JSON and Prometheus renderings
+/// carry its net_* counters.
+struct ClusterMetrics : TransportMetrics {
   int workers = 0;
   int workers_alive = 0;
 
@@ -59,16 +63,6 @@ struct ClusterMetrics {
   /// Per-worker MERGE_SKETCH round-trip (the per-worker histograms the
   /// Prometheus exposition labels with worker="<rank>").
   std::vector<obs::HistogramSnapshot> worker_merge_latency;
-
-  // Front-door transport counters (FrameServer), when serving TCP.
-  std::int64_t net_connections_active = 0;
-  std::int64_t net_connections_total = 0;
-  std::int64_t net_bytes_in = 0;
-  std::int64_t net_bytes_out = 0;
-  std::int64_t net_busy_rejections = 0;
-  std::int64_t net_malformed_frames = 0;
-  std::vector<std::int64_t> net_requests_by_type;
-  obs::HistogramSnapshot net_request_latency;
 };
 
 /// One JSON object (stable key order, no trailing whitespace).

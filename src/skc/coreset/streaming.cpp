@@ -12,6 +12,16 @@ namespace skc {
 
 namespace {
 
+/// Point-store eviction watermark: sampled points per cell before the cell
+/// is declared provably heavy.
+constexpr std::int64_t kPointWatermark = 64;
+
+/// Mid-stream pruning frees guesses whose o is below (running OPT lower
+/// bound) / kPruneSlack.  The 100x slack absorbs deletions shrinking the
+/// bound later (a wrongly pruned guess just FAILs and a coarser o is
+/// accepted).
+constexpr double kPruneSlack = 100.0;
+
 SamplingRate rate_or_one(double p) {
   return SamplingRate::from_probability(std::min(1.0, std::max(p, 1e-18)));
 }
@@ -64,7 +74,7 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
       }
       if (shared == nullptr) {
         PointStoreConfig ps;
-        ps.watermark = options.point_watermark;
+        ps.watermark = kPointWatermark;
         ps.max_live_points = options.max_live_points;
         ps.exact = options.exact_storing;
         store_pool_.push_back(
@@ -244,7 +254,7 @@ void StreamingCoresetBuilder::maybe_prune() {
       opt_lower_bound_from_cells(grid_, params_.k, params_.r, cell_estimates);
   if (lb <= 0.0) return;
   for (GuessState& guess : guesses_) {
-    if (guess.pruned || guess.o * options_.prune_slack >= lb) continue;
+    if (guess.pruned || guess.o * kPruneSlack >= lb) continue;
     guess.pruned = true;
     for (CellCountMin& cm : guess.counts) cm.release();
     for (SharedStore* shared : guess.samples) {

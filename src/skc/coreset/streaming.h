@@ -64,9 +64,7 @@ struct StreamingOptions {
   int countmin_width = 512;
   int countmin_depth = 3;
 
-  /// Point-store eviction watermark (sampled points per cell before the
-  /// cell is declared provably heavy) and the per-structure live-point cap.
-  std::int64_t point_watermark = 64;
+  /// Per-structure live-point cap of the sampled point stores.
   std::int64_t max_live_points = 1 << 14;
 
   /// Exact reference mode (plain maps, no eviction): bit-identical to the
@@ -78,12 +76,9 @@ struct StreamingOptions {
   std::size_t distinct_budget = 256;
 
   /// Mid-stream pruning: every `prune_interval` events, guesses whose o is
-  /// below (running OPT lower bound) / prune_slack free their structures.
-  /// The 100x slack absorbs deletions shrinking the bound later (a wrongly
-  /// pruned guess just FAILs and a coarser o is accepted); exact mode never
-  /// prunes.  0 disables.
+  /// far below the running OPT lower bound free their structures (see
+  /// kPruneSlack in streaming.cpp); exact mode never prunes.  0 disables.
   std::int64_t prune_interval = 4096;
-  double prune_slack = 100.0;
 };
 
 struct StreamingResult {

@@ -103,13 +103,6 @@ void ClusteringEngine::route(const StreamEvent& event) {
   schedule_drain(shard);
 }
 
-void ClusteringEngine::submit(const StreamEvent& event) {
-  SKC_CHECK_MSG(accepting_.load(std::memory_order_acquire),
-                "submit after shutdown");
-  route(event);
-  counters_.events_submitted.fetch_add(1, std::memory_order_relaxed);
-}
-
 void ClusteringEngine::submit(const Stream& batch) {
   SKC_CHECK_MSG(accepting_.load(std::memory_order_acquire),
                 "submit after shutdown");
@@ -118,20 +111,6 @@ void ClusteringEngine::submit(const Stream& batch) {
   counters_.events_submitted.fetch_add(static_cast<std::int64_t>(batch.size()),
                                        std::memory_order_relaxed);
   counters_.batches.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ClusteringEngine::insert(std::span<const Coord> p) {
-  StreamEvent e;
-  e.op = StreamOp::kInsert;
-  e.point.assign(p.begin(), p.end());
-  submit(e);
-}
-
-void ClusteringEngine::erase(std::span<const Coord> p) {
-  StreamEvent e;
-  e.op = StreamOp::kDelete;
-  e.point.assign(p.begin(), p.end());
-  submit(e);
 }
 
 void ClusteringEngine::schedule_drain(Shard& shard) {
@@ -459,12 +438,10 @@ std::uint64_t engine_config_fingerprint(int dim, const CoresetParams& params,
   mix_d(streaming.counting_samples);
   mix(static_cast<std::uint64_t>(streaming.countmin_width));
   mix(static_cast<std::uint64_t>(streaming.countmin_depth));
-  mix(static_cast<std::uint64_t>(streaming.point_watermark));
   mix(static_cast<std::uint64_t>(streaming.max_live_points));
   mix(streaming.exact_storing ? 1 : 0);
   mix(static_cast<std::uint64_t>(streaming.distinct_budget));
   mix(static_cast<std::uint64_t>(streaming.prune_interval));
-  mix_d(streaming.prune_slack);
   return h;
 }
 

@@ -8,7 +8,9 @@
 // lineage [HPM04/BFL16] exploit.  The engine turns that observation into a
 // concurrent system:
 //
-//   ingest   submit(event/batch) hashes each point to one of N shards and
+//   ingest   submit(batch) is the one ingest entry (a single event is a
+//            one-event batch, so every call is counted and timed the
+//            same way).  It hashes each point to one of N shards and
 //            pushes the event into that shard's bounded MPMC queue
 //            (backpressure: producers block when a shard is `queue_capacity`
 //            events ahead).  Shard queues are drained by tasks on an
@@ -150,13 +152,11 @@ class ClusteringEngine {
   const CoresetParams& params() const { return params_; }
   const EngineOptions& options() const { return options_; }
 
-  /// Routes one event to its shard queue; blocks on backpressure.  Must not
-  /// be called after shutdown().
-  void submit(const StreamEvent& event);
-  /// Routes a batch (one metrics update, same per-event routing).
+  /// The one ingest entry: routes every event of the batch to its shard
+  /// queue (blocking on backpressure) and records one `batches` tick and
+  /// one submit_latency sample.  A single event is a one-event Stream.
+  /// Must not be called after shutdown().
   void submit(const Stream& batch);
-  void insert(std::span<const Coord> p);
-  void erase(std::span<const Coord> p);
 
   /// Epoch barrier: returns once every event submitted before this call has
   /// been applied to its shard builder.

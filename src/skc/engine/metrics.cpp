@@ -104,23 +104,38 @@ std::string metrics_json(const EngineMetrics& m) {
   out += ',';
   append_kv(out, "shard_events_applied", m.shard_events_applied);
   out += ',';
-  append_kv(out, "net_connections_active", m.net_connections_active);
-  out += ',';
-  append_kv(out, "net_connections_total", m.net_connections_total);
-  out += ',';
-  append_kv(out, "net_bytes_in", m.net_bytes_in);
-  out += ',';
-  append_kv(out, "net_bytes_out", m.net_bytes_out);
-  out += ',';
-  append_kv(out, "net_busy_rejections", m.net_busy_rejections);
-  out += ',';
-  append_kv(out, "net_malformed_frames", m.net_malformed_frames);
-  out += ',';
-  append_kv(out, "net_requests_by_type", m.net_requests_by_type);
+  append_net_counters_json(out, m);
   out += ',';
   append_kv(out, "trace_dropped_spans", m.trace_dropped_spans);
   out += '}';
   return out;
+}
+
+std::string transport_metrics_json(const TransportMetrics& t) {
+  std::string out = "{";
+  append_net_counters_json(out, t);
+  out += ',';
+  append_kv(out, "trace_dropped_spans", t.trace_dropped_spans);
+  out += ',';
+  append_latency(out, "net_request_latency", t.net_request_latency);
+  out += '}';
+  return out;
+}
+
+void append_net_counters_json(std::string& out, const TransportMetrics& t) {
+  append_kv(out, "net_connections_active", t.net_connections_active);
+  out += ',';
+  append_kv(out, "net_connections_total", t.net_connections_total);
+  out += ',';
+  append_kv(out, "net_bytes_in", t.net_bytes_in);
+  out += ',';
+  append_kv(out, "net_bytes_out", t.net_bytes_out);
+  out += ',';
+  append_kv(out, "net_busy_rejections", t.net_busy_rejections);
+  out += ',';
+  append_kv(out, "net_malformed_frames", t.net_malformed_frames);
+  out += ',';
+  append_kv(out, "net_requests_by_type", t.net_requests_by_type);
 }
 
 }  // namespace skc

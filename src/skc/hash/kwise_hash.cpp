@@ -62,13 +62,6 @@ void VectorFold::fold_cells_batch(const std::int32_t* keys, std::size_t len,
   });
 }
 
-void VectorFold::fold64_batch(const std::int64_t* keys, std::size_t len,
-                              std::size_t n, std::uint64_t* out) const {
-  fold_batch_impl(keys, len, n, theta_, salt_, out, [](std::int64_t c) {
-    return f61::reduce(static_cast<std::uint64_t>(c + (std::int64_t{1} << 62)));
-  });
-}
-
 void KWiseHash::eval_batch(std::uint64_t* xs, std::size_t n) const {
   if (coeffs_.empty()) {
     for (std::size_t i = 0; i < n; ++i) xs[i] = 0;

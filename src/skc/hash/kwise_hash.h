@@ -71,10 +71,6 @@ class VectorFold {
   void fold_cells_batch(const std::int32_t* keys, std::size_t len, std::size_t n,
                         std::uint64_t* out) const;
 
-  /// Same, for int64 rows (matches the int64 overload exactly).
-  void fold64_batch(const std::int64_t* keys, std::size_t len, std::size_t n,
-                    std::uint64_t* out) const;
-
  private:
   std::uint64_t theta_ = 3;
   std::uint64_t salt_ = 0;

@@ -17,12 +17,37 @@ std::size_t type_index(MsgType type) {
   return static_cast<std::size_t>(static_cast<std::uint8_t>(type));
 }
 
+/// Splits the tenant id off `body` per the frame version: version-1 frames
+/// address the default tenant (""), version-2 frames carry the prefix.
+/// Returns kOk with `tenant`/`inner` set, or kUnknownTenant for an
+/// unparseable or illegal stream id (frames are length-delimited, so this
+/// is NEVER a connection drop; `reply` gets the diagnostic text).
+Status split_tenant(const FrameHeader& header, std::string_view body,
+                    std::string_view& tenant, std::string_view& inner,
+                    std::string& reply) {
+  if (header.version == kWireVersion) {
+    tenant = std::string_view{};
+    inner = body;
+    return Status::kOk;
+  }
+  if (!split_tenant_prefix(body, tenant, inner)) {
+    reply = encode_text("truncated tenant prefix");
+    return Status::kUnknownTenant;
+  }
+  if (!tenant.empty() && !valid_tenant_id(tenant)) {
+    reply = encode_text("illegal tenant id (want [A-Za-z0-9._-], <= 64 bytes)");
+    return Status::kUnknownTenant;
+  }
+  return Status::kOk;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // FrameServer — the protocol-generic transport.
 
-FrameServer::FrameServer(const ServerOptions& options) : options_(options) {}
+FrameServer::FrameServer(const ServerOptions& options, const FrontDoor& door)
+    : options_(options), door_(door) {}
 
 FrameServer::~FrameServer() { stop(); }
 
@@ -183,26 +208,6 @@ bool FrameServer::send_reply(Conn& conn, MsgType type, Status status,
   return io == IoResult::kOk;
 }
 
-Status FrameServer::split_tenant(const FrameHeader& header,
-                                 std::string_view body,
-                                 std::string_view& tenant,
-                                 std::string_view& inner, std::string& reply) {
-  if (header.version == kWireVersion) {
-    tenant = std::string_view{};
-    inner = body;
-    return Status::kOk;
-  }
-  if (!split_tenant_prefix(body, tenant, inner)) {
-    reply = encode_text("truncated tenant prefix");
-    return Status::kUnknownTenant;
-  }
-  if (!tenant.empty() && !valid_tenant_id(tenant)) {
-    reply = encode_text("illegal tenant id (want [A-Za-z0-9._-], <= 64 bytes)");
-    return Status::kUnknownTenant;
-  }
-  return Status::kOk;
-}
-
 void FrameServer::request_shutdown() {
   {
     std::lock_guard<std::mutex> lock(stop_mu_);
@@ -237,128 +242,207 @@ void FrameServer::stop() {
   if (drain) on_drain();
 }
 
+Status FrameServer::dispatch(const FrameHeader& header, std::string_view body,
+                             std::string& reply) {
+  std::string_view tenant;
+  std::string_view inner;
+  const Status split = split_tenant(header, body, tenant, inner, reply);
+  if (split != Status::kOk) return split;
+  if (!tenant.empty() && !door_.default_tenant_only.empty()) {
+    // A typed refusal, never a drop: the frame was length-delimited, so
+    // the stream is intact.
+    reply = encode_text(door_.default_tenant_only);
+    return Status::kUnknownTenant;
+  }
+  switch (header.type) {
+    case MsgType::kPing:
+      reply.assign(inner);  // echo
+      return Status::kOk;
+    case MsgType::kInsertBatch:
+    case MsgType::kDeleteBatch:
+      return ingest_request(header.type, tenant, inner, reply);
+    case MsgType::kQuery:
+      return query_request(tenant, inner, reply);
+    case MsgType::kShutdown:
+      return Status::kOk;  // serve_connection requests the drain after replying
+    case MsgType::kTraceDump:
+      reply = encode_text(obs::Tracer::instance().dump_chrome_json());
+      return Status::kOk;
+    case MsgType::kClusterTraceDump:
+      reply = encode_text(cluster_trace_json());
+      return Status::kOk;
+    case MsgType::kFlightRecorder:
+      reply = encode_text(obs::FlightRecorder::instance().dump_json());
+      return Status::kOk;
+    case MsgType::kReserved12:  // reserved: no server serves it
+      return unsupported(reply);
+    default:
+      return serve(header.type, tenant, inner, reply);
+  }
+}
+
+Status FrameServer::ingest_request(MsgType type, std::string_view tenant,
+                                   std::string_view body, std::string& reply) {
+  PointBatch batch;
+  if (!batch.decode(body)) return malformed("undecodable point batch", reply);
+  if (batch.dim != door_.dim) {
+    reply = encode_text("batch dimension does not match the server");
+    return Status::kEngineError;
+  }
+  const Coord max_coord = Coord{1} << door_.log_delta;
+  for (const Coord c : batch.coords) {
+    if (c < 1 || c > max_coord) {
+      reply = encode_text("coordinate outside [1, Delta]");
+      return Status::kEngineError;
+    }
+  }
+  if (draining()) return Status::kShuttingDown;
+  if (options_.busy_backlog > 0 && ingest_backlog() > options_.busy_backlog) {
+    counters_.busy_rejections.fetch_add(1, std::memory_order_relaxed);
+    return Status::kBusy;
+  }
+  const std::size_t dim = static_cast<std::size_t>(batch.dim);
+  const std::uint64_t count = batch.count();
+  Stream events(static_cast<std::size_t>(count));
+  const StreamOp op =
+      type == MsgType::kInsertBatch ? StreamOp::kInsert : StreamOp::kDelete;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    events[i].op = op;
+    const Coord* first = batch.coords.data() + i * dim;
+    events[i].point.assign(first, first + dim);
+  }
+  const Status status = ingest(tenant, events, reply);
+  if (status != Status::kOk) return status;
+  BatchReply ack;
+  ack.accepted = count;
+  ack.backlog = ingest_backlog();
+  reply = ack.encode();
+  return Status::kOk;
+}
+
+Status FrameServer::query_request(std::string_view tenant,
+                                  std::string_view body, std::string& reply) {
+  QueryRequest request;
+  if (!request.decode(body)) return malformed("undecodable query", reply);
+  EngineQuery q;
+  q.k = request.k;
+  q.capacity_slack = request.capacity_slack;
+  q.barrier = request.barrier;
+  q.summary_only = request.summary_only;
+  q.solver_restarts = request.solver_restarts;
+  EngineQueryResult res;
+  const Status status = answer_query(tenant, q, res, reply);
+  if (status != Status::kOk) return status;
+  QueryReply out;
+  out.ok = res.ok;
+  out.error = res.error;
+  out.net_points = res.net_points;
+  out.summary_points = static_cast<std::uint64_t>(res.summary.points.size());
+  out.capacity = res.capacity;
+  out.cost = res.solution.cost;
+  out.feasible = res.solution.feasible;
+  out.merge_millis = res.merge_millis;
+  out.solve_millis = res.solve_millis;
+  out.dim = res.solution.centers.dim();
+  for (PointIndex c = 0; c < res.solution.centers.size(); ++c) {
+    const auto p = res.solution.centers[c];
+    out.center_coords.insert(out.center_coords.end(), p.begin(), p.end());
+  }
+  reply = out.encode();
+  return Status::kOk;  // a miss travels in out.ok/error
+}
+
+Status FrameServer::malformed(std::string_view what, std::string& reply) const {
+  counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
+  reply = encode_text(what);
+  return Status::kMalformed;
+}
+
+Status FrameServer::unsupported(std::string& reply) const {
+  reply = encode_text(door_.unsupported);
+  return Status::kUnsupported;
+}
+
+std::string FrameServer::cluster_trace_json() {
+  return obs::Tracer::instance().dump_chrome_json();
+}
+
+TransportMetrics FrameServer::transport_metrics() const {
+  TransportMetrics t;
+  t.net_connections_active =
+      counters_.connections_active.load(std::memory_order_relaxed);
+  t.net_connections_total =
+      counters_.connections_total.load(std::memory_order_relaxed);
+  t.net_bytes_in = counters_.bytes_in.load(std::memory_order_relaxed);
+  t.net_bytes_out = counters_.bytes_out.load(std::memory_order_relaxed);
+  t.net_busy_rejections =
+      counters_.busy_rejections.load(std::memory_order_relaxed);
+  t.net_malformed_frames =
+      counters_.malformed_frames.load(std::memory_order_relaxed);
+  t.net_requests_by_type.resize(kNumMsgTypes);
+  for (int i = 0; i < kNumMsgTypes; ++i) {
+    t.net_requests_by_type[static_cast<std::size_t>(i)] =
+        counters_.requests_by_type[static_cast<std::size_t>(i)].load(
+            std::memory_order_relaxed);
+  }
+  t.net_request_latency = counters_.request_latency.snapshot();
+  t.trace_dropped_spans = obs::Tracer::instance().total_dropped();
+  return t;
+}
+
 // ---------------------------------------------------------------------------
 // EngineServer — one ClusteringEngine behind the frame transport.
 
 EngineServer::EngineServer(ClusteringEngine& engine, const ServerOptions& options)
-    : FrameServer(options), engine_(engine) {}
+    : FrameServer(options,
+                  FrontDoor{engine.dim(), engine.options().streaming.log_delta,
+                            "this server hosts only the default tenant",
+                            // An engine serves every type but TENANT_STATS
+                            // (own text in serve()) and the reserved 12.
+                            "message type 12 is reserved"}),
+      engine_(engine) {}
 
 // The base destructor also calls stop(), but by then this subclass (and the
-// engine reference dispatch() uses) is gone — drain here, while it is alive.
+// engine reference its hooks use) is gone — drain here, while it is alive.
 EngineServer::~EngineServer() { stop(); }
 
-Status EngineServer::dispatch(const FrameHeader& header, std::string_view body,
-                              std::string& reply) {
-  // A single-tenant server still speaks version 2, but only for the default
-  // tenant: a non-empty stream id is answered with a typed kUnknownTenant
-  // (never a drop — the frame was length-delimited, the stream is intact).
-  std::string_view tenant, inner;
-  const Status split = split_tenant(header, body, tenant, inner, reply);
-  if (split != Status::kOk) return split;
-  if (!tenant.empty()) {
-    reply = encode_text("this server hosts only the default tenant");
-    return Status::kUnknownTenant;
-  }
-  body = inner;
-  const MsgType type = header.type;
+Status EngineServer::ingest(std::string_view /*tenant*/, const Stream& events,
+                            std::string& /*reply*/) {
+  engine_.submit(events);
+  return Status::kOk;
+}
+
+Status EngineServer::answer_query(std::string_view /*tenant*/,
+                                  const EngineQuery& q,
+                                  EngineQueryResult& result,
+                                  std::string& /*reply*/) {
+  char capture_detail[64];
+  std::snprintf(capture_detail, sizeof(capture_detail), "engine shards=%d",
+                engine_.num_shards());
+  obs::QueryCapture capture("query", capture_detail);
+  result = engine_.query(q);
+  return Status::kOk;
+}
+
+std::int64_t EngineServer::ingest_backlog() const {
+  return engine_.queue_backlog();
+}
+
+Status EngineServer::serve(MsgType type, std::string_view /*tenant*/,
+                           std::string_view body, std::string& reply) {
   switch (type) {
-    case MsgType::kPing:
-      reply.assign(body);  // echo
-      return Status::kOk;
-
-    case MsgType::kInsertBatch:
-    case MsgType::kDeleteBatch: {
-      PointBatch batch;
-      if (!batch.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = encode_text("undecodable point batch");
-        return Status::kMalformed;
-      }
-      if (batch.dim != engine_.dim()) {
-        reply = encode_text("batch dimension does not match the engine");
-        return Status::kEngineError;
-      }
-      const Coord max_coord = Coord{1}
-                              << engine_.options().streaming.log_delta;
-      for (const Coord c : batch.coords) {
-        if (c < 1 || c > max_coord) {
-          reply = encode_text("coordinate outside [1, Delta]");
-          return Status::kEngineError;
-        }
-      }
-      if (draining()) {
-        return Status::kShuttingDown;
-      }
-      if (server_options().busy_backlog > 0 &&
-          engine_.queue_backlog() > server_options().busy_backlog) {
-        counters_.busy_rejections.fetch_add(1, std::memory_order_relaxed);
-        return Status::kBusy;
-      }
-      const std::size_t dim = static_cast<std::size_t>(batch.dim);
-      const std::uint64_t count = batch.count();
-      Stream events(static_cast<std::size_t>(count));
-      const StreamOp op = type == MsgType::kInsertBatch ? StreamOp::kInsert
-                                                        : StreamOp::kDelete;
-      for (std::uint64_t i = 0; i < count; ++i) {
-        events[i].op = op;
-        const Coord* first = batch.coords.data() + i * dim;
-        events[i].point.assign(first, first + dim);
-      }
-      engine_.submit(events);
-      BatchReply ack;
-      ack.accepted = count;
-      ack.backlog = engine_.queue_backlog();
-      reply = ack.encode();
-      return Status::kOk;
-    }
-
-    case MsgType::kQuery: {
-      QueryRequest request;
-      if (!request.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = encode_text("undecodable query");
-        return Status::kMalformed;
-      }
-      EngineQuery q;
-      q.k = request.k;
-      q.capacity_slack = request.capacity_slack;
-      q.barrier = request.barrier;
-      q.summary_only = request.summary_only;
-      q.solver_restarts = request.solver_restarts;
-      char capture_detail[64];
-      std::snprintf(capture_detail, sizeof(capture_detail),
-                    "engine shards=%d", engine_.num_shards());
-      obs::QueryCapture capture("query", capture_detail);
-      const EngineQueryResult res = engine_.query(q);
-      QueryReply out;
-      out.ok = res.ok;
-      out.error = res.error;
-      out.net_points = res.net_points;
-      out.summary_points = static_cast<std::uint64_t>(res.summary.points.size());
-      out.capacity = res.capacity;
-      out.cost = res.solution.cost;
-      out.feasible = res.solution.feasible;
-      out.merge_millis = res.merge_millis;
-      out.solve_millis = res.solve_millis;
-      out.dim = res.solution.centers.dim();
-      for (PointIndex c = 0; c < res.solution.centers.size(); ++c) {
-        const auto p = res.solution.centers[c];
-        out.center_coords.insert(out.center_coords.end(), p.begin(), p.end());
-      }
-      reply = out.encode();
-      return Status::kOk;  // an engine-level miss travels in out.ok/error
-    }
-
     case MsgType::kMetrics:
       reply = encode_text(metrics_json(metrics()));
+      return Status::kOk;
+
+    case MsgType::kPrometheus:
+      reply = encode_text(obs::prometheus_text(metrics()));
       return Status::kOk;
 
     case MsgType::kCheckpoint: {
       CheckpointRequest request;
       if (!request.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = encode_text("undecodable checkpoint request");
-        return Status::kMalformed;
+        return malformed("undecodable checkpoint request", reply);
       }
       if (!engine_.checkpoint(request.path)) {
         reply = encode_text("checkpoint write failed");
@@ -367,23 +451,10 @@ Status EngineServer::dispatch(const FrameHeader& header, std::string_view body,
       return Status::kOk;
     }
 
-    case MsgType::kShutdown:
-      return Status::kOk;  // serve_connection requests the drain after replying
-
-    case MsgType::kTraceDump:
-      reply = encode_text(obs::Tracer::instance().dump_chrome_json());
-      return Status::kOk;
-
-    case MsgType::kPrometheus:
-      reply = encode_text(obs::prometheus_text(metrics()));
-      return Status::kOk;
-
     case MsgType::kWorkerHello: {
       WorkerHello hello;
       if (!hello.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = encode_text("undecodable worker hello");
-        return Status::kMalformed;
+        return malformed("undecodable worker hello", reply);
       }
       WorkerHelloReply out;
       const std::uint64_t fp = engine_config_fingerprint(
@@ -422,10 +493,6 @@ Status EngineServer::dispatch(const FrameHeader& header, std::string_view body,
       return Status::kOk;
     }
 
-    case MsgType::kReserved12:
-      reply = encode_text("message type 12 is reserved");
-      return Status::kUnsupported;
-
     case MsgType::kTenantStats:
       reply = encode_text("tenant stats require a multi-tenant server");
       return Status::kUnsupported;
@@ -433,9 +500,7 @@ Status EngineServer::dispatch(const FrameHeader& header, std::string_view body,
     case MsgType::kShipSnapshot: {
       SketchSnapshot in;
       if (!in.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = encode_text("undecodable sketch snapshot");
-        return Status::kMalformed;
+        return malformed("undecodable sketch snapshot", reply);
       }
       if (draining()) return Status::kShuttingDown;
       if (!engine_.import_sketch(in.blob)) {
@@ -445,13 +510,6 @@ Status EngineServer::dispatch(const FrameHeader& header, std::string_view body,
       }
       return Status::kOk;
     }
-
-    case MsgType::kClusterTraceDump:
-      // A single-node server is a cluster of one: answer with the local
-      // rings so the same CLI command works against engines, tenant hosts,
-      // and coordinators.
-      reply = encode_text(obs::Tracer::instance().dump_chrome_json());
-      return Status::kOk;
 
     case MsgType::kWorkerStats: {
       const EngineMetrics m = metrics();
@@ -468,12 +526,9 @@ Status EngineServer::dispatch(const FrameHeader& header, std::string_view body,
       return Status::kOk;
     }
 
-    case MsgType::kFlightRecorder:
-      reply = encode_text(obs::FlightRecorder::instance().dump_json());
-      return Status::kOk;
+    default:
+      return unsupported(reply);
   }
-  reply = encode_text("unknown message type");
-  return Status::kUnsupported;
 }
 
 void EngineServer::on_drain() {
@@ -488,24 +543,7 @@ void EngineServer::on_drain() {
 
 EngineMetrics EngineServer::metrics() const {
   EngineMetrics m = engine_.metrics();
-  m.net_connections_active =
-      counters_.connections_active.load(std::memory_order_relaxed);
-  m.net_connections_total =
-      counters_.connections_total.load(std::memory_order_relaxed);
-  m.net_bytes_in = counters_.bytes_in.load(std::memory_order_relaxed);
-  m.net_bytes_out = counters_.bytes_out.load(std::memory_order_relaxed);
-  m.net_busy_rejections =
-      counters_.busy_rejections.load(std::memory_order_relaxed);
-  m.net_malformed_frames =
-      counters_.malformed_frames.load(std::memory_order_relaxed);
-  m.net_requests_by_type.resize(kNumMsgTypes);
-  for (int t = 0; t < kNumMsgTypes; ++t) {
-    m.net_requests_by_type[static_cast<std::size_t>(t)] =
-        counters_.requests_by_type[static_cast<std::size_t>(t)].load(
-            std::memory_order_relaxed);
-  }
-  m.net_request_latency = counters_.request_latency.snapshot();
-  m.trace_dropped_spans = obs::Tracer::instance().total_dropped();
+  static_cast<TransportMetrics&>(m) = transport_metrics();
   return m;
 }
 

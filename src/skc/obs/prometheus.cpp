@@ -36,7 +36,46 @@ void op_latency_series(std::string& out, const char* op,
                          std::string("op=\"") + op + "\"", h);
 }
 
+/// The transport section up to the latency family: the skc_net_* families,
+/// dropped spans and the per-type request counters.
+void append_transport_counters(std::string& out, const TransportMetrics& t) {
+  append_net_families(out, t);
+  counter(out, "skc_trace_dropped_spans_total",
+          "Spans lost to trace-ring overwrites.", t.trace_dropped_spans);
+
+  line(out, "# HELP skc_net_requests_total Requests served by message type.");
+  line(out, "# TYPE skc_net_requests_total counter");
+  for (std::size_t i = 0; i < t.net_requests_by_type.size(); ++i) {
+    line(out, "skc_net_requests_total{type=\"%s\"} %" PRId64,
+         request_type_name(i), t.net_requests_by_type[i]);
+  }
+}
+
 }  // namespace
+
+void append_net_families(std::string& out, const TransportMetrics& t) {
+  gauge_i(out, "skc_net_connections_active", "Open TCP connections.",
+          t.net_connections_active);
+  counter(out, "skc_net_connections_total", "TCP connections accepted.",
+          t.net_connections_total);
+  counter(out, "skc_net_bytes_in_total", "Wire bytes received.", t.net_bytes_in);
+  counter(out, "skc_net_bytes_out_total", "Wire bytes sent.", t.net_bytes_out);
+  counter(out, "skc_net_busy_rejections_total", "Load-shed BUSY replies.",
+          t.net_busy_rejections);
+  counter(out, "skc_net_malformed_frames_total",
+          "Rejected headers and payloads.", t.net_malformed_frames);
+}
+
+std::string transport_prometheus_text(const TransportMetrics& t) {
+  std::string out;
+  out.reserve(4096);
+  append_transport_counters(out, t);
+  line(out,
+       "# HELP skc_op_latency_seconds Operation latency by op (net_request).");
+  line(out, "# TYPE skc_op_latency_seconds histogram");
+  op_latency_series(out, "net_request", t.net_request_latency);
+  return out;
+}
 
 std::string prometheus_text(const EngineMetrics& m) {
   std::string out;
@@ -77,25 +116,7 @@ std::string prometheus_text(const EngineMetrics& m) {
          m.shard_events_applied[s]);
   }
 
-  gauge_i(out, "skc_net_connections_active", "Open TCP connections.",
-          m.net_connections_active);
-  counter(out, "skc_net_connections_total", "TCP connections accepted.",
-          m.net_connections_total);
-  counter(out, "skc_net_bytes_in_total", "Wire bytes received.", m.net_bytes_in);
-  counter(out, "skc_net_bytes_out_total", "Wire bytes sent.", m.net_bytes_out);
-  counter(out, "skc_net_busy_rejections_total", "Load-shed BUSY replies.",
-          m.net_busy_rejections);
-  counter(out, "skc_net_malformed_frames_total",
-          "Rejected headers and payloads.", m.net_malformed_frames);
-  counter(out, "skc_trace_dropped_spans_total",
-          "Spans lost to trace-ring overwrites.", m.trace_dropped_spans);
-
-  line(out, "# HELP skc_net_requests_total Requests served by message type.");
-  line(out, "# TYPE skc_net_requests_total counter");
-  for (std::size_t t = 0; t < m.net_requests_by_type.size(); ++t) {
-    line(out, "skc_net_requests_total{type=\"%s\"} %" PRId64,
-         request_type_name(t), m.net_requests_by_type[t]);
-  }
+  append_transport_counters(out, m);
 
   line(out,
        "# HELP skc_op_latency_seconds Operation latency by op "

@@ -19,6 +19,8 @@
 //
 // EngineServer serves this from the PROMETHEUS RPC and `skc_cli serve`
 // prints it on demand; see DESIGN.md §10 and the README scrape quickstart.
+// A server without an engine of its own (the tenant host) exports only the
+// transport families via transport_prometheus_text.
 #pragma once
 
 #include <string>
@@ -28,7 +30,18 @@
 namespace skc::obs {
 
 /// Renders the snapshot as Prometheus text exposition (trailing newline,
-/// stable metric order — goldenable).
+/// stable metric order — goldenable): the engine families, then the
+/// transport families, then skc_op_latency_seconds for submit_batch, query,
+/// checkpoint and net_request.
 std::string prometheus_text(const EngineMetrics& metrics);
+
+/// The transport families alone: the skc_net_* families,
+/// skc_trace_dropped_spans_total, skc_net_requests_total and
+/// skc_op_latency_seconds{op="net_request"}.
+std::string transport_prometheus_text(const TransportMetrics& transport);
+
+/// Appends the six skc_net_* connection/byte/frame families — the part of
+/// the transport section every front door's exposition shares.
+void append_net_families(std::string& out, const TransportMetrics& transport);
 
 }  // namespace skc::obs

@@ -65,36 +65,6 @@ void SparseRecovery::update(std::span<const std::int64_t> item, std::int64_t del
   apply(item, delta, cells_, sums_);
 }
 
-void SparseRecovery::update_batch(const std::int64_t* items,
-                                  const std::int64_t* deltas, std::size_t n) {
-  const auto len = static_cast<std::size_t>(config_.item_len);
-  std::uint64_t folds[f61::kBatchTile];
-  std::uint64_t h[f61::kBatchTile];
-  for (std::size_t base = 0; base < n; base += f61::kBatchTile) {
-    const std::size_t tn = std::min(f61::kBatchTile, n - base);
-    fold_.fold64_batch(items + base * len, len, tn, folds);
-    for (int r = 0; r < config_.reps; ++r) {
-      for (std::size_t b = 0; b < tn; ++b) h[b] = folds[b];
-      rep_hash_[static_cast<std::size_t>(r)].eval_batch(h, tn);
-      const std::size_t rep_base = static_cast<std::size_t>(r) *
-                                   static_cast<std::size_t>(buckets_per_rep_);
-      for (std::size_t b = 0; b < tn; ++b) {
-        const std::int64_t delta = deltas[base + b];
-        if (delta == 0) continue;
-        const std::span<const std::int64_t> item(items + (base + b) * len, len);
-        const std::size_t bucket =
-            rep_base + static_cast<std::size_t>(
-                           h[b] % static_cast<std::uint64_t>(buckets_per_rep_));
-        Cell& cell = cells_[bucket];
-        cell.count += delta;
-        cell.fp = f61::add(cell.fp, f61::mul(count_to_field(delta), fp_(item)));
-        std::int64_t* s = sums_.data() + bucket * len;
-        for (std::size_t j = 0; j < len; ++j) s[j] += delta * item[j];
-      }
-    }
-  }
-}
-
 void SparseRecovery::update(std::span<const Coord> item, std::int64_t delta) {
   // Widen to int64 on a small stack buffer (item_len is d, typically <= 16).
   std::int64_t buf[64];

@@ -59,14 +59,6 @@ class SparseRecovery {
   /// Convenience for coordinate vectors.
   void update(std::span<const Coord> item, std::int64_t delta);
 
-  /// Batch form: `items` holds n item vectors back-to-back (n * item_len
-  /// entries).  Equivalent to n pointwise updates; the item fold and the
-  /// per-rep bucket hashes are evaluated over the whole batch (SoA Horner)
-  /// before the cells are touched.  Cell state is a sum, so the result is
-  /// bit-identical to the pointwise path.
-  void update_batch(const std::int64_t* items, const std::int64_t* deltas,
-                    std::size_t n);
-
   /// Attempts full recovery.  Returns nullopt if the state is not
   /// decodable (more distinct items than capacity, or a count went
   /// negative).  Non-destructive.

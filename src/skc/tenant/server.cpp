@@ -5,7 +5,6 @@
 #include "skc/obs/flight_recorder.h"
 #include "skc/obs/prom_format.h"
 #include "skc/obs/prometheus.h"
-#include "skc/obs/trace.h"
 
 namespace skc::tenant {
 
@@ -40,114 +39,43 @@ Status admit_status(Admit a, std::string& reply) {
 
 TenantServer::TenantServer(TenantRegistry& registry,
                            const net::ServerOptions& options)
-    : net::FrameServer(options), registry_(registry) {}
+    : net::FrameServer(
+          options,
+          net::FrontDoor{registry.options().dim,
+                         registry.options().engine.streaming.log_delta,
+                         /*default_tenant_only=*/{},
+                         "unsupported message type at the tenant server"}),
+      registry_(registry) {}
 
 // The base destructor also calls stop(), but by then this subclass (and the
-// registry reference dispatch() uses) is gone — drain here, while alive.
+// registry reference its hooks use) is gone — drain here, while alive.
 TenantServer::~TenantServer() { stop(); }
 
-Status TenantServer::dispatch(const net::FrameHeader& header,
-                              std::string_view body, std::string& reply) {
-  std::string_view tenant, inner;
-  const Status split = split_tenant(header, body, tenant, inner, reply);
-  if (split != Status::kOk) return split;
-  body = inner;
+Status TenantServer::ingest(std::string_view tenant, const Stream& events,
+                            std::string& reply) {
+  return admit_status(registry_.submit(tenant, events), reply);
+}
 
-  switch (header.type) {
-    case MsgType::kPing:
-      reply.assign(body);  // echo
-      return Status::kOk;
+Status TenantServer::answer_query(std::string_view tenant,
+                                  const EngineQuery& q,
+                                  EngineQueryResult& result,
+                                  std::string& reply) {
+  // Flight-recorder arm with the tenant in the metadata: a slow query names
+  // who ran it without tracing pre-enabled.
+  obs::QueryCapture capture("tenant_query",
+                            tenant.empty() ? std::string("tenant=<default>")
+                                           : "tenant=" + std::string(tenant));
+  return admit_status(registry_.query(tenant, q, result), reply);
+}
 
-    case MsgType::kInsertBatch:
-    case MsgType::kDeleteBatch: {
-      net::PointBatch batch;
-      if (!batch.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = net::encode_text("undecodable point batch");
-        return Status::kMalformed;
-      }
-      const int dim = registry_.options().dim;
-      if (batch.dim != dim) {
-        reply = net::encode_text("batch dimension does not match the registry");
-        return Status::kEngineError;
-      }
-      const Coord max_coord =
-          Coord{1} << registry_.options().engine.streaming.log_delta;
-      for (const Coord c : batch.coords) {
-        if (c < 1 || c > max_coord) {
-          reply = net::encode_text("coordinate outside [1, Delta]");
-          return Status::kEngineError;
-        }
-      }
-      if (draining()) return Status::kShuttingDown;
-      const auto count = batch.count();
-      Stream events(static_cast<std::size_t>(count));
-      const StreamOp op = header.type == MsgType::kInsertBatch
-                              ? StreamOp::kInsert
-                              : StreamOp::kDelete;
-      const auto d = static_cast<std::size_t>(dim);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        events[i].op = op;
-        const Coord* first = batch.coords.data() + i * d;
-        events[i].point.assign(first, first + d);
-      }
-      const Status verdict = admit_status(registry_.submit(tenant, events),
-                                          reply);
-      if (verdict != Status::kOk) return verdict;
-      net::BatchReply ack;
-      ack.accepted = count;
-      ack.backlog = 0;  // per-tenant backlog travels in TENANT_STATS
-      reply = ack.encode();
-      return Status::kOk;
-    }
-
-    case MsgType::kQuery: {
-      net::QueryRequest request;
-      if (!request.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = net::encode_text("undecodable query");
-        return Status::kMalformed;
-      }
-      EngineQuery q;
-      q.k = request.k;
-      q.capacity_slack = request.capacity_slack;
-      q.barrier = request.barrier;
-      q.summary_only = request.summary_only;
-      q.solver_restarts = request.solver_restarts;
-      EngineQueryResult res;
-      // Flight-recorder arm with the tenant in the metadata: a slow query
-      // names who ran it without tracing pre-enabled.
-      obs::QueryCapture capture(
-          "tenant_query",
-          tenant.empty() ? std::string("tenant=<default>")
-                         : "tenant=" + std::string(tenant));
-      const Status verdict = admit_status(registry_.query(tenant, q, res),
-                                          reply);
-      if (verdict != Status::kOk) return verdict;
-      net::QueryReply out;
-      out.ok = res.ok;
-      out.error = res.error;
-      out.net_points = res.net_points;
-      out.summary_points = static_cast<std::uint64_t>(res.summary.points.size());
-      out.capacity = res.capacity;
-      out.cost = res.solution.cost;
-      out.feasible = res.solution.feasible;
-      out.merge_millis = res.merge_millis;
-      out.solve_millis = res.solve_millis;
-      out.dim = res.solution.centers.dim();
-      for (PointIndex c = 0; c < res.solution.centers.size(); ++c) {
-        const auto p = res.solution.centers[c];
-        out.center_coords.insert(out.center_coords.end(), p.begin(), p.end());
-      }
-      reply = out.encode();
-      return Status::kOk;  // an engine-level miss travels in out.ok/error
-    }
-
+Status TenantServer::serve(MsgType type, std::string_view tenant,
+                           std::string_view body, std::string& reply) {
+  switch (type) {
     case MsgType::kMetrics: {
       // One JSON object: transport counters plus the registry's per-tenant
       // stats (per-tenant latency histograms included).
       std::string json = "{\"transport\":";
-      json += metrics_json(transport_metrics());
+      json += transport_metrics_json(transport_metrics());
       json += ",\"tenants\":";
       json += registry_.stats_json();
       json += '}';
@@ -155,27 +83,19 @@ Status TenantServer::dispatch(const net::FrameHeader& header,
       return Status::kOk;
     }
 
+    case MsgType::kPrometheus:
+      reply = net::encode_text(
+          obs::transport_prometheus_text(transport_metrics()) +
+          tenant_prometheus_text(registry_.stats()));
+      return Status::kOk;
+
     case MsgType::kCheckpoint: {
       net::CheckpointRequest request;
       if (!request.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = net::encode_text("undecodable checkpoint request");
-        return Status::kMalformed;
+        return malformed("undecodable checkpoint request", reply);
       }
       return admit_status(registry_.checkpoint(tenant, request.path), reply);
     }
-
-    case MsgType::kShutdown:
-      return Status::kOk;  // serve_connection requests the drain after replying
-
-    case MsgType::kTraceDump:
-      reply = net::encode_text(obs::Tracer::instance().dump_chrome_json());
-      return Status::kOk;
-
-    case MsgType::kPrometheus:
-      reply = net::encode_text(
-          tenant_prometheus_text(transport_metrics(), registry_.stats()));
-      return Status::kOk;
 
     case MsgType::kTenantStats: {
       // A named tenant gets its own object; the default tenant address
@@ -193,15 +113,11 @@ Status TenantServer::dispatch(const net::FrameHeader& header,
       return Status::kOk;
     }
 
-    case MsgType::kClusterTraceDump:
-      // A tenant host is a cluster of one: the local dump, unrebased.
-      reply = net::encode_text(obs::Tracer::instance().dump_chrome_json());
-      return Status::kOk;
-
     case MsgType::kWorkerStats: {
       // Fleet-scrape lane: registry-wide ingest/query distributions merged
       // bucket-wise across tenants, plus one per-tenant event row each.
       const RegistryStats stats = registry_.stats();
+      const TransportMetrics transport = transport_metrics();
       net::WorkerStatsReply out;
       obs::HistogramSnapshot ingest, query;
       out.tenants.reserve(stats.per_tenant.size());
@@ -212,29 +128,16 @@ Status TenantServer::dispatch(const net::FrameHeader& header,
       }
       out.submit = net::HistogramWire::from(ingest);
       out.query = net::HistogramWire::from(query);
-      out.net_request =
-          net::HistogramWire::from(counters_.request_latency.snapshot());
-      out.trace_dropped_spans = obs::Tracer::instance().total_dropped();
+      out.net_request = net::HistogramWire::from(transport.net_request_latency);
+      out.trace_dropped_spans = transport.trace_dropped_spans;
       reply = out.encode();
       return Status::kOk;
     }
 
-    case MsgType::kFlightRecorder:
-      reply = net::encode_text(obs::FlightRecorder::instance().dump_json());
-      return Status::kOk;
-
-    case MsgType::kWorkerHello:
-    case MsgType::kHeartbeat:
-    case MsgType::kMergeSketch:
-    case MsgType::kShipSnapshot:
-      // Cluster worker RPCs; a tenant host is not a cluster worker.
-      break;
-
-    case MsgType::kReserved12:  // reserved; no server implements it
-      break;
+    default:
+      // The cluster worker RPCs: a tenant host is not a cluster worker.
+      return unsupported(reply);
   }
-  reply = net::encode_text("unsupported message type at the tenant server");
-  return Status::kUnsupported;
 }
 
 void TenantServer::on_drain() {
@@ -244,33 +147,9 @@ void TenantServer::on_drain() {
   registry_.flush();
 }
 
-EngineMetrics TenantServer::transport_metrics() const {
-  EngineMetrics m;
-  m.net_connections_active =
-      counters_.connections_active.load(std::memory_order_relaxed);
-  m.net_connections_total =
-      counters_.connections_total.load(std::memory_order_relaxed);
-  m.net_bytes_in = counters_.bytes_in.load(std::memory_order_relaxed);
-  m.net_bytes_out = counters_.bytes_out.load(std::memory_order_relaxed);
-  m.net_busy_rejections =
-      counters_.busy_rejections.load(std::memory_order_relaxed);
-  m.net_malformed_frames =
-      counters_.malformed_frames.load(std::memory_order_relaxed);
-  m.net_requests_by_type.resize(net::kNumMsgTypes);
-  for (int t = 0; t < net::kNumMsgTypes; ++t) {
-    m.net_requests_by_type[static_cast<std::size_t>(t)] =
-        counters_.requests_by_type[static_cast<std::size_t>(t)].load(
-            std::memory_order_relaxed);
-  }
-  m.net_request_latency = counters_.request_latency.snapshot();
-  m.trace_dropped_spans = obs::Tracer::instance().total_dropped();
-  return m;
-}
-
-std::string tenant_prometheus_text(const EngineMetrics& transport,
-                                   const RegistryStats& stats) {
+std::string tenant_prometheus_text(const RegistryStats& stats) {
   using obs::prom::line;
-  std::string out = obs::prometheus_text(transport);
+  std::string out;
 
   obs::prom::gauge_i(out, "skc_tenants", "Known tenants (resident + spilled).",
                      stats.tenants);

@@ -1,5 +1,5 @@
-// TenantServer — the multi-tenant front door: a FrameServer whose dispatch
-// routes every request to a TenantRegistry namespace.
+// TenantServer — the multi-tenant front door: a FrameServer whose hooks
+// route every request to a TenantRegistry namespace.
 //
 // Protocol surface:
 //   * version-1 frames address the default tenant ("") and stay
@@ -15,8 +15,14 @@
 //   * TENANT_STATS returns the registry's per-tenant JSON (one tenant when
 //     the request names one, the whole registry for the default tenant);
 //   * METRICS wraps the transport counters and the registry stats into one
-//     JSON object; PROMETHEUS appends per-tenant series (skc_tenant_*) to
-//     the standard exposition.
+//     JSON object; PROMETHEUS exports the transport families and then the
+//     per-tenant series (skc_tenant_*).  A tenant host has no engine of its
+//     own, so it exports no engine-level family (per-tenant engine state
+//     travels in the skc_tenant_* series and TENANT_STATS).
+//
+// Everything protocol-generic — batch and query decoding, the [1, Delta]
+// checks, PING, SHUTDOWN, the trace dumps — is FrameServer's; this class
+// adds where a batch goes, who answers a query, and the quota verdicts.
 #pragma once
 
 #include <string>
@@ -33,25 +39,25 @@ class TenantServer : public net::FrameServer {
   TenantServer(TenantRegistry& registry, const net::ServerOptions& options);
   ~TenantServer() override;
 
-  /// Transport counters as an EngineMetrics block (engine fields zero —
-  /// per-tenant engine state travels in TenantRegistry::stats()).
-  EngineMetrics transport_metrics() const;
-
  protected:
-  net::Status dispatch(const net::FrameHeader& header, std::string_view body,
-                       std::string& reply) override;
+  net::Status ingest(std::string_view tenant, const Stream& events,
+                     std::string& reply) override;
+  net::Status answer_query(std::string_view tenant, const EngineQuery& q,
+                           EngineQueryResult& result,
+                           std::string& reply) override;
+  net::Status serve(net::MsgType type, std::string_view tenant,
+                    std::string_view body, std::string& reply) override;
   void on_drain() override;
 
  private:
   TenantRegistry& registry_;
 };
 
-/// The PROMETHEUS exposition: the standard transport rendering plus
-/// per-tenant series (skc_tenant_events_total{tenant=...}, rung, sketch
-/// bytes, quota rejections, evictions/restores, and the
+/// The per-tenant families (skc_tenants, skc_tenant_events_total{tenant=...},
+/// rung, sketch bytes, quota rejections, evictions/restores, and the
 /// skc_tenant_op_latency_seconds{tenant=...,op=ingest|query} histogram
-/// family).  Exposed for tests.
-std::string tenant_prometheus_text(const EngineMetrics& transport,
-                                   const RegistryStats& stats);
+/// family).  The PROMETHEUS RPC appends it to the transport families; the
+/// in-process REPL, which has no transport, prints it alone.
+std::string tenant_prometheus_text(const RegistryStats& stats);
 
 }  // namespace skc::tenant

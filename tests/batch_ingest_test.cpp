@@ -21,7 +21,6 @@
 #include "skc/sketch/countmin.h"
 #include "skc/sketch/distinct.h"
 #include "skc/sketch/point_store.h"
-#include "skc/sketch/recovery.h"
 #include "skc/stream/generators.h"
 #include "test_util.h"
 
@@ -58,21 +57,6 @@ TEST(BatchHash, FoldCellsBatchMatchesInt64Overload) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < len; ++j) wide[j] = keys[i * len + j];
     EXPECT_EQ(batch[i], fold(std::span<const std::int64_t>(wide))) << "lane " << i;
-  }
-}
-
-TEST(BatchHash, Fold64BatchMatchesInt64Overload) {
-  Rng rng(13);
-  VectorFold fold(rng);
-  const std::size_t len = 4, n = 33;
-  std::vector<std::int64_t> keys(n * len);
-  for (auto& c : keys) c = rng.uniform_int(-100000, 100000);
-  std::vector<std::uint64_t> batch(n);
-  fold.fold64_batch(keys.data(), len, n, batch.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(batch[i],
-              fold(std::span<const std::int64_t>(keys.data() + i * len, len)))
-        << "lane " << i;
   }
 }
 
@@ -258,38 +242,6 @@ TEST(BatchSketch, DistinctCellsUpdateBatchMatchesPointwise) {
   batched.update_batch(ev.idx.data(), ev.delta.data(), ev.n);
   EXPECT_EQ(serialized(batched), serialized(pointwise));
   EXPECT_DOUBLE_EQ(batched.estimate(), pointwise.estimate());
-}
-
-TEST(BatchSketch, SparseRecoveryUpdateBatchMatchesPointwise) {
-  SparseRecovery::Config cfg;
-  cfg.item_len = 3;
-  cfg.capacity = 16;
-  Rng rng(25);
-  SparseRecovery pointwise(cfg, 77);
-  SparseRecovery batched(cfg, 77);
-  const std::size_t n = 50;
-  std::vector<std::int64_t> items(n * 3), deltas(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      items[i * 3 + j] = rng.uniform_int(-20, 20);
-    }
-    deltas[i] = rng.uniform_int(-2, 3);  // includes delta == 0 rows
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    pointwise.update(std::span<const std::int64_t>(items.data() + i * 3, 3),
-                     deltas[i]);
-  }
-  batched.update_batch(items.data(), deltas.data(), n);
-  const auto a = pointwise.decode();
-  const auto b = batched.decode();
-  ASSERT_EQ(a.has_value(), b.has_value());
-  if (a && b) {
-    ASSERT_EQ(a->size(), b->size());
-    for (std::size_t i = 0; i < a->size(); ++i) {
-      EXPECT_EQ((*a)[i].item, (*b)[i].item);
-      EXPECT_EQ((*a)[i].count, (*b)[i].count);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

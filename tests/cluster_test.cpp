@@ -230,9 +230,9 @@ TEST(ClusterSketch, ImportRejectsMismatchedConfiguration) {
   other.seed += 1;  // different hash seeds -> incompatible sketches
   ClusteringEngine ea(kDim, other, opts);
   ClusteringEngine eb(kDim, cluster_params(), opts);
-  std::vector<Coord> p = {5, 5};
-  ea.insert(p);
-  eb.insert(p);
+  const Stream p = {StreamEvent{StreamOp::kInsert, Point{5, 5}}};
+  ea.submit(p);
+  eb.submit(p);
   ea.flush();
   eb.flush();
   EXPECT_FALSE(eb.import_sketch(ea.export_sketch().blob));
@@ -457,8 +457,8 @@ TEST(Cluster, KillOneWorkerFailsOverWithoutLosingState) {
   EXPECT_GT(m.replayed_events, 0) << "the post-checkpoint tail must replay";
 
   // The cluster keeps ingesting and still owns every surviving point.
-  std::vector<Coord> extra = {30, 30};
-  ASSERT_TRUE(coord.insert(extra));
+  ASSERT_TRUE(
+      coord.submit(Stream{StreamEvent{StreamOp::kInsert, Point{30, 30}}}));
   coord.flush();
   const EngineQueryResult got = coord.query({});
   ASSERT_TRUE(got.ok) << got.error;

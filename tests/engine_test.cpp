@@ -280,7 +280,9 @@ TEST(Engine, ExportSketchFinalizesToTheQuerySummary) {
 TEST(Engine, QueryWithKAboveTheSummaryIsAnErrorNotAnAbort) {
   ClusteringEngine engine(kDim, test_params(),
                           engine_options(2, /*exact=*/true, /*workers=*/0));
-  for (const Coord c : {5, 90, 300}) engine.insert(std::vector<Coord>{c, c});
+  for (const Coord c : {5, 90, 300}) {
+    engine.submit(Stream{StreamEvent{StreamOp::kInsert, Point{c, c}}});
+  }
   EngineQuery summary;
   summary.summary_only = true;
   const EngineQueryResult merged = engine.query(summary);
@@ -418,7 +420,11 @@ TEST(Engine, ConcurrentIngestStress) {
       const PointSet pts =
           testutil::random_points(kDim, Coord{1} << kLogDelta, kPerProducer, rng);
       ready.fetch_add(1);
-      for (PointIndex i = 0; i < pts.size(); ++i) engine.insert(pts[i]);
+      for (PointIndex i = 0; i < pts.size(); ++i) {
+        const auto p = pts[i];
+        engine.submit(
+            Stream{StreamEvent{StreamOp::kInsert, Point(p.begin(), p.end())}});
+      }
     });
   }
   // Queries concurrent with ingest (no barrier: snapshot whatever applied).
@@ -445,6 +451,9 @@ TEST(Engine, ConcurrentIngestStress) {
   for (std::int64_t applied : m.shard_events_applied) per_shard += applied;
   EXPECT_EQ(per_shard, kProducers * kPerProducer);
   EXPECT_EQ(engine.net_count(), kProducers * kPerProducer);
+  // Every event was its own one-event batch, and each batch was timed.
+  EXPECT_EQ(m.batches, kProducers * kPerProducer);
+  EXPECT_EQ(m.submit_latency.count, m.batches);
 }
 
 // worker_threads = 0 degrades to inline draining (deterministic, no

@@ -107,7 +107,7 @@ TEST(NetServer, LoopbackRoundTripMatchesInProcessEngine) {
   const Stream stream = churn_workload(900, 400, 21);
 
   ClusteringEngine reference(kDim, test_params(), engine_options());
-  for (const StreamEvent& ev : stream) reference.submit(ev);
+  for (const StreamEvent& ev : stream) reference.submit(Stream{ev});
   reference.flush();
 
   ServerFixture fx;

@@ -5,9 +5,11 @@
 // must be a typed error frame on a connection that KEEPS serving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "skc/net/client.h"
@@ -367,6 +369,71 @@ TEST(TenantServer, CheckpointAndShutdownAreNamespaced) {
   fx.server.wait();
   fx.server.stop();
   EXPECT_EQ(fx.registry.stats().per_tenant.at(0).events, 25);
+}
+
+// --------------------------------------------------------------------------
+// Observability: a tenant host has no engine of its own, so it must not
+// export engine-level families (they could only ever read 0).
+
+/// True iff the exposition declares or samples the metric family `name`.
+bool has_family(const std::string& text, const std::string& name) {
+  std::size_t at = 0;
+  while (at < text.size()) {
+    const std::size_t end = std::min(text.find('\n', at), text.size());
+    const std::string_view line(text.data() + at, end - at);
+    if (line.starts_with("# TYPE " + name + " ") ||
+        line.starts_with(name + " ") || line.starts_with(name + "{")) {
+      return true;
+    }
+    at = end + 1;
+  }
+  return false;
+}
+
+TEST(TenantServer, ScrapeExportsTransportAndTenantFamiliesOnly) {
+  TenantServerFixture fx;
+  ASSERT_TRUE(fx.started);
+  net::SkcClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", fx.server.port()));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(client.insert_batch(kDim, grid_coords(5, 10 * i)))
+        << client.last_error();
+  }
+
+  std::string prom;
+  ASSERT_TRUE(client.prometheus_text(prom)) << client.last_error();
+  for (const char* engine_family :
+       {"skc_events_submitted_total", "skc_batches_total", "skc_net_points",
+        "skc_sketch_bytes", "skc_uptime_seconds"}) {
+    EXPECT_FALSE(has_family(prom, engine_family)) << engine_family;
+  }
+  EXPECT_NE(prom.find("skc_net_requests_total{type=\"insert_batch\"} 4"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("skc_op_latency_seconds_count{op=\"net_request\"}"),
+            std::string::npos);
+  EXPECT_TRUE(has_family(prom, "skc_net_bytes_in_total"));
+  EXPECT_TRUE(has_family(prom, "skc_trace_dropped_spans_total"));
+  EXPECT_NE(prom.find("skc_tenant_events_total{tenant=\"\"} 20"),
+            std::string::npos)
+      << prom;
+
+  // METRICS: the "transport" object carries transport keys only.
+  std::string json;
+  ASSERT_TRUE(client.metrics_json(json)) << client.last_error();
+  const std::string open = "{\"transport\":";
+  const std::size_t close = json.find(",\"tenants\":");
+  ASSERT_EQ(json.rfind(open, 0), 0u) << json;
+  ASSERT_NE(close, std::string::npos) << json;
+  const std::string transport = json.substr(open.size(), close - open.size());
+  EXPECT_NE(transport.find("\"net_requests_by_type\""), std::string::npos);
+  EXPECT_NE(transport.find("\"net_request_latency_count\""),
+            std::string::npos);
+  for (const char* engine_key :
+       {"\"events_submitted\"", "\"batches\"", "\"net_points\"",
+        "\"sketch_bytes\"", "\"uptime_seconds\""}) {
+    EXPECT_EQ(transport.find(engine_key), std::string::npos) << engine_key;
+  }
 }
 
 }  // namespace

@@ -336,9 +336,9 @@ int serve_tenants(const tenant::TenantRegistryOptions& topts, int dim, int k,
     } else if (cmd == "metrics") {
       std::printf("%s\n", registry.stats_json().c_str());
     } else if (cmd == "prom") {
-      std::printf("%s", tenant::tenant_prometheus_text(EngineMetrics{},
-                                                       registry.stats())
-                            .c_str());
+      // No transport in-process: only the tenant families.
+      std::printf("%s",
+                  tenant::tenant_prometheus_text(registry.stats()).c_str());
     } else if (cmd == "checkpoint") {
       std::string path;
       if (!(in >> path)) {
@@ -478,11 +478,9 @@ int cmd_serve(int argc, char** argv) {
                     dim, max_coord);
         continue;
       }
-      if (cmd == "insert") {
-        engine.insert(p);
-      } else {
-        engine.erase(p);
-      }
+      engine.submit(Stream{StreamEvent{
+          cmd == "insert" ? StreamOp::kInsert : StreamOp::kDelete,
+          std::move(p)}});
       std::printf("ok\n");
     } else if (cmd == "query") {
       EngineQuery q;
@@ -871,8 +869,9 @@ int cmd_coordinator(int argc, char** argv) {
                     dim, max_coord);
         continue;
       }
-      const bool sent =
-          cmd == "insert" ? coordinator.insert(p) : coordinator.erase(p);
+      const bool sent = coordinator.submit(Stream{StreamEvent{
+          cmd == "insert" ? StreamOp::kInsert : StreamOp::kDelete,
+          std::move(p)}});
       std::printf(sent ? "ok\n" : "err cluster rejected the event\n");
     } else if (cmd == "query") {
       EngineQuery q;
