@@ -1,7 +1,6 @@
 #include "skc/sketch/point_store.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "skc/common/check.h"
 #include "skc/common/serial.h"
@@ -10,132 +9,265 @@ namespace skc {
 
 namespace {
 
-std::string pack_coords(std::span<const Coord> p) {
-  std::string out(p.size() * sizeof(Coord), '\0');
-  std::memcpy(out.data(), p.data(), out.size());
-  return out;
+/// 32-bit hash of a row of int32 words (a cell index row or a point's
+/// coordinates).  Deterministic, so equal histories give equal tables.
+std::uint32_t hash_row(const std::int32_t* w, std::size_t n) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    h = (h ^ static_cast<std::uint32_t>(w[i])) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
+  }
+  return static_cast<std::uint32_t>((h * 0xc4ceb9fe1a85ec53ULL) >> 32);
+}
+
+/// Home slot of a hash in a table of `size` slots: its high bits.
+std::size_t home_slot(std::uint32_t hash, std::size_t size) {
+  return static_cast<std::size_t>((std::uint64_t{hash} * size) >> 32);
+}
+
+bool rows_equal(const std::int32_t* a, const std::int32_t* b, std::size_t n) {
+  return std::equal(a, a + n, b);
+}
+
+template <typename T>
+void free_array(std::vector<T>& v) {
+  std::vector<T>().swap(v);
 }
 
 }  // namespace
 
 CellPointStore::CellPointStore(const HierarchicalGrid& grid, int level,
                                const PointStoreConfig& config)
-    : grid_(&grid), level_(level), config_(config) {
+    : grid_(&grid),
+      level_(level),
+      dim_(static_cast<std::size_t>(grid.dim())),
+      config_(config),
+      idx_scratch_(dim_) {
   SKC_CHECK(level >= 0 && level <= grid.log_delta());
   SKC_CHECK(config.watermark >= 1);
 }
 
-void CellPointStore::maybe_evict(Entry& entry) {
-  if (config_.exact || entry.tombstoned) return;
-  if (entry.net_peak > config_.watermark) {
-    live_points_ -= static_cast<std::int64_t>(entry.points.size());
-    entry.points.clear();
-    entry.tombstoned = true;
+void CellPointStore::grow_slots(std::vector<Slot>& slots, std::size_t count) {
+  // Linear probing at load <= 1/2; power-of-two sizes.
+  if ((count + 1) * 2 <= slots.size()) return;
+  std::vector<Slot> bigger(std::max<std::size_t>(16, slots.size() * 2));
+  const std::size_t mask = bigger.size() - 1;
+  for (const Slot& s : slots) {
+    if (s.id == kNone) continue;
+    std::size_t i = home_slot(s.hash, bigger.size());
+    while (bigger[i].id != kNone) i = (i + 1) & mask;
+    bigger[i] = s;
   }
+  slots.swap(bigger);
+}
+
+void CellPointStore::erase_slot(std::vector<Slot>& slots, std::size_t hole) {
+  // Backward-shift deletion: pull each later entry of the probe run into the
+  // hole unless its home slot lies cyclically after the hole.
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t j = (hole + 1) & mask; slots[j].id != kNone; j = (j + 1) & mask) {
+    const std::size_t home = home_slot(slots[j].hash, slots.size());
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots[hole] = slots[j];
+      hole = j;
+    }
+  }
+  slots[hole] = Slot{};
+}
+
+std::size_t CellPointStore::probe(const std::vector<Slot>& slots,
+                                  const std::vector<std::int32_t>& keys,
+                                  const std::int32_t* key, std::uint32_t hash) const {
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = home_slot(hash, slots.size());
+  for (; slots[i].id != kNone; i = (i + 1) & mask) {
+    const Slot& s = slots[i];
+    if (s.hash == hash && rows_equal(keys.data() + std::size_t{s.id} * dim_, key, dim_)) {
+      break;
+    }
+  }
+  return i;
+}
+
+std::uint32_t CellPointStore::find_or_add_cell(const std::int32_t* idx) {
+  const std::uint32_t hash = hash_row(idx, dim_);
+  grow_slots(cell_slots_, cells_.size());
+  const std::size_t slot = probe(cell_slots_, cell_rows_, idx, hash);
+  if (cell_slots_[slot].id != kNone) return cell_slots_[slot].id;
+  SKC_CHECK(cells_.size() < kNone);
+  const auto c = static_cast<std::uint32_t>(cells_.size());
+  cells_.emplace_back();
+  cell_rows_.insert(cell_rows_.end(), idx, idx + dim_);
+  cell_slots_[slot] = Slot{c, hash};
+  return c;
+}
+
+void CellPointStore::add_count(std::uint32_t c, const Coord* p, std::uint32_t hash,
+                               std::int64_t count, bool create) {
+  grow_slots(point_slots_, static_cast<std::size_t>(live_points_));
+  const std::size_t slot = probe(point_slots_, point_coords_, p, hash);
+  if (const std::uint32_t found = point_slots_[slot].id; found != kNone) {
+    points_[found].count += count;
+    if (points_[found].count == 0) erase_point(slot);
+    return;
+  }
+  // A deletion of an untracked point only happens in ill-formed streams; the
+  // net count catches it downstream.
+  if (!create) return;
+  std::uint32_t id = free_points_;
+  if (id != kNone) {
+    free_points_ = points_[id].next;
+    std::copy(p, p + dim_, point_coords_.begin() + static_cast<std::ptrdiff_t>(id * dim_));
+  } else {
+    SKC_CHECK(points_.size() < kNone);
+    id = static_cast<std::uint32_t>(points_.size());
+    points_.emplace_back();
+    point_coords_.insert(point_coords_.end(), p, p + dim_);
+  }
+  PointRecord& rec = points_[id];
+  rec.count = count;
+  rec.cell = c;
+  rec.hash = hash;
+  // Append at the tail of the cell's circular list, so save() writes the
+  // points in the order load() read them.
+  std::uint32_t& head = cells_[c].head;
+  if (head == kNone) {
+    rec.prev = rec.next = head = id;
+  } else {
+    const std::uint32_t tail = points_[head].prev;
+    rec.prev = tail;
+    rec.next = head;
+    points_[tail].next = id;
+    points_[head].prev = id;
+  }
+  point_slots_[slot] = Slot{id, hash};
+  ++live_points_;
+}
+
+void CellPointStore::erase_point(std::size_t slot) {
+  const std::uint32_t id = point_slots_[slot].id;
+  PointRecord& rec = points_[id];
+  std::uint32_t& head = cells_[rec.cell].head;
+  if (rec.next == id) {
+    head = kNone;
+  } else {
+    points_[rec.prev].next = rec.next;
+    points_[rec.next].prev = rec.prev;
+    if (head == id) head = rec.next;
+  }
+  rec.next = free_points_;
+  free_points_ = id;
+  erase_slot(point_slots_, slot);
+  --live_points_;
+}
+
+void CellPointStore::maybe_evict(std::uint32_t c) {
+  if (config_.exact || cells_[c].tombstoned) return;
+  if (cells_[c].net_peak > config_.watermark) evict(c);
+}
+
+void CellPointStore::evict(std::uint32_t c) {
+  // Free the cell's records; each one's slot is found from its stored hash.
+  const std::size_t mask = point_slots_.size() - 1;
+  for (std::uint32_t id = cells_[c].head; id != kNone; id = cells_[c].head) {
+    std::size_t slot = home_slot(points_[id].hash, point_slots_.size());
+    while (point_slots_[slot].id != id) slot = (slot + 1) & mask;
+    erase_point(slot);
+  }
+  cells_[c].tombstoned = true;
+}
+
+void CellPointStore::check_cap() {
+  if (!config_.exact && live_points_ > config_.max_live_points) release();
+}
+
+void CellPointStore::clear() {
+  free_array(cells_);
+  free_array(cell_rows_);
+  free_array(cell_slots_);
+  free_array(points_);
+  free_array(point_coords_);
+  free_array(point_slots_);
+  free_points_ = kNone;
+  live_points_ = 0;
+}
+
+void CellPointStore::apply(const Coord* p, const std::int32_t* idx,
+                           std::int64_t delta) {
+  const std::uint32_t c = find_or_add_cell(idx);
+  CellRecord& cell = cells_[c];
+  cell.net += delta;
+  cell.net_peak = std::max(cell.net_peak, cell.net);
+  if (!cell.tombstoned) {
+    add_count(c, p, hash_row(p, dim_), delta, delta > 0);
+    maybe_evict(c);
+  }
+  check_cap();
 }
 
 void CellPointStore::update(std::span<const Coord> p, std::int64_t delta) {
-  SKC_DCHECK(static_cast<int>(p.size()) == grid_->dim());
+  SKC_DCHECK(p.size() == dim_);
   ++events_;
   if (dead_) return;
-  CellKey key = grid_->cell_of(p, level_);
-  Entry& entry = cells_[std::move(key)];
-  entry.net += delta;
-  entry.net_peak = std::max(entry.net_peak, entry.net);
-  if (!entry.tombstoned) {
-    std::string packed = pack_coords(p);
-    auto it = entry.points.find(packed);
-    if (it == entry.points.end()) {
-      if (delta > 0) {
-        entry.points.emplace(std::move(packed), delta);
-        ++live_points_;
-      }
-      // A deletion of an untracked point only happens in ill-formed streams;
-      // the net count catches it downstream.
-    } else {
-      it->second += delta;
-      if (it->second == 0) {
-        entry.points.erase(it);
-        --live_points_;
-      }
-    }
-    maybe_evict(entry);
-  }
-  if (!config_.exact && live_points_ > config_.max_live_points) {
-    dead_ = true;
-    cells_.clear();
-    live_points_ = 0;
-  }
+  grid_->cell_index_of(p, level_, idx_scratch_);
+  apply(p.data(), idx_scratch_.data(), delta);
 }
 
 void CellPointStore::update_batch(const Coord* points, const std::int32_t* cell_idx,
                                   const std::int64_t* deltas, std::size_t n) {
-  const auto dim = static_cast<std::size_t>(grid_->dim());
-  CellKey key;
-  key.level = level_;
-  std::string packed;
   for (std::size_t i = 0; i < n; ++i) {
     if (dead_) return;  // a pointwise caller checks dead() per event
     ++events_;
-    key.index.assign(cell_idx + i * dim, cell_idx + (i + 1) * dim);
-    Entry& entry = cells_[key];
-    entry.net += deltas[i];
-    entry.net_peak = std::max(entry.net_peak, entry.net);
-    if (!entry.tombstoned) {
-      packed.assign(reinterpret_cast<const char*>(points + i * dim),
-                    dim * sizeof(Coord));
-      auto it = entry.points.find(packed);
-      if (it == entry.points.end()) {
-        if (deltas[i] > 0) {
-          entry.points.emplace(packed, deltas[i]);
-          ++live_points_;
-        }
-      } else {
-        it->second += deltas[i];
-        if (it->second == 0) {
-          entry.points.erase(it);
-          --live_points_;
-        }
-      }
-      maybe_evict(entry);
-    }
-    if (!config_.exact && live_points_ > config_.max_live_points) {
-      dead_ = true;
-      cells_.clear();
-      live_points_ = 0;
-    }
+    apply(points + i * dim_, cell_idx + i * dim_, deltas[i]);
   }
+}
+
+CellPointStore::CellPoints CellPointStore::points_of(std::uint32_t c) const {
+  CellPoints out;
+  out.net_count = cells_[c].net;
+  out.complete = !cells_[c].tombstoned;
+  out.points = PointSet(grid_->dim());
+  std::vector<std::uint32_t> ids;
+  std::int64_t total = 0;
+  for_each_point(c, [&](std::uint32_t id) {
+    ids.push_back(id);
+    total += std::max<std::int64_t>(points_[id].count, 0);
+  });
+  // Coordinate-lexicographic: the coreset's order then depends only on the
+  // summarized multiset, not on the insert or merge history.
+  std::sort(ids.begin(), ids.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return std::lexicographical_compare(point_coords(a), point_coords(a) + dim_,
+                                        point_coords(b), point_coords(b) + dim_);
+  });
+  out.points.reserve(total);
+  for (const std::uint32_t id : ids) {
+    const std::span<const Coord> p(point_coords(id), dim_);
+    for (std::int64_t k = 0; k < points_[id].count; ++k) out.points.push_back(p);
+  }
+  return out;
 }
 
 std::optional<CellPointStore::CellPoints> CellPointStore::cell(
     const CellKey& key) const {
   SKC_DCHECK(key.level == level_);
-  const auto it = cells_.find(key);
-  if (it == cells_.end()) return std::nullopt;
-  const Entry& entry = it->second;
-  CellPoints out;
-  out.net_count = entry.net;
-  out.complete = !entry.tombstoned;
-  out.points = PointSet(grid_->dim());
-  if (out.complete) {
-    std::vector<Coord> coords(static_cast<std::size_t>(grid_->dim()));
-    for (const auto& [packed, count] : entry.points) {
-      SKC_CHECK(packed.size() == coords.size() * sizeof(Coord));
-      std::memcpy(coords.data(), packed.data(), packed.size());
-      for (std::int64_t c = 0; c < count; ++c) out.points.push_back(coords);
-    }
-  }
-  return out;
+  if (key.index.size() != dim_ || cell_slots_.empty()) return std::nullopt;
+  const std::uint32_t c =
+      cell_slots_[probe(cell_slots_, cell_rows_, key.index.data(),
+                        hash_row(key.index.data(), dim_))]
+          .id;
+  if (c == kNone) return std::nullopt;
+  return points_of(c);
 }
 
 std::vector<std::pair<CellKey, CellPointStore::CellPoints>>
 CellPointStore::all_cells() const {
   std::vector<std::pair<CellKey, CellPoints>> out;
-  out.reserve(cells_.size());
-  for (const auto& [key, entry] : cells_) {
-    if (entry.net == 0 && !entry.tombstoned) continue;
-    auto cp = cell(key);
-    if (cp) out.emplace_back(key, std::move(*cp));
+  for (std::uint32_t c = 0; c < cells_.size(); ++c) {
+    if (cells_[c].net == 0 && !cells_[c].tombstoned) continue;
+    CellKey key;
+    key.level = level_;
+    key.index.assign(cell_row(c), cell_row(c) + dim_);
+    out.emplace_back(std::move(key), points_of(c));
   }
   return out;
 }
@@ -143,115 +275,139 @@ CellPointStore::all_cells() const {
 void CellPointStore::merge(const CellPointStore& other) {
   SKC_CHECK(other.level_ == level_);
   SKC_CHECK(other.config_.exact == config_.exact);
+  SKC_CHECK(&other != this);
   events_ += other.events_;
-  if (other.dead_) {
-    dead_ = true;
-    cells_.clear();
-    live_points_ = 0;
-  }
+  if (other.dead_) release();
   if (dead_) return;
-  for (const auto& [key, entry] : other.cells_) {
-    Entry& mine = cells_[key];
-    mine.net += entry.net;
-    // Peaks are not exactly mergeable (they depend on interleaving); the sum
-    // upper-bounds any interleaved peak, which errs toward eviction.
-    mine.net_peak += entry.net_peak;
-    if (entry.tombstoned && !mine.tombstoned) {
-      live_points_ -= static_cast<std::int64_t>(mine.points.size());
-      mine.points.clear();
-      mine.tombstoned = true;
-    }
-    if (!mine.tombstoned) {
-      for (const auto& [packed, count] : entry.points) {
-        auto it = mine.points.find(packed);
-        if (it == mine.points.end()) {
-          mine.points.emplace(packed, count);
-          ++live_points_;
-        } else {
-          it->second += count;
-          if (it->second == 0) {
-            mine.points.erase(it);
-            --live_points_;
-          }
-        }
-      }
-      maybe_evict(mine);
+  if (cells_.empty()) {
+    // Into an empty store the sum is the other store itself: copy its arrays
+    // outright instead of re-inserting record by record, then re-check
+    // eviction as the record-wise sum would (a loaded blob may carry a
+    // complete cell above the watermark).
+    cells_ = other.cells_;
+    cell_rows_ = other.cell_rows_;
+    cell_slots_ = other.cell_slots_;
+    points_ = other.points_;
+    point_coords_ = other.point_coords_;
+    point_slots_ = other.point_slots_;
+    free_points_ = other.free_points_;
+    live_points_ = other.live_points_;
+    for (std::uint32_t c = 0; c < cells_.size(); ++c) maybe_evict(c);
+  } else {
+    for (std::uint32_t oc = 0; oc < other.cells_.size(); ++oc) {
+      const CellRecord& theirs = other.cells_[oc];
+      const std::uint32_t c = find_or_add_cell(other.cell_row(oc));
+      cells_[c].net += theirs.net;
+      // Peaks are not exactly mergeable (they depend on interleaving); the
+      // sum upper-bounds any interleaved peak, which errs toward eviction.
+      cells_[c].net_peak += theirs.net_peak;
+      if (theirs.tombstoned && !cells_[c].tombstoned) evict(c);
+      if (cells_[c].tombstoned) continue;
+      other.for_each_point(oc, [&](std::uint32_t id) {
+        add_count(c, other.point_coords(id), other.points_[id].hash,
+                  other.points_[id].count, /*create=*/true);
+      });
+      maybe_evict(c);
     }
   }
-  if (!config_.exact && live_points_ > config_.max_live_points) {
-    dead_ = true;
-    cells_.clear();
-    live_points_ = 0;
-  }
+  check_cap();
 }
 
 void CellPointStore::release() {
   dead_ = true;
-  cells_.clear();
-  live_points_ = 0;
+  clear();
 }
 
 void CellPointStore::save(std::ostream& out) const {
+  // STRM2 records: a cell's index row as serial::put_vector writes it (entry
+  // count, entries), a point as serial::put_string writes its packed
+  // coordinates (byte count, bytes).
+  const auto row_bytes = static_cast<std::streamsize>(dim_ * sizeof(std::int32_t));
   serial::put<std::uint8_t>(out, dead_ ? 1 : 0);
   serial::put<std::int64_t>(out, events_);
   serial::put<std::int64_t>(out, live_points_);
   serial::put<std::uint64_t>(out, cells_.size());
-  for (const auto& [key, entry] : cells_) {
-    serial::put_vector(out, key.index);
-    serial::put<std::int64_t>(out, entry.net);
-    serial::put<std::int64_t>(out, entry.net_peak);
-    serial::put<std::uint8_t>(out, entry.tombstoned ? 1 : 0);
-    serial::put<std::uint64_t>(out, entry.points.size());
-    for (const auto& [packed, count] : entry.points) {
-      serial::put_string(out, packed);
-      serial::put<std::int64_t>(out, count);
-    }
+  for (std::uint32_t c = 0; c < cells_.size(); ++c) {
+    serial::put<std::uint64_t>(out, dim_);
+    out.write(reinterpret_cast<const char*>(cell_row(c)), row_bytes);
+    serial::put<std::int64_t>(out, cells_[c].net);
+    serial::put<std::int64_t>(out, cells_[c].net_peak);
+    serial::put<std::uint8_t>(out, cells_[c].tombstoned ? 1 : 0);
+    std::uint64_t npoints = 0;
+    for_each_point(c, [&npoints](std::uint32_t) { ++npoints; });
+    serial::put<std::uint64_t>(out, npoints);
+    for_each_point(c, [&](std::uint32_t id) {
+      serial::put<std::uint64_t>(out, dim_ * sizeof(Coord));
+      out.write(reinterpret_cast<const char*>(point_coords(id)), row_bytes);
+      serial::put<std::int64_t>(out, points_[id].count);
+    });
   }
 }
 
 bool CellPointStore::load(std::istream& in) {
+  clear();
+  dead_ = false;
+  events_ = 0;
+  const auto row_bytes = static_cast<std::streamsize>(dim_ * sizeof(std::int32_t));
+  std::vector<std::int32_t> row(dim_), home(dim_);
+  std::vector<Coord> coords(dim_);
   std::uint8_t dead = 0;
-  if (!serial::get(in, dead)) return false;
-  dead_ = dead != 0;
-  if (!serial::get(in, events_)) return false;
-  if (!serial::get(in, live_points_)) return false;
-  std::uint64_t ncells = 0;
-  if (!serial::get(in, ncells)) return false;
-  cells_.clear();
-  for (std::uint64_t c = 0; c < ncells; ++c) {
-    CellKey key;
-    key.level = level_;
-    if (!serial::get_vector(in, key.index)) return false;
-    Entry entry;
-    if (!serial::get(in, entry.net)) return false;
-    if (!serial::get(in, entry.net_peak)) return false;
-    std::uint8_t tomb = 0;
-    if (!serial::get(in, tomb)) return false;
-    entry.tombstoned = tomb != 0;
-    std::uint64_t npoints = 0;
-    if (!serial::get(in, npoints)) return false;
-    for (std::uint64_t p = 0; p < npoints; ++p) {
-      std::string packed;
-      if (!serial::get_string(in, packed)) return false;
-      std::int64_t count = 0;
-      if (!serial::get(in, count)) return false;
-      entry.points.emplace(std::move(packed), count);
+  std::int64_t events = 0, live = 0;
+  const bool ok = [&] {
+    std::uint64_t ncells = 0;
+    if (!serial::get(in, dead) || !serial::get(in, events) ||
+        !serial::get(in, live) || !serial::get(in, ncells)) {
+      return false;
     }
-    cells_.emplace(std::move(key), std::move(entry));
+    if (dead != 0 && (ncells != 0 || live != 0)) return false;
+    if (ncells >= kNone) return false;
+    for (std::uint64_t n = 0; n < ncells; ++n) {
+      std::uint64_t len = 0, npoints = 0;
+      CellRecord rec;
+      std::uint8_t tomb = 0;
+      if (!serial::get(in, len) || len != dim_) return false;
+      if (!in.read(reinterpret_cast<char*>(row.data()), row_bytes)) return false;
+      if (!serial::get(in, rec.net) || !serial::get(in, rec.net_peak) ||
+          !serial::get(in, tomb) || !serial::get(in, npoints)) {
+        return false;
+      }
+      rec.tombstoned = tomb != 0;
+      if (rec.tombstoned && npoints != 0) return false;
+      const std::size_t known = cells_.size();
+      const std::uint32_t c = find_or_add_cell(row.data());
+      if (c < known) return false;  // duplicate cell
+      cells_[c] = rec;
+      for (std::uint64_t k = 0; k < npoints; ++k) {
+        std::int64_t count = 0;
+        if (!serial::get(in, len) || len != dim_ * sizeof(Coord)) return false;
+        if (!in.read(reinterpret_cast<char*>(coords.data()), row_bytes)) return false;
+        if (!serial::get(in, count) || count <= 0) return false;
+        grid_->cell_index_of(coords, level_, home);
+        if (home != row) return false;  // point outside its cell
+        const std::int64_t before = live_points_;
+        add_count(c, coords.data(), hash_row(coords.data(), dim_), count,
+                  /*create=*/true);
+        if (live_points_ == before) return false;  // duplicate point
+      }
+    }
+    return live == live_points_;
+  }();
+  if (!ok) {
+    clear();
+    return false;
   }
+  dead_ = dead != 0;
+  events_ = events;
   return true;
 }
 
 std::size_t CellPointStore::memory_bytes() const {
-  std::size_t total = 0;
-  const std::size_t per_cell =
-      sizeof(CellKey) + static_cast<std::size_t>(grid_->dim()) * 4 + sizeof(Entry);
-  const std::size_t per_point = static_cast<std::size_t>(grid_->dim()) * 4 + 40;
-  for (const auto& [key, entry] : cells_) {
-    (void)key;
-    total += per_cell + entry.points.size() * per_point;
-  }
-  return total;
+  return cells_.capacity() * sizeof(CellRecord) +
+         cell_rows_.capacity() * sizeof(std::int32_t) +
+         cell_slots_.capacity() * sizeof(Slot) +
+         points_.capacity() * sizeof(PointRecord) +
+         point_coords_.capacity() * sizeof(Coord) +
+         point_slots_.capacity() * sizeof(Slot);
 }
 
 }  // namespace skc

@@ -19,14 +19,25 @@
 // (the guess then FAILs and a coarser o is used).  The exact flag disables
 // eviction entirely (pure linear semantics; memory proportional to data),
 // which is what the equality tests and the distributed protocol use.
+//
+// Layout (DESIGN.md §12): flat arrays with no per-cell or per-point heap
+// node, so merge, save, load and destruction cost array passes rather than
+// allocator traffic.  Cells are append-only records (index row, net, peak,
+// tombstone, head of the cell's point list) found through an open-addressing
+// slot table; points are records keyed by their coordinates (a point has
+// exactly one cell per level) in a second slot table with backward-shift
+// erase, chained per cell by an intrusive circular list and recycled
+// through a free list.  cell() reports a cell's points in coordinate-
+// lexicographic order, so what a query sees does not depend on the insert or
+// merge history.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <span>
-#include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "skc/common/types.h"
 #include "skc/geometry/point_set.h"
@@ -68,7 +79,7 @@ class CellPointStore {
   std::int64_t events() const { return events_; }
 
   struct CellPoints {
-    PointSet points;            ///< multiplicity-expanded
+    PointSet points;            ///< coordinate-lexicographic, multiplicity-expanded
     std::int64_t net_count = 0;
     bool complete = false;      ///< false iff the cell was tombstoned
   };
@@ -86,29 +97,98 @@ class CellPointStore {
   /// Frees everything and marks the structure dead (mid-stream pruning).
   void release();
 
+  /// Capacity bytes of the arrays (0 once dead or released).
   std::size_t memory_bytes() const;
 
-  /// Checkpointing (same contract as CellCountMin::save/load).
+  /// Checkpointing (same contract as CellCountMin::save/load; STRM2 record
+  /// layout).  load() fails closed on a record the store could never have
+  /// written: a cell row or point record of the wrong length, a count <= 0,
+  /// a duplicate cell or point, a point outside its cell, points on a
+  /// tombstoned cell, a dead store with contents, or a live-point total that
+  /// disagrees with the records.  A failed load leaves the store empty.
   void save(std::ostream& out) const;
   bool load(std::istream& in);
 
  private:
-  struct Entry {
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  struct CellRecord {
     std::int64_t net = 0;
     std::int64_t net_peak = 0;
+    std::uint32_t head = kNone;  ///< first record of the cell's point list
     bool tombstoned = false;
-    std::unordered_map<std::string, std::int64_t> points;  // packed coords
+  };
+  struct PointRecord {
+    std::int64_t count = 0;
+    std::uint32_t cell = 0;
+    std::uint32_t prev = kNone;
+    std::uint32_t next = kNone;  ///< also the free-list link
+    std::uint32_t hash = 0;      ///< of the coordinates
+  };
+  /// One open-addressing slot: a record id and its key's hash (whose high
+  /// bits pick the home slot, so rehash and erase never reread keys).
+  struct Slot {
+    std::uint32_t id = kNone;
+    std::uint32_t hash = 0;
   };
 
-  void maybe_evict(Entry& entry);
+  const std::int32_t* cell_row(std::uint32_t c) const {
+    return cell_rows_.data() + std::size_t{c} * dim_;
+  }
+  const Coord* point_coords(std::uint32_t id) const {
+    return point_coords_.data() + std::size_t{id} * dim_;
+  }
+
+  /// Calls f(id) for each point record of cell c, in list order.
+  template <typename F>
+  void for_each_point(std::uint32_t c, F&& f) const {
+    const std::uint32_t head = cells_[c].head;
+    if (head == kNone) return;
+    std::uint32_t id = head;
+    do {
+      f(id);
+      id = points_[id].next;
+    } while (id != head);
+  }
+
+  /// Grows a slot table so that `count + 1` entries keep it at most half full.
+  static void grow_slots(std::vector<Slot>& slots, std::size_t count);
+  static void erase_slot(std::vector<Slot>& slots, std::size_t hole);
+
+  /// The one event path behind update() and update_batch().
+  void apply(const Coord* p, const std::int32_t* idx, std::int64_t delta);
+  /// The slot of `slots` whose record's key (dim_ entries of `keys`) equals
+  /// `key`, or the empty slot that ends its probe run.
+  std::size_t probe(const std::vector<Slot>& slots, const std::vector<std::int32_t>& keys,
+                    const std::int32_t* key, std::uint32_t hash) const;
+  std::uint32_t find_or_add_cell(const std::int32_t* idx);
+  /// count[p] += count in cell c; a missing point is created only when
+  /// `create`, and a point whose count reaches zero is erased.
+  void add_count(std::uint32_t c, const Coord* p, std::uint32_t hash,
+                 std::int64_t count, bool create);
+  void erase_point(std::size_t slot);
+  void maybe_evict(std::uint32_t c);
+  void evict(std::uint32_t c);
+  void check_cap();
+  /// Drops every record and frees the arrays (death, release, failed load).
+  void clear();
+  CellPoints points_of(std::uint32_t c) const;
 
   const HierarchicalGrid* grid_;
   int level_;
+  std::size_t dim_;
   PointStoreConfig config_;
-  std::unordered_map<CellKey, Entry, CellKeyHash> cells_;
+  std::vector<CellRecord> cells_;
+  std::vector<std::int32_t> cell_rows_;  ///< dim_ index entries per cell
+  std::vector<Slot> cell_slots_;
+  std::vector<PointRecord> points_;
+  std::vector<Coord> point_coords_;      ///< dim_ coordinates per record
+  std::vector<Slot> point_slots_;
+  std::uint32_t free_points_ = kNone;
   std::int64_t live_points_ = 0;
   bool dead_ = false;
   std::int64_t events_ = 0;
+  std::vector<std::int32_t> idx_scratch_;  ///< update()'s cell index row
 };
 
 }  // namespace skc

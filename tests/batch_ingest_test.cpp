@@ -336,8 +336,8 @@ TEST(BatchIngest, EngineCoresetIdenticalToPointwiseBuilderEveryShardCount) {
     const EngineQueryResult got = engine.query(q);
     ASSERT_TRUE(got.ok) << got.error << " (shards " << shards << ")";
     EXPECT_DOUBLE_EQ(got.summary.o, want.coreset.o) << "shards " << shards;
-    EXPECT_EQ(testutil::canonical_multiset(got.summary.points),
-              testutil::canonical_multiset(want.coreset.points))
+    EXPECT_EQ(testutil::sequence(got.summary.points),
+              testutil::sequence(want.coreset.points))
         << "shards " << shards;
   }
 }

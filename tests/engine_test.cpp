@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,8 +95,11 @@ TEST(Engine, ShardedMergeMatchesSingleShardReference) {
   ASSERT_TRUE(got.ok) << got.error;
   EXPECT_EQ(got.net_points, reference.net_count());
   EXPECT_DOUBLE_EQ(got.summary.o, want.coreset.o);
-  EXPECT_EQ(testutil::canonical_multiset(got.summary.points),
-            testutil::canonical_multiset(want.coreset.points));
+  // Point stores report each cell's samples in coordinate order, so the
+  // fold reproduces the reference as a sequence, not only as a multiset.
+  EXPECT_EQ(testutil::sequence(got.summary.points),
+            testutil::sequence(want.coreset.points));
+  EXPECT_EQ(got.summary.levels, want.coreset.levels);
 }
 
 // Same property for the practical (sketch-mode) structures on an
@@ -137,8 +142,35 @@ TEST(Engine, ShardCountInvariance) {
   const EngineQueryResult b = eight.query(q);
   ASSERT_TRUE(a.ok) << a.error;
   ASSERT_TRUE(b.ok) << b.error;
-  EXPECT_EQ(testutil::canonical_multiset(a.summary.points),
-            testutil::canonical_multiset(b.summary.points));
+  EXPECT_EQ(testutil::sequence(a.summary.points),
+            testutil::sequence(b.summary.points));
+}
+
+// Sequence-equal summaries make the whole query shard-count invariant: the
+// solver sees the same input in the same order, so exact-mode engines at 1,
+// 2, 4 and 8 shards answer with identical centers and cost.
+TEST(Engine, FullQueryIsIdenticalAtEveryShardCount) {
+  const Stream stream = churn_workload(1500, 700, 37);
+  const CoresetParams params = test_params();
+  EngineQuery q;
+  q.capacity_slack = 1.2;
+  std::vector<EngineQueryResult> results;
+  for (const int shards : {1, 2, 4, 8}) {
+    ClusteringEngine engine(kDim, params, engine_options(shards, /*exact=*/true));
+    engine.submit(stream);
+    results.push_back(engine.query(q));
+    ASSERT_TRUE(results.back().ok) << results.back().error;
+    ASSERT_TRUE(results.back().solution.feasible) << shards << " shards";
+  }
+  const auto raw = [](const PointSet& s) {
+    return std::vector<Coord>(s.raw().begin(), s.raw().end());
+  };
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "engine " << i << " vs the 1-shard engine");
+    EXPECT_EQ(raw(results[i].solution.centers), raw(results[0].solution.centers));
+    EXPECT_EQ(results[i].solution.cost, results[0].solution.cost);
+    EXPECT_EQ(results[i].solution.assignment, results[0].solution.assignment);
+  }
 }
 
 // Full query path: merged summary + capacitated solve under concurrent use.
@@ -199,7 +231,8 @@ std::string saved(const StreamingCoresetBuilder& b) {
 // The query fold (a fresh builder merge_from-ing each live shard) must give
 // the same coreset as summing serialized snapshots (load(save(shard)), then
 // merge_from) — at every shard count, in both modes, with pruned guesses in
-// play.  Only the multiset is compared: map iteration order may differ.
+// play.  The coreset is compared as a sequence: point stores report each
+// cell's samples in coordinate order, whatever order they were merged in.
 TEST(Engine, LiveShardFoldMatchesSnapshotMerge) {
   const Stream stream = churn_workload(1200, 600, 101);
   const CoresetParams params = test_params();
@@ -229,8 +262,8 @@ TEST(Engine, LiveShardFoldMatchesSnapshotMerge) {
       EXPECT_EQ(folded.events(), static_cast<std::int64_t>(stream.size()));
       EXPECT_DOUBLE_EQ(got.coreset.o, want.coreset.o);
       EXPECT_EQ(got.diagnostics.guess_outcomes, want.diagnostics.guess_outcomes);
-      EXPECT_EQ(testutil::canonical_multiset(got.coreset.points),
-                testutil::canonical_multiset(want.coreset.points));
+      EXPECT_EQ(testutil::sequence(got.coreset.points),
+                testutil::sequence(want.coreset.points));
       if (!exact) {
         const auto& outcomes = got.diagnostics.guess_outcomes;
         EXPECT_NE(std::find(outcomes.begin(), outcomes.end(),
@@ -269,10 +302,100 @@ TEST(Engine, ExportSketchFinalizesToTheQuerySummary) {
       const StreamingResult want = loaded.finalize();
       ASSERT_TRUE(want.ok);
       EXPECT_DOUBLE_EQ(got.summary.o, want.coreset.o);
-      EXPECT_EQ(testutil::canonical_multiset(got.summary.points),
-                testutil::canonical_multiset(want.coreset.points));
+      EXPECT_EQ(testutil::sequence(got.summary.points),
+                testutil::sequence(want.coreset.points));
     }
   }
+}
+
+/// Rewrites every point-store point record of a serialized builder (STRM2)
+/// to carry `extra` bytes after its coordinates; `rewritten` counts them.
+/// Walks the layout: header, per guess the pruned flag and L+1 CountMins,
+/// the store pool, then the distinct-cell estimators copied verbatim.
+std::string widen_point_records(const std::string& blob, std::size_t extra,
+                                std::size_t& rewritten) {
+  std::size_t pos = 0;
+  std::string out;
+  const auto copy = [&](std::uint64_t n) {
+    out.append(blob, pos, static_cast<std::size_t>(n));
+    pos += static_cast<std::size_t>(n);
+  };
+  const auto peek = [&] {
+    std::uint64_t v = 0;
+    if (pos + sizeof v > blob.size()) throw std::out_of_range("truncated blob");
+    std::memcpy(&v, blob.data() + pos, sizeof v);
+    return v;
+  };
+  copy(8 + 4 + 4 + 8);  // magic, dim, log_delta, seed
+  const std::uint64_t guesses = peek();
+  copy(8 + 8 + 8);  // guess count, net count, events
+  for (std::uint64_t g = 0; g < guesses; ++g) {
+    copy(1);  // pruned
+    for (int level = 0; level <= kLogDelta; ++level) {
+      copy(1 + 8);  // released, events
+      copy(8 + peek() * 8);  // counters
+      const std::uint64_t entries = peek();
+      copy(8);
+      for (std::uint64_t e = 0; e < entries; ++e) copy(8 + peek() * 4 + 8);
+    }
+  }
+  const std::uint64_t stores = peek();
+  copy(8);
+  for (std::uint64_t s = 0; s < stores; ++s) {
+    copy(1 + 8 + 8);  // dead, events, live points
+    const std::uint64_t cells = peek();
+    copy(8);
+    for (std::uint64_t c = 0; c < cells; ++c) {
+      copy(8 + peek() * 4 + 8 + 8 + 1);  // row, net, peak, tombstone
+      const std::uint64_t points = peek();
+      copy(8);
+      for (std::uint64_t p = 0; p < points; ++p) {
+        const std::uint64_t bytes = peek() + extra;
+        pos += 8;
+        out.append(reinterpret_cast<const char*>(&bytes), sizeof bytes);
+        copy(bytes - extra);
+        out.append(extra, '\0');
+        copy(8);  // count
+        ++rewritten;
+      }
+    }
+  }
+  copy(blob.size() - pos);
+  return out;
+}
+
+// A peer's blob whose point records are 12 bytes long (2-D points are 8)
+// must be refused at import, and the engine must go on answering.  Before
+// the point store checked record lengths, import_sketch accepted it and the
+// next query aborted the process.
+TEST(Engine, ImportRefusesMalformedPointRecordsAndKeepsServing) {
+  const Stream stream = churn_workload(1200, 600, 107);
+  const CoresetParams params = test_params();
+  ClusteringEngine peer(kDim, params, engine_options(2, /*exact=*/false));
+  peer.submit(stream);
+  const std::string blob = peer.export_sketch().blob;
+  std::size_t rewritten = 0;
+  ASSERT_EQ(widen_point_records(blob, 0, rewritten), blob);
+  ASSERT_GT(rewritten, 0u);
+  const std::string bad = widen_point_records(blob, 4, rewritten);
+
+  ClusteringEngine engine(kDim, params, engine_options(2, /*exact=*/false));
+  engine.submit(stream);
+  EngineQuery summary;
+  summary.summary_only = true;
+  const EngineQueryResult before = engine.query(summary);
+  ASSERT_TRUE(before.ok) << before.error;
+
+  EXPECT_FALSE(engine.import_sketch(bad));
+  EXPECT_EQ(engine.net_count(), before.net_points);
+  const EngineQueryResult after = engine.query(summary);
+  ASSERT_TRUE(after.ok) << after.error;
+  EXPECT_EQ(testutil::sequence(after.summary.points),
+            testutil::sequence(before.summary.points));
+  EXPECT_TRUE(engine.query(EngineQuery{}).ok);
+
+  EXPECT_TRUE(engine.import_sketch(blob));  // the intact blob still folds in
+  EXPECT_EQ(engine.net_count(), 2 * before.net_points);
 }
 
 // A k above the summary size: the solvers require k <= n, so the query

@@ -25,9 +25,9 @@ inline PointSet random_points(int dim, Coord delta, PointIndex n, Rng& rng) {
   return out;
 }
 
-/// Canonical multiset representation of a weighted set: sorted
-/// (coords, weight) pairs — order-insensitive equality for coresets.
-inline std::vector<std::pair<std::vector<Coord>, double>> canonical_multiset(
+/// The (coords, weight) pairs of a weighted set in the set's own order, for
+/// the tests that pin a coreset as a sequence, not only as a multiset.
+inline std::vector<std::pair<std::vector<Coord>, double>> sequence(
     const WeightedPointSet& s) {
   std::vector<std::pair<std::vector<Coord>, double>> out;
   out.reserve(static_cast<std::size_t>(s.size()));
@@ -35,6 +35,14 @@ inline std::vector<std::pair<std::vector<Coord>, double>> canonical_multiset(
     const auto p = s.point(i);
     out.emplace_back(std::vector<Coord>(p.begin(), p.end()), s.weight(i));
   }
+  return out;
+}
+
+/// Canonical multiset representation of a weighted set: sorted
+/// (coords, weight) pairs — order-insensitive equality for coresets.
+inline std::vector<std::pair<std::vector<Coord>, double>> canonical_multiset(
+    const WeightedPointSet& s) {
+  auto out = sequence(s);
   std::sort(out.begin(), out.end());
   return out;
 }
