@@ -22,9 +22,10 @@ ctest --test-dir build --output-on-failure
 
 # Batch-vs-pointwise determinism gate, run by name so a test-glob change
 # can't silently drop it: the batched ingest hot path must produce
-# byte-identical sketches to the pointwise reference, and the flat point
-# store must match its node-map oracle (DESIGN.md §12).
-ctest --test-dir build --output-on-failure -R '^(BatchIngest|CellPointStore)\.'
+# byte-identical sketches to the pointwise reference, the flat point store
+# must match its node-map oracle, and the per-level CountMin must match the
+# per-guess CountMins it replaced (DESIGN.md §12).
+ctest --test-dir build --output-on-failure -R '^(BatchIngest|CellPointStore|CountMinOracle)\.'
 
 for b in build/bench/bench_*; do
   echo "== $b"

@@ -109,24 +109,31 @@ DistributedResult build_distributed_coreset(const std::vector<PointSet>& machine
     const double ti = part_threshold(grid, params.partition(), i, o_lo);
     psi[static_cast<std::size_t>(i)] = SamplingRate::from_probability(
         std::min(1.0, options.counting_samples / std::max(ti, 1.0)));
-    merged.emplace_back(grid, i, cm_cfg,
-                        sketch_seed(params, 0, SamplerPurpose::kCounting, i));
+    merged.emplace_back(grid, i, cm_cfg, sketch_seed(params, SamplerPurpose::kCounting, i),
+                        std::vector<std::uint64_t>{psi[static_cast<std::size_t>(i)].keep_below()});
   }
   {
     // Machine-side work is embarrassingly parallel (each shard summarizes
     // independently); the coordinator-side merge is serialized per level.
+    // Each summary is a one-guess CellCountMin: the rate is fixed at o_lo.
     std::mutex merge_mu;
     parallel_for(0, s, [&](std::int64_t m) {
       const PointSet& shard = machines[static_cast<std::size_t>(m)];
+      const auto d = static_cast<std::size_t>(dim);
+      std::vector<std::int32_t> cells;
       for (int i = 0; i <= L; ++i) {
         const std::size_t li = static_cast<std::size_t>(i);
-        CellCountMin local(grid, i, cm_cfg,
-                           sketch_seed(params, 0, SamplerPurpose::kCounting, i));
+        CellCountMin local(grid, i, cm_cfg, sketch_seed(params, SamplerPurpose::kCounting, i),
+                           std::vector<std::uint64_t>{psi[li].keep_below()});
+        cells.clear();
         for (PointIndex p = 0; p < shard.size(); ++p) {
-          if (kwise_keep(hash_counting[li], shard[p], psi[li])) {
-            local.update(shard[p], +1);
-          }
+          if (!kwise_keep(hash_counting[li], shard[p], psi[li])) continue;
+          cells.resize(cells.size() + d);
+          grid.cell_index_of(shard[p], i, std::span<std::int32_t>(cells.data() + cells.size() - d, d));
         }
+        const std::size_t kept = cells.size() / d;
+        local.update(cells.data(), std::vector<std::int64_t>(kept, +1).data(),
+                     std::vector<int>(kept, 1).data(), kept);
         net.send(static_cast<int>(m) + 1, 0, local.memory_bytes());
         std::scoped_lock lock(merge_mu);
         merged[li].merge(local);
@@ -163,7 +170,7 @@ DistributedResult build_distributed_coreset(const std::vector<PointSet>& machine
       std::vector<CellKey> heavy_here;
       for (const CellKey& parent : heavy_prev) {
         for (CellKey& child : grid.children(parent)) {
-          const double tau = merged[li].query(child) * inv_psi;
+          const double tau = merged[li].query(0, child) * inv_psi;
           if (tau <= 0.0) continue;
           if (i < L) data.counting[li].push_back(EstimatedCell{child.index, tau});
           if (i < L && tau >= ti) {

@@ -43,13 +43,15 @@ inline std::vector<KWiseHash> make_level_hashes(const CoresetParams& params,
   return hashes;
 }
 
-/// Deterministic sketch seed for (guess, purpose, level); equal across
-/// machines and across the streaming/distributed paths.
-inline std::uint64_t sketch_seed(const CoresetParams& params, int guess_index,
-                                 SamplerPurpose purpose, int level) {
+/// Deterministic sketch seed for (purpose, level); equal across machines and
+/// across the streaming/distributed paths.  Every o-guess of a level shares
+/// it (one CellCountMin per level).  The 0x9e37... term is what a guess
+/// index of 0 contributed when the seed was per guess; keeping it keeps the
+/// DistinctCells seeds and the distributed round-1 hashes unchanged.
+inline std::uint64_t sketch_seed(const CoresetParams& params, SamplerPurpose purpose,
+                                 int level) {
   std::uint64_t s = params.seed ^ (static_cast<std::uint64_t>(purpose) << 32);
-  s ^= std::uint64_t{0x9e3779b97f4a7c15} *
-       static_cast<std::uint64_t>(guess_index + 1);
+  s ^= std::uint64_t{0x9e3779b97f4a7c15};
   s ^= std::uint64_t{0xbf58476d1ce4e5b9} * static_cast<std::uint64_t>(level + 2);
   std::uint64_t sm = s;
   return splitmix64(sm);

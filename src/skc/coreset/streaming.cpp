@@ -45,23 +45,15 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
                     : max_opt_guess(options.max_points, dim, L, params.r);
   SKC_CHECK(o_lo <= o_hi);
 
-  int guess_index = 0;
   for (double o = o_lo; o <= o_hi * params.guess_factor; o *= params.guess_factor) {
     GuessState guess;
     guess.o = o;
-    guess.counts.reserve(static_cast<std::size_t>(L + 1));
     guess.samples.reserve(static_cast<std::size_t>(L + 1));
     for (int i = 0; i <= L; ++i) {
       const double ti = part_threshold(grid_, params.partition(), i, o);
       guess.psi.push_back(rate_or_one(options.counting_samples / std::max(ti, 1.0)));
       guess.phi.push_back(
           SamplingRate::from_probability(params.sampling_probability(grid_, i, o)));
-      CellCountMinConfig cm;
-      cm.width = options.countmin_width;
-      cm.depth = options.countmin_depth;
-      cm.exact = options.exact_storing;
-      guess.counts.emplace_back(
-          grid_, i, cm, sketch_seed(params, guess_index, SamplerPurpose::kCounting, i));
       // Point stores are deduplicated by (level, phi.m): guesses with the
       // same rounded sampling rate at a level would build byte-identical
       // structures from byte-identical substreams (see SharedStore).
@@ -85,22 +77,40 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
       guess.samples.push_back(shared);
     }
     guesses_.push_back(std::move(guess));
-    ++guess_index;
+  }
+
+  // One CountMin per level for every guess.  T_i(o) grows with o, so psi
+  // and the keep bounds fall along the o-ascending guesses (the constructor
+  // checks it): the guesses keeping an event are a prefix.
+  CellCountMinConfig cm;
+  cm.width = options.countmin_width;
+  cm.depth = options.countmin_depth;
+  cm.exact = options.exact_storing;
+  counts_.reserve(static_cast<std::size_t>(L + 1));
+  for (int i = 0; i <= L; ++i) {
+    std::vector<std::uint64_t> keep_below;
+    keep_below.reserve(guesses_.size());
+    for (const GuessState& guess : guesses_) {
+      keep_below.push_back(guess.psi[static_cast<std::size_t>(i)].keep_below());
+    }
+    counts_.emplace_back(grid_, i, cm, sketch_seed(params, SamplerPurpose::kCounting, i),
+                         std::move(keep_below));
   }
 
   distinct_.reserve(static_cast<std::size_t>(L));
   for (int i = 0; i < L; ++i) {
     distinct_.emplace_back(grid_, i, options.distinct_budget,
-                           sketch_seed(params, 0, SamplerPurpose::kCounting, 100 + i));
+                           sketch_seed(params, SamplerPurpose::kCounting, 100 + i));
   }
   h_count_scratch_.resize(static_cast<std::size_t>(L + 1));
   h_core_scratch_.resize(static_cast<std::size_t>(L + 1));
+  cell_scratch_.resize(static_cast<std::size_t>(dim));
 }
 
 namespace {
 
 inline bool keep_event(std::uint64_t hash_value, const SamplingRate& rate) {
-  return rate.always() || hash_value < f61::kP / rate.m;
+  return hash_value < rate.keep_below();
 }
 
 }  // namespace
@@ -116,30 +126,39 @@ void StreamingCoresetBuilder::update(std::span<const Coord> p, std::int64_t delt
   std::uint64_t* h_count = h_count_scratch_.data();
   std::uint64_t* h_core = h_core_scratch_.data();
   {
-    // Span taxonomy (DESIGN.md §10): "grid" = per-level grid/cell hashing
-    // (§3.1), "sketch" = feeding the CountMin / point-store structures.
+    // Span taxonomy (DESIGN.md §10): "grid" = per-level substream hashing
+    // (§3.1); "countmin", "point_store" and "distinct" = feeding each
+    // structure family.
     SKC_TRACE_SPAN("grid");
     for (int i = 0; i <= L; ++i) {
       h_count[static_cast<std::size_t>(i)] = hash_counting_[static_cast<std::size_t>(i)](p);
       h_core[static_cast<std::size_t>(i)] = hash_coreset_[static_cast<std::size_t>(i)](p);
     }
   }
-  SKC_TRACE_SPAN("sketch");
-  for (GuessState& guess : guesses_) {
-    if (guess.pruned) continue;
+  {
+    SKC_TRACE_SPAN("countmin");
     for (int i = 0; i <= L; ++i) {
-      const std::size_t li = static_cast<std::size_t>(i);
-      if (keep_event(h_count[li], guess.psi[li])) guess.counts[li].update(p, delta);
+      CellCountMin& cm = counts_[static_cast<std::size_t>(i)];
+      const int hi = cm.kept_prefix(h_count[static_cast<std::size_t>(i)]);
+      if (hi <= cm.lo()) continue;
+      grid_.cell_index_of(p, i, cell_scratch_);
+      cm.update(cell_scratch_.data(), &delta, &hi, 1);
     }
   }
-  for (auto& shared : store_pool_) {
-    if (shared->refs == 0) continue;
-    if (keep_event(h_core[static_cast<std::size_t>(shared->level)], shared->phi) &&
-        !shared->store.dead()) {
-      shared->store.update(p, delta);
+  {
+    SKC_TRACE_SPAN("point_store");
+    for (auto& shared : store_pool_) {
+      if (shared->refs == 0) continue;
+      if (keep_event(h_core[static_cast<std::size_t>(shared->level)], shared->phi) &&
+          !shared->store.dead()) {
+        shared->store.update(p, delta);
+      }
     }
   }
-  for (DistinctCells& dc : distinct_) dc.update(p, delta);
+  {
+    SKC_TRACE_SPAN("distinct");
+    for (DistinctCells& dc : distinct_) dc.update(p, delta);
+  }
   net_count_ += delta;
   ++events_;
   if (options_.prune_interval > 0 && !options_.exact_storing &&
@@ -163,6 +182,7 @@ void StreamingCoresetBuilder::update_batch(std::span<const StreamEvent> events) 
   sel_idx_.resize(B * dim);
   sel_pts_.resize(B * dim);
   sel_delta_.resize(B);
+  sel_hi_.resize(B);
 
   for (std::size_t b = 0; b < B; ++b) {
     SKC_DCHECK(static_cast<int>(events[b].point.size()) == dim_);
@@ -174,7 +194,7 @@ void StreamingCoresetBuilder::update_batch(std::span<const StreamEvent> events) 
   {
     // Whole-batch substream hashing and cell indexing: one SoA Horner sweep
     // per (level, family) and one grid pass per level, shared by every
-    // guess below.
+    // structure below.
     SKC_TRACE_SPAN("grid");
     for (std::size_t i = 0; i < levels; ++i) {
       hash_counting_[i].hash_batch(batch_pts_.data(), dim, B,
@@ -187,27 +207,28 @@ void StreamingCoresetBuilder::update_batch(std::span<const StreamEvent> events) 
   }
 
   {
-    SKC_TRACE_SPAN("sketch");
-    for (GuessState& guess : guesses_) {
-      if (guess.pruned) continue;
-      for (std::size_t i = 0; i < levels; ++i) {
-        const std::uint64_t* hc = batch_h_count_.data() + i * B;
-        const std::int32_t* idx = batch_idx_.data() + i * B * dim;
-        // Counting substream: gather the psi-kept rows, then land them in
-        // one contiguous sweep per sketch row.
-        std::size_t nsel = 0;
-        for (std::size_t b = 0; b < B; ++b) {
-          if (!keep_event(hc[b], guess.psi[i])) continue;
-          std::copy(idx + b * dim, idx + (b + 1) * dim,
-                    sel_idx_.begin() + static_cast<std::ptrdiff_t>(nsel * dim));
-          sel_delta_[nsel] = batch_delta_[b];
-          ++nsel;
-        }
-        if (nsel > 0) {
-          guess.counts[i].update_cells(sel_idx_.data(), sel_delta_.data(), nsel);
-        }
+    SKC_TRACE_SPAN("countmin");
+    for (std::size_t i = 0; i < levels; ++i) {
+      CellCountMin& cm = counts_[i];
+      const std::uint64_t* hc = batch_h_count_.data() + i * B;
+      const std::int32_t* idx = batch_idx_.data() + i * B * dim;
+      // Counting substream: gather the rows some live guess keeps, with
+      // their kept prefix, and land them in one pass over the level.
+      std::size_t nsel = 0;
+      for (std::size_t b = 0; b < B; ++b) {
+        const int hi = cm.kept_prefix(hc[b]);
+        if (hi <= cm.lo()) continue;
+        std::copy(idx + b * dim, idx + (b + 1) * dim,
+                  sel_idx_.begin() + static_cast<std::ptrdiff_t>(nsel * dim));
+        sel_delta_[nsel] = batch_delta_[b];
+        sel_hi_[nsel] = hi;
+        ++nsel;
       }
+      if (nsel > 0) cm.update(sel_idx_.data(), sel_delta_.data(), sel_hi_.data(), nsel);
     }
+  }
+  {
+    SKC_TRACE_SPAN("point_store");
     // Coreset substream, once per deduplicated (level, phi.m) store: the
     // point store also needs the points themselves (it carries the samples).
     for (auto& shared : store_pool_) {
@@ -231,6 +252,9 @@ void StreamingCoresetBuilder::update_batch(std::span<const StreamEvent> events) 
                                    sel_delta_.data(), nsel);
       }
     }
+  }
+  {
+    SKC_TRACE_SPAN("distinct");
     for (std::size_t i = 0; i < distinct_.size(); ++i) {
       distinct_[i].update_batch(batch_idx_.data() + i * B * dim,
                                 batch_delta_.data(), B);
@@ -253,14 +277,23 @@ void StreamingCoresetBuilder::maybe_prune() {
   const double lb =
       opt_lower_bound_from_cells(grid_, params_.k, params_.r, cell_estimates);
   if (lb <= 0.0) return;
-  for (GuessState& guess : guesses_) {
-    if (guess.pruned || guess.o * kPruneSlack >= lb) continue;
+  // Guesses are o-ascending, so the ones below the cut are a prefix.
+  const auto cut = std::partition_point(
+      guesses_.begin(), guesses_.end(),
+      [lb](const GuessState& guess) { return guess.o * kPruneSlack < lb; });
+  prune_prefix(static_cast<std::size_t>(cut - guesses_.begin()));
+}
+
+void StreamingCoresetBuilder::prune_prefix(std::size_t lo) {
+  for (std::size_t g = 0; g < lo; ++g) {
+    GuessState& guess = guesses_[g];
+    if (guess.pruned) continue;
     guess.pruned = true;
-    for (CellCountMin& cm : guess.counts) cm.release();
     for (SharedStore* shared : guess.samples) {
       if (--shared->refs == 0) shared->store.release();
     }
   }
+  for (CellCountMin& cm : counts_) cm.trim(static_cast<int>(lo));
 }
 
 void StreamingCoresetBuilder::merge_from(const StreamingCoresetBuilder& other) {
@@ -271,25 +304,16 @@ void StreamingCoresetBuilder::merge_from(const StreamingCoresetBuilder& other) {
   SKC_CHECK(other.guesses_.size() == guesses_.size());
   SKC_CHECK(other.distinct_.size() == distinct_.size());
   SKC_CHECK(other.store_pool_.size() == store_pool_.size());
-  // Pass 1: propagate pruned flags and merge the per-guess CountMins.  Store
-  // refcounts drop as guesses prune, so the pool merge below sees final refs.
   for (std::size_t g = 0; g < guesses_.size(); ++g) {
-    GuessState& mine = guesses_[g];
-    const GuessState& theirs = other.guesses_[g];
-    SKC_CHECK(mine.o == theirs.o);
-    if (mine.pruned) continue;
-    if (theirs.pruned) {
-      mine.pruned = true;
-      for (CellCountMin& cm : mine.counts) cm.release();
-      for (SharedStore* shared : mine.samples) {
-        if (--shared->refs == 0) shared->store.release();
-      }
-      continue;
-    }
-    for (std::size_t i = 0; i < mine.counts.size(); ++i) {
-      mine.counts[i].merge(theirs.counts[i]);
-    }
+    SKC_CHECK(guesses_[g].o == other.guesses_[g].o);
   }
+  // Pass 1: a guess pruned on either side is pruned here (both pruned sets
+  // are prefixes, so the union is the longer one).  Each level's CountMin
+  // merge trims itself to that prefix; prune_prefix then marks the guesses
+  // and drops their store refs, so the pool merge below sees final refs.
+  const std::size_t pruned = std::max(pruned_guesses(), other.pruned_guesses());
+  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i].merge(other.counts_[i]);
+  prune_prefix(pruned);
   // Pass 2: merge the deduplicated stores once each.  Identical options give
   // identical pools in identical order; a live store here implies at least
   // one unpruned guess referencing it, which (post pass 1) implies the same
@@ -332,7 +356,8 @@ StreamingResult StreamingCoresetBuilder::finalize() const {
   result.opt_lower_bound =
       opt_lower_bound_from_cells(grid_, params_.k, params_.r, cell_estimates);
 
-  for (const GuessState& guess : guesses_) {
+  for (std::size_t g = 0; g < guesses_.size(); ++g) {
+    const GuessState& guess = guesses_[g];
     result.diagnostics.guesses_tried.push_back(guess.o);
     if (guess.pruned) {
       result.diagnostics.guess_outcomes.push_back(
@@ -373,7 +398,7 @@ StreamingResult StreamingCoresetBuilder::finalize() const {
       std::vector<CellKey> heavy_here;
       for (const CellKey& parent : heavy_prev) {
         for (CellKey& child : grid_.children(parent)) {
-          const double tau = guess.counts[li].query(child) * inv_psi;
+          const double tau = counts_[li].query(static_cast<int>(g), child) * inv_psi;
           if (tau <= 0.0) continue;
           if (i < L) {
             data.counting[li].push_back(EstimatedCell{child.index, tau});
@@ -429,9 +454,7 @@ StreamingResult StreamingCoresetBuilder::finalize() const {
 
 std::size_t StreamingCoresetBuilder::memory_bytes() const {
   std::size_t total = 0;
-  for (const GuessState& guess : guesses_) {
-    for (const CellCountMin& s : guess.counts) total += s.memory_bytes();
-  }
+  for (const CellCountMin& cm : counts_) total += cm.memory_bytes();
   // Shared stores are physical memory once, no matter how many guesses
   // reference them.
   for (const auto& shared : store_pool_) total += shared->store.memory_bytes();
@@ -441,14 +464,16 @@ std::size_t StreamingCoresetBuilder::memory_bytes() const {
 
 std::size_t StreamingCoresetBuilder::memory_bytes_per_guess() const {
   // Report the largest live guess (pruned guesses hold no memory and would
-  // understate the per-guess footprint).  A guess is charged its referenced
-  // stores in full — the logical per-guess footprint Theorem 4.5 bounds,
-  // even though sharing makes the physical sum smaller.
+  // understate the per-guess footprint).  A guess is charged its CountMin
+  // columns with the level hashes and its referenced stores in full — the
+  // logical per-guess footprint Theorem 4.5 bounds, even though sharing
+  // makes the physical sum smaller.
+  std::size_t counts = 0;
+  for (const CellCountMin& cm : counts_) counts += cm.memory_bytes_per_guess();
   std::size_t best = 0;
   for (const GuessState& guess : guesses_) {
     if (guess.pruned) continue;
-    std::size_t total = 0;
-    for (const CellCountMin& s : guess.counts) total += s.memory_bytes();
+    std::size_t total = counts;
     for (const SharedStore* shared : guess.samples) {
       total += shared->store.memory_bytes();
     }
@@ -459,8 +484,11 @@ std::size_t StreamingCoresetBuilder::memory_bytes_per_guess() const {
 
 namespace {
 // Bumped STRM1 -> STRM2 when point stores moved into the deduplicated pool
-// (serialized once each instead of per guess).
-constexpr std::uint64_t kCheckpointMagic = 0x534b435354524d32ULL;  // "SKCSTRM2"
+// (serialized once each instead of per guess), and STRM2 -> STRM3 when the
+// per-guess CountMins became one per level: every guess but the first now
+// hashes with the level seed, so a STRM2 blob's counters would load into
+// the wrong slots.
+constexpr std::uint64_t kCheckpointMagic = 0x534b435354524d33ULL;  // "SKCSTRM3"
 }
 
 void StreamingCoresetBuilder::save(std::ostream& out) const {
@@ -473,8 +501,8 @@ void StreamingCoresetBuilder::save(std::ostream& out) const {
   serial::put<std::int64_t>(out, events_);
   for (const GuessState& guess : guesses_) {
     serial::put<std::uint8_t>(out, guess.pruned ? 1 : 0);
-    for (const CellCountMin& cm : guess.counts) cm.save(out);
   }
+  for (const CellCountMin& cm : counts_) cm.save(out);
   // Pool stores once each, in pool order (deterministic given options, so a
   // same-configured loader rebuilds the identical pool to read into).
   serial::put<std::uint64_t>(out, store_pool_.size());
@@ -493,13 +521,17 @@ bool StreamingCoresetBuilder::load(std::istream& in) {
   if (!serial::get(in, nguesses) || nguesses != guesses_.size()) return false;
   if (!serial::get(in, net_count_)) return false;
   if (!serial::get(in, events_)) return false;
-  for (GuessState& guess : guesses_) {
-    std::uint8_t pruned = 0;
-    if (!serial::get(in, pruned)) return false;
-    guess.pruned = pruned != 0;
-    for (CellCountMin& cm : guess.counts) {
-      if (!cm.load(in)) return false;
-    }
+  // The pruned flags must be a prefix, and every level's lo must be its
+  // length; anything else is refused here rather than trusted by trim().
+  std::size_t pruned = 0;
+  for (std::size_t g = 0; g < guesses_.size(); ++g) {
+    std::uint8_t flag = 0;
+    if (!serial::get(in, flag)) return false;
+    guesses_[g].pruned = flag != 0;
+    if (guesses_[g].pruned && pruned++ != g) return false;
+  }
+  for (CellCountMin& cm : counts_) {
+    if (!cm.load(in) || static_cast<std::size_t>(cm.lo()) != pruned) return false;
   }
   if (!serial::get(in, nstores) || nstores != store_pool_.size()) return false;
   for (auto& shared : store_pool_) {

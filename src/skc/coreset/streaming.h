@@ -15,6 +15,10 @@
 //     coreset-sampling rate) — per-cell point maps with provably-heavy
 //     eviction carrying the actual coreset samples.
 //
+// Physically, every guess of a level shares one CellCountMin (one fold and
+// set of row hashes, counters side by side per guess; DESIGN.md §12), and
+// guesses with equal (level, phi) share one point store (SharedStore).
+//
 // finalize() walks each guess top-down: the root is heavy, heavy candidates
 // are the 2^d children of heavy cells (heaviness needs a heavy ancestry, so
 // nothing else can qualify), crucial cells are the non-heavy children, and
@@ -60,7 +64,8 @@ struct StreamingOptions {
   /// threshold-size cell carries ~counting_samples sampled points.
   double counting_samples = 64.0;
 
-  /// CountMin geometry per (guess, level).
+  /// CountMin geometry per (guess, level): each live guess owns a depth x
+  /// width block of its level's CellCountMin.
   int countmin_width = 512;
   int countmin_depth = 3;
 
@@ -138,6 +143,14 @@ class StreamingCoresetBuilder {
 
   const HierarchicalGrid& grid() const { return grid_; }
   int num_guesses() const { return static_cast<int>(guesses_.size()); }
+  /// The level's CountMin, shared by every guess.
+  const CellCountMin& level_counts(int level) const {
+    return counts_[static_cast<std::size_t>(level)];
+  }
+  /// Guess `guess`'s counting-substream rate psi at `level`.
+  const SamplingRate& counting_rate(int guess, int level) const {
+    return guesses_[static_cast<std::size_t>(guess)].psi[static_cast<std::size_t>(level)];
+  }
 
   /// Checkpointing: save() dumps the full builder state; load() restores it
   /// into a builder constructed with IDENTICAL (dim, params, options) — a
@@ -168,12 +181,11 @@ class StreamingCoresetBuilder {
 
   struct GuessState {
     double o = 1.0;
+    /// Pruned guesses are always a prefix of guesses_ (o-ascending; see
+    /// prune_prefix).
     bool pruned = false;
-    // Indexed by level: counts has L entries (levels 0..L-1, marking only
-    // needs counts above the leaf level... plus level L for part masses),
-    // so both vectors carry L+1 entries (levels 0..L).  samples point into
-    // store_pool_ (shared across guesses; see SharedStore).
-    std::vector<CellCountMin> counts;
+    // Indexed by level 0..L.  samples point into store_pool_ (shared across
+    // guesses; see SharedStore).
     std::vector<SharedStore*> samples;
     std::vector<SamplingRate> psi, phi;
   };
@@ -184,6 +196,9 @@ class StreamingCoresetBuilder {
   HierarchicalGrid grid_;
   std::vector<KWiseHash> hash_counting_, hash_coreset_;
   std::vector<GuessState> guesses_;
+  // One CountMin per level 0..L for every guess; each one's lo() is the
+  // number of pruned guesses.
+  std::vector<CellCountMin> counts_;
   // Deduplicated point stores, in creation order (guess-major / level-minor
   // first occurrence — deterministic given options, which save/load and
   // merge_from rely on).  unique_ptr keeps addresses stable for the
@@ -191,6 +206,12 @@ class StreamingCoresetBuilder {
   std::vector<std::unique_ptr<SharedStore>> store_pool_;
   std::vector<DistinctCells> distinct_;
   void maybe_prune();
+  /// Prunes guesses [0, lo): marks them, drops their store references and
+  /// trims every level's CountMin.  No-op for the already-pruned prefix.
+  void prune_prefix(std::size_t lo);
+  std::size_t pruned_guesses() const {
+    return static_cast<std::size_t>(counts_.front().lo());
+  }
   std::int64_t net_count_ = 0;
   std::int64_t events_ = 0;
 
@@ -200,6 +221,7 @@ class StreamingCoresetBuilder {
   // scratch out level-major: hashes at [level * B + event], cell indices at
   // [(level * B + event) * dim + coord].
   std::vector<std::uint64_t> h_count_scratch_, h_core_scratch_;
+  std::vector<std::int32_t> cell_scratch_;
   std::vector<Coord> batch_pts_;
   std::vector<std::int64_t> batch_delta_;
   std::vector<std::uint64_t> batch_h_count_, batch_h_core_;
@@ -207,6 +229,7 @@ class StreamingCoresetBuilder {
   std::vector<std::int32_t> sel_idx_;
   std::vector<Coord> sel_pts_;
   std::vector<std::int64_t> sel_delta_;
+  std::vector<int> sel_hi_;
 };
 
 /// Convenience: stream -> coreset in one call.

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -128,6 +129,10 @@ struct SamplingRate {
   double probability() const { return 1.0 / static_cast<double>(m); }
   double weight() const { return static_cast<double>(m); }
   bool always() const { return m == 1; }
+  /// Keep bound on a field hash value h: keep iff h < keep_below().
+  std::uint64_t keep_below() const {
+    return always() ? std::numeric_limits<std::uint64_t>::max() : f61::kP / m;
+  }
 };
 
 /// Lambda-wise independent Bernoulli sampler over points: keeps p iff

@@ -1,6 +1,8 @@
 #include "skc/sketch/countmin.h"
 
-#include <algorithm>
+#include <functional>
+#include <iterator>
+#include <limits>
 
 #include "skc/common/check.h"
 #include "skc/common/serial.h"
@@ -8,66 +10,58 @@
 
 namespace skc {
 
+namespace {
+
+bool all_zero(const std::vector<std::int64_t>& counts) {
+  return std::all_of(counts.begin(), counts.end(),
+                     [](std::int64_t c) { return c == 0; });
+}
+
+}  // namespace
+
 CellCountMin::CellCountMin(const HierarchicalGrid& grid, int level,
-                           const CellCountMinConfig& config, std::uint64_t seed)
-    : grid_(&grid), level_(level), config_(config), seed_(seed) {
+                           const CellCountMinConfig& config, std::uint64_t seed,
+                           std::vector<std::uint64_t> keep_below)
+    : grid_(&grid),
+      level_(level),
+      config_(config),
+      seed_(seed),
+      keep_below_(std::move(keep_below)) {
   SKC_CHECK(level >= 0 && level <= grid.log_delta());
   SKC_CHECK(config.width >= 8);
   SKC_CHECK(config.depth >= 1 && config.depth <= 8);
+  SKC_CHECK(!keep_below_.empty());
+  SKC_CHECK(std::is_sorted(keep_below_.begin(), keep_below_.end(),
+                           std::greater<>()));
   if (config_.exact) return;
   Rng rng(seed ^ 0xC0047C0047ULL);
   fold_ = VectorFold(rng);
   row_hash_.reserve(static_cast<std::size_t>(config.depth));
   for (int r = 0; r < config.depth; ++r) row_hash_.emplace_back(8, rng);
-  counters_.assign(static_cast<std::size_t>(config.depth) *
-                       static_cast<std::size_t>(config.width),
-                   0);
+  counters_.assign(slots() * live(), 0);
 }
 
-void CellCountMin::update(std::span<const Coord> p, std::int64_t delta) {
-  SKC_DCHECK(static_cast<int>(p.size()) == grid_->dim());
-  ++events_;
-  if (released_) return;
-  if (config_.exact) {
-    CellKey key = grid_->cell_of(p, level_);
-    auto it = exact_.find(key);
-    if (it == exact_.end()) {
-      if (delta != 0) exact_.emplace(std::move(key), delta);
-    } else {
-      it->second += delta;
-      if (it->second == 0) exact_.erase(it);
-    }
-    return;
-  }
-  std::int64_t idx64[64];
-  std::int32_t idx32[64];
-  SKC_CHECK(p.size() <= 64);
-  grid_->cell_index_of(p, level_, std::span<std::int32_t>(idx32, p.size()));
-  for (std::size_t j = 0; j < p.size(); ++j) idx64[j] = idx32[j];
-  const std::uint64_t folded = fold_(std::span<const std::int64_t>(idx64, p.size()));
-  for (int r = 0; r < config_.depth; ++r) counters_[slot(r, folded)] += delta;
-}
-
-void CellCountMin::update_cells(const std::int32_t* cell_idx,
-                                const std::int64_t* deltas, std::size_t n) {
-  events_ += static_cast<std::int64_t>(n);
-  if (released_ || n == 0) return;
+void CellCountMin::update(const std::int32_t* cell_idx, const std::int64_t* deltas,
+                          const int* hi, std::size_t n) {
+  if (n == 0 || live() == 0) return;
+  empty_ = false;
   const auto dim = static_cast<std::size_t>(grid_->dim());
   if (config_.exact) {
     CellKey key;
     key.level = level_;
     for (std::size_t i = 0; i < n; ++i) {
+      SKC_DCHECK(hi[i] <= guesses());
+      if (hi[i] <= lo_ || deltas[i] == 0) continue;
       key.index.assign(cell_idx + i * dim, cell_idx + (i + 1) * dim);
       auto it = exact_.find(key);
-      if (it == exact_.end()) {
-        if (deltas[i] != 0) exact_.emplace(key, deltas[i]);
-      } else {
-        it->second += deltas[i];
-        if (it->second == 0) exact_.erase(it);
-      }
+      if (it == exact_.end()) it = exact_.emplace(key, std::vector<std::int64_t>(live(), 0)).first;
+      std::vector<std::int64_t>& counts = it->second;
+      for (int g = 0; g < hi[i] - lo_; ++g) counts[static_cast<std::size_t>(g)] += deltas[i];
+      if (all_zero(counts)) exact_.erase(it);
     }
     return;
   }
+  const std::size_t cols = live();
   const auto width = static_cast<std::uint64_t>(config_.width);
   std::uint64_t folds[f61::kBatchTile];
   std::uint64_t h[f61::kBatchTile];
@@ -77,43 +71,66 @@ void CellCountMin::update_cells(const std::int32_t* cell_idx,
     for (int r = 0; r < config_.depth; ++r) {
       for (std::size_t b = 0; b < tn; ++b) h[b] = folds[b];
       row_hash_[static_cast<std::size_t>(r)].eval_batch(h, tn);
-      std::int64_t* row_counters =
-          counters_.data() + static_cast<std::size_t>(r) * width;
-      // Counter writes for one row land together — the contiguous-row layout
-      // the batched drain exists to exploit.
+      std::int64_t* row = counters_.data() + static_cast<std::size_t>(r) * width * cols;
+      // One contiguous run per event: the guesses [lo, hi) that kept it.
       for (std::size_t b = 0; b < tn; ++b) {
-        row_counters[h[b] % width] += deltas[base + b];
+        SKC_DCHECK(hi[base + b] <= guesses());
+        const int run = hi[base + b] - lo_;
+        std::int64_t* c = row + (h[b] % width) * cols;
+        const std::int64_t d = deltas[base + b];
+        for (int g = 0; g < run; ++g) c[g] += d;
       }
     }
   }
 }
 
-double CellCountMin::query(const CellKey& cell) const {
+double CellCountMin::query(int guess, const CellKey& cell) const {
   SKC_DCHECK(cell.level == level_);
-  if (released_) return 0.0;
+  SKC_DCHECK(guess >= 0 && guess < guesses());
+  if (guess < lo_) return 0.0;
+  const auto col = static_cast<std::size_t>(guess - lo_);
   if (config_.exact) {
     const auto it = exact_.find(cell);
-    return it == exact_.end() ? 0.0 : static_cast<double>(it->second);
+    return it == exact_.end() ? 0.0 : static_cast<double>(it->second[col]);
   }
   std::int64_t idx64[64];
   SKC_CHECK(cell.index.size() <= 64);
   for (std::size_t j = 0; j < cell.index.size(); ++j) idx64[j] = cell.index[j];
   const std::uint64_t folded =
       fold_(std::span<const std::int64_t>(idx64, cell.index.size()));
+  const std::size_t cols = live();
   std::int64_t best = std::numeric_limits<std::int64_t>::max();
   for (int r = 0; r < config_.depth; ++r) {
-    best = std::min(best, counters_[slot(r, folded)]);
+    best = std::min(best, counters_[slot(r, folded) * cols + col]);
   }
   // Deletions can drive collided counters slightly negative relative to the
   // queried cell; clamp (true counts are nonnegative).
   return static_cast<double>(std::max<std::int64_t>(best, 0));
 }
 
-void CellCountMin::release() {
-  released_ = true;
-  counters_.clear();
-  counters_.shrink_to_fit();
-  exact_.clear();
+void CellCountMin::trim(int new_lo) {
+  SKC_CHECK(new_lo <= guesses());
+  if (new_lo <= lo_) return;
+  const auto drop = static_cast<std::size_t>(new_lo - lo_);
+  const std::size_t cols = live();
+  const std::size_t keep = cols - drop;
+  if (config_.exact) {
+    for (auto it = exact_.begin(); it != exact_.end();) {
+      it->second = std::vector<std::int64_t>(
+          it->second.begin() + static_cast<std::ptrdiff_t>(drop), it->second.end());
+      it = all_zero(it->second) ? exact_.erase(it) : std::next(it);
+    }
+  } else {
+    // A fresh, smaller block: the dropped columns' memory goes back to the
+    // allocator instead of staying behind as capacity.
+    std::vector<std::int64_t> kept(slots() * keep);
+    for (std::size_t rs = 0; rs < slots(); ++rs) {
+      std::copy_n(counters_.begin() + static_cast<std::ptrdiff_t>(rs * cols + drop), keep,
+                  kept.begin() + static_cast<std::ptrdiff_t>(rs * keep));
+    }
+    counters_.swap(kept);
+  }
+  lo_ = new_lo;
 }
 
 void CellCountMin::merge(const CellCountMin& other) {
@@ -122,65 +139,101 @@ void CellCountMin::merge(const CellCountMin& other) {
   SKC_CHECK(other.config_.exact == config_.exact);
   SKC_CHECK(other.config_.width == config_.width);
   SKC_CHECK(other.config_.depth == config_.depth);
-  events_ += other.events_;
+  SKC_CHECK(other.keep_below_ == keep_below_);
+  if (empty_ && lo_ <= other.lo_) {
+    // A copy sized to other's live guesses; the old block is freed.
+    lo_ = other.lo_;
+    counters_ = std::vector<std::int64_t>(other.counters_);
+    exact_ = other.exact_;
+    empty_ = other.empty_;
+    return;
+  }
+  empty_ = empty_ && other.empty_;
+  trim(std::max(lo_, other.lo_));
+  const std::size_t cols = live();
+  const auto skip = static_cast<std::size_t>(lo_ - other.lo_);
   if (config_.exact) {
-    for (const auto& [key, count] : other.exact_) {
+    for (const auto& [key, counts] : other.exact_) {
       auto it = exact_.find(key);
-      if (it == exact_.end()) {
-        exact_.emplace(key, count);
-      } else {
-        it->second += count;
-        if (it->second == 0) exact_.erase(it);
-      }
+      if (it == exact_.end()) it = exact_.emplace(key, std::vector<std::int64_t>(cols, 0)).first;
+      for (std::size_t g = 0; g < cols; ++g) it->second[g] += counts[skip + g];
+      if (all_zero(it->second)) exact_.erase(it);
     }
     return;
   }
-  for (std::size_t i = 0; i < counters_.size(); ++i) counters_[i] += other.counters_[i];
+  if (skip == 0) {
+    for (std::size_t i = 0; i < counters_.size(); ++i) counters_[i] += other.counters_[i];
+    return;
+  }
+  const std::size_t other_cols = cols + skip;
+  for (std::size_t rs = 0; rs < slots(); ++rs) {
+    for (std::size_t g = 0; g < cols; ++g) {
+      counters_[rs * cols + g] += other.counters_[rs * other_cols + skip + g];
+    }
+  }
 }
 
 void CellCountMin::save(std::ostream& out) const {
-  serial::put<std::uint8_t>(out, released_ ? 1 : 0);
-  serial::put<std::int64_t>(out, events_);
+  serial::put<std::uint64_t>(out, static_cast<std::uint64_t>(lo_));
   serial::put_vector(out, counters_);
   serial::put<std::uint64_t>(out, exact_.size());
-  for (const auto& [key, count] : exact_) {
+  for (const auto& [key, counts] : exact_) {
     serial::put_vector(out, key.index);
-    serial::put<std::int64_t>(out, count);
+    serial::put_vector(out, counts);
   }
 }
 
 bool CellCountMin::load(std::istream& in) {
-  std::uint8_t released = 0;
-  if (!serial::get(in, released)) return false;
-  released_ = released != 0;
-  if (!serial::get(in, events_)) return false;
-  if (!serial::get_vector(in, counters_)) return false;
-  if (!config_.exact && !released_ &&
-      counters_.size() != static_cast<std::size_t>(config_.depth) *
-                              static_cast<std::size_t>(config_.width)) {
+  // Any refusal leaves every guess pruned: a valid state with no counters.
+  const auto fail = [this] {
+    lo_ = guesses();
+    std::vector<std::int64_t>().swap(counters_);
+    exact_.clear();
     return false;
+  };
+  std::uint64_t lo = 0;
+  if (!serial::get(in, lo) || lo > keep_below_.size()) return fail();
+  lo_ = static_cast<int>(lo);
+  empty_ = false;
+  // Read the counters in place, into exactly the block the live guesses
+  // need: a restore then never holds the constructor's block and a second
+  // copy at once.
+  const std::size_t want = config_.exact ? 0 : slots() * live();
+  if (counters_.capacity() != want) {
+    std::vector<std::int64_t>().swap(counters_);
+    counters_.reserve(want);
   }
+  if (!serial::get_vector(in, counters_) || counters_.size() != want) return fail();
   std::uint64_t entries = 0;
-  if (!serial::get(in, entries)) return false;
+  if (!serial::get(in, entries) || (!config_.exact && entries != 0)) return fail();
   exact_.clear();
   for (std::uint64_t e = 0; e < entries; ++e) {
     CellKey key;
     key.level = level_;
-    if (!serial::get_vector(in, key.index)) return false;
-    std::int64_t count = 0;
-    if (!serial::get(in, count)) return false;
-    exact_.emplace(std::move(key), count);
+    std::vector<std::int64_t> counts;
+    if (!serial::get_vector(in, key.index) ||
+        key.index.size() != static_cast<std::size_t>(grid_->dim()) ||
+        !serial::get_vector(in, counts) || counts.size() != live() ||
+        !exact_.emplace(std::move(key), std::move(counts)).second) {
+      return fail();
+    }
   }
   return true;
 }
 
 std::size_t CellCountMin::memory_bytes() const {
   if (config_.exact) {
-    return exact_.size() *
-           (sizeof(CellKey) + static_cast<std::size_t>(grid_->dim()) * 4 + 24);
+    // Per row: the key, its index block, node overhead and one count per
+    // live guess.
+    return exact_.size() * (sizeof(CellKey) + static_cast<std::size_t>(grid_->dim()) * 4 +
+                            16 + live() * sizeof(std::int64_t));
   }
-  return counters_.size() * sizeof(std::int64_t) +
-         row_hash_.size() * 8 * sizeof(std::uint64_t);
+  return counters_.size() * sizeof(std::int64_t) + hash_bytes();
+}
+
+std::size_t CellCountMin::memory_bytes_per_guess() const {
+  if (live() == 0) return 0;
+  return hash_bytes() + (memory_bytes() - hash_bytes()) / live();
 }
 
 }  // namespace skc

@@ -10,13 +10,22 @@
 // over-count — a light cell can be marked heavy by collision noise (caught
 // by the heavy-cell FAIL bound) but a heavy cell is never missed.
 //
-// The exact flag swaps the counters for a plain cell->count map (the
+// One structure serves every o-guess of one grid level (DESIGN.md §12).
+// Guess g keeps an event iff the level's counting hash h is below its keep
+// bound; the bounds are non-increasing in g (psi falls as o grows), so the
+// guesses that keep an event form a prefix [0, hi).  All guesses share one
+// fold and `depth` row hashes — each column is still a CountMin of its own
+// substream — and the counters are laid out guess-minor,
+// [row][slot][guess - lo], so an event adds its delta into `depth`
+// contiguous runs.  Guesses [0, lo) are pruned and hold no memory.
+//
+// The exact flag swaps the counters for a cell -> per-guess count map (the
 // infinite-precision mode used by the equality tests).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -34,45 +43,69 @@ struct CellCountMinConfig {
 
 class CellCountMin {
  public:
-  /// Equal (grid, level, config, seed) => mergeable.
+  /// `keep_below[g]` is guess g's keep bound on the level's counting hash
+  /// (SamplingRate::keep_below); it must be non-increasing in g.  Equal
+  /// (grid, level, config, seed, keep_below) => mergeable.
   CellCountMin(const HierarchicalGrid& grid, int level,
-               const CellCountMinConfig& config, std::uint64_t seed);
+               const CellCountMinConfig& config, std::uint64_t seed,
+               std::vector<std::uint64_t> keep_below);
 
   int level() const { return level_; }
+  int guesses() const { return static_cast<int>(keep_below_.size()); }
+  /// First live guess: guesses [0, lo()) are pruned.
+  int lo() const { return lo_; }
 
-  /// Routes one point event into its level cell: count[cell] += delta.
-  void update(std::span<const Coord> p, std::int64_t delta);
+  /// hi: the number of guesses that keep an event whose counting hash is
+  /// `h` — they are exactly the guesses [0, hi).
+  int kept_prefix(std::uint64_t h) const {
+    return static_cast<int>(
+        std::partition_point(keep_below_.begin(), keep_below_.end(),
+                             [h](std::uint64_t bound) { return h < bound; }) -
+        keep_below_.begin());
+  }
 
-  /// Batch form over precomputed level-`level()` cell indices: `cell_idx`
-  /// holds n rows of grid().dim() entries (the layout cell_index_of_batch
-  /// emits), deltas[i] the signed multiplicity of row i.  Equivalent to n
-  /// pointwise updates in order — bit-identical in exact and sketch mode
-  /// (same field ops, reorganized).
-  void update_cells(const std::int32_t* cell_idx, const std::int64_t* deltas,
-                    std::size_t n);
+  /// The ingest entry point: `cell_idx` holds n level-`level()` cell rows of
+  /// grid().dim() entries (the layout cell_index_of_batch emits), deltas[i]
+  /// the signed multiplicity of row i and hi[i] its kept prefix.  Adds
+  /// deltas[i] to guesses [lo(), hi[i]) of row i's cell; rows with
+  /// hi[i] <= lo() change nothing.
+  void update(const std::int32_t* cell_idx, const std::int64_t* deltas,
+              const int* hi, std::size_t n);
 
-  /// Estimated count of `cell` (>= true count in expectation; exact in
-  /// exact mode).  `cell.level` must equal level().
-  double query(const CellKey& cell) const;
+  /// Guess g's estimated count of `cell` (>= its true count in expectation;
+  /// exact in exact mode); 0 for a pruned guess.  `cell.level` must equal
+  /// level().
+  double query(int guess, const CellKey& cell) const;
 
-  std::int64_t events() const { return events_; }
+  /// Prunes guesses [lo(), new_lo): their counters are freed (the block is
+  /// reallocated at the smaller size).
+  void trim(int new_lo);
 
+  /// Adds `other` (same construction) into this: both sides are trimmed to
+  /// the larger lo, then the live columns add.  Into a structure nothing was
+  /// added to yet (the first shard of a query fold) it copies instead.
   void merge(const CellCountMin& other);
 
-  /// Frees the counters (used when the owning guess is pruned mid-stream);
-  /// further updates and queries become no-ops returning 0.
-  void release();
-  bool released() const { return released_; }
-
   std::size_t memory_bytes() const;
+  /// One live guess's share: its counter columns plus the shared hashes
+  /// (the footprint a per-guess structure would have).
+  std::size_t memory_bytes_per_guess() const;
 
-  /// Checkpointing: dumps/restores counters and counters only; the hashes
-  /// are re-derived from the constructor seed, so load() must be called on
-  /// a structure built with identical (grid, level, config, seed).
+  /// Checkpointing: dumps/restores lo and the counters; the hashes are
+  /// re-derived from the constructor seed, so load() must be called on a
+  /// structure built with identical arguments.  load() returns false on
+  /// truncation or on any layout that disagrees with the construction, and
+  /// leaves every guess pruned then.
   void save(std::ostream& out) const;
   bool load(std::istream& in);
 
  private:
+  std::size_t live() const { return keep_below_.size() - static_cast<std::size_t>(lo_); }
+  /// depth * width: the (row, slot) pairs, each holding live() counters.
+  std::size_t slots() const {
+    return static_cast<std::size_t>(config_.depth) * static_cast<std::size_t>(config_.width);
+  }
+  std::size_t hash_bytes() const { return row_hash_.size() * 8 * sizeof(std::uint64_t); }
   std::size_t slot(int row, std::uint64_t fold) const {
     return static_cast<std::size_t>(row) * static_cast<std::size_t>(config_.width) +
            static_cast<std::size_t>(
@@ -84,12 +117,17 @@ class CellCountMin {
   int level_;
   CellCountMinConfig config_;
   std::uint64_t seed_;
+  std::vector<std::uint64_t> keep_below_;
+  int lo_ = 0;
   VectorFold fold_;
   std::vector<KWiseHash> row_hash_;
-  std::vector<std::int64_t> counters_;  // depth * width (sketch mode)
-  std::unordered_map<CellKey, std::int64_t, CellKeyHash> exact_;
-  bool released_ = false;
-  std::int64_t events_ = 0;
+  // Sketch mode: depth * width * live() counters, [row][slot][guess - lo].
+  std::vector<std::int64_t> counters_;
+  // Exact mode: cell -> live() counts; a row whose counts are all zero is
+  // dropped.
+  std::unordered_map<CellKey, std::vector<std::int64_t>, CellKeyHash> exact_;
+  // No update, merge or load has reached the counters yet: all are zero.
+  bool empty_ = true;
 };
 
 }  // namespace skc

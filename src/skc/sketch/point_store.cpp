@@ -319,7 +319,7 @@ void CellPointStore::release() {
 }
 
 void CellPointStore::save(std::ostream& out) const {
-  // STRM2 records: a cell's index row as serial::put_vector writes it (entry
+  // STRM2/STRM3 records: a cell's index row as serial::put_vector writes it (entry
   // count, entries), a point as serial::put_string writes its packed
   // coordinates (byte count, bytes).
   const auto row_bytes = static_cast<std::streamsize>(dim_ * sizeof(std::int32_t));

@@ -100,8 +100,8 @@ class CellPointStore {
   /// Capacity bytes of the arrays (0 once dead or released).
   std::size_t memory_bytes() const;
 
-  /// Checkpointing (same contract as CellCountMin::save/load; STRM2 record
-  /// layout).  load() fails closed on a record the store could never have
+  /// Checkpointing (same contract as CellCountMin::save/load; the record
+  /// layout of STRM2 and STRM3 builder blobs).  load() fails closed on a record the store could never have
   /// written: a cell row or point record of the wrong length, a count <= 0,
   /// a duplicate cell or point, a point outside its cell, points on a
   /// tombstoned cell, a dead store with contents, or a live-point total that

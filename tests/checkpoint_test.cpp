@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "skc/coreset/streaming.h"
 #include "skc/engine/engine.h"
@@ -102,7 +105,7 @@ TEST(Checkpoint, RejectsTruncation) {
 
 // ---------------------------------------------------------------------------
 // Engine-level snapshots: version 2 wraps the whole body (shard builder
-// saves, STRM2 store-pool sections included) in a size + CRC-64 frame, so
+// saves, STRM3 store-pool sections included) in a size + CRC-64 frame, so
 // ANY truncation or bit flip must be a clean `false` — never a partial load,
 // never UB (the tier-1 suite runs under sanitizers).
 
@@ -161,7 +164,7 @@ TEST(Checkpoint, EngineStateRejectsEveryTruncationAndBitFlip) {
 
   // Truncation sweep: inside the magic, the version, the size/CRC fields,
   // and at several cuts through the payload (which holds the shard
-  // builders' STRM2 store-pool sections).
+  // builders' STRM3 store-pool sections).
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{5}, std::size_t{11}, std::size_t{20},
         std::size_t{27}, blob.size() / 4, blob.size() / 2, blob.size() - 1}) {
@@ -212,6 +215,219 @@ TEST(Checkpoint, ExactModeRoundTripsToo) {
   ASSERT_TRUE(b.ok);
   EXPECT_EQ(testutil::canonical_multiset(a.coreset.points),
             testutil::canonical_multiset(b.coreset.points));
+}
+
+// ---------------------------------------------------------------------------
+// STRM3: the builder layout with one CountMin per level.  A blob in the
+// older STRM2 layout (one CountMin per guess and level, every guess with its
+// own hashes) must be refused by every loader, and each rule load() enforces
+// on the level CountMins must refuse a blob that breaks only that rule.
+
+/// The options tests/golden/strm2_builder.hex was written with.
+StreamingOptions strm2_options() {
+  StreamingOptions opt;
+  opt.log_delta = 3;
+  opt.max_points = 16;
+  opt.countmin_width = 8;
+  opt.countmin_depth = 1;
+  opt.max_live_points = 16;
+  opt.distinct_budget = 4;
+  opt.o_min = 64;
+  opt.o_max = 256;
+  return opt;
+}
+
+const Coord kStrm2Points[][2] = {{1, 1}, {2, 1}, {7, 8}, {8, 8}, {3, 5}, {6, 2}};
+
+std::string read_hex_golden(const char* name) {
+  std::ifstream in(std::string(SKC_GOLDEN_DIR) + "/" + name);
+  std::string line, bytes;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    for (std::size_t i = 0; i + 1 < line.size(); i += 2) {
+      bytes.push_back(static_cast<char>(std::stoi(line.substr(i, 2), nullptr, 16)));
+    }
+  }
+  return bytes;
+}
+
+TEST(Checkpoint, RefusesAStrm2BlobAtLoadAndAtImport) {
+  const std::string blob = read_hex_golden("strm2_builder.hex");
+  ASSERT_EQ(blob.size(), 3184u);
+  std::uint64_t magic = 0;
+  std::memcpy(&magic, blob.data(), sizeof magic);
+  ASSERT_EQ(magic, 0x534b435354524d32ULL);  // "SKCSTRM2"
+  const CoresetParams params = CoresetParams::practical(2, LrOrder{2.0}, 0.3, 0.3);
+
+  StreamingCoresetBuilder builder(2, params, strm2_options());
+  std::istringstream old_blob(blob);
+  EXPECT_FALSE(builder.load(old_blob));
+
+  // The same events written today load: the refusal is the layout's.
+  StreamingCoresetBuilder today(2, params, strm2_options());
+  for (const auto& p : kStrm2Points) today.insert(p);
+  today.erase(kStrm2Points[3]);
+  std::stringstream current;
+  today.save(current);
+  std::memcpy(&magic, current.str().data(), sizeof magic);
+  EXPECT_EQ(magic, 0x534b435354524d33ULL);  // "SKCSTRM3"
+  StreamingCoresetBuilder thawed(2, params, strm2_options());
+  EXPECT_TRUE(thawed.load(current));
+
+  EngineOptions eopt;
+  eopt.num_shards = 2;
+  eopt.worker_threads = 0;
+  eopt.streaming = strm2_options();
+  ClusteringEngine engine(2, params, eopt);
+  for (const auto& p : kStrm2Points) {
+    engine.submit(Stream{StreamEvent{StreamOp::kInsert, Point{p[0], p[1]}}});
+  }
+  engine.submit(Stream{StreamEvent{StreamOp::kDelete, Point{8, 8}}});
+  EngineQuery summary;
+  summary.summary_only = true;
+  const EngineQueryResult before = engine.query(summary);
+  ASSERT_TRUE(before.ok) << before.error;
+  EXPECT_FALSE(engine.import_sketch(blob));
+  EXPECT_EQ(engine.net_count(), 5);
+  const EngineQueryResult after = engine.query(summary);
+  ASSERT_TRUE(after.ok) << after.error;
+  EXPECT_EQ(testutil::sequence(after.summary.points),
+            testutil::sequence(before.summary.points));
+  EXPECT_TRUE(engine.query(EngineQuery{}).ok);
+  engine.shutdown();
+}
+
+/// Byte offsets of the STRM3 fields the load rules read.
+struct Strm3Layout {
+  struct Level {
+    std::size_t lo = 0;        // u64 lo
+    std::size_t counters = 0;  // u64 counter count, then the counters
+    std::vector<std::size_t> rows;  // per exact row: u64 index length
+  };
+  std::uint64_t guesses = 0;
+  std::size_t flags = 0;  // one byte per guess
+  std::vector<Level> levels;
+};
+
+std::uint64_t u64_at(const std::string& blob, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, blob.data() + at, sizeof v);
+  return v;
+}
+
+void set_u64(std::string& blob, std::size_t at, std::uint64_t v) {
+  std::memcpy(blob.data() + at, &v, sizeof v);
+}
+
+Strm3Layout walk_strm3(const std::string& blob, int log_delta) {
+  Strm3Layout out;
+  std::size_t pos = 8 + 4 + 4 + 8;  // magic, dim, log_delta, seed
+  out.guesses = u64_at(blob, pos);
+  pos += 8 + 8 + 8;  // guess count, net count, events
+  out.flags = pos;
+  pos += out.guesses;
+  for (int level = 0; level <= log_delta; ++level) {
+    Strm3Layout::Level lv;
+    lv.lo = pos;
+    lv.counters = pos + 8;
+    pos = lv.counters + 8 + u64_at(blob, lv.counters) * 8;
+    const std::uint64_t rows = u64_at(blob, pos);
+    pos += 8;
+    for (std::uint64_t r = 0; r < rows; ++r) {
+      lv.rows.push_back(pos);
+      pos += 8 + u64_at(blob, pos) * 4;  // cell index
+      pos += 8 + u64_at(blob, pos) * 8;  // per-guess counts
+    }
+    out.levels.push_back(std::move(lv));
+  }
+  return out;
+}
+
+TEST(Checkpoint, RefusesLevelCountMinsThatBreakTheLayout) {
+  const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
+  Rng rng(6);
+  PointSet base = gaussian_mixture(mixture(900), rng);
+  PointSet extra = gaussian_mixture(mixture(300), rng);
+  Rng srng(7);
+  const Stream stream = churn_stream(base, extra, ChurnConfig{}, srng);
+  for (const bool exact : {false, true}) {
+    SCOPED_TRACE(exact ? "exact mode" : "sketch mode");
+    StreamingOptions opt = options();
+    opt.exact_storing = exact;
+    opt.prune_interval = 128;
+    StreamingCoresetBuilder builder(2, params, opt);
+    builder.consume(stream);
+    std::stringstream out;
+    builder.save(out);
+    const std::string blob = out.str();
+    const Strm3Layout layout = walk_strm3(blob, opt.log_delta);
+    const auto loads = [&](const std::string& bytes) {
+      StreamingCoresetBuilder fresh(2, params, opt);
+      std::istringstream in(bytes);
+      return fresh.load(in);
+    };
+    ASSERT_TRUE(loads(blob));
+    const auto pruned = static_cast<std::size_t>(u64_at(blob, layout.levels[0].lo));
+    ASSERT_LT(pruned + 1, layout.guesses);
+    if (!exact) {
+      ASSERT_GT(pruned, 0u) << "the stream must prune for the flags to bite";
+    }
+
+    {  // pruned flags that are not a prefix (with the count kept when
+       // there is a pruned guess to move)
+      std::string bad = blob;
+      bad[layout.flags + pruned + 1] = 1;
+      if (pruned > 0) bad[layout.flags + pruned - 1] = 0;
+      EXPECT_FALSE(loads(bad));
+    }
+    {  // a prefix one longer than every level's lo
+      std::string bad = blob;
+      bad[layout.flags + pruned] = 1;
+      EXPECT_FALSE(loads(bad));
+    }
+    {  // a lo past the guess count
+      std::string bad = blob;
+      set_u64(bad, layout.levels[2].lo, layout.guesses + 1);
+      EXPECT_FALSE(loads(bad));
+    }
+    {  // a counter count other than depth x width x (G - lo)
+      std::string bad = blob;
+      const Strm3Layout::Level& lv = layout.levels[3];
+      const std::uint64_t n = u64_at(blob, lv.counters);
+      if (n > 0) {
+        set_u64(bad, lv.counters, n - 1);
+        bad.erase(lv.counters + 8, 8);
+      } else {
+        set_u64(bad, lv.counters, 1);
+        bad.insert(lv.counters + 8, 8, '\0');
+      }
+      EXPECT_FALSE(loads(bad));
+    }
+    if (!exact) continue;
+    const Strm3Layout::Level& lv = layout.levels[4];
+    ASSERT_GT(lv.rows.size(), 1u);
+    const std::size_t row = lv.rows[0];
+    const std::size_t counts = row + 8 + u64_at(blob, row) * 4;
+    const std::size_t row_end = counts + 8 + u64_at(blob, counts) * 8;
+    {  // an exact row whose index is not dim long
+      std::string bad = blob;
+      set_u64(bad, row, 3);
+      bad.insert(row + 8, 4, '\0');
+      EXPECT_FALSE(loads(bad));
+    }
+    {  // a duplicate exact cell
+      std::string bad = blob;
+      bad.insert(row_end, blob.substr(row, row_end - row));
+      set_u64(bad, row - 8, u64_at(blob, row - 8) + 1);
+      EXPECT_FALSE(loads(bad));
+    }
+    {  // an exact count vector whose length is not G - lo
+      std::string bad = blob;
+      set_u64(bad, counts, u64_at(blob, counts) + 1);
+      bad.insert(counts + 8, 8, '\0');
+      EXPECT_FALSE(loads(bad));
+    }
+  }
 }
 
 }  // namespace

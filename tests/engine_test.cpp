@@ -308,10 +308,11 @@ TEST(Engine, ExportSketchFinalizesToTheQuerySummary) {
   }
 }
 
-/// Rewrites every point-store point record of a serialized builder (STRM2)
+/// Rewrites every point-store point record of a serialized builder (STRM3)
 /// to carry `extra` bytes after its coordinates; `rewritten` counts them.
-/// Walks the layout: header, per guess the pruned flag and L+1 CountMins,
-/// the store pool, then the distinct-cell estimators copied verbatim.
+/// Walks the layout: header, the per-guess pruned flags, L+1 level
+/// CountMins, the store pool, then the distinct-cell estimators copied
+/// verbatim.
 std::string widen_point_records(const std::string& blob, std::size_t extra,
                                 std::size_t& rewritten) {
   std::size_t pos = 0;
@@ -329,14 +330,15 @@ std::string widen_point_records(const std::string& blob, std::size_t extra,
   copy(8 + 4 + 4 + 8);  // magic, dim, log_delta, seed
   const std::uint64_t guesses = peek();
   copy(8 + 8 + 8);  // guess count, net count, events
-  for (std::uint64_t g = 0; g < guesses; ++g) {
-    copy(1);  // pruned
-    for (int level = 0; level <= kLogDelta; ++level) {
-      copy(1 + 8);  // released, events
-      copy(8 + peek() * 8);  // counters
-      const std::uint64_t entries = peek();
-      copy(8);
-      for (std::uint64_t e = 0; e < entries; ++e) copy(8 + peek() * 4 + 8);
+  copy(guesses);     // pruned flags
+  for (int level = 0; level <= kLogDelta; ++level) {
+    copy(8);               // lo
+    copy(8 + peek() * 8);  // counters
+    const std::uint64_t entries = peek();
+    copy(8);
+    for (std::uint64_t e = 0; e < entries; ++e) {
+      copy(8 + peek() * 4);  // cell index
+      copy(8 + peek() * 8);  // per-guess counts
     }
   }
   const std::uint64_t stores = peek();

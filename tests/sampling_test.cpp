@@ -42,23 +42,35 @@ TEST(Sampling, LevelHashesDifferAcrossLevels) {
   EXPECT_EQ(values.size(), hashes.size());
 }
 
+// One seed per (purpose, level), shared by every o-guess.  Each equals the
+// value the per-guess derivation gave guess 0, so the DistinctCells and
+// distributed round-1 structures hash exactly as before.
 TEST(Sampling, SketchSeedsAreDistinct) {
   CoresetParams params = CoresetParams::practical(4, LrOrder{2.0}, 0.2, 0.2);
+  const auto guess_zero_seed = [&](SamplerPurpose purpose, int level) {
+    std::uint64_t s = params.seed ^ (static_cast<std::uint64_t>(purpose) << 32);
+    s ^= std::uint64_t{0x9e3779b97f4a7c15} * std::uint64_t{1};
+    s ^= std::uint64_t{0xbf58476d1ce4e5b9} * static_cast<std::uint64_t>(level + 2);
+    return splitmix64(s);
+  };
   std::set<std::uint64_t> seeds;
-  for (int guess = 0; guess < 8; ++guess) {
+  for (const SamplerPurpose purpose :
+       {SamplerPurpose::kCounting, SamplerPurpose::kPartMass, SamplerPurpose::kCoreset}) {
     for (int level = 0; level < 10; ++level) {
-      seeds.insert(sketch_seed(params, guess, SamplerPurpose::kCounting, level));
-      seeds.insert(sketch_seed(params, guess, SamplerPurpose::kCoreset, level));
+      const std::uint64_t seed = sketch_seed(params, purpose, level);
+      EXPECT_EQ(seed, guess_zero_seed(purpose, level));
+      seeds.insert(seed);
+      seeds.insert(sketch_seed(params, purpose, 100 + level));
     }
   }
-  EXPECT_EQ(seeds.size(), 8u * 10u * 2u);
+  EXPECT_EQ(seeds.size(), 3u * 10u * 2u);
 }
 
 TEST(Sampling, SketchSeedDependsOnParamsSeed) {
   CoresetParams a = CoresetParams::practical(4, LrOrder{2.0}, 0.2, 0.2, 1);
   CoresetParams b = CoresetParams::practical(4, LrOrder{2.0}, 0.2, 0.2, 2);
-  EXPECT_NE(sketch_seed(a, 0, SamplerPurpose::kCounting, 0),
-            sketch_seed(b, 0, SamplerPurpose::kCounting, 0));
+  EXPECT_NE(sketch_seed(a, SamplerPurpose::kCounting, 0),
+            sketch_seed(b, SamplerPurpose::kCounting, 0));
 }
 
 TEST(Sampling, KwiseKeepMatchesThreshold) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "skc/coreset/offline.h"
+#include "skc/obs/trace.h"
 #include "skc/stream/generators.h"
 #include "test_util.h"
 
@@ -186,6 +190,31 @@ TEST(StreamingCoreset, BuildStreamingConvenienceWrapper) {
   const StreamingResult result = build_streaming_coreset(
       insertion_stream(pts), 2, params, lossless_options(9, pts.size()));
   EXPECT_TRUE(result.ok);
+}
+
+// Both ingest paths are traced by stage (DESIGN.md §10): "grid" for the
+// substream hashing, then one span per structure family it feeds.
+TEST(StreamingCoreset, UpdatePathsRecordOneSpanPerStage) {
+  Rng rng(9);
+  const Stream stream = shuffled_insertions(gaussian_mixture(mixture(64), rng), rng);
+  const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
+  obs::Tracer& tracer = obs::Tracer::instance();
+  const auto traced_spans = [&](const auto& feed) {
+    tracer.set_enabled(false);
+    tracer.clear();
+    tracer.set_enabled(true);
+    feed();
+    tracer.set_enabled(false);
+    std::set<std::string> names;
+    for (const obs::TaggedTraceEvent& e : tracer.events()) names.insert(e.event.name);
+    tracer.clear();
+    return names;
+  };
+  const std::set<std::string> stages = {"grid", "countmin", "point_store", "distinct"};
+  StreamingCoresetBuilder batched(2, params, StreamingOptions{});
+  EXPECT_EQ(traced_spans([&] { batched.update_batch(stream); }), stages);
+  StreamingCoresetBuilder pointwise(2, params, StreamingOptions{});
+  EXPECT_EQ(traced_spans([&] { pointwise.insert(stream[0].point); }), stages);
 }
 
 }  // namespace
