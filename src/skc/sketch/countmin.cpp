@@ -177,9 +177,9 @@ void CellCountMin::save(std::ostream& out) const {
   serial::put<std::uint64_t>(out, static_cast<std::uint64_t>(lo_));
   serial::put_vector(out, counters_);
   serial::put<std::uint64_t>(out, exact_.size());
-  for (const auto& [key, counts] : exact_) {
-    serial::put_vector(out, key.index);
-    serial::put_vector(out, counts);
+  for (const auto* entry : in_cell_order(exact_)) {
+    serial::put_vector(out, entry->first.index);
+    serial::put_vector(out, entry->second);
   }
 }
 

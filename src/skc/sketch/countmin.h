@@ -91,9 +91,11 @@ class CellCountMin {
   /// (the footprint a per-guess structure would have).
   std::size_t memory_bytes_per_guess() const;
 
-  /// Checkpointing: dumps/restores lo and the counters; the hashes are
-  /// re-derived from the constructor seed, so load() must be called on a
-  /// structure built with identical arguments.  load() returns false on
+  /// Checkpointing: dumps/restores lo and the counters (exact rows in
+  /// cell-index order, so equal contents give equal bytes; load() accepts
+  /// any order); the hashes are re-derived from the constructor seed, so
+  /// load() must be called on a structure built with identical arguments.
+  /// load() returns false on
   /// truncation or on any layout that disagrees with the construction, and
   /// leaves every guess pruned then.
   void save(std::ostream& out) const;
