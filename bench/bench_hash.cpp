@@ -44,7 +44,8 @@ int main() {
   row("keys=%zu dim=%zu lambda=%d rounds=%d simd_compiled=%s", kKeys, kDim,
       kLambda, kRounds, f61::simd_enabled() ? "yes" : "no");
 
-  // Scalar: one fold + Horner per key, the pointwise builder's cost shape.
+  // Scalar: one fold + Horner per key, the cost shape of hashing one event
+  // at a time.
   Timer scalar_timer;
   for (int r = 0; r < kRounds; ++r) {
     std::uint64_t acc = 0;

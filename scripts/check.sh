@@ -20,12 +20,14 @@ cmake --build build -j "$(nproc)"
 
 ctest --test-dir build --output-on-failure
 
-# Batch-vs-pointwise determinism gate, run by name so a test-glob change
-# can't silently drop it: the batched ingest hot path must produce
-# byte-identical sketches to the pointwise reference, the flat point store
-# must match its node-map oracle, and the per-level CountMin must match the
-# per-guess CountMins it replaced (DESIGN.md §12).
-ctest --test-dir build --output-on-failure -R '^(BatchIngest|CellPointStore|CountMinOracle)\.'
+# Batch determinism gate, run by name so a test-glob change can't silently
+# drop it: update_batch, the one ingest path, must reproduce the frozen
+# digests of the bytes the deleted pointwise path wrote at every batch size,
+# builder blobs must be canonical, the flat point store must match its
+# pointwise node-map oracle, the per-level CountMin must match the per-guess
+# CountMins it replaced, and every loader must refuse malformed blobs
+# (DESIGN.md §12).
+ctest --test-dir build --output-on-failure -R '^(BatchIngest|BatchSketch|IngestDigest|CellPointStore|CountMinOracle|Checkpoint)\.'
 
 for b in build/bench/bench_*; do
   echo "== $b"

@@ -102,69 +102,6 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
     distinct_.emplace_back(grid_, i, options.distinct_budget,
                            sketch_seed(params, SamplerPurpose::kCounting, 100 + i));
   }
-  h_count_scratch_.resize(static_cast<std::size_t>(L + 1));
-  h_core_scratch_.resize(static_cast<std::size_t>(L + 1));
-  cell_scratch_.resize(static_cast<std::size_t>(dim));
-}
-
-namespace {
-
-inline bool keep_event(std::uint64_t hash_value, const SamplingRate& rate) {
-  return hash_value < rate.keep_below();
-}
-
-}  // namespace
-
-void StreamingCoresetBuilder::update(std::span<const Coord> p, std::int64_t delta) {
-  SKC_DCHECK(static_cast<int>(p.size()) == dim_);
-  SKC_DCHECK(delta == 1 || delta == -1);
-  const int L = grid_.log_delta();
-  // Evaluate the shared per-level hashes once per event; every guess reuses
-  // them with its own thresholds (nested subsampling keeps each guess
-  // individually lambda-wise independent).  The rows live in member scratch
-  // so the pointwise fallback pays no allocation per event.
-  std::uint64_t* h_count = h_count_scratch_.data();
-  std::uint64_t* h_core = h_core_scratch_.data();
-  {
-    // Span taxonomy (DESIGN.md §10): "grid" = per-level substream hashing
-    // (§3.1); "countmin", "point_store" and "distinct" = feeding each
-    // structure family.
-    SKC_TRACE_SPAN("grid");
-    for (int i = 0; i <= L; ++i) {
-      h_count[static_cast<std::size_t>(i)] = hash_counting_[static_cast<std::size_t>(i)](p);
-      h_core[static_cast<std::size_t>(i)] = hash_coreset_[static_cast<std::size_t>(i)](p);
-    }
-  }
-  {
-    SKC_TRACE_SPAN("countmin");
-    for (int i = 0; i <= L; ++i) {
-      CellCountMin& cm = counts_[static_cast<std::size_t>(i)];
-      const int hi = cm.kept_prefix(h_count[static_cast<std::size_t>(i)]);
-      if (hi <= cm.lo()) continue;
-      grid_.cell_index_of(p, i, cell_scratch_);
-      cm.update(cell_scratch_.data(), &delta, &hi, 1);
-    }
-  }
-  {
-    SKC_TRACE_SPAN("point_store");
-    for (auto& shared : store_pool_) {
-      if (shared->refs == 0) continue;
-      if (keep_event(h_core[static_cast<std::size_t>(shared->level)], shared->phi) &&
-          !shared->store.dead()) {
-        shared->store.update(p, delta);
-      }
-    }
-  }
-  {
-    SKC_TRACE_SPAN("distinct");
-    for (DistinctCells& dc : distinct_) dc.update(p, delta);
-  }
-  net_count_ += delta;
-  ++events_;
-  if (options_.prune_interval > 0 && !options_.exact_storing &&
-      events_ % options_.prune_interval == 0) {
-    maybe_prune();
-  }
 }
 
 void StreamingCoresetBuilder::update_batch(std::span<const StreamEvent> events) {
@@ -192,9 +129,11 @@ void StreamingCoresetBuilder::update_batch(std::span<const StreamEvent> events) 
   }
 
   {
-    // Whole-batch substream hashing and cell indexing: one SoA Horner sweep
-    // per (level, family) and one grid pass per level, shared by every
-    // structure below.
+    // Span taxonomy (DESIGN.md §10): "grid" = per-level substream hashing
+    // and cell indexing (§3.1), one SoA Horner sweep per (level, family)
+    // and one grid pass per level, shared by every structure below;
+    // "countmin", "point_store" and "distinct" = feeding each structure
+    // family.
     SKC_TRACE_SPAN("grid");
     for (std::size_t i = 0; i < levels; ++i) {
       hash_counting_[i].hash_batch(batch_pts_.data(), dim, B,
@@ -238,7 +177,7 @@ void StreamingCoresetBuilder::update_batch(std::span<const StreamEvent> events) 
       const std::int32_t* idx = batch_idx_.data() + i * B * dim;
       std::size_t nsel = 0;
       for (std::size_t b = 0; b < B; ++b) {
-        if (!keep_event(hs[b], shared->phi)) continue;
+        if (hs[b] >= shared->phi.keep_below()) continue;
         std::copy(idx + b * dim, idx + (b + 1) * dim,
                   sel_idx_.begin() + static_cast<std::ptrdiff_t>(nsel * dim));
         std::copy(batch_pts_.begin() + static_cast<std::ptrdiff_t>(b * dim),
@@ -332,9 +271,8 @@ void StreamingCoresetBuilder::merge_from(const StreamingCoresetBuilder& other) {
 }
 
 void StreamingCoresetBuilder::consume(const Stream& stream) {
-  // Batched for throughput; bit-identical to the pointwise loop (see
-  // update_batch).  256 events amortize the per-batch hash sweeps without
-  // letting the scratch rows outgrow L2.
+  // 256 events amortize the per-batch hash sweeps without letting the
+  // scratch rows outgrow L2.
   constexpr std::size_t kConsumeBatch = 256;
   for (std::size_t base = 0; base < stream.size(); base += kConsumeBatch) {
     const std::size_t n = std::min(kConsumeBatch, stream.size() - base);

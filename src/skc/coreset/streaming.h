@@ -18,6 +18,9 @@
 // Physically, every guess of a level shares one CellCountMin (one fold and
 // set of row hashes, counters side by side per guess; DESIGN.md §12), and
 // guesses with equal (level, phi) share one point store (SharedStore).
+// Events enter through one path, update_batch (consume() cuts a stream into
+// batches), which hashes and indexes each batch once per level for every
+// structure.
 //
 // finalize() walks each guess top-down: the root is heavy, heavy candidates
 // are the 2^d children of heavy cells (heaviness needs a heavy ancestry, so
@@ -98,23 +101,17 @@ class StreamingCoresetBuilder {
   StreamingCoresetBuilder(int dim, const CoresetParams& params,
                           const StreamingOptions& options);
 
-  void insert(std::span<const Coord> p) { update(p, +1); }
-  void erase(std::span<const Coord> p) { update(p, -1); }
-  void update(std::span<const Coord> p, std::int64_t delta);
-
-  /// Batched ingest: drains a whole event batch level-by-level instead of
-  /// point-by-point.  Per batch, the shared per-level substream hashes and
-  /// cell indices are evaluated ONCE over all events (SoA Horner batches in
-  /// src/skc/hash/), then every guess consumes precomputed rows — the
-  /// pointwise path instead recomputes the cell index inside every sketch
-  /// structure it touches.  The result is bit-identical to feeding the same
-  /// events through update() in order (every per-structure event sequence
-  /// is preserved; this is a pure reorganization of the same field ops),
-  /// with one scheduling exception: mid-stream pruning fires at batch
-  /// boundaries when an interval multiple was crossed inside the batch.
+  /// The one ingest path: drains an event batch level-by-level.  Per batch,
+  /// the shared per-level substream hashes and cell indices are evaluated
+  /// once over all events (SoA Horner batches in src/skc/hash/), then every
+  /// structure consumes the precomputed rows.  Each structure sees its
+  /// events in stream order, so the state does not depend on how a stream
+  /// is cut into batches, with one scheduling exception: mid-stream pruning
+  /// fires at the end of a batch in which an interval multiple was crossed.
+  /// The IngestDigest suite pins the bytes against frozen digests.
   void update_batch(std::span<const StreamEvent> events);
 
-  /// Feeds a whole stream (batched).
+  /// Feeds a whole stream in batches of 256 events.
   void consume(const Stream& stream);
 
   /// Linear-sketch merge: folds another builder constructed with IDENTICAL
@@ -216,12 +213,9 @@ class StreamingCoresetBuilder {
   std::int64_t events_ = 0;
 
   // Ingest scratch, hoisted out of the hot path (the builder is single-
-  // writer: the engine serializes updates under the shard lock).  The
-  // pointwise path reuses the two per-level hash rows; the batch path lays
-  // scratch out level-major: hashes at [level * B + event], cell indices at
+  // writer: the engine serializes updates under the shard lock), laid out
+  // level-major: hashes at [level * B + event], cell indices at
   // [(level * B + event) * dim + coord].
-  std::vector<std::uint64_t> h_count_scratch_, h_core_scratch_;
-  std::vector<std::int32_t> cell_scratch_;
   std::vector<Coord> batch_pts_;
   std::vector<std::int64_t> batch_delta_;
   std::vector<std::uint64_t> batch_h_count_, batch_h_core_;

@@ -25,11 +25,11 @@ namespace {
 
 constexpr std::uint64_t kEngineMagic = 0x534b43454e474e31ULL;   // "SKCENGN1"
 constexpr std::uint64_t kEngineFooter = 0x534b43454e444f4bULL;  // "SKCENDOK"
-// Version 2 wraps the version-1 body in a [size u64][crc64 u64][payload]
-// frame so corruption anywhere in the file fails the restore up front;
-// version-1 files (no frame) still load.
+// Version 2 wraps the body in a [size u64][crc64 u64][payload] frame so
+// corruption anywhere in the file fails the restore up front.  Version 1
+// (no frame) is refused: its files predate STRM3 builders, which load()
+// requires anyway.
 constexpr std::uint32_t kEngineVersion = 2;
-constexpr std::uint32_t kEngineVersionLegacy = 1;
 
 }  // namespace
 
@@ -332,9 +332,7 @@ bool ClusteringEngine::load_state(std::istream& in) {
   std::uint64_t magic = 0;
   std::uint32_t version = 0;
   if (!serial::get(in, magic) || magic != kEngineMagic) return false;
-  if (!serial::get(in, version)) return false;
-  if (version == kEngineVersionLegacy) return load_body(in);
-  if (version != kEngineVersion) return false;
+  if (!serial::get(in, version) || version != kEngineVersion) return false;
   std::uint64_t size = 0, crc = 0;
   if (!serial::get(in, size) || !serial::get(in, crc)) return false;
   // Chunked slurp: a flipped bit in the size field must fail on a short

@@ -179,7 +179,7 @@ class ClusteringEngine {
   /// tenant spills are made of.  Format version 2 frames the body with its
   /// byte count and a CRC-64 so a torn write or a flipped bit anywhere in
   /// the file fails the restore up front instead of relying on per-section
-  /// parsers to notice (version-1 files, which lack the frame, still load).
+  /// parsers to notice; any other version, version 1 included, is refused.
   /// save_state takes the epoch barrier first; load_state follows the same
   /// parse-then-swap contract as restore().
   bool save_state(std::ostream& out);

@@ -23,7 +23,7 @@
 // The partial sums stay under 2^63, one fold plus one conditional subtract
 // canonicalizes, and the result is bit-identical to the scalar f61::mul —
 // the batched path is a pure reorganization of the same field ops, which is
-// what the batch-vs-pointwise determinism tests pin.
+// what the batch-vs-scalar kernel tests (BatchHash) pin.
 #pragma once
 
 #include <cstddef>

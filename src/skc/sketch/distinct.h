@@ -12,7 +12,9 @@
 // deletions: cells whose hash falls under the current threshold are kept in
 // a count map (entries dropping to zero are erased); when the map outgrows
 // its budget the threshold halves and off-threshold entries are evicted.
-// The estimate is |map| / threshold_fraction.
+// The estimate is |map| / threshold_fraction.  Events arrive through one
+// path, update_batch, as the level's cell index rows the builder computed
+// once for every structure of the level.
 #pragma once
 
 #include <cstdint>
@@ -31,12 +33,11 @@ class DistinctCells {
   DistinctCells(const HierarchicalGrid& grid, int level, std::size_t budget,
                 std::uint64_t seed);
 
-  void update(std::span<const Coord> p, std::int64_t delta);
-
-  /// Batch form over precomputed level-`level` cell indices (`cell_idx`
-  /// holds n rows of grid dim entries).  Equivalent to n pointwise updates
-  /// in order — bit-identical state; the cell hash is evaluated over the
-  /// whole batch at once (SoA Horner) instead of per event.
+  /// The one ingest path, over precomputed level-`level` cell indices
+  /// (`cell_idx` holds n rows of grid dim entries).  The cell hash is
+  /// evaluated over the whole batch at once (SoA Horner); events then apply
+  /// in order, so the state does not depend on how a stream is cut into
+  /// batches.  Deleting a cell that is not kept changes nothing.
   void update_batch(const std::int32_t* cell_idx, const std::int64_t* deltas,
                     std::size_t n);
 
@@ -47,16 +48,26 @@ class DistinctCells {
   /// seed) — the seed is verified.  The result equals a single estimator fed
   /// both substreams whenever neither side ever shrank below a cell that was
   /// later deleted (always true for insertion-only substreams); otherwise the
-  /// estimate degrades gracefully, matching update()'s deletion semantics.
+  /// estimate degrades gracefully, matching update_batch()'s deletion
+  /// semantics.
   void merge(const DistinctCells& other);
 
   std::size_t memory_bytes() const;
 
-  /// Checkpointing (hash re-derived from the constructor seed).
+  /// Checkpointing (hash re-derived from the constructor seed; entries in
+  /// cell-index order, so equal contents give equal bytes).  load() accepts
+  /// entries in any order and fails closed on a state no history writes: a
+  /// shift outside [0, 61], an index row that is not grid dim long, a count
+  /// <= 0, a duplicate cell or more entries than the budget.  A refused
+  /// load leaves the estimator empty.
   void save(std::ostream& out) const;
   bool load(std::istream& in);
 
  private:
+  std::uint64_t threshold() const { return f61::kP >> shift_; }
+  std::uint64_t cell_hash(const CellKey& key) const;
+  /// Sets the shift and drops every kept cell at or above the new threshold.
+  void raise_shift(int shift);
   void shrink_to_budget();
 
   const HierarchicalGrid* grid_;

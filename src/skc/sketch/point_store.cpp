@@ -1,6 +1,7 @@
 #include "skc/sketch/point_store.h"
 
 #include <algorithm>
+#include <span>
 
 #include "skc/common/check.h"
 #include "skc/common/serial.h"
@@ -41,8 +42,7 @@ CellPointStore::CellPointStore(const HierarchicalGrid& grid, int level,
     : grid_(&grid),
       level_(level),
       dim_(static_cast<std::size_t>(grid.dim())),
-      config_(config),
-      idx_scratch_(dim_) {
+      config_(config) {
   SKC_CHECK(level >= 0 && level <= grid.log_delta());
   SKC_CHECK(config.watermark >= 1);
 }
@@ -192,33 +192,20 @@ void CellPointStore::clear() {
   live_points_ = 0;
 }
 
-void CellPointStore::apply(const Coord* p, const std::int32_t* idx,
-                           std::int64_t delta) {
-  const std::uint32_t c = find_or_add_cell(idx);
-  CellRecord& cell = cells_[c];
-  cell.net += delta;
-  cell.net_peak = std::max(cell.net_peak, cell.net);
-  if (!cell.tombstoned) {
-    add_count(c, p, hash_row(p, dim_), delta, delta > 0);
-    maybe_evict(c);
-  }
-  check_cap();
-}
-
-void CellPointStore::update(std::span<const Coord> p, std::int64_t delta) {
-  SKC_DCHECK(p.size() == dim_);
-  ++events_;
-  if (dead_) return;
-  grid_->cell_index_of(p, level_, idx_scratch_);
-  apply(p.data(), idx_scratch_.data(), delta);
-}
-
 void CellPointStore::update_batch(const Coord* points, const std::int32_t* cell_idx,
                                   const std::int64_t* deltas, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (dead_) return;  // a pointwise caller checks dead() per event
+  for (std::size_t i = 0; i < n && !dead_; ++i) {
     ++events_;
-    apply(points + i * dim_, cell_idx + i * dim_, deltas[i]);
+    const Coord* p = points + i * dim_;
+    const std::uint32_t c = find_or_add_cell(cell_idx + i * dim_);
+    CellRecord& cell = cells_[c];
+    cell.net += deltas[i];
+    cell.net_peak = std::max(cell.net_peak, cell.net);
+    if (!cell.tombstoned) {
+      add_count(c, p, hash_row(p, dim_), deltas[i], deltas[i] > 0);
+      maybe_evict(c);
+    }
+    check_cap();
   }
 }
 

@@ -27,15 +27,15 @@
 // slot table; points are records keyed by their coordinates (a point has
 // exactly one cell per level) in a second slot table with backward-shift
 // erase, chained per cell by an intrusive circular list and recycled
-// through a free list.  cell() reports a cell's points in coordinate-
-// lexicographic order, so what a query sees does not depend on the insert or
-// merge history.
+// through a free list.  Events arrive through one path, update_batch, with
+// the cell index rows the builder computed once per level.  cell() reports
+// a cell's points in coordinate-lexicographic order, so what a query sees
+// does not depend on the insert or merge history.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -63,15 +63,13 @@ class CellPointStore {
 
   int level() const { return level_; }
 
-  void update(std::span<const Coord> p, std::int64_t delta);
-
-  /// Batch form over precomputed cell indices: `points` holds n points
-  /// row-major (n * dim coords), `cell_idx` their level-`level()` cell index
-  /// rows (same layout), `deltas` the signed multiplicities.  Equivalent to
-  /// n pointwise updates in order (bit-identical state, including the
-  /// eviction history); stops counting events once the structure dies
-  /// mid-batch, matching a caller that checks dead() before every pointwise
-  /// update.
+  /// The one ingest path, over precomputed cell indices: `points` holds n
+  /// points row-major (n * dim coords), `cell_idx` their level-`level()`
+  /// cell index rows (same layout), `deltas` the signed multiplicities.
+  /// Events apply in order, so the state (eviction history included) does
+  /// not depend on how a stream is cut into batches.  Once the structure
+  /// dies, the rest of the batch is dropped uncounted: events() counts the
+  /// events applied while alive.
   void update_batch(const Coord* points, const std::int32_t* cell_idx,
                     const std::int64_t* deltas, std::size_t n);
 
@@ -155,8 +153,6 @@ class CellPointStore {
   static void grow_slots(std::vector<Slot>& slots, std::size_t count);
   static void erase_slot(std::vector<Slot>& slots, std::size_t hole);
 
-  /// The one event path behind update() and update_batch().
-  void apply(const Coord* p, const std::int32_t* idx, std::int64_t delta);
   /// The slot of `slots` whose record's key (dim_ entries of `keys`) equals
   /// `key`, or the empty slot that ends its probe run.
   std::size_t probe(const std::vector<Slot>& slots, const std::vector<std::int32_t>& keys,
@@ -188,7 +184,6 @@ class CellPointStore {
   std::int64_t live_points_ = 0;
   bool dead_ = false;
   std::int64_t events_ = 0;
-  std::vector<std::int32_t> idx_scratch_;  ///< update()'s cell index row
 };
 
 }  // namespace skc

@@ -52,9 +52,7 @@ TEST(Checkpoint, ResumeEqualsUninterruptedRun) {
   // Interrupted run: half the stream, checkpoint, restore, rest.
   StreamingCoresetBuilder first(2, params, options());
   const std::size_t half = stream.size() / 2;
-  for (std::size_t i = 0; i < half; ++i) {
-    first.update(stream[i].point, stream[i].op == StreamOp::kInsert ? +1 : -1);
-  }
+  first.consume(Stream(stream.begin(), stream.begin() + static_cast<std::ptrdiff_t>(half)));
   std::stringstream checkpoint;
   first.save(checkpoint);
 
@@ -62,9 +60,7 @@ TEST(Checkpoint, ResumeEqualsUninterruptedRun) {
   ASSERT_TRUE(second.load(checkpoint));
   EXPECT_EQ(second.net_count(), first.net_count());
   EXPECT_EQ(second.events(), first.events());
-  for (std::size_t i = half; i < stream.size(); ++i) {
-    second.update(stream[i].point, stream[i].op == StreamOp::kInsert ? +1 : -1);
-  }
+  second.consume(Stream(stream.begin() + static_cast<std::ptrdiff_t>(half), stream.end()));
   const StreamingResult got = second.finalize();
   ASSERT_TRUE(got.ok);
   EXPECT_DOUBLE_EQ(got.coreset.o, want.coreset.o);
@@ -145,6 +141,25 @@ TEST(Checkpoint, EngineStateRoundTripsThroughTheCrcFrame) {
             testutil::canonical_multiset(b.summary.points));
   engine.shutdown();
   restored.shutdown();
+}
+
+// Version 1 had no CRC frame, and every such file predates STRM3 builders,
+// so only a hand-made file could load: load_state refuses the version.
+TEST(Checkpoint, RefusesAnUnframedVersion1EngineFile) {
+  const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
+  ClusteringEngine engine(2, params, engine_options());
+  const std::string blob = engine_snapshot(engine, 400);
+  engine.shutdown();
+  // [magic u64][version u32][size u64][crc u64][body] -> [magic][1][body]
+  std::string v1 = blob.substr(0, 8);
+  const std::uint32_t version = 1;
+  v1.append(reinterpret_cast<const char*>(&version), sizeof version);
+  v1.append(blob.substr(8 + 4 + 8 + 8));
+  ClusteringEngine fresh(2, params, engine_options());
+  std::istringstream in(v1);
+  EXPECT_FALSE(fresh.load_state(in));
+  EXPECT_EQ(fresh.net_count(), 0);
+  fresh.shutdown();
 }
 
 TEST(Checkpoint, EngineStateRejectsEveryTruncationAndBitFlip) {
@@ -265,8 +280,10 @@ TEST(Checkpoint, RefusesAStrm2BlobAtLoadAndAtImport) {
 
   // The same events written today load: the refusal is the layout's.
   StreamingCoresetBuilder today(2, params, strm2_options());
-  for (const auto& p : kStrm2Points) today.insert(p);
-  today.erase(kStrm2Points[3]);
+  Stream events;
+  for (const auto& p : kStrm2Points) events.push_back({StreamOp::kInsert, Point{p[0], p[1]}});
+  events.push_back({StreamOp::kDelete, Point{8, 8}});
+  today.consume(events);
   std::stringstream current;
   today.save(current);
   std::memcpy(&magic, current.str().data(), sizeof magic);
@@ -279,10 +296,7 @@ TEST(Checkpoint, RefusesAStrm2BlobAtLoadAndAtImport) {
   eopt.worker_threads = 0;
   eopt.streaming = strm2_options();
   ClusteringEngine engine(2, params, eopt);
-  for (const auto& p : kStrm2Points) {
-    engine.submit(Stream{StreamEvent{StreamOp::kInsert, Point{p[0], p[1]}}});
-  }
-  engine.submit(Stream{StreamEvent{StreamOp::kDelete, Point{8, 8}}});
+  engine.submit(events);
   EngineQuery summary;
   summary.summary_only = true;
   const EngineQueryResult before = engine.query(summary);
@@ -307,6 +321,7 @@ struct Strm3Layout {
   std::uint64_t guesses = 0;
   std::size_t flags = 0;  // one byte per guess
   std::vector<Level> levels;
+  std::vector<std::size_t> distinct;  // per estimator: i32 shift
 };
 
 std::uint64_t u64_at(const std::string& blob, std::size_t at) {
@@ -340,6 +355,25 @@ Strm3Layout walk_strm3(const std::string& blob, int log_delta) {
     }
     out.levels.push_back(std::move(lv));
   }
+  const std::uint64_t stores = u64_at(blob, pos);
+  pos += 8;
+  for (std::uint64_t st = 0; st < stores; ++st) {
+    std::uint64_t cells = u64_at(blob, pos + 1 + 8 + 8);  // after dead, events, live
+    pos += 1 + 8 + 8 + 8;
+    for (; cells > 0; --cells) {
+      pos += 8 + u64_at(blob, pos) * 4 + 8 + 8 + 1;  // row, net, peak, tombstone
+      std::uint64_t points = u64_at(blob, pos);
+      pos += 8;
+      for (; points > 0; --points) pos += 8 + u64_at(blob, pos) + 8;  // coords, count
+    }
+  }
+  for (int level = 0; level < log_delta; ++level) {
+    out.distinct.push_back(pos);
+    std::uint64_t entries = u64_at(blob, pos + 4);
+    pos += 4 + 8;
+    for (; entries > 0; --entries) pos += 8 + u64_at(blob, pos) * 4 + 8;  // row, count
+  }
+  EXPECT_EQ(pos, blob.size()) << "the walk must end at the blob's end";
   return out;
 }
 
@@ -428,6 +462,89 @@ TEST(Checkpoint, RefusesLevelCountMinsThatBreakTheLayout) {
       EXPECT_FALSE(loads(bad));
     }
   }
+}
+
+// A distinct estimator no history writes used to load: with shift 64 the
+// keep threshold f61::kP >> 64 is undefined (on x86 every cell is kept), the
+// estimate gains a factor of 2^64 and the OPT lower bound prunes every guess,
+// so every later query failed.  Each rule must refuse its mutant at load()
+// and at import_sketch(), and the engine must keep answering.
+TEST(Checkpoint, RefusesDistinctEstimatorsNoHistoryWrites) {
+  const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
+  EngineOptions eopt = engine_options();
+  eopt.streaming.log_delta = 12;
+  ClusteringEngine engine(2, params, eopt);
+  Rng rng(8);
+  engine.submit(insertion_stream(gaussian_mixture(mixture(600), rng)));
+  const std::string blob = engine.export_sketch().blob;
+  const std::size_t at = walk_strm3(blob, 12).distinct.back();
+  const std::uint64_t entries = u64_at(blob, at + 4);
+  ASSERT_GT(entries, 0u);
+  const std::size_t first = at + 4 + 8;  // the first entry: u64 2, 2 x i32, i64
+  const std::size_t entry_bytes = 8 + 2 * 4 + 8;
+  const auto set_i32 = [](std::string& b, std::size_t pos, std::int32_t v) {
+    std::memcpy(b.data() + pos, &v, sizeof v);
+  };
+  const auto set_i64 = [](std::string& b, std::size_t pos, std::int64_t v) {
+    std::memcpy(b.data() + pos, &v, sizeof v);
+  };
+
+  std::vector<std::pair<const char*, std::string>> mutants;
+  for (const std::int32_t shift : {64, 62, -1}) {
+    std::string bad = blob;
+    set_i32(bad, at, shift);
+    mutants.emplace_back("shift outside [0, 61]", bad);
+  }
+  {
+    std::string bad = blob;
+    set_u64(bad, first, 3);
+    bad.insert(first + 8, 4, '\0');
+    mutants.emplace_back("an index row that is not dim long", bad);
+  }
+  for (const std::int64_t count : {0, -1}) {
+    std::string bad = blob;
+    set_i64(bad, first + 8 + 2 * 4, count);
+    mutants.emplace_back("a count <= 0", bad);
+  }
+  {
+    std::string bad = blob;
+    bad.insert(first + entry_bytes, blob.substr(first, entry_bytes));
+    set_u64(bad, at + 4, entries + 1);
+    mutants.emplace_back("a duplicate cell", bad);
+  }
+  {  // distinct made-up cells past the budget
+    std::string bad = blob;
+    const std::uint64_t over = eopt.streaming.distinct_budget + 1;
+    for (std::uint64_t e = entries; e < over; ++e) {
+      std::string entry = blob.substr(first, entry_bytes);
+      set_i32(entry, 8, static_cast<std::int32_t>(1000000 + e));
+      set_i64(entry, 8 + 2 * 4, 1);
+      bad.append(entry);
+    }
+    set_u64(bad, at + 4, over);
+    mutants.emplace_back("more entries than the budget", bad);
+  }
+
+  EngineQuery summary;
+  summary.summary_only = true;
+  const EngineQueryResult before = engine.query(summary);
+  ASSERT_TRUE(before.ok) << before.error;
+  StreamingCoresetBuilder valid(2, params, eopt.streaming);
+  std::istringstream valid_in(blob);
+  ASSERT_TRUE(valid.load(valid_in));
+  for (const auto& [rule, bad] : mutants) {
+    SCOPED_TRACE(rule);
+    StreamingCoresetBuilder fresh(2, params, eopt.streaming);
+    std::istringstream in(bad);
+    EXPECT_FALSE(fresh.load(in));
+    EXPECT_FALSE(engine.import_sketch(bad));
+    const EngineQueryResult after = engine.query(summary);
+    ASSERT_TRUE(after.ok) << after.error;
+    EXPECT_EQ(testutil::sequence(after.summary.points),
+              testutil::sequence(before.summary.points));
+  }
+  EXPECT_TRUE(engine.query(EngineQuery{}).ok);
+  engine.shutdown();
 }
 
 }  // namespace

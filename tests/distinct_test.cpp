@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <sstream>
+#include <string>
 #include <unordered_set>
 
 #include "skc/geometry/metric.h"
@@ -12,13 +15,20 @@
 namespace skc {
 namespace {
 
+/// Feeds one event to `dc` (level `level` of `grid`) as a one-event batch.
+void add(DistinctCells& dc, const HierarchicalGrid& grid, int level,
+         std::span<const Coord> p, std::int64_t delta) {
+  const CellKey cell = grid.cell_of(p, level);
+  dc.update_batch(cell.index.data(), &delta, 1);
+}
+
 TEST(DistinctCells, ExactWhenUnderBudget) {
   Rng rng(1);
   HierarchicalGrid grid(2, 8, rng);
   DistinctCells dc(grid, 8, 1024, 7);  // unit cells, big budget: exact
   Rng prng(2);
   PointSet pts = testutil::random_points(2, 256, 200, prng);
-  for (PointIndex i = 0; i < pts.size(); ++i) dc.update(pts[i], +1);
+  for (PointIndex i = 0; i < pts.size(); ++i) add(dc, grid, 8, pts[i], +1);
   // Distinct unit cells = distinct points.
   std::set<std::vector<Coord>> distinct;
   for (PointIndex i = 0; i < pts.size(); ++i) {
@@ -35,10 +45,10 @@ TEST(DistinctCells, DeletionRemovesCells) {
   PointSet p(2);
   p.push_back({3, 3});
   p.push_back({40, 40});
-  dc.update(p[0], +1);
-  dc.update(p[1], +1);
+  add(dc, grid, 6, p[0], +1);
+  add(dc, grid, 6, p[1], +1);
   EXPECT_DOUBLE_EQ(dc.estimate(), 2.0);
-  dc.update(p[1], -1);
+  add(dc, grid, 6, p[1], -1);
   EXPECT_DOUBLE_EQ(dc.estimate(), 1.0);
 }
 
@@ -51,7 +61,7 @@ TEST(DistinctCells, SubsamplesOverBudgetWithinTolerance) {
   PointSet pts = testutil::random_points(2, 4096, 4000, prng);
   std::set<std::vector<Coord>> distinct;
   for (PointIndex i = 0; i < pts.size(); ++i) {
-    dc.update(pts[i], +1);
+    add(dc, grid, 12, pts[i], +1);
     const auto p = pts[i];
     distinct.insert(std::vector<Coord>(p.begin(), p.end()));
   }
@@ -60,6 +70,44 @@ TEST(DistinctCells, SubsamplesOverBudgetWithinTolerance) {
   EXPECT_GT(est, 0.4 * truth);
   EXPECT_LT(est, 2.5 * truth);
   EXPECT_LT(dc.memory_bytes(), 64u * 1024u);
+}
+
+// save() writes cells in index order; load() takes any order and refuses a
+// state no history writes, leaving the estimator empty.
+TEST(DistinctCells, LoadTakesAnyOrderAndRefusesToEmpty) {
+  Rng rng(12);
+  HierarchicalGrid grid(2, 8, rng);
+  Rng prng(13);
+  const PointSet pts = testutil::random_points(2, 256, 40, prng);
+  DistinctCells dc(grid, 8, 64, 7);
+  for (PointIndex i = 0; i < pts.size(); ++i) add(dc, grid, 8, pts[i], +1);
+  std::ostringstream out(std::ios::binary);
+  dc.save(out);
+  const std::string blob = std::move(out).str();
+  // [i32 shift][u64 entries] then entries of [u64 2][2 x i32][i64 count].
+  const std::size_t head = 4 + 8, entry = 8 + 2 * 4 + 8;
+  const std::size_t entries = (blob.size() - head) / entry;
+  ASSERT_GT(entries, 1u);
+  const auto load = [&](DistinctCells& into, const std::string& bytes) {
+    std::istringstream in(bytes);
+    return into.load(in);
+  };
+
+  std::string reversed = blob.substr(0, head);
+  for (std::size_t e = entries; e-- > 0;) reversed += blob.substr(head + e * entry, entry);
+  DistinctCells thawed(grid, 8, 64, 7);
+  ASSERT_TRUE(load(thawed, reversed));
+  EXPECT_DOUBLE_EQ(thawed.estimate(), dc.estimate());
+  std::ostringstream again(std::ios::binary);
+  thawed.save(again);
+  EXPECT_TRUE(std::move(again).str() == blob);
+
+  std::string bad = blob;
+  const std::int32_t shift = 64;
+  std::memcpy(bad.data(), &shift, sizeof shift);
+  EXPECT_FALSE(load(thawed, bad));
+  EXPECT_DOUBLE_EQ(thawed.estimate(), 0.0);
+  EXPECT_EQ(thawed.memory_bytes(), 0u);
 }
 
 TEST(OptLowerBound, ZeroForFewCells) {

@@ -2,9 +2,9 @@
 // replaced.  One unordered_map of cells, each owning an unordered_map from
 // packed coordinates to a count.  Kept verbatim in behaviour (eviction,
 // death, merge, STRM2 save/load) so the differential tests can drive both
-// stores with the same operations and compare what they report; only the
-// pointwise update is kept, because update_batch is pinned to update() by
-// the BatchSketch suite.
+// stores with the same operations and compare what they report.  It keeps
+// only a pointwise update: it is the pointwise reference the flat store's
+// update_batch is compared with (BatchSketch and the differential test).
 #pragma once
 
 #include <algorithm>

@@ -19,6 +19,15 @@
 namespace skc {
 namespace {
 
+/// Feeds one event to `store` as a one-event batch, skipping a dead store
+/// as the builder does.
+void add(CellPointStore& store, const HierarchicalGrid& grid, std::span<const Coord> p,
+         std::int64_t delta) {
+  if (store.dead()) return;
+  const CellKey cell = grid.cell_of(p, store.level());
+  store.update_batch(p.data(), cell.index.data(), &delta, 1);
+}
+
 TEST(CellPointStore, RoundTripsPointsPerCell) {
   Rng rng(1);
   HierarchicalGrid grid(2, 8, rng);
@@ -26,7 +35,7 @@ TEST(CellPointStore, RoundTripsPointsPerCell) {
   CellPointStore store(grid, 4, cfg);
   Rng prng(2);
   PointSet pts = testutil::random_points(2, 256, 100, prng);
-  for (PointIndex i = 0; i < pts.size(); ++i) store.update(pts[i], +1);
+  for (PointIndex i = 0; i < pts.size(); ++i) add(store, grid, pts[i], +1);
 
   PointSet recovered(2);
   for (PointIndex i = 0; i < pts.size(); ++i) {
@@ -48,9 +57,9 @@ TEST(CellPointStore, DeletionsCancelExactly) {
   CellPointStore store(grid, 3, cfg);
   PointSet p(2);
   p.push_back({5, 5});
-  store.update(p[0], +1);
-  store.update(p[0], +1);
-  store.update(p[0], -1);
+  add(store, grid, p[0], +1);
+  add(store, grid, p[0], +1);
+  add(store, grid, p[0], -1);
   const auto cp = store.cell(grid.cell_of(p[0], 3));
   ASSERT_TRUE(cp.has_value());
   EXPECT_EQ(cp->net_count, 1);
@@ -68,12 +77,12 @@ TEST(CellPointStore, WatermarkEvictsHeavyCells) {
   PointSet heavy(2);
   for (Coord x = 17; x <= 31; ++x) heavy.push_back({x, 17});
   for (Coord x = 17; x <= 21; ++x) heavy.push_back({x, 18});
-  for (PointIndex i = 0; i < heavy.size(); ++i) store.update(heavy[i], +1);
+  for (PointIndex i = 0; i < heavy.size(); ++i) add(store, grid, heavy[i], +1);
   PointSet light(2);
   light.push_back({60, 60});
   light.push_back({61, 60});
   light.push_back({60, 61});
-  for (PointIndex i = 0; i < light.size(); ++i) store.update(light[i], +1);
+  for (PointIndex i = 0; i < light.size(); ++i) add(store, grid, light[i], +1);
 
   const CellKey heavy_cell = grid.cell_of(heavy[0], 2);
   const CellKey light_cell = grid.cell_of(light[0], 2);
@@ -100,7 +109,7 @@ TEST(CellPointStore, ExactModeNeverEvicts) {
   CellPointStore store(grid, 2, cfg);
   PointSet pts(2);
   for (Coord x = 1; x <= 30; ++x) pts.push_back({x, 1});
-  for (PointIndex i = 0; i < pts.size(); ++i) store.update(pts[i], +1);
+  for (PointIndex i = 0; i < pts.size(); ++i) add(store, grid, pts[i], +1);
   for (const auto& [key, cp] : store.all_cells()) {
     EXPECT_TRUE(cp.complete);
   }
@@ -115,7 +124,7 @@ TEST(CellPointStore, LivePointCapKillsStructure) {
   CellPointStore store(grid, 8, cfg);
   Rng prng(7);
   PointSet pts = testutil::random_points(2, 1024, 200, prng);
-  for (PointIndex i = 0; i < pts.size(); ++i) store.update(pts[i], +1);
+  for (PointIndex i = 0; i < pts.size(); ++i) add(store, grid, pts[i], +1);
   EXPECT_TRUE(store.dead());
   EXPECT_TRUE(store.all_cells().empty());
   EXPECT_LT(store.memory_bytes(), 1000u);
@@ -132,12 +141,12 @@ TEST(CellPointStore, MergeMatchesConcatenation) {
   PointSet pa = testutil::random_points(2, 128, 50, prng);
   PointSet pb = testutil::random_points(2, 128, 50, prng);
   for (PointIndex i = 0; i < pa.size(); ++i) {
-    a.update(pa[i], +1);
-    both.update(pa[i], +1);
+    add(a, grid, pa[i], +1);
+    add(both, grid, pa[i], +1);
   }
   for (PointIndex i = 0; i < pb.size(); ++i) {
-    b.update(pb[i], +1);
-    both.update(pb[i], +1);
+    add(b, grid, pb[i], +1);
+    add(both, grid, pb[i], +1);
   }
   a.merge(b);
   PointSet merged(2), direct(2);
@@ -155,9 +164,9 @@ TEST(CellPointStore, ChurnLeavesOnlySurvivors) {
   Rng prng(11);
   PointSet keep = testutil::random_points(2, 128, 40, prng);
   PointSet churn = testutil::random_points(2, 128, 60, prng);
-  for (PointIndex i = 0; i < keep.size(); ++i) store.update(keep[i], +1);
-  for (PointIndex i = 0; i < churn.size(); ++i) store.update(churn[i], +1);
-  for (PointIndex i = 0; i < churn.size(); ++i) store.update(churn[i], -1);
+  for (PointIndex i = 0; i < keep.size(); ++i) add(store, grid, keep[i], +1);
+  for (PointIndex i = 0; i < churn.size(); ++i) add(store, grid, churn[i], +1);
+  for (PointIndex i = 0; i < churn.size(); ++i) add(store, grid, churn[i], -1);
   PointSet recovered(2);
   for (const auto& [key, cp] : store.all_cells()) {
     EXPECT_TRUE(cp.complete);
@@ -291,8 +300,8 @@ TEST(CellPointStore, SaveLoadSaveIsByteIdentical) {
   CellPointStore store(grid, 3, cfg);
   Rng prng(32);
   const PointSet pts = testutil::random_points(2, 60, 900, prng);
-  for (PointIndex i = 0; i < pts.size(); ++i) store.update(pts[i], +1);
-  for (PointIndex i = 0; i < pts.size(); i += 3) store.update(pts[i], -1);
+  for (PointIndex i = 0; i < pts.size(); ++i) add(store, grid, pts[i], +1);
+  for (PointIndex i = 0; i < pts.size(); i += 3) add(store, grid, pts[i], -1);
   const std::string first = saved(store);
   CellPointStore thawed(grid, 3, cfg);
   ASSERT_TRUE(loads(thawed, first));
@@ -489,7 +498,7 @@ TEST(CellPointStore, MergeEvictsLikeTheNodeMapStoreOnLoadedBlobs) {
       CellPointStore mine(grid, 2, pin_config());
       oracle::NodeMapPointStore mine_ref(grid, 2, pin_config());
       if (!empty) {
-        mine.update(std::vector<Coord>{18, 20}, +1);
+        add(mine, grid, std::vector<Coord>{18, 20}, +1);
         mine_ref.update(std::vector<Coord>{18, 20}, +1);
       }
       mine.merge(theirs);
@@ -512,13 +521,15 @@ class StorePair {
   StorePair(const HierarchicalGrid& grid, int level, const PointStoreConfig& cfg)
       : flat(grid, level, cfg), nodes(grid, level, cfg), grid_(&grid), level_(level) {}
 
+  /// One event: a one-event batch on the flat store, the pointwise update
+  /// on the node-map store; a dead store is skipped, as the builder does.
   void update(const std::vector<Coord>& p, std::int64_t delta) {
     touched.insert(grid_->cell_of(p, level_).index);
-    flat.update(p, delta);
-    nodes.update(p, delta);
+    add(flat, *grid_, p, delta);
+    if (!nodes.dead()) nodes.update(p, delta);
   }
 
-  /// update_batch on the flat store; the pointwise loop (with the caller's
+  /// update_batch on the flat store; the pointwise loop (with the builder's
   /// dead() check) on the node-map store.
   void update_batch(const std::vector<Coord>& pts, const std::vector<std::int64_t>& deltas) {
     const std::size_t n = deltas.size();

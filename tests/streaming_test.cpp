@@ -161,10 +161,8 @@ TEST(StreamingCoreset, NetCountTracksInsertMinusDelete) {
   opt.log_delta = 6;
   opt.max_points = 100;
   StreamingCoresetBuilder builder(2, params, opt);
-  const std::vector<Coord> p = {5, 5};
-  builder.insert(p);
-  builder.insert(p);
-  builder.erase(p);
+  const Point p = {5, 5};
+  builder.consume({{StreamOp::kInsert, p}, {StreamOp::kInsert, p}, {StreamOp::kDelete, p}});
   EXPECT_EQ(builder.net_count(), 1);
   EXPECT_EQ(builder.events(), 3);
 }
@@ -192,8 +190,9 @@ TEST(StreamingCoreset, BuildStreamingConvenienceWrapper) {
   EXPECT_TRUE(result.ok);
 }
 
-// Both ingest paths are traced by stage (DESIGN.md §10): "grid" for the
-// substream hashing, then one span per structure family it feeds.
+// Ingest is traced by stage (DESIGN.md §10): "grid" for the substream
+// hashing, then one span per structure family it feeds, for a whole batch
+// and for a one-event batch alike.
 TEST(StreamingCoreset, UpdatePathsRecordOneSpanPerStage) {
   Rng rng(9);
   const Stream stream = shuffled_insertions(gaussian_mixture(mixture(64), rng), rng);
@@ -213,8 +212,8 @@ TEST(StreamingCoreset, UpdatePathsRecordOneSpanPerStage) {
   const std::set<std::string> stages = {"grid", "countmin", "point_store", "distinct"};
   StreamingCoresetBuilder batched(2, params, StreamingOptions{});
   EXPECT_EQ(traced_spans([&] { batched.update_batch(stream); }), stages);
-  StreamingCoresetBuilder pointwise(2, params, StreamingOptions{});
-  EXPECT_EQ(traced_spans([&] { pointwise.insert(stream[0].point); }), stages);
+  StreamingCoresetBuilder one(2, params, StreamingOptions{});
+  EXPECT_EQ(traced_spans([&] { one.update_batch(std::span(stream).first(1)); }), stages);
 }
 
 }  // namespace
