@@ -95,8 +95,7 @@ double ingest(cluster::ClusterCoordinator& coord, const Stream& stream) {
   Timer timer;
   for (std::size_t at = 0; at < stream.size(); at += kBatchPoints) {
     const std::size_t end = std::min(stream.size(), at + kBatchPoints);
-    if (!coord.submit(Stream(stream.begin() + static_cast<long>(at),
-                             stream.begin() + static_cast<long>(end)))) {
+    if (!coord.submit(EventBatch(std::span(stream).subspan(at, end - at), kDim))) {
       std::fprintf(stderr, "FAIL: cluster rejected an ingest batch\n");
       std::exit(1);
     }

@@ -84,7 +84,7 @@ int main() {
     opt.max_points = sweep_n;
     StreamingCoresetBuilder builder(dim, params, opt);
     Timer timer;
-    builder.consume(insertion_stream(pts));
+    builder.consume(EventBatch(insertion_stream(pts), dim));
     const double secs = timer.seconds();
     const StreamingResult streamed = builder.finalize();
     const std::size_t raw = static_cast<std::size_t>(sweep_n) * dim * sizeof(Coord);

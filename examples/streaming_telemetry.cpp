@@ -44,7 +44,7 @@ int main() {
 
   StreamingCoresetBuilder builder(config.dim, params, options);
   Timer pass_timer;
-  builder.consume(stream);
+  builder.consume(EventBatch(stream, config.dim));
   std::printf("one pass: %.0f ms, sketch state %s across %d OPT guesses "
               "(%s per guess)\n",
               pass_timer.millis(), format_bytes(builder.memory_bytes()).c_str(),

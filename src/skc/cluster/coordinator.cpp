@@ -23,6 +23,30 @@ std::string address_label(const WorkerAddress& a) {
   return a.host + ":" + std::to_string(a.port);
 }
 
+/// Sends `events` over `client` as one INSERT/DELETE_BATCH per run of equal
+/// ops, in order, stopping at the first failure; `acked(i, j)` runs after
+/// each acknowledged run [i, j).  Returns the number of events acknowledged.
+template <typename Acked>
+std::size_t send_runs(net::SkcClient& client, const EventBatch& events,
+                      Acked&& acked) {
+  const auto dim = static_cast<std::size_t>(events.dim());
+  std::size_t i = 0;
+  while (i < events.size()) {
+    std::size_t j = i;
+    while (j < events.size() && events.op(j) == events.op(i)) ++j;
+    const std::span<const Coord> coords =
+        events.coords().subspan(i * dim, (j - i) * dim);
+    net::BatchReply ack;
+    const bool ok = events.op(i) == StreamOp::kInsert
+                        ? client.insert_batch(events.dim(), coords, &ack)
+                        : client.delete_batch(events.dim(), coords, &ack);
+    if (!ok) break;
+    acked(i, j);
+    i = j;
+  }
+  return i;
+}
+
 }  // namespace
 
 ClusterCoordinator::ClusterCoordinator(const CoordinatorOptions& options)
@@ -65,6 +89,7 @@ bool ClusterCoordinator::connect(std::string& error) {
   for (std::size_t i = 0; i < options_.workers.size(); ++i) {
     auto link = std::make_unique<WorkerLink>();
     link->id = static_cast<int>(i);
+    link->replay = EventBatch(options_.dim);
     link->address = options_.workers[i];
     const std::string label = address_label(link->address);
     if (!link->data.connect(link->address.host, link->address.port)) {
@@ -129,10 +154,6 @@ void ClusterCoordinator::account(Network& net, int id,
   net.send(id + 1, 0, reply_payload);
 }
 
-std::size_t ClusterCoordinator::slot_of(std::span<const Coord> p) const {
-  return slot_of(/*tenant_hash=*/0, p);
-}
-
 std::size_t ClusterCoordinator::slot_of(std::uint64_t tenant_hash,
                                         std::span<const Coord> p) const {
   // tenant_hash 0 (the default tenant) leaves the legacy point-only route
@@ -168,44 +189,23 @@ std::vector<int> ClusterCoordinator::owners_snapshot() const {
   return slot_owner_;
 }
 
-bool ClusterCoordinator::forward_to(int owner, std::vector<StreamEvent>& events,
-                                    std::vector<StreamEvent>& leftover) {
+bool ClusterCoordinator::forward_to(int owner, const EventBatch& events,
+                                    EventBatch& leftover) {
   WorkerLink& link = *links_[static_cast<std::size_t>(owner)];
-  const std::size_t dim = static_cast<std::size_t>(options_.dim);
   std::lock_guard<std::mutex> lock(link.mu);
-  std::size_t i = 0;
-  std::vector<Coord> coords;
-  while (i < events.size()) {
-    // One wire batch per run of equal ops, preserving insert/delete order.
-    std::size_t j = i;
-    while (j < events.size() && events[j].op == events[i].op) ++j;
-    coords.clear();
-    coords.reserve((j - i) * dim);
-    for (std::size_t e = i; e < j; ++e) {
-      coords.insert(coords.end(), events[e].point.begin(),
-                    events[e].point.end());
-    }
-    net::BatchReply ack;
-    const bool ok =
-        events[i].op == StreamOp::kInsert
-            ? link.data.insert_batch(options_.dim, coords, &ack)
-            : link.data.delete_batch(options_.dim, coords, &ack);
-    if (!ok) {
-      leftover.assign(std::make_move_iterator(events.begin() +
-                                              static_cast<std::ptrdiff_t>(i)),
-                      std::make_move_iterator(events.end()));
-      return false;
-    }
-    account(ingest_net_, link.id, link.data.last_request_payload(),
-            link.data.last_reply_payload());
-    for (std::size_t e = i; e < j; ++e) {
-      link.replay.push_back({events[e].op, std::move(events[e].point)});
-    }
-    const auto n = static_cast<std::int64_t>(j - i);
-    events_forwarded_.fetch_add(n, std::memory_order_relaxed);
-    registry_.record_forwarded(link.id, n,
-                               static_cast<std::int64_t>(link.replay.size()));
-    i = j;
+  const std::size_t acked =
+      send_runs(link.data, events, [&](std::size_t i, std::size_t j) {
+        account(ingest_net_, link.id, link.data.last_request_payload(),
+                link.data.last_reply_payload());
+        link.replay.append(events, i, j);
+        const auto n = static_cast<std::int64_t>(j - i);
+        events_forwarded_.fetch_add(n, std::memory_order_relaxed);
+        registry_.record_forwarded(link.id, n,
+                                   static_cast<std::int64_t>(link.replay.size()));
+      });
+  if (acked < events.size()) {
+    leftover.append(events, acked, events.size());
+    return false;
   }
   if (link.replay.size() > options_.replay_capacity) {
     // Bound coordinator-side state: refresh the member checkpoint (which
@@ -218,27 +218,29 @@ bool ClusterCoordinator::forward_to(int owner, std::vector<StreamEvent>& events,
   return true;
 }
 
-bool ClusterCoordinator::submit(const Stream& batch) {
+bool ClusterCoordinator::submit(const EventBatch& batch) {
   SKC_CHECK_MSG(connected_, "submit before connect");
+  SKC_CHECK_MSG(batch.dim() == options_.dim,
+                "event dimension does not match the cluster");
   obs::LatencyRecorder latency(forward_latency_);
   batches_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<StreamEvent> pending(batch.begin(), batch.end());
+  EventBatch pending = batch;
   // One re-route attempt per possible failover, plus the initial pass.
   int attempts = static_cast<int>(links_.size()) + 1;
   while (!pending.empty() && attempts-- > 0) {
     const std::vector<int> owners = owners_snapshot();
-    std::vector<std::vector<StreamEvent>> buckets(links_.size());
-    for (StreamEvent& e : pending) {
-      SKC_CHECK_MSG(static_cast<int>(e.point.size()) == options_.dim,
-                    "event dimension does not match the cluster");
-      const int owner = owners[slot_of(e.point)];
-      if (owner < 0) return false;  // no survivor owns this slot
-      buckets[static_cast<std::size_t>(owner)].push_back(std::move(e));
-    }
+    // Part links_.size() collects the events of slots no survivor owns.
+    const std::size_t unowned = links_.size();
+    std::vector<EventBatch> buckets =
+        pending.split(unowned + 1, [&](std::span<const Coord> p) {
+          const int owner = owners[slot_of(/*tenant_hash=*/0, p)];
+          return owner < 0 ? unowned : static_cast<std::size_t>(owner);
+        });
+    if (!buckets[unowned].empty()) return false;
     pending.clear();
-    for (std::size_t owner = 0; owner < buckets.size(); ++owner) {
+    for (std::size_t owner = 0; owner < unowned; ++owner) {
       if (buckets[owner].empty()) continue;
-      std::vector<StreamEvent> leftover;
+      EventBatch leftover(options_.dim);
       if (forward_to(static_cast<int>(owner), buckets[owner], leftover)) {
         continue;
       }
@@ -250,8 +252,7 @@ bool ClusterCoordinator::submit(const Stream& batch) {
         if (link.data.last_status() == net::Status::kBusy) return false;
       }
       handle_worker_failure(static_cast<int>(owner));
-      pending.insert(pending.end(), std::make_move_iterator(leftover.begin()),
-                     std::make_move_iterator(leftover.end()));
+      pending.append(leftover, 0, leftover.size());
     }
   }
   return pending.empty();
@@ -318,7 +319,7 @@ void ClusterCoordinator::handle_worker_failure(int id) {
   failovers_.fetch_add(1, std::memory_order_relaxed);
   WorkerLink& dead = *links_[static_cast<std::size_t>(id)];
   net::SketchSnapshot snap;
-  std::vector<ReplayEvent> replay;
+  EventBatch replay;
   {
     std::lock_guard<std::mutex> lock(dead.mu);
     snap = std::move(dead.snapshot);
@@ -332,7 +333,6 @@ void ClusterCoordinator::handle_worker_failure(int id) {
     dead.heartbeat.close();
   }
 
-  const std::size_t dim = static_cast<std::size_t>(options_.dim);
   while (true) {
     const int survivor = registry_.pick_survivor(id);
     {
@@ -361,38 +361,21 @@ void ClusterCoordinator::handle_worker_failure(int id) {
           snap = net::SketchSnapshot{};  // adopted; do not re-ship
         }
       }
-      // Replay the tail forwarded past the watermark, preserving op order.
-      std::size_t i = 0;
-      std::vector<Coord> coords;
-      while (ok && i < replay.size()) {
-        std::size_t j = i;
-        while (j < replay.size() && replay[j].op == replay[i].op) ++j;
-        coords.clear();
-        coords.reserve((j - i) * dim);
-        for (std::size_t e = i; e < j; ++e) {
-          coords.insert(coords.end(), replay[e].point.begin(),
-                        replay[e].point.end());
-        }
-        net::BatchReply ack;
-        ok = replay[i].op == StreamOp::kInsert
-                 ? s.data.insert_batch(options_.dim, coords, &ack)
-                 : s.data.delete_batch(options_.dim, coords, &ack);
-        if (!ok) break;
-        account(protocol_net_, s.id, s.data.last_request_payload(),
-                s.data.last_reply_payload());
-        replayed_events_.fetch_add(static_cast<std::int64_t>(j - i),
-                                   std::memory_order_relaxed);
-        for (std::size_t e = i; e < j; ++e) {
-          s.replay.push_back(std::move(replay[e]));
-        }
-        i = j;
-      }
       if (ok) {
-        replay.clear();
-      } else {
-        // Keep the unacknowledged tail for the next survivor.
-        replay.erase(replay.begin(), replay.begin() +
-                                         static_cast<std::ptrdiff_t>(i));
+        // Replay the tail forwarded past the watermark, preserving op order,
+        // and keep any unacknowledged rest for the next survivor.
+        const std::size_t acked =
+            send_runs(s.data, replay, [&](std::size_t i, std::size_t j) {
+              account(protocol_net_, s.id, s.data.last_request_payload(),
+                      s.data.last_reply_payload());
+              replayed_events_.fetch_add(static_cast<std::int64_t>(j - i),
+                                         std::memory_order_relaxed);
+              s.replay.append(replay, i, j);
+            });
+        ok = acked == replay.size();
+        EventBatch rest(options_.dim);
+        rest.append(replay, acked, replay.size());
+        replay = std::move(rest);
       }
       if (ok && s.replay.size() > options_.replay_capacity) {
         checkpoint_locked(s);  // best effort; a failure surfaces below
@@ -728,7 +711,7 @@ std::string ClusterCoordinator::cluster_trace_json() {
 }
 
 net::Status ClusterCoordinator::ingest(std::string_view /*tenant*/,
-                                       const Stream& events,
+                                       const EventBatch& events,
                                        std::string& reply) {
   if (submit(events)) return net::Status::kOk;
   reply = net::encode_text("cluster could not accept the batch");

@@ -101,8 +101,9 @@ class ClusterCoordinator : public net::FrameServer {
   int workers() const { return static_cast<int>(links_.size()); }
 
   /// Routes a batch to the owning workers.  Returns false when no live
-  /// worker remains to accept some slice of it.
-  bool submit(const Stream& batch);
+  /// worker remains to accept some slice of it.  The batch's dim must be
+  /// the cluster's (checked).
+  bool submit(const EventBatch& batch);
 
   /// Cluster epoch barrier: polls worker heartbeats until every event this
   /// coordinator forwarded has been applied.  (Queries do not need this —
@@ -147,7 +148,7 @@ class ClusterCoordinator : public net::FrameServer {
   // request; the coordinator forwards batches to its workers, answers
   // queries with one merge round, and serves its own fleet METRICS,
   // PROMETHEUS, WORKER_STATS and CHECKPOINT.
-  net::Status ingest(std::string_view tenant, const Stream& events,
+  net::Status ingest(std::string_view tenant, const EventBatch& events,
                      std::string& reply) override;
   net::Status answer_query(std::string_view tenant, const EngineQuery& q,
                            EngineQueryResult& result,
@@ -156,12 +157,6 @@ class ClusterCoordinator : public net::FrameServer {
                     std::string_view body, std::string& reply) override;
 
  private:
-  /// Buffered event for failover replay (flat copy of one stream event).
-  struct ReplayEvent {
-    StreamOp op = StreamOp::kInsert;
-    std::vector<Coord> point;
-  };
-
   /// One worker: two dedicated connections (probes must never queue behind
   /// a multi-megabyte sketch transfer), the failover state, and per-worker
   /// latency.  `mu` serializes the data client, replay buffer, and
@@ -175,7 +170,7 @@ class ClusterCoordinator : public net::FrameServer {
 
     std::mutex mu;
     net::SkcClient data;
-    std::vector<ReplayEvent> replay;
+    EventBatch replay;  ///< acknowledged events past the member checkpoint
     net::SketchSnapshot snapshot;  ///< member checkpoint (blob may be empty)
 
     std::mutex hb_mu;
@@ -191,9 +186,8 @@ class ClusterCoordinator : public net::FrameServer {
     std::atomic<std::int64_t> best_rtt_micros{-1};
   };
 
-  std::size_t slot_of(std::span<const Coord> p) const;
-  /// slot_of with the tenant's hash mixed into the key (0 = default tenant,
-  /// which leaves the legacy route untouched).
+  /// Routing slot of a point, with the tenant's hash mixed into the key
+  /// (0 = default tenant, which leaves the legacy route untouched).
   std::size_t slot_of(std::uint64_t tenant_hash, std::span<const Coord> p) const;
   /// Current owner rank for each slot (copied under topo_mu_).
   std::vector<int> owners_snapshot() const;
@@ -201,10 +195,9 @@ class ClusterCoordinator : public net::FrameServer {
   /// Forwards `events` (already routed to this owner) as op-runs of
   /// batches.  Appends acknowledged events to the replay buffer and
   /// refreshes the member checkpoint past replay_capacity.  On transport
-  /// failure returns false and copies the unacknowledged tail to
+  /// failure returns false and appends the unacknowledged tail to
   /// `leftover`.
-  bool forward_to(int owner, std::vector<StreamEvent>& events,
-                  std::vector<StreamEvent>& leftover);
+  bool forward_to(int owner, const EventBatch& events, EventBatch& leftover);
 
   /// Refreshes `link`'s member checkpoint via kMergeSketch; expects
   /// link.mu held.  Returns false on transport failure.

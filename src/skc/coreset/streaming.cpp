@@ -105,13 +105,21 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
 }
 
 void StreamingCoresetBuilder::update_batch(std::span<const StreamEvent> events) {
-  const std::size_t B = events.size();
+  const EventBatch batch(events, dim_);
+  update_batch(batch, 0, batch.size());
+}
+
+void StreamingCoresetBuilder::update_batch(const EventBatch& batch, std::size_t begin,
+                                           std::size_t count) {
+  SKC_CHECK(batch.dim() == dim_ && begin + count <= batch.size());
+  const std::size_t B = count;
   if (B == 0) return;
   const int L = grid_.log_delta();
   const auto dim = static_cast<std::size_t>(dim_);
   const auto levels = static_cast<std::size_t>(L + 1);
+  const Coord* pts = batch.coords().data() + begin * dim;
+  const StreamOp* ops = batch.ops().data() + begin;
 
-  batch_pts_.resize(B * dim);
   batch_delta_.resize(B);
   batch_h_count_.resize(levels * B);
   batch_h_core_.resize(levels * B);
@@ -122,10 +130,7 @@ void StreamingCoresetBuilder::update_batch(std::span<const StreamEvent> events) 
   sel_hi_.resize(B);
 
   for (std::size_t b = 0; b < B; ++b) {
-    SKC_DCHECK(static_cast<int>(events[b].point.size()) == dim_);
-    std::copy(events[b].point.begin(), events[b].point.end(),
-              batch_pts_.begin() + static_cast<std::ptrdiff_t>(b * dim));
-    batch_delta_[b] = events[b].op == StreamOp::kInsert ? +1 : -1;
+    batch_delta_[b] = ops[b] == StreamOp::kInsert ? +1 : -1;
   }
 
   {
@@ -136,11 +141,9 @@ void StreamingCoresetBuilder::update_batch(std::span<const StreamEvent> events) 
     // family.
     SKC_TRACE_SPAN("grid");
     for (std::size_t i = 0; i < levels; ++i) {
-      hash_counting_[i].hash_batch(batch_pts_.data(), dim, B,
-                                   batch_h_count_.data() + i * B);
-      hash_coreset_[i].hash_batch(batch_pts_.data(), dim, B,
-                                  batch_h_core_.data() + i * B);
-      grid_.cell_index_of_batch(batch_pts_.data(), B, static_cast<int>(i),
+      hash_counting_[i].hash_batch(pts, dim, B, batch_h_count_.data() + i * B);
+      hash_coreset_[i].hash_batch(pts, dim, B, batch_h_core_.data() + i * B);
+      grid_.cell_index_of_batch(pts, B, static_cast<int>(i),
                                 batch_idx_.data() + i * B * dim);
     }
   }
@@ -180,8 +183,7 @@ void StreamingCoresetBuilder::update_batch(std::span<const StreamEvent> events) 
         if (hs[b] >= shared->phi.keep_below()) continue;
         std::copy(idx + b * dim, idx + (b + 1) * dim,
                   sel_idx_.begin() + static_cast<std::ptrdiff_t>(nsel * dim));
-        std::copy(batch_pts_.begin() + static_cast<std::ptrdiff_t>(b * dim),
-                  batch_pts_.begin() + static_cast<std::ptrdiff_t>((b + 1) * dim),
+        std::copy(pts + b * dim, pts + (b + 1) * dim,
                   sel_pts_.begin() + static_cast<std::ptrdiff_t>(nsel * dim));
         sel_delta_[nsel] = batch_delta_[b];
         ++nsel;
@@ -270,13 +272,9 @@ void StreamingCoresetBuilder::merge_from(const StreamingCoresetBuilder& other) {
   events_ += other.events_;
 }
 
-void StreamingCoresetBuilder::consume(const Stream& stream) {
-  // 256 events amortize the per-batch hash sweeps without letting the
-  // scratch rows outgrow L2.
-  constexpr std::size_t kConsumeBatch = 256;
-  for (std::size_t base = 0; base < stream.size(); base += kConsumeBatch) {
-    const std::size_t n = std::min(kConsumeBatch, stream.size() - base);
-    update_batch(std::span<const StreamEvent>(stream.data() + base, n));
+void StreamingCoresetBuilder::consume(const EventBatch& batch) {
+  for (std::size_t base = 0; base < batch.size(); base += kMaxBatch) {
+    update_batch(batch, base, std::min(kMaxBatch, batch.size() - base));
   }
 }
 
@@ -491,7 +489,7 @@ StreamingResult build_streaming_coreset(const Stream& stream, int dim,
                                         const CoresetParams& params,
                                         const StreamingOptions& options) {
   StreamingCoresetBuilder builder(dim, params, options);
-  builder.consume(stream);
+  builder.consume(EventBatch(stream, dim));
   return builder.finalize();
 }
 

@@ -18,9 +18,9 @@
 // Physically, every guess of a level shares one CellCountMin (one fold and
 // set of row hashes, counters side by side per guess; DESIGN.md §12), and
 // guesses with equal (level, phi) share one point store (SharedStore).
-// Events enter through one path, update_batch (consume() cuts a stream into
-// batches), which hashes and indexes each batch once per level for every
-// structure.
+// Events enter as flat EventBatch slices through one path, update_batch
+// (consume() cuts a batch into slices), which hashes and indexes each slice
+// once per level for every structure.
 //
 // finalize() walks each guess top-down: the root is heavy, heavy candidates
 // are the 2^d children of heavy cells (heaviness needs a heavy ancestry, so
@@ -101,18 +101,28 @@ class StreamingCoresetBuilder {
   StreamingCoresetBuilder(int dim, const CoresetParams& params,
                           const StreamingOptions& options);
 
-  /// The one ingest path: drains an event batch level-by-level.  Per batch,
-  /// the shared per-level substream hashes and cell indices are evaluated
-  /// once over all events (SoA Horner batches in src/skc/hash/), then every
-  /// structure consumes the precomputed rows.  Each structure sees its
-  /// events in stream order, so the state does not depend on how a stream
-  /// is cut into batches, with one scheduling exception: mid-stream pruning
-  /// fires at the end of a batch in which an interval multiple was crossed.
-  /// The IngestDigest suite pins the bytes against frozen digests.
+  /// consume()'s slice, and the most events the engine applies per locked
+  /// builder call: amortizes the per-batch hash sweeps without letting the
+  /// scratch rows outgrow L2.
+  static constexpr std::size_t kMaxBatch = 256;
+
+  /// The one ingest path: drains events [begin, begin + count) of `batch`
+  /// level-by-level, reading the points in place.  Per batch, the shared
+  /// per-level substream hashes and cell indices are evaluated once over all
+  /// events (SoA Horner batches in src/skc/hash/), then every structure
+  /// consumes the precomputed rows.  Each structure sees its events in
+  /// stream order, so the state does not depend on how a stream is cut into
+  /// batches, with one scheduling exception: mid-stream pruning fires at the
+  /// end of a batch in which an interval multiple was crossed.  The
+  /// IngestDigest suite pins the bytes against frozen digests.
+  void update_batch(const EventBatch& batch, std::size_t begin, std::size_t count);
+
+  /// The Stream entry: flattens `events` into one EventBatch (checking every
+  /// point's length) and applies it as one batch.
   void update_batch(std::span<const StreamEvent> events);
 
-  /// Feeds a whole stream in batches of 256 events.
-  void consume(const Stream& stream);
+  /// Feeds a whole batch in slices of kMaxBatch events.
+  void consume(const EventBatch& batch);
 
   /// Linear-sketch merge: folds another builder constructed with IDENTICAL
   /// (dim, params, options) into this one (checked).  Because every
@@ -216,7 +226,6 @@ class StreamingCoresetBuilder {
   // writer: the engine serializes updates under the shard lock), laid out
   // level-major: hashes at [level * B + event], cell indices at
   // [(level * B + event) * dim + coord].
-  std::vector<Coord> batch_pts_;
   std::vector<std::int64_t> batch_delta_;
   std::vector<std::uint64_t> batch_h_count_, batch_h_core_;
   std::vector<std::int32_t> batch_idx_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <condition_variable>
+#include <deque>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -12,7 +13,6 @@
 #include "skc/common/crc64.h"
 #include "skc/common/random.h"
 #include "skc/common/serial.h"
-#include "skc/engine/bounded_queue.h"
 #include "skc/obs/histogram.h"
 #include "skc/obs/trace.h"
 #include "skc/parallel/thread_pool.h"
@@ -34,14 +34,23 @@ constexpr std::uint32_t kEngineVersion = 2;
 }  // namespace
 
 struct ClusteringEngine::Shard {
-  Shard(int dim, const CoresetParams& params, const StreamingOptions& streaming,
-        std::size_t queue_capacity)
-      : queue(queue_capacity),
-        builder(std::make_unique<StreamingCoresetBuilder>(dim, params, streaming)) {}
+  Shard(int dim, const CoresetParams& params, const StreamingOptions& streaming)
+      : builder(std::make_unique<StreamingCoresetBuilder>(dim, params, streaming)) {}
 
-  BoundedQueue<StreamEvent> queue;
+  // The shard queue: this shard's parts of the submitted batches, in submit
+  // order (small parts merged), and its event counters.  Producers wait on
+  // `changed` for the backlog (`queued`, the events no drain has taken yet)
+  // to shrink below queue_capacity, flush() for `applied` to reach
+  // `enqueued`.
+  std::mutex mu;
+  std::condition_variable changed;
+  std::deque<EventBatch> queue;  // guarded by mu, as are the three counters
+  std::size_t queued = 0;
+  std::int64_t enqueued = 0;
+  std::int64_t applied = 0;
+  // Set while a drain task owns the queue; cleared by the drain, under mu,
+  // only when it finds the queue empty.
   std::atomic<bool> drain_scheduled{false};
-  std::atomic<std::int64_t> enqueued{0};
 
   // The builder is heap-allocated and never moved: its sketch structures
   // hold pointers into the builder's own grid, so identity must be stable
@@ -49,9 +58,19 @@ struct ClusteringEngine::Shard {
   std::mutex builder_mu;
   std::unique_ptr<StreamingCoresetBuilder> builder;
 
-  std::mutex progress_mu;
-  std::condition_variable progress_cv;
-  std::int64_t applied = 0;  // guarded by progress_mu
+  // Every other user of the builder (a fold, a save, a read) takes it here
+  // and is counted in `waiting` until it holds the lock.  A busy drain
+  // re-locks builder_mu microseconds after releasing it, sooner than a
+  // woken waiter runs, so it waits for `waiting` to reach zero before each
+  // slice: a fold waits for at most one slice, not for the queue to empty.
+  std::atomic<int> waiting{0};
+  std::unique_lock<std::mutex> lock_builder() {
+    waiting.fetch_add(1, std::memory_order_acq_rel);
+    std::unique_lock<std::mutex> lock(builder_mu);
+    waiting.fetch_sub(1, std::memory_order_acq_rel);
+    waiting.notify_all();
+    return lock;
+  }
 };
 
 ClusteringEngine::ClusteringEngine(int dim, const CoresetParams& params,
@@ -67,8 +86,7 @@ ClusteringEngine::ClusteringEngine(int dim, const CoresetParams& params,
   }
   shards_.reserve(static_cast<std::size_t>(options.num_shards));
   for (int s = 0; s < options.num_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(dim, params, options.streaming,
-                                              options.queue_capacity));
+    shards_.push_back(std::make_unique<Shard>(dim, params, options.streaming));
   }
   if (options.shared_pool != nullptr) {
     pool_ = options.shared_pool;
@@ -94,23 +112,46 @@ std::size_t ClusteringEngine::shard_of(std::span<const Coord> p) const {
   return static_cast<std::size_t>(h % shards_.size());
 }
 
-void ClusteringEngine::route(const StreamEvent& event) {
-  SKC_DCHECK(static_cast<int>(event.point.size()) == dim_);
-  Shard& shard = *shards_[shard_of(event.point)];
-  const bool pushed = shard.queue.push(event);
-  SKC_CHECK_MSG(pushed, "submit on a shut-down engine");
-  shard.enqueued.fetch_add(1, std::memory_order_release);
-  schedule_drain(shard);
-}
+void ClusteringEngine::submit(const Stream& batch) { submit(EventBatch(batch, dim_)); }
 
-void ClusteringEngine::submit(const Stream& batch) {
+void ClusteringEngine::submit(const EventBatch& batch) {
   SKC_CHECK_MSG(accepting_.load(std::memory_order_acquire),
                 "submit after shutdown");
+  SKC_CHECK_MSG(batch.dim() == dim_, "batch dimension does not match the engine");
   obs::LatencyRecorder latency(counters_.submit_latency);
-  for (const StreamEvent& event : batch) route(event);
+  std::vector<EventBatch> parts = batch.split(
+      shards_.size(), [this](std::span<const Coord> p) { return shard_of(p); });
+  for (std::size_t s = 0; s < parts.size(); ++s) {
+    if (!parts[s].empty()) enqueue(*shards_[s], std::move(parts[s]));
+  }
   counters_.events_submitted.fetch_add(static_cast<std::int64_t>(batch.size()),
                                        std::memory_order_relaxed);
   counters_.batches.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ClusteringEngine::enqueue(Shard& shard, EventBatch part) {
+  const std::size_t n = part.size();
+  {
+    // Backpressure: wait while this part would take the backlog past
+    // queue_capacity events.  An empty queue admits any part, so a part
+    // larger than the capacity waits for the backlog to clear, not forever.
+    std::unique_lock<std::mutex> lock(shard.mu);
+    shard.changed.wait(lock, [&] {
+      return shard.queued == 0 || shard.queued + n <= options_.queue_capacity;
+    });
+    // A part joins the newest queued batch while both fit one builder call,
+    // so a run of small submits still reaches update_batch kMaxBatch events
+    // at a time rather than one call per submit.
+    if (!shard.queue.empty() &&
+        shard.queue.back().size() + n <= StreamingCoresetBuilder::kMaxBatch) {
+      shard.queue.back().append(part, 0, n);
+    } else {
+      shard.queue.push_back(std::move(part));
+    }
+    shard.queued += n;
+    shard.enqueued += static_cast<std::int64_t>(n);
+  }
+  schedule_drain(shard);
 }
 
 void ClusteringEngine::schedule_drain(Shard& shard) {
@@ -132,48 +173,59 @@ void ClusteringEngine::schedule_drain(Shard& shard) {
 }
 
 void ClusteringEngine::drain(Shard& shard) {
-  std::vector<StreamEvent> batch;
+  // Applies the queued batches in place, at most kMaxBatch events per
+  // locked builder call.  Each turn under the shard lock publishes the slice
+  // just applied and takes the next one.
+  EventBatch batch;
+  std::size_t done = 0;
+  std::size_t n = 0;
   for (;;) {
-    batch.clear();
-    shard.queue.try_pop_batch(batch, options_.drain_batch);
-    if (batch.empty()) {
-      shard.drain_scheduled.store(false, std::memory_order_release);
-      // A producer may have pushed between the last pop and the clear and
-      // lost its schedule_drain race against the still-set flag; re-acquire
-      // the flag and keep going if so.
-      if (shard.queue.empty() ||
-          shard.drain_scheduled.exchange(true, std::memory_order_acq_rel)) {
-        return;
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      shard.applied += static_cast<std::int64_t>(n);
+      done += n;
+      if (done == batch.size()) {
+        if (shard.queue.empty()) {
+          // Cleared under mu: a producer pushes under the same lock before
+          // it tests the flag, so its part is either seen here or finds the
+          // flag clear and schedules a new drain.
+          shard.drain_scheduled.store(false, std::memory_order_release);
+          shard.changed.notify_all();
+          return;
+        }
+        batch = std::move(shard.queue.front());
+        shard.queue.pop_front();
+        done = 0;
       }
-      continue;
+      n = std::min(StreamingCoresetBuilder::kMaxBatch, batch.size() - done);
+      shard.queued -= n;
     }
-    std::int64_t inserts = 0;
-    for (const StreamEvent& e : batch) {
-      if (e.op == StreamOp::kInsert) ++inserts;
+    shard.changed.notify_all();
+    const std::span<const StreamOp> ops = batch.ops().subspan(done, n);
+    const auto inserts = static_cast<std::int64_t>(
+        std::count(ops.begin(), ops.end(), StreamOp::kInsert));
+    // Any other user waiting for the builder goes first (Shard::waiting).
+    while (const int w = shard.waiting.load(std::memory_order_acquire)) {
+      shard.waiting.wait(w, std::memory_order_acquire);
     }
     {
       SKC_TRACE_SPAN("drain");
       std::lock_guard<std::mutex> lock(shard.builder_mu);
-      shard.builder->update_batch(batch);
+      shard.builder->update_batch(batch, done, n);
     }
-    const auto applied = static_cast<std::int64_t>(batch.size());
+    const auto applied = static_cast<std::int64_t>(n);
     counters_.events_applied.fetch_add(applied, std::memory_order_relaxed);
     counters_.inserts.fetch_add(inserts, std::memory_order_relaxed);
     counters_.deletes.fetch_add(applied - inserts, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(shard.progress_mu);
-      shard.applied += applied;
-    }
-    shard.progress_cv.notify_all();
   }
 }
 
 void ClusteringEngine::flush() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    const std::int64_t target = shard.enqueued.load(std::memory_order_acquire);
-    std::unique_lock<std::mutex> lock(shard.progress_mu);
-    shard.progress_cv.wait(lock, [&] { return shard.applied >= target; });
+    std::unique_lock<std::mutex> lock(shard.mu);
+    const std::int64_t target = shard.enqueued;
+    shard.changed.wait(lock, [&] { return shard.applied >= target; });
   }
 }
 
@@ -186,7 +238,7 @@ std::unique_ptr<StreamingCoresetBuilder> ClusteringEngine::fold_shards() {
       std::make_unique<StreamingCoresetBuilder>(dim_, params_, options_.streaming);
   for (auto& shard : shards_) {
     SKC_TRACE_SPAN("snapshot");
-    std::lock_guard<std::mutex> lock(shard->builder_mu);
+    const auto lock = shard->lock_builder();
     folded->merge_from(*shard->builder);
   }
   return folded;
@@ -271,7 +323,7 @@ void ClusteringEngine::save_body(std::ostream& out) {
   serial::put<std::uint8_t>(out,
                             options_.streaming.exact_storing ? 1 : 0);
   for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->builder_mu);
+    const auto lock = shard->lock_builder();
     shard->builder->save(out);
   }
   serial::put(out, kEngineFooter);
@@ -305,7 +357,7 @@ bool ClusteringEngine::load_body(std::istream& in) {
 
   flush();  // quiesce in-flight events so the swap is a clean epoch
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s]->builder_mu);
+    const auto lock = shards_[s]->lock_builder();
     shards_[s]->builder = std::move(fresh[s]);
   }
   counters_.restores.fetch_add(1, std::memory_order_relaxed);
@@ -397,9 +449,8 @@ bool ClusteringEngine::import_sketch(const std::string& blob) {
   std::istringstream in(blob);
   if (!incoming.load(in)) return false;
   flush();  // quiesce so the adoption lands on a clean epoch
-  Shard& shard = *shards_[0];
-  std::lock_guard<std::mutex> lock(shard.builder_mu);
-  shard.builder->merge_from(incoming);
+  const auto lock = shards_[0]->lock_builder();
+  shards_[0]->builder->merge_from(incoming);
   return true;
 }
 
@@ -446,7 +497,7 @@ std::uint64_t engine_config_fingerprint(int dim, const CoresetParams& params,
 std::int64_t ClusteringEngine::net_count() const {
   std::int64_t net = 0;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->builder_mu);
+    const auto lock = shard->lock_builder();
     net += shard->builder->net_count();
   }
   return net;
@@ -455,7 +506,7 @@ std::int64_t ClusteringEngine::net_count() const {
 std::int64_t ClusteringEngine::sketch_bytes() const {
   std::int64_t bytes = 0;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->builder_mu);
+    const auto lock = shard->lock_builder();
     bytes += static_cast<std::int64_t>(shard->builder->memory_bytes());
   }
   return bytes;
@@ -464,7 +515,8 @@ std::int64_t ClusteringEngine::sketch_bytes() const {
 std::int64_t ClusteringEngine::queue_backlog() const {
   std::int64_t backlog = 0;
   for (const auto& shard : shards_) {
-    backlog += static_cast<std::int64_t>(shard->queue.size());
+    std::lock_guard<std::mutex> lock(shard->mu);
+    backlog += static_cast<std::int64_t>(shard->queued);
   }
   return backlog;
 }
@@ -492,15 +544,12 @@ EngineMetrics ClusteringEngine::metrics() const {
   m.shard_queue_depth.reserve(shards_.size());
   m.shard_events_applied.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    m.shard_queue_depth.push_back(static_cast<std::int64_t>(shard->queue.size()));
-    {
-      std::lock_guard<std::mutex> lock(shard->progress_mu);
-      m.shard_events_applied.push_back(shard->applied);
-    }
-    std::lock_guard<std::mutex> lock(shard->builder_mu);
-    m.sketch_bytes += static_cast<std::int64_t>(shard->builder->memory_bytes());
-    m.net_points += shard->builder->net_count();
+    std::lock_guard<std::mutex> lock(shard->mu);
+    m.shard_queue_depth.push_back(static_cast<std::int64_t>(shard->queued));
+    m.shard_events_applied.push_back(shard->applied);
   }
+  m.sketch_bytes = sketch_bytes();
+  m.net_points = net_count();
   return m;
 }
 

@@ -10,15 +10,18 @@
 //
 //   ingest   submit(batch) is the one ingest entry (a single event is a
 //            one-event batch, so every call is counted and timed the
-//            same way).  It hashes each point to one of N shards and
-//            pushes the event into that shard's bounded MPMC queue
-//            (backpressure: producers block when a shard is `queue_capacity`
-//            events ahead).  Shard queues are drained by tasks on an
-//            internal ThreadPool; each drain applies a batch to the shard's
-//            StreamingCoresetBuilder under the shard lock.  Routing is by
-//            point-hash, so an insert and its later delete always land on
-//            the same shard and the shard sketch stays a valid summary of
-//            its sub-multiset.
+//            same way).  One pass hashes each point of the flat EventBatch
+//            to one of N shards and splits the batch into per-shard parts;
+//            each part joins its shard's queue, merged into the newest
+//            queued batch while both fit one builder call (backpressure:
+//            producers block when a shard is `queue_capacity` events
+//            ahead).  Shard queues are drained by tasks on an internal
+//            ThreadPool; each drain applies the queued batches in place to
+//            the shard's StreamingCoresetBuilder, at most
+//            StreamingCoresetBuilder::kMaxBatch events per hold of the
+//            builder lock.  Routing is by point-hash, so an insert and its
+//            later delete always land on the same shard and the shard
+//            sketch stays a valid summary of its sub-multiset.
 //
 //   query    query(q) takes an epoch barrier (waits until every event
 //            submitted before the call has been applied), then folds the
@@ -71,10 +74,9 @@ struct EngineOptions {
   /// been shut down (shutdown() waits for this engine's in-flight drains,
   /// not for the pool).
   class ThreadPool* shared_pool = nullptr;
-  /// Per-shard queue bound; producers block past this backlog.
+  /// Per-shard queue bound in events; producers block past this backlog.
+  /// An empty queue admits a batch of any size.
   std::size_t queue_capacity = 4096;
-  /// Events applied per drain batch (amortizes the shard lock).
-  std::size_t drain_batch = 256;
   /// Per-shard builder configuration.  max_points should bound the events
   /// of the WHOLE stream, not one shard's slice, so that every shard
   /// enumerates the same o-guess grid (required by the sketch merge).
@@ -152,10 +154,13 @@ class ClusteringEngine {
   const CoresetParams& params() const { return params_; }
   const EngineOptions& options() const { return options_; }
 
-  /// The one ingest entry: routes every event of the batch to its shard
-  /// queue (blocking on backpressure) and records one `batches` tick and
-  /// one submit_latency sample.  A single event is a one-event Stream.
-  /// Must not be called after shutdown().
+  /// The one ingest entry: splits the batch into one part per shard and
+  /// queues each part (blocking on backpressure), then records one
+  /// `batches` tick and one submit_latency sample.  The batch's dim must be
+  /// the engine's (checked).  Must not be called after shutdown().
+  void submit(const EventBatch& batch);
+  /// The Stream entry: flattens once (checking every point's length) and
+  /// submits the result.
   void submit(const Stream& batch);
 
   /// Epoch barrier: returns once every event submitted before this call has
@@ -224,7 +229,8 @@ class ClusteringEngine {
   struct Shard;
 
   std::size_t shard_of(std::span<const Coord> p) const;
-  void route(const StreamEvent& event);
+  /// Queues one shard's part of a batch, waiting for room first.
+  void enqueue(Shard& shard, EventBatch part);
   void schedule_drain(Shard& shard);
   void drain(Shard& shard);
   /// Sums every shard sketch into a fresh query-local builder, holding each

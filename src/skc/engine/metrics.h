@@ -46,7 +46,7 @@ struct EngineMetrics : TransportMetrics {
   std::int64_t events_applied = 0;    ///< drained into a shard builder
   std::int64_t inserts = 0;
   std::int64_t deletes = 0;
-  std::int64_t batches = 0;   ///< submit(Stream) calls
+  std::int64_t batches = 0;   ///< submit() calls
   std::int64_t queries = 0;
   std::int64_t checkpoints = 0;
   std::int64_t restores = 0;
@@ -67,7 +67,7 @@ struct EngineMetrics : TransportMetrics {
   // legacy last_query_millis / total_query_millis keys from query_latency,
   // and both it and the Prometheus exposition report p50/p99/p999 from the
   // same buckets.
-  obs::HistogramSnapshot submit_latency;      ///< submit(Stream) batches
+  obs::HistogramSnapshot submit_latency;      ///< submit() batches
   obs::HistogramSnapshot query_latency;       ///< query() wall time
   obs::HistogramSnapshot checkpoint_latency;  ///< checkpoint() wall time
 };

@@ -301,16 +301,12 @@ Status FrameServer::ingest_request(MsgType type, std::string_view tenant,
     counters_.busy_rejections.fetch_add(1, std::memory_order_relaxed);
     return Status::kBusy;
   }
-  const std::size_t dim = static_cast<std::size_t>(batch.dim);
   const std::uint64_t count = batch.count();
-  Stream events(static_cast<std::size_t>(count));
   const StreamOp op =
       type == MsgType::kInsertBatch ? StreamOp::kInsert : StreamOp::kDelete;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    events[i].op = op;
-    const Coord* first = batch.coords.data() + i * dim;
-    events[i].point.assign(first, first + dim);
-  }
+  const EventBatch events(batch.dim,
+                          std::vector<StreamOp>(static_cast<std::size_t>(count), op),
+                          std::move(batch.coords));
   const Status status = ingest(tenant, events, reply);
   if (status != Status::kOk) return status;
   BatchReply ack;
@@ -406,7 +402,7 @@ EngineServer::EngineServer(ClusteringEngine& engine, const ServerOptions& option
 // engine reference its hooks use) is gone — drain here, while it is alive.
 EngineServer::~EngineServer() { stop(); }
 
-Status EngineServer::ingest(std::string_view /*tenant*/, const Stream& events,
+Status EngineServer::ingest(std::string_view /*tenant*/, const EventBatch& events,
                             std::string& /*reply*/) {
   engine_.submit(events);
   return Status::kOk;

@@ -159,11 +159,12 @@ class FrameServer {
   virtual std::string cluster_trace_json();
 
  protected:
-  /// Where a validated INSERT/DELETE_BATCH goes: `events` passed the
-  /// decode, dimension, coordinate, draining and BUSY checks.  kOk
-  /// acknowledges the whole batch; anything else is the typed refusal, with
-  /// its text in `reply`.
-  virtual Status ingest(std::string_view tenant, const Stream& events,
+  /// Where a validated INSERT/DELETE_BATCH goes: `events` (the frame's
+  /// coordinates, adopted flat, one op for all) passed the decode,
+  /// dimension, coordinate, draining and BUSY checks.  kOk acknowledges the
+  /// whole batch; anything else is the typed refusal, with its text in
+  /// `reply`.
+  virtual Status ingest(std::string_view tenant, const EventBatch& events,
                         std::string& reply) = 0;
 
   /// Who answers a decoded QUERY.  kOk sends `result` back as a QueryReply
@@ -253,7 +254,7 @@ class EngineServer : public FrameServer {
   EngineMetrics metrics() const;
 
  protected:
-  Status ingest(std::string_view tenant, const Stream& events,
+  Status ingest(std::string_view tenant, const EventBatch& events,
                 std::string& reply) override;
   Status answer_query(std::string_view tenant, const EngineQuery& q,
                       EngineQueryResult& result, std::string& reply) override;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "skc/common/check.h"
+#include "skc/common/crc64.h"
 #include "skc/common/random.h"
 #include "skc/common/serial.h"
 #include "skc/net/frame.h"
@@ -15,7 +16,9 @@ namespace skc::tenant {
 
 namespace {
 
-constexpr std::uint64_t kSpillMagic = 0x534b43544e543031ULL;  // "SKCTNT01"
+// Version 02 covers the replay section with a CRC-64; SKCTNT01 files (whose
+// replay bytes were unchecked) are refused.
+constexpr std::uint64_t kSpillMagic = 0x534b43544e543032ULL;  // "SKCTNT02"
 
 /// Same splitmix64 chain the engine's shard router uses, keyed off a
 /// tenant-layer constant — feeds the per-tenant HLL.
@@ -27,6 +30,46 @@ std::uint64_t point_hash(std::span<const Coord> p) {
     h = splitmix64(state);
   }
   return h;
+}
+
+/// CRC-64 of a spill's replay section: the event count, the ops and the
+/// coordinates.
+std::uint64_t replay_crc(const EventBatch& replay) {
+  const std::uint64_t count = replay.size();
+  std::uint64_t crc = crc64_update(crc64_init(), &count, sizeof count);
+  crc = crc64_update(crc, replay.ops().data(), replay.ops().size_bytes());
+  return crc64_final(
+      crc64_update(crc, replay.coords().data(), replay.coords().size_bytes()));
+}
+
+/// Replay section: [count u64][ops: count bytes][coords: count * dim
+/// Coords][crc64 u64], so a flipped op or coordinate fails the restore
+/// instead of replaying as data.
+void put_replay(std::ostream& out, const EventBatch& replay) {
+  serial::put<std::uint64_t>(out, replay.size());
+  out.write(reinterpret_cast<const char*>(replay.ops().data()),
+            static_cast<std::streamsize>(replay.ops().size_bytes()));
+  out.write(reinterpret_cast<const char*>(replay.coords().data()),
+            static_cast<std::streamsize>(replay.coords().size_bytes()));
+  serial::put(out, replay_crc(replay));
+}
+
+bool get_replay(std::istream& in, int dim, std::uint64_t capacity,
+                EventBatch& replay) {
+  std::uint64_t count = 0, crc = 0;
+  if (!serial::get(in, count) || count > capacity) return false;
+  std::vector<StreamOp> ops(static_cast<std::size_t>(count));
+  std::vector<Coord> coords(ops.size() * static_cast<std::size_t>(dim));
+  in.read(reinterpret_cast<char*>(ops.data()),
+          static_cast<std::streamsize>(ops.size() * sizeof(StreamOp)));
+  in.read(reinterpret_cast<char*>(coords.data()),
+          static_cast<std::streamsize>(coords.size() * sizeof(Coord)));
+  if (!in || !serial::get(in, crc)) return false;
+  for (const StreamOp op : ops) {
+    if (op != StreamOp::kInsert && op != StreamOp::kDelete) return false;
+  }
+  replay = EventBatch(dim, std::move(ops), std::move(coords));
+  return crc == replay_crc(replay);
 }
 
 std::uint64_t id_hash(std::string_view id) {
@@ -114,7 +157,7 @@ const char* admit_name(Admit a) {
 }
 
 struct TenantRegistry::Tenant {
-  explicit Tenant(int hll_precision) : hll(hll_precision) {}
+  Tenant(int dim, int hll_precision) : replay(dim), hll(hll_precision) {}
 
   std::string id;
   /// LRU touch stamp and residency mirror — atomics so the eviction scan
@@ -127,7 +170,7 @@ struct TenantRegistry::Tenant {
   std::unique_ptr<ClusteringEngine> engine;  ///< null while spilled
   int rung = 0;
   bool sealed = false;  ///< replay overflowed; fixed at this rung
-  Stream replay;        ///< events since birth, for promotion replay
+  EventBatch replay;    ///< events since birth, for promotion replay
   HyperLogLog hll;      ///< distinct points ever inserted
 
   double tokens = 0.0;
@@ -218,7 +261,7 @@ TenantRegistry::Tenant* TenantRegistry::find_or_create(std::string_view id,
       verdict = Admit::kTooManyTenants;
       return nullptr;
     }
-    auto t = std::make_unique<Tenant>(options_.hll_precision);
+    auto t = std::make_unique<Tenant>(options_.dim, options_.hll_precision);
     t->id.assign(id);
     it = tenants_.emplace(std::string(id), std::move(t)).first;
   }
@@ -254,11 +297,7 @@ bool TenantRegistry::spill_locked(Tenant& t) {
     serial::put(out, kSpillMagic);
     serial::put<std::uint32_t>(out, static_cast<std::uint32_t>(t.rung));
     serial::put<std::uint8_t>(out, t.sealed ? 1 : 0);
-    serial::put<std::uint64_t>(out, static_cast<std::uint64_t>(t.replay.size()));
-    for (const StreamEvent& e : t.replay) {
-      serial::put<std::uint8_t>(out, e.op == StreamOp::kInsert ? 1 : 0);
-      for (const Coord c : e.point) serial::put<Coord>(out, c);
-    }
+    put_replay(out, t.replay);
     if (!t.engine->save_state(out)) {
       spill_failures_.fetch_add(1, std::memory_order_relaxed);
       std::remove(tmp.c_str());
@@ -277,8 +316,7 @@ bool TenantRegistry::spill_locked(Tenant& t) {
     return false;
   }
   t.engine.reset();  // shuts down, waiting out this engine's drain tasks
-  t.replay.clear();
-  t.replay.shrink_to_fit();
+  t.replay = EventBatch(options_.dim);
   t.resident.store(false, std::memory_order_release);
   resident_count_.fetch_sub(1, std::memory_order_acq_rel);
   evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -290,7 +328,7 @@ bool TenantRegistry::restore_locked(Tenant& t) {
   const std::string path = spill_path(t.id);
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
-  std::uint64_t magic = 0, replay_count = 0;
+  std::uint64_t magic = 0;
   std::uint32_t rung = 0;
   std::uint8_t sealed = 0;
   if (!serial::get(in, magic) || magic != kSpillMagic) return false;
@@ -298,23 +336,8 @@ bool TenantRegistry::restore_locked(Tenant& t) {
     return false;
   }
   if (!serial::get(in, sealed) || (sealed != 0) != t.sealed) return false;
-  if (!serial::get(in, replay_count) ||
-      replay_count > options_.replay_capacity) {
-    return false;
-  }
-  Stream replay;
-  replay.reserve(static_cast<std::size_t>(replay_count));
-  for (std::uint64_t i = 0; i < replay_count; ++i) {
-    StreamEvent e;
-    std::uint8_t op = 0;
-    if (!serial::get(in, op)) return false;
-    e.op = op != 0 ? StreamOp::kInsert : StreamOp::kDelete;
-    e.point.resize(static_cast<std::size_t>(options_.dim));
-    for (Coord& c : e.point) {
-      if (!serial::get(in, c)) return false;
-    }
-    replay.push_back(std::move(e));
-  }
+  EventBatch replay;
+  if (!get_replay(in, options_.dim, options_.replay_capacity, replay)) return false;
   std::unique_ptr<ClusteringEngine> engine = make_engine(t, t.rung);
   if (!engine->load_state(in)) return false;
   t.engine = std::move(engine);
@@ -346,12 +369,17 @@ void TenantRegistry::maybe_promote_locked(Tenant& t) {
   }
   if (t.rung == top && !t.replay.empty()) {
     // Top of the ladder: no further promotion can replay, free the buffer.
-    t.replay.clear();
-    t.replay.shrink_to_fit();
+    t.replay = EventBatch(options_.dim);
   }
 }
 
 Admit TenantRegistry::submit(std::string_view id, const Stream& batch) {
+  return submit(id, EventBatch(batch, options_.dim));
+}
+
+Admit TenantRegistry::submit(std::string_view id, const EventBatch& batch) {
+  SKC_CHECK_MSG(batch.dim() == options_.dim,
+                "batch dimension does not match the registry");
   Admit verdict = Admit::kOk;
   Tenant* t = find_or_create(id, verdict);
   if (t == nullptr) return verdict;
@@ -403,17 +431,16 @@ Admit TenantRegistry::submit(std::string_view id, const Stream& batch) {
     // 3. Admission done: count distinct points, promote if the HLL crossed
     //    the current rung's threshold (replays history, not this batch),
     //    then record this batch into the replay buffer and the engine.
-    for (const StreamEvent& e : batch) {
-      if (e.op == StreamOp::kInsert) t->hll.add_hash(point_hash(e.point));
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (batch.op(i) == StreamOp::kInsert) t->hll.add_hash(point_hash(batch.point(i)));
     }
     maybe_promote_locked(*t);
     if (!t->sealed && t->rung + 1 < static_cast<int>(rungs_.size())) {
       if (t->replay.size() + batch.size() > options_.replay_capacity) {
         t->sealed = true;
-        t->replay.clear();
-        t->replay.shrink_to_fit();
+        t->replay = EventBatch(options_.dim);
       } else {
-        t->replay.insert(t->replay.end(), batch.begin(), batch.end());
+        t->replay.append(batch, 0, batch.size());
       }
     }
     t->engine->submit(batch);

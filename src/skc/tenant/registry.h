@@ -27,7 +27,8 @@
 //
 //   LRU spill  above `max_resident` live engines, the least-recently-used
 //              tenant is checkpointed to disk (engine save_state — the
-//              CRC-framed STRM3-backed format — plus the replay buffer)
+//              CRC-framed STRM3-backed format — plus the replay buffer,
+//              under its own CRC-64)
 //              and its engine freed; the next touch restores it
 //              transparently.  HLL, quota, and stats state stay in RAM
 //              (tiny), so admission decisions never need disk.
@@ -159,7 +160,11 @@ class TenantRegistry {
   /// Admits and ingests one batch for `id` (auto-creating the tenant on
   /// first touch; the empty id is the default tenant).  On kQuota nothing
   /// was enqueued — the caller maps it to the QUOTA_EXCEEDED wire error
-  /// and the client backs off.
+  /// and the client backs off.  The batch's dim must be the registry's
+  /// (checked).
+  Admit submit(std::string_view id, const EventBatch& batch);
+  /// The Stream entry: flattens once (checking every point's length) and
+  /// submits the result.
   Admit submit(std::string_view id, const Stream& batch);
 
   /// Clustering query against one tenant's engine.  kUnknownTenant for an

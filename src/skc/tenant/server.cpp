@@ -51,7 +51,7 @@ TenantServer::TenantServer(TenantRegistry& registry,
 // registry reference its hooks use) is gone — drain here, while alive.
 TenantServer::~TenantServer() { stop(); }
 
-Status TenantServer::ingest(std::string_view tenant, const Stream& events,
+Status TenantServer::ingest(std::string_view tenant, const EventBatch& events,
                             std::string& reply) {
   return admit_status(registry_.submit(tenant, events), reply);
 }

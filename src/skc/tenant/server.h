@@ -40,7 +40,7 @@ class TenantServer : public net::FrameServer {
   ~TenantServer() override;
 
  protected:
-  net::Status ingest(std::string_view tenant, const Stream& events,
+  net::Status ingest(std::string_view tenant, const EventBatch& events,
                      std::string& reply) override;
   net::Status answer_query(std::string_view tenant, const EngineQuery& q,
                            EngineQueryResult& result,

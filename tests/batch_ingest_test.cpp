@@ -277,6 +277,18 @@ void feed(StreamingCoresetBuilder& builder, const Stream& stream, std::size_t si
   }
 }
 
+// The builder's Stream entry checks every point's length in all builds, so
+// a longer point can never be read past its batch's coordinates.
+TEST(BatchIngestDeathTest, StreamPointOfTheWrongLengthAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  StreamingCoresetBuilder builder(
+      2, CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3), sketch_options(100));
+  const Stream stream = {{StreamOp::kInsert, Point{1, 1}},
+                         {StreamOp::kInsert, Point(8, 5)}};
+  EXPECT_DEATH(builder.update_batch(stream),
+               "point length does not match the batch dimension");
+}
+
 TEST(BatchIngest, EngineCoresetIdenticalToPointwiseBuilderEveryShardCount) {
   const Stream stream = churn_10k(32);
   const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
@@ -356,7 +368,7 @@ TEST(IngestDigest, BuilderBlobsAreCanonical) {
     const StreamingOptions opt = exact ? exact_options(PointIndex(stream.size()))
                                        : sketch_options(PointIndex(stream.size()));
     StreamingCoresetBuilder builder(2, params, opt);
-    builder.consume(stream);
+    builder.consume(EventBatch(stream, 2));
     const std::string bytes = serialized(builder);
     StreamingCoresetBuilder thawed(2, params, opt);
     std::istringstream in(bytes);

@@ -45,14 +45,14 @@ TEST(Checkpoint, ResumeEqualsUninterruptedRun) {
 
   // Uninterrupted reference.
   StreamingCoresetBuilder reference(2, params, options());
-  reference.consume(stream);
+  reference.consume(EventBatch(stream, 2));
   const StreamingResult want = reference.finalize();
   ASSERT_TRUE(want.ok);
 
   // Interrupted run: half the stream, checkpoint, restore, rest.
   StreamingCoresetBuilder first(2, params, options());
   const std::size_t half = stream.size() / 2;
-  first.consume(Stream(stream.begin(), stream.begin() + static_cast<std::ptrdiff_t>(half)));
+  first.consume(EventBatch(std::span(stream).first(half), 2));
   std::stringstream checkpoint;
   first.save(checkpoint);
 
@@ -60,7 +60,7 @@ TEST(Checkpoint, ResumeEqualsUninterruptedRun) {
   ASSERT_TRUE(second.load(checkpoint));
   EXPECT_EQ(second.net_count(), first.net_count());
   EXPECT_EQ(second.events(), first.events());
-  second.consume(Stream(stream.begin() + static_cast<std::ptrdiff_t>(half), stream.end()));
+  second.consume(EventBatch(std::span(stream).subspan(half), 2));
   const StreamingResult got = second.finalize();
   ASSERT_TRUE(got.ok);
   EXPECT_DOUBLE_EQ(got.coreset.o, want.coreset.o);
@@ -73,7 +73,7 @@ TEST(Checkpoint, RejectsMismatchedConfiguration) {
   PointSet pts = gaussian_mixture(mixture(300), rng);
   const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
   StreamingCoresetBuilder builder(2, params, options());
-  builder.consume(insertion_stream(pts));
+  builder.consume(EventBatch(insertion_stream(pts), 2));
   std::stringstream checkpoint;
   builder.save(checkpoint);
 
@@ -89,7 +89,7 @@ TEST(Checkpoint, RejectsTruncation) {
   PointSet pts = gaussian_mixture(mixture(300), rng);
   const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
   StreamingCoresetBuilder builder(2, params, options());
-  builder.consume(insertion_stream(pts));
+  builder.consume(EventBatch(insertion_stream(pts), 2));
   std::stringstream checkpoint;
   builder.save(checkpoint);
   std::string blob = checkpoint.str();
@@ -218,7 +218,7 @@ TEST(Checkpoint, ExactModeRoundTripsToo) {
   StreamingOptions opt = options();
   opt.exact_storing = true;
   StreamingCoresetBuilder builder(2, params, opt);
-  builder.consume(insertion_stream(pts));
+  builder.consume(EventBatch(insertion_stream(pts), 2));
   std::stringstream checkpoint;
   builder.save(checkpoint);
 
@@ -283,7 +283,7 @@ TEST(Checkpoint, RefusesAStrm2BlobAtLoadAndAtImport) {
   Stream events;
   for (const auto& p : kStrm2Points) events.push_back({StreamOp::kInsert, Point{p[0], p[1]}});
   events.push_back({StreamOp::kDelete, Point{8, 8}});
-  today.consume(events);
+  today.consume(EventBatch(events, 2));
   std::stringstream current;
   today.save(current);
   std::memcpy(&magic, current.str().data(), sizeof magic);
@@ -390,7 +390,7 @@ TEST(Checkpoint, RefusesLevelCountMinsThatBreakTheLayout) {
     opt.exact_storing = exact;
     opt.prune_interval = 128;
     StreamingCoresetBuilder builder(2, params, opt);
-    builder.consume(stream);
+    builder.consume(EventBatch(stream, 2));
     std::stringstream out;
     builder.save(out);
     const std::string blob = out.str();

@@ -66,14 +66,14 @@ bool spawn_traced_worker(WorkerProcess& w) {
   return w.spawn(opt);
 }
 
-Stream tiny_stream(int n) {
-  Stream s;
+EventBatch tiny_stream(int n) {
+  EventBatch s(kDim);
   for (int i = 0; i < n; ++i) {
     const std::uint64_t h =
         (static_cast<std::uint64_t>(i) + 1) * 0x9e3779b97f4a7c15ull;
-    s.push_back({StreamOp::kInsert,
-                 {static_cast<Coord>(1 + (h & 31)),
-                  static_cast<Coord>(1 + (h >> 8 & 31))}});
+    const Coord p[] = {static_cast<Coord>(1 + (h & 31)),
+                       static_cast<Coord>(1 + (h >> 8 & 31))};
+    s.push_back(StreamOp::kInsert, p);
   }
   return s;
 }

@@ -274,7 +274,7 @@ TEST(Cluster, TwoWorkerIngestAndQueryMatchSingleEngine) {
   EXPECT_EQ(coord.workers(), 2);
 
   const Stream stream = small_stream(160, 7);
-  ASSERT_TRUE(coord.submit(stream));
+  ASSERT_TRUE(coord.submit(EventBatch(stream, kDim)));
   coord.flush();
 
   const EngineQueryResult got = coord.query({});
@@ -433,14 +433,12 @@ TEST(Cluster, KillOneWorkerFailsOverWithoutLosingState) {
 
   const Stream stream = small_stream(180, 13);
   const std::size_t half = stream.size() / 2;
-  ASSERT_TRUE(coord.submit(Stream(stream.begin(),
-                                  stream.begin() + static_cast<long>(half))));
+  ASSERT_TRUE(coord.submit(EventBatch(std::span(stream).first(half), kDim)));
   coord.flush();
   // Member checkpoints cover the first half; the second half lands in the
   // replay buffers until the next refresh.
   ASSERT_TRUE(coord.checkpoint_members());
-  ASSERT_TRUE(coord.submit(Stream(stream.begin() + static_cast<long>(half),
-                                  stream.end())));
+  ASSERT_TRUE(coord.submit(EventBatch(std::span(stream).subspan(half), kDim)));
   coord.flush();
 
   w1.kill_hard();
@@ -457,8 +455,10 @@ TEST(Cluster, KillOneWorkerFailsOverWithoutLosingState) {
   EXPECT_GT(m.replayed_events, 0) << "the post-checkpoint tail must replay";
 
   // The cluster keeps ingesting and still owns every surviving point.
-  ASSERT_TRUE(
-      coord.submit(Stream{StreamEvent{StreamOp::kInsert, Point{30, 30}}}));
+  const Coord extra[] = {30, 30};
+  EventBatch one(kDim);
+  one.push_back(StreamOp::kInsert, extra);
+  ASSERT_TRUE(coord.submit(one));
   coord.flush();
   const EngineQueryResult got = coord.query({});
   ASSERT_TRUE(got.ok) << got.error;

@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,6 +20,8 @@
 
 #include "skc/coreset/streaming.h"
 #include "skc/engine/engine.h"
+#include "skc/obs/trace.h"
+#include "skc/parallel/thread_pool.h"
 #include "skc/stream/generators.h"
 #include "test_util.h"
 
@@ -83,7 +87,7 @@ TEST(Engine, ShardedMergeMatchesSingleShardReference) {
   const CoresetParams params = test_params();
 
   StreamingCoresetBuilder reference(kDim, params, streaming_options(true));
-  reference.consume(stream);
+  reference.consume(EventBatch(stream, kDim));
   const StreamingResult want = reference.finalize();
   ASSERT_TRUE(want.ok);
 
@@ -112,7 +116,7 @@ TEST(Engine, ShardedMergeMatchesReferenceInSketchMode) {
   const CoresetParams params = test_params();
 
   StreamingCoresetBuilder reference(kDim, params, streaming_options(false));
-  reference.consume(stream);
+  reference.consume(EventBatch(stream, kDim));
   const StreamingResult want = reference.finalize();
   ASSERT_TRUE(want.ok);
 
@@ -217,7 +221,7 @@ std::vector<std::unique_ptr<StreamingCoresetBuilder>> shard_builders(
   std::vector<std::unique_ptr<StreamingCoresetBuilder>> out;
   for (const Stream& part : split) {
     out.push_back(std::make_unique<StreamingCoresetBuilder>(kDim, params, opt));
-    out.back()->consume(part);
+    out.back()->consume(EventBatch(part, kDim));
   }
   return out;
 }
@@ -579,6 +583,218 @@ TEST(Engine, ConcurrentIngestStress) {
   // Every event was its own one-event batch, and each batch was timed.
   EXPECT_EQ(m.batches, kProducers * kPerProducer);
   EXPECT_EQ(m.submit_latency.count, m.batches);
+}
+
+/// `n` distinct points of the [1, 512]^2 grid starting at index `offset`,
+/// all carrying `op`.
+EventBatch grid_batch(int n, int offset, StreamOp op = StreamOp::kInsert) {
+  EventBatch batch(kDim);
+  for (int i = offset; i < offset + n; ++i) {
+    const Coord p[] = {static_cast<Coord>(i % 511 + 1),
+                       static_cast<Coord>(i / 511 + 1)};
+    batch.push_back(op, p);
+  }
+  return batch;
+}
+
+// A producer blocked at queue_capacity resumes as drains run.  The drains
+// run on a gated pool, so the queue cannot move until the gate opens.
+TEST(Engine, ProducerBlockedAtCapacityResumesAsDrainsRun) {
+  for (const int per_batch : {48, 1}) {
+    SCOPED_TRACE(testing::Message() << per_batch << "-event submits");
+    testutil::GatedPool gate;
+    EngineOptions opt = engine_options(1, /*exact=*/false);
+    opt.shared_pool = gate.pool();
+    opt.queue_capacity = 64;
+    ClusteringEngine engine(kDim, test_params(), opt);
+
+    // Submits are admitted while the backlog stays within 64 events: one
+    // 48-event batch (a second would take it to 96), or 64 one-event ones.
+    const int fit = 64 / per_batch;
+    constexpr int kEvents = 192;
+    std::atomic<int> submitted{0};
+    std::thread producer([&] {
+      for (int at = 0; at < kEvents; at += per_batch) {
+        engine.submit(grid_batch(per_batch, at));
+        submitted.fetch_add(1);
+      }
+    });
+    while (submitted.load() < fit) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(submitted.load(), fit) << "the next batch must wait for room";
+    EXPECT_EQ(engine.queue_backlog(), fit * per_batch);
+
+    gate.open();
+    producer.join();
+    engine.flush();
+    const EngineMetrics m = engine.metrics();
+    EXPECT_EQ(m.events_applied, kEvents);
+    EXPECT_EQ(m.net_points, kEvents);
+    EXPECT_EQ(m.batches, kEvents / per_batch);
+    EXPECT_EQ(engine.queue_backlog(), 0);
+  }
+}
+
+// The same in inline mode, where a producer's own submit drains: a second
+// producer blocked behind a large batch resumes only once that producer's
+// drain has taken all but what fits, so it finds nearly the whole batch
+// applied when its submit returns.
+TEST(Engine, InlineProducerBlockedAtCapacityResumesAsDrainsRun) {
+  for (const int per_batch : {48, 1}) {
+    SCOPED_TRACE(testing::Message() << per_batch << "-event submit");
+    EngineOptions opt = engine_options(1, /*exact=*/false, /*workers=*/0);
+    opt.queue_capacity = 64;
+    ClusteringEngine engine(kDim, test_params(), opt);
+    constexpr int kBig = 10000;
+    std::atomic<bool> big_done{false};
+    std::thread big([&] {
+      engine.submit(grid_batch(kBig, 0));
+      big_done.store(true);
+    });
+    while (engine.queue_backlog() == 0 && !big_done.load()) std::this_thread::yield();
+    engine.submit(grid_batch(per_batch, kBig));
+    // Admitted with at most 64 - per_batch events of the big batch untaken,
+    // and at most one slice of the taken ones still being applied.
+    EXPECT_GE(engine.metrics().events_applied,
+              kBig - (64 - per_batch) -
+                  static_cast<std::int64_t>(StreamingCoresetBuilder::kMaxBatch));
+    big.join();
+    engine.flush();
+    EXPECT_EQ(engine.metrics().events_applied, kBig + per_batch);
+    EXPECT_EQ(engine.net_count(), kBig + per_batch);
+  }
+}
+
+// Small submits that queue up behind a busy drain are merged: the drain
+// applies them kMaxBatch events per builder call, not one call per submit.
+// Each builder call is one "drain" trace span.
+TEST(Engine, QueuedSmallSubmitsReachTheBuilderInFullSlices) {
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+  testutil::GatedPool gate;
+  EngineOptions opt = engine_options(1, /*exact=*/false);
+  opt.shared_pool = gate.pool();
+  ClusteringEngine engine(kDim, test_params(), opt);
+  constexpr int kEvents = 600;
+  for (int i = 0; i < kEvents; ++i) engine.submit(grid_batch(1, i));
+  EXPECT_EQ(engine.queue_backlog(), kEvents);
+  gate.open();
+  engine.flush();
+  tracer.set_enabled(false);
+  int drains = 0;
+  for (const obs::TaggedTraceEvent& e : tracer.events()) {
+    if (std::string(e.event.name) == "drain") ++drains;
+  }
+  tracer.clear();
+  constexpr int kSlice = static_cast<int>(StreamingCoresetBuilder::kMaxBatch);
+  EXPECT_EQ(drains, (kEvents + kSlice - 1) / kSlice);
+  const EngineMetrics m = engine.metrics();
+  EXPECT_EQ(m.events_applied, kEvents);
+  EXPECT_EQ(m.batches, kEvents);
+}
+
+// A barrier-less query under a busy drain waits for the slice being
+// applied, not for the queue to run dry: the drain lets a waiting fold take
+// the builder before its next slice.  Without that, the drain re-locks the
+// builder sooner than the woken fold can, slice after slice.
+TEST(Engine, FoldUnderABusyDrainWaitsForOneSliceNotTheQueue) {
+  testutil::GatedPool gate;
+  EngineOptions opt = engine_options(1, /*exact=*/false);
+  opt.shared_pool = gate.pool();
+  constexpr int kEvents = 40000;
+  opt.queue_capacity = kEvents;
+  opt.streaming.max_points = kEvents;
+  ClusteringEngine engine(kDim, test_params(), opt);
+  engine.submit(grid_batch(kEvents, 0));
+  gate.open();
+  while (engine.metrics().events_applied == 0) std::this_thread::yield();
+  EngineQuery q;
+  q.barrier = false;
+  q.summary_only = true;
+  const EngineQueryResult res = engine.query(q);
+  EXPECT_LT(res.net_points, kEvents) << "the fold waited for the whole queue";
+  EXPECT_LT(engine.metrics().events_applied, kEvents);
+  engine.flush();
+  EXPECT_EQ(engine.net_count(), kEvents);
+}
+
+// A single batch larger than queue_capacity is admitted into an empty
+// queue rather than waiting forever for room it can never have.
+TEST(Engine, BatchLargerThanQueueCapacityIsAccepted) {
+  for (const int workers : {2, 0}) {
+    SCOPED_TRACE(workers == 0 ? "inline drains" : "worker threads");
+    EngineOptions opt = engine_options(2, /*exact=*/false, workers);
+    opt.queue_capacity = 64;
+    ClusteringEngine engine(kDim, test_params(), opt);
+    engine.submit(grid_batch(10000, 0));
+    engine.submit(grid_batch(10000, 0, StreamOp::kDelete));
+    engine.submit(grid_batch(5000, 0));
+    engine.flush();
+    const EngineMetrics m = engine.metrics();
+    EXPECT_EQ(m.events_applied, 25000);
+    EXPECT_EQ(m.inserts, 15000);
+    EXPECT_EQ(m.deletes, 10000);
+    EXPECT_EQ(m.net_points, 5000);
+    EXPECT_EQ(m.batches, 3);
+  }
+}
+
+// Concurrent producers against small queues, in batches and one event at a
+// time: every event is applied exactly once, to one shard, and the op
+// counters add up.
+TEST(Engine, ConcurrentProducersHaveEveryEventApplied) {
+  for (const int workers : {3, 0}) {
+    for (const int per_batch : {40, 1}) {
+      SCOPED_TRACE(testing::Message()
+                   << (workers == 0 ? "inline drains, " : "worker threads, ")
+                   << per_batch << "-event submits");
+      EngineOptions opt = engine_options(4, /*exact=*/false, workers);
+      opt.queue_capacity = 64;
+      ClusteringEngine engine(kDim, test_params(), opt);
+      constexpr int kProducers = 4;
+      constexpr int kBatches = 50;
+      std::vector<std::thread> producers;
+      for (int t = 0; t < kProducers; ++t) {
+        producers.emplace_back([&engine, t, per_batch] {
+          const int base = t * kBatches * per_batch;
+          for (int b = 0; b < kBatches; ++b) {
+            engine.submit(grid_batch(per_batch, base + b * per_batch));
+            // Delete every other batch once it is in.
+            if (b % 2 == 1) {
+              engine.submit(grid_batch(per_batch, base + b * per_batch,
+                                       StreamOp::kDelete));
+            }
+          }
+        });
+      }
+      for (auto& p : producers) p.join();
+      engine.flush();
+      const EngineMetrics m = engine.metrics();
+      const std::int64_t inserts = kProducers * kBatches * per_batch;
+      EXPECT_EQ(m.events_submitted, inserts + inserts / 2);
+      EXPECT_EQ(m.events_applied, inserts + inserts / 2);
+      EXPECT_EQ(m.inserts, inserts);
+      EXPECT_EQ(m.net_points, inserts / 2);
+      std::int64_t per_shard = 0;
+      for (const std::int64_t applied : m.shard_events_applied) per_shard += applied;
+      EXPECT_EQ(per_shard, m.events_applied);
+      EXPECT_EQ(engine.queue_backlog(), 0);
+    }
+  }
+}
+
+// The engine's Stream entry checks every point's length in all builds, so
+// a longer point can never be read past its batch's coordinates.
+TEST(EngineDeathTest, StreamPointOfTheWrongLengthAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ClusteringEngine engine(kDim, test_params(),
+                                engine_options(1, /*exact=*/false, /*workers=*/0));
+        engine.submit(Stream{StreamEvent{StreamOp::kInsert, Point(8, 5)}});
+      },
+      "point length does not match the batch dimension");
 }
 
 // worker_threads = 0 degrades to inline draining (deterministic, no

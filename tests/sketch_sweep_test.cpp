@@ -126,7 +126,7 @@ TEST(SketchSweep, ShardedEngineStaysInsideTheEnvelopeOfOneBuilder) {
     const Stream& stream = peak_order ? w.delete_after_peak : w.random_order;
     SCOPED_TRACE(peak_order ? "delete-after-peak order" : "random churn order");
     StreamingCoresetBuilder single(kDim, params, sketch_options());
-    single.consume(stream);
+    single.consume(EventBatch(stream, kDim));
     const StreamingResult reference = single.finalize();
     ASSERT_TRUE(reference.ok);
     ASSERT_EQ(single.net_count(), w.survivors.size());

@@ -45,7 +45,7 @@ TEST(StreamingCoreset, InsertionOnlyEqualsOffline) {
   ASSERT_TRUE(offline.ok);
 
   StreamingCoresetBuilder builder(2, params, lossless_options(9, pts.size()));
-  builder.consume(insertion_stream(pts));
+  builder.consume(EventBatch(insertion_stream(pts), 2));
   const StreamingResult streamed = builder.finalize();
   ASSERT_TRUE(streamed.ok);
 
@@ -68,7 +68,7 @@ TEST(StreamingCoreset, DynamicStreamEqualsOfflineOnSurvivors) {
   ASSERT_TRUE(offline.ok);
 
   StreamingCoresetBuilder builder(2, params, lossless_options(9, base.size() + extra.size()));
-  builder.consume(stream);
+  builder.consume(EventBatch(stream, 2));
   EXPECT_EQ(builder.net_count(), base.size());
   const StreamingResult streamed = builder.finalize();
   ASSERT_TRUE(streamed.ok);
@@ -91,7 +91,7 @@ TEST(StreamingCoreset, AdversarialChurnStillMatchesOffline) {
   ASSERT_TRUE(offline.ok);
 
   StreamingCoresetBuilder builder(2, params, lossless_options(9, 800));
-  builder.consume(stream);
+  builder.consume(EventBatch(stream, 2));
   const StreamingResult streamed = builder.finalize();
   ASSERT_TRUE(streamed.ok);
   EXPECT_EQ(testutil::canonical_multiset(streamed.coreset.points),
@@ -109,7 +109,7 @@ TEST(StreamingCoreset, SampledRatesStillProduceUsableCoreset) {
   opt.log_delta = 10;
   opt.max_points = pts.size();
   StreamingCoresetBuilder builder(2, params, opt);
-  builder.consume(insertion_stream(pts));
+  builder.consume(EventBatch(insertion_stream(pts), 2));
   const StreamingResult streamed = builder.finalize();
   ASSERT_TRUE(streamed.ok);
   EXPECT_GT(streamed.coreset.points.size(), 50);
@@ -129,7 +129,8 @@ TEST(StreamingCoreset, MemorySublinearInStreamLength) {
   auto run = [&](int n, std::uint64_t seed) {
     StreamingCoresetBuilder builder(2, params, opt);
     Rng rng(seed);
-    builder.consume(insertion_stream(gaussian_mixture(mixture(n, 10), rng)));
+    builder.consume(
+        EventBatch(insertion_stream(gaussian_mixture(mixture(n, 10), rng)), 2));
     return builder.memory_bytes();
   };
   const std::size_t small = run(3000, 7);
@@ -162,7 +163,9 @@ TEST(StreamingCoreset, NetCountTracksInsertMinusDelete) {
   opt.max_points = 100;
   StreamingCoresetBuilder builder(2, params, opt);
   const Point p = {5, 5};
-  builder.consume({{StreamOp::kInsert, p}, {StreamOp::kInsert, p}, {StreamOp::kDelete, p}});
+  const Stream stream = {
+      {StreamOp::kInsert, p}, {StreamOp::kInsert, p}, {StreamOp::kDelete, p}};
+  builder.consume(EventBatch(stream, 2));
   EXPECT_EQ(builder.net_count(), 1);
   EXPECT_EQ(builder.events(), 3);
 }
@@ -172,7 +175,7 @@ TEST(StreamingCoreset, DiagnosticsExplainEveryGuess) {
   PointSet pts = gaussian_mixture(mixture(600), rng);
   const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
   StreamingCoresetBuilder builder(2, params, lossless_options(9, pts.size()));
-  builder.consume(insertion_stream(pts));
+  builder.consume(EventBatch(insertion_stream(pts), 2));
   const StreamingResult result = builder.finalize();
   ASSERT_TRUE(result.ok);
   // Outcomes are recorded up to and including the accepted guess.

@@ -302,10 +302,15 @@ TEST(TenantRegistry, CorruptSpillFilesAreTypedErrorsNeverCrashes) {
     buf << in.rdbuf();
     blob = buf.str();
   }
-  // Spill layout: 21-byte header, then 40 replay events of 9 bytes each,
-  // then the engine's CRC-framed save_state blob.
-  const std::size_t engine_at = 21 + 40 * 9;
+  // Spill layout (SKCTNT02): magic, rung and sealed flag (13 bytes), the
+  // replay section — event count (8), 40 op bytes, 40 x 2 coordinates of 4
+  // bytes, its CRC-64 (8) — then the engine's CRC-framed save_state blob.
+  const std::size_t ops_at = 21;
+  const std::size_t coords_at = ops_at + 40;
+  const std::size_t crc_at = coords_at + 40 * 2 * 4;
+  const std::size_t engine_at = crc_at + 8;
   ASSERT_GT(blob.size(), engine_at + 32);
+  ASSERT_EQ(blob[ops_at + 5], static_cast<char>(StreamOp::kInsert));
 
   const auto rewrite = [&](const std::string& bytes) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -323,16 +328,25 @@ TEST(TenantRegistry, CorruptSpillFilesAreTypedErrorsNeverCrashes) {
     EXPECT_EQ(reg.query("victim", q, res), Admit::kError) << "keep=" << keep;
   }
   // Bit flips in every validated field: the spill magic, the rung, the
-  // engine magic, and two spots inside the engine's CRC-covered payload.
-  // (A flip inside the raw replay coordinates is indistinguishable from
-  // data, which is exactly why the engine section carries the CRC.)
+  // replay count, a replay coordinate, the replay CRC, the engine magic, and
+  // two spots inside the engine's CRC-covered payload.  A flipped coordinate
+  // is still a valid point, so only the replay CRC can catch it.
   for (const std::size_t at :
-       {std::size_t{0}, std::size_t{9}, engine_at + 3,
-        engine_at + (blob.size() - engine_at) / 2, blob.size() - 2}) {
+       {std::size_t{0}, std::size_t{9}, std::size_t{13}, coords_at + 13,
+        crc_at + 3, engine_at + 3, engine_at + (blob.size() - engine_at) / 2,
+        blob.size() - 2}) {
     std::string bad = blob;
     bad[at] = static_cast<char>(bad[at] ^ 0x20);
     rewrite(bad);
     EXPECT_EQ(reg.query("victim", q, res), Admit::kError) << "at=" << at;
+  }
+  // An op byte turned into the other valid op: an insert replayed as a
+  // delete.  The replay CRC refuses it.
+  {
+    std::string bad = blob;
+    bad[ops_at + 5] = static_cast<char>(StreamOp::kDelete);
+    rewrite(bad);
+    EXPECT_EQ(reg.query("victim", q, res), Admit::kError) << "op flip";
   }
 
   // The intact file still restores: corruption was detected, not "repaired".
@@ -341,6 +355,34 @@ TEST(TenantRegistry, CorruptSpillFilesAreTypedErrorsNeverCrashes) {
   EXPECT_TRUE(res.ok);
   EXPECT_EQ(res.net_points, 40);
   std::remove(path.c_str());
+}
+
+// The registry's Stream entry checks every point's length in all builds.
+TEST(TenantRegistryDeathTest, StreamPointOfTheWrongLengthAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        TenantRegistry reg(base_options());
+        reg.submit("t", Stream{StreamEvent{StreamOp::kInsert, Point(8, 5)}});
+      },
+      "point length does not match the batch dimension");
+}
+
+// A batch of another dim is refused before admission looks at it: even a
+// submit that admission would turn away (here kTooManyTenants) aborts.
+TEST(TenantRegistryDeathTest, BatchOfAnotherDimAbortsBeforeAdmission) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        TenantRegistryOptions o = base_options();
+        o.max_tenants = 1;
+        TenantRegistry reg(o);
+        reg.submit("a", distinct_inserts(1, 0));
+        EventBatch wide(kDim + 1);
+        wide.push_back(StreamOp::kInsert, std::vector<Coord>(kDim + 1, 5));
+        reg.submit("b", wide);
+      },
+      "batch dimension does not match the registry");
 }
 
 TEST(TenantRegistry, AdmissionVerdictsAreTyped) {

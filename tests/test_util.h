@@ -2,13 +2,16 @@
 #pragma once
 
 #include <algorithm>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <vector>
 
 #include "skc/common/random.h"
 #include "skc/coreset/coreset.h"
 #include "skc/geometry/point_set.h"
 #include "skc/geometry/weighted_set.h"
+#include "skc/parallel/thread_pool.h"
 #include "skc/stream/generators.h"
 
 namespace skc::testutil {
@@ -58,5 +61,34 @@ inline std::vector<std::vector<Coord>> canonical_multiset(const PointSet& s) {
   std::sort(out.begin(), out.end());
   return out;
 }
+
+/// A one-thread pool whose worker a gate task holds until open(): engine
+/// drains scheduled on it cannot run before then, so submits queue up
+/// deterministically.  Open it before an engine that uses it is destroyed
+/// (the engine's shutdown waits for its drains).
+class GatedPool {
+ public:
+  GatedPool() {
+    pool_.submit([this] {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return open_; });
+    });
+  }
+  ThreadPool* pool() { return &pool_; }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  // Declared before the pool, so the pool joins its worker first.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  ThreadPool pool_{1};
+};
 
 }  // namespace skc::testutil

@@ -869,9 +869,9 @@ int cmd_coordinator(int argc, char** argv) {
                     dim, max_coord);
         continue;
       }
-      const bool sent = coordinator.submit(Stream{StreamEvent{
-          cmd == "insert" ? StreamOp::kInsert : StreamOp::kDelete,
-          std::move(p)}});
+      EventBatch event(dim);
+      event.push_back(cmd == "insert" ? StreamOp::kInsert : StreamOp::kDelete, p);
+      const bool sent = coordinator.submit(event);
       std::printf(sent ? "ok\n" : "err cluster rejected the event\n");
     } else if (cmd == "query") {
       EngineQuery q;
