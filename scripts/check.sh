@@ -25,9 +25,10 @@ ctest --test-dir build --output-on-failure
 # digests of the bytes the deleted pointwise path wrote at every batch size,
 # builder blobs must be canonical, the flat point store must match its
 # pointwise node-map oracle, the per-level CountMin must match the per-guess
-# CountMins it replaced, and every loader must refuse malformed blobs
-# (DESIGN.md §12).
-ctest --test-dir build --output-on-failure -R '^(BatchIngest|BatchSketch|IngestDigest|CellPointStore|CountMinOracle|Checkpoint)\.'
+# CountMins it replaced, every loader must refuse malformed blobs
+# (DESIGN.md §12), and seeded mutants of every persisted format must be
+# refused or round-trip without a large allocation (PersistedMutants).
+ctest --test-dir build --output-on-failure -R '^(BatchIngest|BatchSketch|IngestDigest|CellPointStore|CountMinOracle|Checkpoint|PersistedMutants)\.'
 
 for b in build/bench/bench_*; do
   echo "== $b"

@@ -5,11 +5,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <utility>
 
 #include "skc/common/check.h"
 #include "skc/common/random.h"
+#include "skc/common/serial.h"
 #include "skc/common/timer.h"
 #include "skc/obs/flight_recorder.h"
 #include "skc/obs/trace.h"
@@ -451,9 +451,9 @@ EngineQueryResult ClusterCoordinator::query(const EngineQuery& q) {
           }
         }
         if (round_failed) break;
-        std::istringstream in(snap.blob);
+        serial::Reader in(snap.blob);
         StreamingCoresetBuilder& target = first ? merged : scratch;
-        if (!target.load(in)) {
+        if (!target.load(in) || !in.done()) {
           result.error = "worker sketch failed to decode";
           return result;
         }

@@ -3,8 +3,10 @@
 // The engine checkpoint (engine.cpp, format version 2) frames its payload
 // with this checksum so that ANY bit flip in a stored file — header, shard
 // builder, or footer — deterministically fails restore() instead of relying
-// on per-structure parsers to notice.  Table-driven, one 256-entry table
-// built on first use; ~1 GB/s, which is noise next to checkpoint I/O.
+// on per-structure parsers to notice.  Table-driven, one byte per step over
+// a 256-entry table built at compile time: ~300 MB/s on a 4-vCPU x86-64
+// host (25 ms over a 7.6 MB tenant engine state), which is most of what a
+// save_state or load_state of that size costs, since each computes it once.
 #pragma once
 
 #include <array>

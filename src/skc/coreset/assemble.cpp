@@ -1,8 +1,6 @@
 #include "skc/coreset/assemble.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "skc/common/check.h"
@@ -86,12 +84,6 @@ BuildAttempt assemble_coreset(const HierarchicalGrid& grid, const CoresetParams&
         // The cell's own mass is bounded by its part's tau; without a
         // per-cell estimate, charge conservatively min(tau_part, T_i).
         lost_mass += std::min(it->second, ti);
-        if (std::getenv("SKC_DEBUG_ASSEMBLE")) {
-          std::fprintf(stderr,
-                       "DBG incomplete crucial cell level=%d tau_part=%g "
-                       "lost=%g budget=%g\n",
-                       i, it->second, lost_mass, lost_budget);
-        }
         if (lost_mass > lost_budget) {
           attempt.fail_reason =
               "coreset samples unrecoverable beyond the lost-mass budget";

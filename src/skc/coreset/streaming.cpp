@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <istream>
+#include <ostream>
 
 #include "skc/common/check.h"
 #include "skc/common/serial.h"
@@ -427,49 +429,50 @@ namespace {
 constexpr std::uint64_t kCheckpointMagic = 0x534b435354524d33ULL;  // "SKCSTRM3"
 }
 
-void StreamingCoresetBuilder::save(std::ostream& out) const {
-  serial::put(out, kCheckpointMagic);
-  serial::put<std::int32_t>(out, dim_);
-  serial::put<std::int32_t>(out, options_.log_delta);
-  serial::put<std::uint64_t>(out, params_.seed);
-  serial::put<std::uint64_t>(out, guesses_.size());
-  serial::put<std::int64_t>(out, net_count_);
-  serial::put<std::int64_t>(out, events_);
-  for (const GuessState& guess : guesses_) {
-    serial::put<std::uint8_t>(out, guess.pruned ? 1 : 0);
-  }
+void StreamingCoresetBuilder::save(serial::Writer& out) const {
+  out.put(kCheckpointMagic);
+  out.put<std::int32_t>(dim_);
+  out.put<std::int32_t>(options_.log_delta);
+  out.put<std::uint64_t>(params_.seed);
+  out.put<std::uint64_t>(guesses_.size());
+  out.put<std::int64_t>(net_count_);
+  out.put<std::int64_t>(events_);
+  for (const GuessState& guess : guesses_) out.put<std::uint8_t>(guess.pruned ? 1 : 0);
   for (const CellCountMin& cm : counts_) cm.save(out);
   // Pool stores once each, in pool order (deterministic given options, so a
   // same-configured loader rebuilds the identical pool to read into).
-  serial::put<std::uint64_t>(out, store_pool_.size());
+  out.put<std::uint64_t>(store_pool_.size());
   for (const auto& shared : store_pool_) shared->store.save(out);
   for (const DistinctCells& dc : distinct_) dc.save(out);
 }
 
-bool StreamingCoresetBuilder::load(std::istream& in) {
+bool StreamingCoresetBuilder::load(serial::Reader& in) {
   std::uint64_t magic = 0;
   std::int32_t dim = 0, log_delta = 0;
   std::uint64_t seed = 0, nguesses = 0, nstores = 0;
-  if (!serial::get(in, magic) || magic != kCheckpointMagic) return false;
-  if (!serial::get(in, dim) || dim != dim_) return false;
-  if (!serial::get(in, log_delta) || log_delta != options_.log_delta) return false;
-  if (!serial::get(in, seed) || seed != params_.seed) return false;
-  if (!serial::get(in, nguesses) || nguesses != guesses_.size()) return false;
-  if (!serial::get(in, net_count_)) return false;
-  if (!serial::get(in, events_)) return false;
+  if (!in.get(magic) || magic != kCheckpointMagic) return false;
+  if (!in.get(dim) || dim != dim_) return false;
+  if (!in.get(log_delta) || log_delta != options_.log_delta) return false;
+  if (!in.get(seed) || seed != params_.seed) return false;
+  if (!in.get(nguesses) || nguesses != guesses_.size()) return false;
+  if (!in.get(net_count_) || !in.get(events_)) return false;
+  if (events_ < 0 || events_ > kMaxEvents || net_count_ < -events_ ||
+      net_count_ > events_) {
+    return false;
+  }
   // The pruned flags must be a prefix, and every level's lo must be its
   // length; anything else is refused here rather than trusted by trim().
   std::size_t pruned = 0;
   for (std::size_t g = 0; g < guesses_.size(); ++g) {
     std::uint8_t flag = 0;
-    if (!serial::get(in, flag)) return false;
+    if (!in.get(flag)) return false;
     guesses_[g].pruned = flag != 0;
     if (guesses_[g].pruned && pruned++ != g) return false;
   }
   for (CellCountMin& cm : counts_) {
     if (!cm.load(in) || static_cast<std::size_t>(cm.lo()) != pruned) return false;
   }
-  if (!serial::get(in, nstores) || nstores != store_pool_.size()) return false;
+  if (!in.get(nstores) || nstores != store_pool_.size()) return false;
   for (auto& shared : store_pool_) {
     if (!shared->store.load(in)) return false;
   }
@@ -483,6 +486,22 @@ bool StreamingCoresetBuilder::load(std::istream& in) {
     if (!dc.load(in)) return false;
   }
   return true;
+}
+
+void StreamingCoresetBuilder::save(std::ostream& out) const {
+  serial::Writer blob;
+  save(blob);
+  out.write(blob.view().data(), static_cast<std::streamsize>(blob.size()));
+}
+
+bool StreamingCoresetBuilder::load(std::istream& in) {
+  std::string blob;
+  char chunk[1 << 16];
+  while (const std::streamsize n = in.rdbuf()->sgetn(chunk, sizeof chunk)) {
+    blob.append(chunk, static_cast<std::size_t>(n));
+  }
+  serial::Reader reader(blob);
+  return load(reader) && reader.done();
 }
 
 StreamingResult build_streaming_coreset(const Stream& stream, int dim,

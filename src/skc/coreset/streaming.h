@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -159,10 +160,17 @@ class StreamingCoresetBuilder {
     return guesses_[static_cast<std::size_t>(guess)].psi[static_cast<std::size_t>(level)];
   }
 
-  /// Checkpointing: save() dumps the full builder state; load() restores it
-  /// into a builder constructed with IDENTICAL (dim, params, options) — a
-  /// configuration fingerprint is verified and load() returns false on
-  /// mismatch or truncation.  Resume feeding events afterwards.
+  /// Checkpointing: save() appends the full builder state (a STRM3 blob);
+  /// load() reads one into a builder constructed with IDENTICAL (dim,
+  /// params, options) — a configuration fingerprint is verified and load()
+  /// returns false on mismatch, truncation or a record no history writes
+  /// (among them events() outside [0, kMaxEvents] and a net count past
+  /// ±events()).  Resume feeding events afterwards.
+  void save(serial::Writer& out) const;
+  bool load(serial::Reader& in);
+  /// Stream adapters for callers that stage blobs in streams: save() writes
+  /// one blob; load() reads the rest of `in` as one blob and refuses
+  /// trailing bytes.
   void save(std::ostream& out) const;
   bool load(std::istream& in);
 

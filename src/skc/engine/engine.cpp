@@ -4,9 +4,7 @@
 #include <bit>
 #include <condition_variable>
 #include <deque>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <utility>
 
 #include "skc/common/check.h"
@@ -315,34 +313,28 @@ EngineQueryResult ClusteringEngine::query(const EngineQuery& q) {
   return result;
 }
 
-void ClusteringEngine::save_body(std::ostream& out) {
-  serial::put<std::int32_t>(out, dim_);
-  serial::put<std::int32_t>(out, options_.streaming.log_delta);
-  serial::put<std::uint64_t>(out, params_.seed);
-  serial::put<std::int32_t>(out, num_shards());
-  serial::put<std::uint8_t>(out,
-                            options_.streaming.exact_storing ? 1 : 0);
+void ClusteringEngine::save_body(serial::Writer& out) {
+  out.put<std::int32_t>(dim_);
+  out.put<std::int32_t>(options_.streaming.log_delta);
+  out.put<std::uint64_t>(params_.seed);
+  out.put<std::int32_t>(num_shards());
+  out.put<std::uint8_t>(options_.streaming.exact_storing ? 1 : 0);
   for (auto& shard : shards_) {
     const auto lock = shard->lock_builder();
     shard->builder->save(out);
   }
-  serial::put(out, kEngineFooter);
+  out.put(kEngineFooter);
 }
 
-bool ClusteringEngine::load_body(std::istream& in) {
+bool ClusteringEngine::load_body(serial::Reader& in) {
   std::uint64_t seed = 0, footer = 0;
   std::int32_t dim = 0, log_delta = 0, shards = 0;
   std::uint8_t exact = 0;
-  if (!serial::get(in, dim) || dim != dim_) return false;
-  if (!serial::get(in, log_delta) || log_delta != options_.streaming.log_delta) {
-    return false;
-  }
-  if (!serial::get(in, seed) || seed != params_.seed) return false;
-  if (!serial::get(in, shards) || shards != num_shards()) return false;
-  if (!serial::get(in, exact) ||
-      (exact != 0) != options_.streaming.exact_storing) {
-    return false;
-  }
+  if (!in.get(dim) || dim != dim_) return false;
+  if (!in.get(log_delta) || log_delta != options_.streaming.log_delta) return false;
+  if (!in.get(seed) || seed != params_.seed) return false;
+  if (!in.get(shards) || shards != num_shards()) return false;
+  if (!in.get(exact) || (exact != 0) != options_.streaming.exact_storing) return false;
   // Parse into fresh builders first; the engine is only touched once the
   // whole body (footer included) has validated.
   std::vector<std::unique_ptr<StreamingCoresetBuilder>> fresh;
@@ -353,7 +345,7 @@ bool ClusteringEngine::load_body(std::istream& in) {
     if (!builder->load(in)) return false;
     fresh.push_back(std::move(builder));
   }
-  if (!serial::get(in, footer) || footer != kEngineFooter) return false;
+  if (!in.get(footer) || footer != kEngineFooter || !in.done()) return false;
 
   flush();  // quiesce in-flight events so the swap is a clean epoch
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -364,64 +356,50 @@ bool ClusteringEngine::load_body(std::istream& in) {
   return true;
 }
 
-bool ClusteringEngine::save_state(std::ostream& out) {
+void ClusteringEngine::save_state(serial::Writer& out) {
   flush();
-  // Serialize the body first so the frame can carry its exact byte count
-  // and CRC-64; a checkpoint is a few MB at most, so the staging copy is
-  // cheap next to the builder serialization itself.
-  std::ostringstream body(std::ios::binary);
-  save_body(body);
-  const std::string payload = std::move(body).str();
-  serial::put(out, kEngineMagic);
-  serial::put<std::uint32_t>(out, kEngineVersion);
-  serial::put<std::uint64_t>(out, static_cast<std::uint64_t>(payload.size()));
-  serial::put<std::uint64_t>(out, crc64(payload));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  return static_cast<bool>(out);
+  out.put(kEngineMagic);
+  out.put<std::uint32_t>(kEngineVersion);
+  const std::size_t frame = out.size();
+  out.put<std::uint64_t>(0);  // body size and CRC-64, patched below
+  out.put<std::uint64_t>(0);
+  const std::size_t body = out.size();
+  save_body(out);
+  const std::string_view payload = out.view().substr(body);
+  out.put_at<std::uint64_t>(frame, payload.size());
+  out.put_at<std::uint64_t>(frame + 8, crc64(payload));
 }
 
-bool ClusteringEngine::load_state(std::istream& in) {
-  std::uint64_t magic = 0;
+bool ClusteringEngine::load_state(std::string_view bytes) {
+  serial::Reader in(bytes);
+  std::uint64_t magic = 0, size = 0, crc = 0;
   std::uint32_t version = 0;
-  if (!serial::get(in, magic) || magic != kEngineMagic) return false;
-  if (!serial::get(in, version) || version != kEngineVersion) return false;
-  std::uint64_t size = 0, crc = 0;
-  if (!serial::get(in, size) || !serial::get(in, crc)) return false;
-  // Chunked slurp: a flipped bit in the size field must fail on a short
-  // read, never reserve a 2^60-byte buffer.
-  std::string payload;
-  std::uint64_t done = 0;
-  while (done < size) {
-    const std::size_t take =
-        static_cast<std::size_t>(std::min(size - done, serial::kReadChunkBytes));
-    payload.resize(static_cast<std::size_t>(done) + take);
-    in.read(payload.data() + done, static_cast<std::streamsize>(take));
-    if (!in) return false;
-    done += take;
+  std::string_view payload;
+  if (!in.get(magic) || magic != kEngineMagic) return false;
+  if (!in.get(version) || version != kEngineVersion) return false;
+  if (!in.get(size) || !in.get(crc) || !in.get_view(size, payload) || !in.done()) {
+    return false;
   }
   if (crc64(payload) != crc) return false;  // torn write or flipped bit
-  std::istringstream body(std::move(payload));
+  serial::Reader body(payload);
   return load_body(body);
 }
 
 bool ClusteringEngine::checkpoint(const std::string& path) {
   SKC_TRACE_SPAN("checkpoint");
   obs::LatencyRecorder latency(counters_.checkpoint_latency);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  if (!save_state(out)) return false;
-  out.flush();
-  if (!out) return false;
-  const auto bytes = static_cast<std::int64_t>(out.tellp());
-  counters_.last_checkpoint_bytes.store(bytes, std::memory_order_relaxed);
+  serial::Writer out;
+  save_state(out);
+  if (!serial::write_file(path, out.view())) return false;
+  counters_.last_checkpoint_bytes.store(static_cast<std::int64_t>(out.size()),
+                                        std::memory_order_relaxed);
   counters_.checkpoints.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 bool ClusteringEngine::restore(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  return load_state(in);
+  std::string bytes;
+  return serial::read_file(path, bytes) && load_state(bytes);
 }
 
 EngineSketchExport ClusteringEngine::export_sketch() {
@@ -434,9 +412,9 @@ EngineSketchExport ClusteringEngine::export_sketch() {
   EngineSketchExport out;
   out.net_points = folded->net_count();
   out.events_applied = folded->events();
-  std::ostringstream blob(std::ios::binary);
+  serial::Writer blob;
   folded->save(blob);
-  out.blob = std::move(blob).str();
+  out.blob = blob.take();
   return out;
 }
 
@@ -446,8 +424,8 @@ bool ClusteringEngine::import_sketch(const std::string& blob) {
   // blob's fingerprint against it and fails closed, so a peer with a
   // different sketch geometry can never be folded in.
   StreamingCoresetBuilder incoming(dim_, params_, options_.streaming);
-  std::istringstream in(blob);
-  if (!incoming.load(in)) return false;
+  serial::Reader in(blob);
+  if (!incoming.load(in) || !in.done()) return false;
   flush();  // quiesce so the adoption lands on a clean epoch
   const auto lock = shards_[0]->lock_builder();
   shards_[0]->builder->merge_from(incoming);

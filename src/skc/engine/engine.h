@@ -49,8 +49,10 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "skc/common/serial.h"
 #include "skc/common/timer.h"
 #include "skc/coreset/coreset.h"
 #include "skc/coreset/params.h"
@@ -180,15 +182,17 @@ class ClusteringEngine {
   /// state in that case.
   bool restore(const std::string& path);
 
-  /// Stream variants of checkpoint()/restore() — what checkpoint files and
+  /// Byte forms of checkpoint()/restore() — what checkpoint files and
   /// tenant spills are made of.  Format version 2 frames the body with its
   /// byte count and a CRC-64 so a torn write or a flipped bit anywhere in
   /// the file fails the restore up front instead of relying on per-section
   /// parsers to notice; any other version, version 1 included, is refused.
-  /// save_state takes the epoch barrier first; load_state follows the same
-  /// parse-then-swap contract as restore().
-  bool save_state(std::ostream& out);
-  bool load_state(std::istream& in);
+  /// save_state takes the epoch barrier first, then appends the frame to
+  /// `out`, writing the body once and patching its size and CRC in place.
+  /// load_state reads one frame that fills `bytes` exactly and follows the
+  /// same parse-then-swap contract as restore().
+  void save_state(serial::Writer& out);
+  bool load_state(std::string_view bytes);
 
   /// Cluster export: takes the epoch barrier, folds every shard builder
   /// into one via the linear merge (the same fold query() runs), and
@@ -236,8 +240,8 @@ class ClusteringEngine {
   /// Sums every shard sketch into a fresh query-local builder, holding each
   /// shard's builder lock only for that shard's merge_from.
   std::unique_ptr<StreamingCoresetBuilder> fold_shards();
-  void save_body(std::ostream& out);
-  bool load_body(std::istream& in);
+  void save_body(serial::Writer& out);
+  bool load_body(serial::Reader& in);
 
   int dim_;
   CoresetParams params_;

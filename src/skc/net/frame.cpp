@@ -1,106 +1,14 @@
 #include "skc/net/frame.h"
 
 #include <cmath>
-#include <cstring>
-#include <type_traits>
 
 #include "skc/common/check.h"
+#include "skc/common/serial.h"
 
 namespace skc::net {
 
-namespace {
-
-// Payload bodies follow the common/serial.h conventions (little-endian PODs
-// with explicit widths, u64 element counts) but run over flat buffers with
-// explicit bounds checks: a length prefix is validated against the bytes
-// actually remaining BEFORE any allocation, so a hostile frame can neither
-// overread nor provoke a multi-gigabyte resize.
-
-class Writer {
- public:
-  template <typename T>
-  void put(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto old = buf_.size();
-    buf_.resize(old + sizeof(T));
-    std::memcpy(buf_.data() + old, &value, sizeof(T));
-  }
-
-  template <typename T>
-  void put_vector(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    put<std::uint64_t>(v.size());
-    const auto old = buf_.size();
-    buf_.resize(old + v.size() * sizeof(T));
-    if (!v.empty()) std::memcpy(buf_.data() + old, v.data(), v.size() * sizeof(T));
-  }
-
-  void put_string(std::string_view s) {
-    put<std::uint64_t>(s.size());
-    buf_.append(s);
-  }
-
-  std::string take() { return std::move(buf_); }
-
- private:
-  std::string buf_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::string_view body) : p_(body.data()), left_(body.size()) {}
-
-  template <typename T>
-  bool get(T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (left_ < sizeof(T)) return false;
-    std::memcpy(&value, p_, sizeof(T));
-    p_ += sizeof(T);
-    left_ -= sizeof(T);
-    return true;
-  }
-
-  template <typename T>
-  bool get_vector(std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::uint64_t count = 0;
-    if (!get(count)) return false;
-    if (count > left_ / sizeof(T)) return false;  // announced > remaining
-    v.resize(static_cast<std::size_t>(count));
-    if (count) std::memcpy(v.data(), p_, v.size() * sizeof(T));
-    p_ += count * sizeof(T);
-    left_ -= count * sizeof(T);
-    return true;
-  }
-
-  bool get_string(std::string& s) {
-    std::uint64_t size = 0;
-    if (!get(size)) return false;
-    if (size > left_) return false;
-    s.assign(p_, static_cast<std::size_t>(size));
-    p_ += size;
-    left_ -= size;
-    return true;
-  }
-
-  bool get_bool(bool& b) {
-    std::uint8_t byte = 0;
-    if (!get(byte) || byte > 1) return false;
-    b = byte != 0;
-    return true;
-  }
-
-  /// Strictness: a well-formed body is consumed exactly.
-  bool done() const { return left_ == 0; }
-
- private:
-  const char* p_;
-  std::size_t left_;
-};
-
-void put_bool(Writer& w, bool b) { w.put<std::uint8_t>(b ? 1 : 0); }
-
-}  // namespace
+using serial::Reader;
+using serial::Writer;
 
 const char* status_name(Status s) {
   switch (s) {
@@ -265,8 +173,8 @@ std::string QueryRequest::encode() const {
   Writer w;
   w.put(k);
   w.put(capacity_slack);
-  put_bool(w, barrier);
-  put_bool(w, summary_only);
+  w.put_bool(barrier);
+  w.put_bool(summary_only);
   w.put(solver_restarts);
   return w.take();
 }
@@ -282,13 +190,13 @@ bool QueryRequest::decode(std::string_view body) {
 
 std::string QueryReply::encode() const {
   Writer w;
-  put_bool(w, ok);
+  w.put_bool(ok);
   w.put_string(error);
   w.put(net_points);
   w.put(summary_points);
   w.put(capacity);
   w.put(cost);
-  put_bool(w, feasible);
+  w.put_bool(feasible);
   w.put(dim);
   w.put_vector(center_coords);
   w.put(merge_millis);
@@ -344,7 +252,7 @@ bool WorkerHello::decode(std::string_view body) {
 
 std::string WorkerHelloReply::encode() const {
   Writer w;
-  put_bool(w, ok);
+  w.put_bool(ok);
   w.put_string(message);
   w.put(num_shards);
   w.put(net_points);
@@ -472,10 +380,9 @@ bool WorkerStatsReply::decode(std::string_view body) {
   }
   if (!r.get(trace_dropped_spans) || trace_dropped_spans < 0) return false;
   std::uint64_t n = 0;
-  if (!r.get(n)) return false;
-  // Each row is at least 16 bytes on the wire; an absurd count cannot
-  // provoke a huge allocation before the per-row reads fail.
-  if (n > kMaxPayloadBytes / 16) return false;
+  // Each row takes at least 16 bytes (id length and events), so a count
+  // past the bytes left is refused before the rows are reserved.
+  if (!r.get(n) || n > r.left() / 16) return false;
   tenants.clear();
   tenants.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {

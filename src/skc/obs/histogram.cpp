@@ -49,11 +49,13 @@ double HistogramSnapshot::percentile_micros(double q) const {
   const auto target = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(
              std::ceil(q * static_cast<double>(count))));
+  // cumulative < target <= count throughout, so neither the comparison nor
+  // the running sum can overflow, whatever a bucket holds.
   std::int64_t cumulative = 0;
   for (std::size_t b = 0; b < buckets.size(); ++b) {
     const std::int64_t here = buckets[b];
     if (here <= 0) continue;
-    if (cumulative + here >= target) {
+    if (here >= target - cumulative) {
       const auto lower =
           static_cast<double>(histogram_bucket_lower(static_cast<int>(b)));
       const auto upper =
@@ -61,6 +63,9 @@ double HistogramSnapshot::percentile_micros(double q) const {
       const double frac = (static_cast<double>(target - cumulative) - 0.5) /
                           static_cast<double>(here);
       const double value = lower + frac * (upper - lower);
+      // min and max are advisory (relaxed loads, or a peer's reply): clamp
+      // only to a range that is one.
+      if (min_micros > max_micros) return value;
       return std::clamp(value, static_cast<double>(min_micros),
                         static_cast<double>(max_micros));
     }

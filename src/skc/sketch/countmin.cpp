@@ -173,17 +173,17 @@ void CellCountMin::merge(const CellCountMin& other) {
   }
 }
 
-void CellCountMin::save(std::ostream& out) const {
-  serial::put<std::uint64_t>(out, static_cast<std::uint64_t>(lo_));
-  serial::put_vector(out, counters_);
-  serial::put<std::uint64_t>(out, exact_.size());
+void CellCountMin::save(serial::Writer& out) const {
+  out.put<std::uint64_t>(static_cast<std::uint64_t>(lo_));
+  out.put_vector(counters_);
+  out.put<std::uint64_t>(exact_.size());
   for (const auto* entry : in_cell_order(exact_)) {
-    serial::put_vector(out, entry->first.index);
-    serial::put_vector(out, entry->second);
+    out.put_vector(entry->first.index);
+    out.put_vector(entry->second);
   }
 }
 
-bool CellCountMin::load(std::istream& in) {
+bool CellCountMin::load(serial::Reader& in) {
   // Any refusal leaves every guess pruned: a valid state with no counters.
   const auto fail = [this] {
     lo_ = guesses();
@@ -192,28 +192,32 @@ bool CellCountMin::load(std::istream& in) {
     return false;
   };
   std::uint64_t lo = 0;
-  if (!serial::get(in, lo) || lo > keep_below_.size()) return fail();
+  if (!in.get(lo) || lo > keep_below_.size()) return fail();
   lo_ = static_cast<int>(lo);
   empty_ = false;
   // Read the counters in place, into exactly the block the live guesses
   // need: a restore then never holds the constructor's block and a second
   // copy at once.
   const std::size_t want = config_.exact ? 0 : slots() * live();
-  if (counters_.capacity() != want) {
-    std::vector<std::int64_t>().swap(counters_);
-    counters_.reserve(want);
-  }
-  if (!serial::get_vector(in, counters_) || counters_.size() != want) return fail();
+  const auto bounded = [](const std::vector<std::int64_t>& v) {
+    return std::all_of(v.begin(), v.end(), [](std::int64_t c) {
+      return c >= -kMaxEvents && c <= kMaxEvents;
+    });
+  };
+  std::uint64_t count = 0;
+  if (!in.get(count) || count != want) return fail();
+  if (counters_.capacity() != want) std::vector<std::int64_t>().swap(counters_);
+  if (!in.get_array(count, counters_) || !bounded(counters_)) return fail();
   std::uint64_t entries = 0;
-  if (!serial::get(in, entries) || (!config_.exact && entries != 0)) return fail();
+  if (!in.get(entries) || (!config_.exact && entries != 0)) return fail();
   exact_.clear();
   for (std::uint64_t e = 0; e < entries; ++e) {
     CellKey key;
     key.level = level_;
     std::vector<std::int64_t> counts;
-    if (!serial::get_vector(in, key.index) ||
+    if (!in.get_vector(key.index) ||
         key.index.size() != static_cast<std::size_t>(grid_->dim()) ||
-        !serial::get_vector(in, counts) || counts.size() != live() ||
+        !in.get_vector(counts) || counts.size() != live() || !bounded(counts) ||
         !exact_.emplace(std::move(key), std::move(counts)).second) {
       return fail();
     }

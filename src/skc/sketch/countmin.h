@@ -25,10 +25,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iosfwd>
 #include <unordered_map>
 #include <vector>
 
+#include "skc/common/serial.h"
 #include "skc/common/types.h"
 #include "skc/grid/hierarchical_grid.h"
 #include "skc/hash/kwise_hash.h"
@@ -95,11 +95,11 @@ class CellCountMin {
   /// cell-index order, so equal contents give equal bytes; load() accepts
   /// any order); the hashes are re-derived from the constructor seed, so
   /// load() must be called on a structure built with identical arguments.
-  /// load() returns false on
-  /// truncation or on any layout that disagrees with the construction, and
-  /// leaves every guess pruned then.
-  void save(std::ostream& out) const;
-  bool load(std::istream& in);
+  /// load() returns false on truncation, on any layout that disagrees with
+  /// the construction, or on a counter past ±kMaxEvents, and leaves every
+  /// guess pruned then.
+  void save(serial::Writer& out) const;
+  bool load(serial::Reader& in);
 
  private:
   std::size_t live() const { return keep_below_.size() - static_cast<std::size_t>(lo_); }

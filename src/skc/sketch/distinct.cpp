@@ -94,16 +94,16 @@ std::size_t DistinctCells::memory_bytes() const {
                          static_cast<std::size_t>(grid_->dim()) * sizeof(std::int32_t));
 }
 
-void DistinctCells::save(std::ostream& out) const {
-  serial::put<std::int32_t>(out, shift_);
-  serial::put<std::uint64_t>(out, kept_.size());
+void DistinctCells::save(serial::Writer& out) const {
+  out.put<std::int32_t>(shift_);
+  out.put<std::uint64_t>(kept_.size());
   for (const auto* entry : in_cell_order(kept_)) {
-    serial::put_vector(out, entry->first.index);
-    serial::put<std::int64_t>(out, entry->second);
+    out.put_vector(entry->first.index);
+    out.put<std::int64_t>(entry->second);
   }
 }
 
-bool DistinctCells::load(std::istream& in) {
+bool DistinctCells::load(serial::Reader& in) {
   // Any refusal leaves the estimator empty.
   const auto fail = [this] {
     shift_ = 0;
@@ -115,16 +115,16 @@ bool DistinctCells::load(std::istream& in) {
   std::uint64_t entries = 0;
   // Past shift 61 the threshold is 0 and nothing is kept, so no history goes
   // beyond it; from shift 64 on, kP >> shift would be undefined.
-  if (!serial::get(in, shift) || shift < 0 || shift > 61) return fail();
-  if (!serial::get(in, entries) || entries > budget_) return fail();
+  if (!in.get(shift) || shift < 0 || shift > 61) return fail();
+  if (!in.get(entries) || entries > budget_) return fail();
   shift_ = shift;
   for (std::uint64_t e = 0; e < entries; ++e) {
     CellKey key;
     key.level = level_;
     std::int64_t count = 0;
-    if (!serial::get_vector(in, key.index) ||
+    if (!in.get_vector(key.index) ||
         key.index.size() != static_cast<std::size_t>(grid_->dim()) ||
-        !serial::get(in, count) || count <= 0 ||
+        !in.get(count) || count <= 0 || count > kMaxEvents ||
         !kept_.emplace(std::move(key), count).second) {
       return fail();
     }

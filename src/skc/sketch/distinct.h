@@ -18,10 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <unordered_map>
 
+#include "skc/common/serial.h"
 #include "skc/common/types.h"
 #include "skc/grid/hierarchical_grid.h"
 #include "skc/hash/kwise_hash.h"
@@ -58,10 +58,10 @@ class DistinctCells {
   /// cell-index order, so equal contents give equal bytes).  load() accepts
   /// entries in any order and fails closed on a state no history writes: a
   /// shift outside [0, 61], an index row that is not grid dim long, a count
-  /// <= 0, a duplicate cell or more entries than the budget.  A refused
-  /// load leaves the estimator empty.
-  void save(std::ostream& out) const;
-  bool load(std::istream& in);
+  /// <= 0 or past kMaxEvents, a duplicate cell or more entries than the
+  /// budget.  A refused load leaves the estimator empty.
+  void save(serial::Writer& out) const;
+  bool load(serial::Reader& in);
 
  private:
   std::uint64_t threshold() const { return f61::kP >> shift_; }

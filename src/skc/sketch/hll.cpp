@@ -4,13 +4,10 @@
 #include <cmath>
 
 #include "skc/common/check.h"
-#include "skc/common/serial.h"
 
 namespace skc {
 
 namespace {
-
-constexpr std::uint64_t kHllMagic = 0x534b43484c4c3031ULL;  // "SKCHLL01"
 
 /// Bias-correction constant alpha_m for m registers (Flajolet et al. §4).
 double alpha(std::size_t m) {
@@ -73,24 +70,6 @@ void HyperLogLog::reset() {
 
 std::size_t HyperLogLog::memory_bytes() const {
   return sizeof(*this) + registers_.capacity();
-}
-
-void HyperLogLog::save(std::ostream& out) const {
-  serial::put(out, kHllMagic);
-  serial::put<std::int32_t>(out, precision_);
-  serial::put_vector(out, registers_);
-}
-
-bool HyperLogLog::load(std::istream& in) {
-  std::uint64_t magic = 0;
-  std::int32_t precision = 0;
-  if (!serial::get(in, magic) || magic != kHllMagic) return false;
-  if (!serial::get(in, precision) || precision != precision_) return false;
-  std::vector<std::uint8_t> registers;
-  if (!serial::get_vector(in, registers)) return false;
-  if (registers.size() != std::size_t{1} << precision_) return false;
-  registers_ = std::move(registers);
-  return true;
 }
 
 }  // namespace skc

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 namespace skc {
@@ -46,10 +45,6 @@ class HyperLogLog {
 
   int precision() const { return precision_; }
   std::size_t memory_bytes() const;
-
-  /// Checkpointing (precision verified on load).
-  void save(std::ostream& out) const;
-  bool load(std::istream& in);
 
  private:
   int precision_;

@@ -195,6 +195,8 @@ void CellPointStore::clear() {
 void CellPointStore::update_batch(const Coord* points, const std::int32_t* cell_idx,
                                   const std::int64_t* deltas, std::size_t n) {
   for (std::size_t i = 0; i < n && !dead_; ++i) {
+    SKC_CHECK_MSG(deltas[i] == 1 || deltas[i] == -1,
+                  "a point store event inserts or deletes one point");
     ++events_;
     const Coord* p = points + i * dim_;
     const std::uint32_t c = find_or_add_cell(cell_idx + i * dim_);
@@ -305,57 +307,64 @@ void CellPointStore::release() {
   clear();
 }
 
-void CellPointStore::save(std::ostream& out) const {
-  // STRM2/STRM3 records: a cell's index row as serial::put_vector writes it (entry
-  // count, entries), a point as serial::put_string writes its packed
-  // coordinates (byte count, bytes).
-  const auto row_bytes = static_cast<std::streamsize>(dim_ * sizeof(std::int32_t));
-  serial::put<std::uint8_t>(out, dead_ ? 1 : 0);
-  serial::put<std::int64_t>(out, events_);
-  serial::put<std::int64_t>(out, live_points_);
-  serial::put<std::uint64_t>(out, cells_.size());
+void CellPointStore::save(serial::Writer& out) const {
+  // STRM2/STRM3 records: a cell's index row as put_vector writes it (entry
+  // count, entries), a point as put_string writes its packed coordinates
+  // (byte count, bytes).
+  out.put<std::uint8_t>(dead_ ? 1 : 0);
+  out.put<std::int64_t>(events_);
+  out.put<std::int64_t>(live_points_);
+  out.put<std::uint64_t>(cells_.size());
   for (std::uint32_t c = 0; c < cells_.size(); ++c) {
-    serial::put<std::uint64_t>(out, dim_);
-    out.write(reinterpret_cast<const char*>(cell_row(c)), row_bytes);
-    serial::put<std::int64_t>(out, cells_[c].net);
-    serial::put<std::int64_t>(out, cells_[c].net_peak);
-    serial::put<std::uint8_t>(out, cells_[c].tombstoned ? 1 : 0);
+    out.put<std::uint64_t>(dim_);
+    out.put_array(cell_row(c), dim_);
+    out.put<std::int64_t>(cells_[c].net);
+    out.put<std::int64_t>(cells_[c].net_peak);
+    out.put<std::uint8_t>(cells_[c].tombstoned ? 1 : 0);
     std::uint64_t npoints = 0;
     for_each_point(c, [&npoints](std::uint32_t) { ++npoints; });
-    serial::put<std::uint64_t>(out, npoints);
+    out.put<std::uint64_t>(npoints);
     for_each_point(c, [&](std::uint32_t id) {
-      serial::put<std::uint64_t>(out, dim_ * sizeof(Coord));
-      out.write(reinterpret_cast<const char*>(point_coords(id)), row_bytes);
-      serial::put<std::int64_t>(out, points_[id].count);
+      out.put<std::uint64_t>(dim_ * sizeof(Coord));
+      out.put_array(point_coords(id), dim_);
+      out.put<std::int64_t>(points_[id].count);
     });
   }
 }
 
-bool CellPointStore::load(std::istream& in) {
+bool CellPointStore::load(serial::Reader& in) {
   clear();
   dead_ = false;
   events_ = 0;
-  const auto row_bytes = static_cast<std::streamsize>(dim_ * sizeof(std::int32_t));
-  std::vector<std::int32_t> row(dim_), home(dim_);
-  std::vector<Coord> coords(dim_);
+  std::vector<std::int32_t> row, home(dim_);
+  std::vector<Coord> coords;
   std::uint8_t dead = 0;
   std::int64_t events = 0, live = 0;
   const bool ok = [&] {
     std::uint64_t ncells = 0;
-    if (!serial::get(in, dead) || !serial::get(in, events) ||
-        !serial::get(in, live) || !serial::get(in, ncells)) {
+    if (!in.get(dead) || !in.get(events) || !in.get(live) || !in.get(ncells)) {
       return false;
     }
+    if (events < 0 || events > kMaxEvents) return false;
     if (dead != 0 && (ncells != 0 || live != 0)) return false;
     if (ncells >= kNone) return false;
+    // Each unit of multiplicity is one applied insert (update_batch takes
+    // unit deltas, merge adds both sides' events), so the counts sum to at
+    // most events(): a larger count is a point set no history holds, and
+    // cell() would expand it.
+    std::int64_t unclaimed = events;
     for (std::uint64_t n = 0; n < ncells; ++n) {
       std::uint64_t len = 0, npoints = 0;
       CellRecord rec;
       std::uint8_t tomb = 0;
-      if (!serial::get(in, len) || len != dim_) return false;
-      if (!in.read(reinterpret_cast<char*>(row.data()), row_bytes)) return false;
-      if (!serial::get(in, rec.net) || !serial::get(in, rec.net_peak) ||
-          !serial::get(in, tomb) || !serial::get(in, npoints)) {
+      if (!in.get(len) || len != dim_ || !in.get_array(dim_, row)) return false;
+      if (!in.get(rec.net) || !in.get(rec.net_peak) || !in.get(tomb) ||
+          !in.get(npoints)) {
+        return false;
+      }
+      // Each event moves one cell's net by one, and a peak is a past net.
+      if (rec.net < -events || rec.net > events || rec.net_peak < 0 ||
+          rec.net_peak > events) {
         return false;
       }
       rec.tombstoned = tomb != 0;
@@ -366,9 +375,12 @@ bool CellPointStore::load(std::istream& in) {
       cells_[c] = rec;
       for (std::uint64_t k = 0; k < npoints; ++k) {
         std::int64_t count = 0;
-        if (!serial::get(in, len) || len != dim_ * sizeof(Coord)) return false;
-        if (!in.read(reinterpret_cast<char*>(coords.data()), row_bytes)) return false;
-        if (!serial::get(in, count) || count <= 0) return false;
+        if (!in.get(len) || len != dim_ * sizeof(Coord) ||
+            !in.get_array(dim_, coords)) {
+          return false;
+        }
+        if (!in.get(count) || count <= 0 || count > unclaimed) return false;
+        unclaimed -= count;
         grid_->cell_index_of(coords, level_, home);
         if (home != row) return false;  // point outside its cell
         const std::int64_t before = live_points_;

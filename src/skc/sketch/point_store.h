@@ -34,11 +34,11 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "skc/common/serial.h"
 #include "skc/common/types.h"
 #include "skc/geometry/point_set.h"
 #include "skc/grid/hierarchical_grid.h"
@@ -65,11 +65,12 @@ class CellPointStore {
 
   /// The one ingest path, over precomputed cell indices: `points` holds n
   /// points row-major (n * dim coords), `cell_idx` their level-`level()`
-  /// cell index rows (same layout), `deltas` the signed multiplicities.
-  /// Events apply in order, so the state (eviction history included) does
-  /// not depend on how a stream is cut into batches.  Once the structure
-  /// dies, the rest of the batch is dropped uncounted: events() counts the
-  /// events applied while alive.
+  /// cell index rows (same layout), `deltas` +1 (insert) or -1 (delete),
+  /// checked: load() relies on it to bound counts.  Events apply in order,
+  /// so the state (eviction history included) does not depend on how a
+  /// stream is cut into batches.  Once the structure dies, the rest of the
+  /// batch is dropped uncounted: events() counts the events applied while
+  /// alive.
   void update_batch(const Coord* points, const std::int32_t* cell_idx,
                     const std::int64_t* deltas, std::size_t n);
 
@@ -99,13 +100,17 @@ class CellPointStore {
   std::size_t memory_bytes() const;
 
   /// Checkpointing (same contract as CellCountMin::save/load; the record
-  /// layout of STRM2 and STRM3 builder blobs).  load() fails closed on a record the store could never have
-  /// written: a cell row or point record of the wrong length, a count <= 0,
-  /// a duplicate cell or point, a point outside its cell, points on a
-  /// tombstoned cell, a dead store with contents, or a live-point total that
-  /// disagrees with the records.  A failed load leaves the store empty.
-  void save(std::ostream& out) const;
-  bool load(std::istream& in);
+  /// layout of STRM2 and STRM3 builder blobs).  load() fails closed on a
+  /// record the store could never have written: a cell row or point record
+  /// of the wrong length, a count <= 0, counts that sum past events() (each
+  /// unit of multiplicity is one applied insert), an events() outside
+  /// [0, kMaxEvents], a cell net past ±events() or peak outside
+  /// [0, events()], a duplicate cell or point, a point outside its cell,
+  /// points on a tombstoned cell, a dead store with contents, or a
+  /// live-point total that disagrees with the records.  A failed load
+  /// leaves the store empty.
+  void save(serial::Writer& out) const;
+  bool load(serial::Reader& in);
 
  private:
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};

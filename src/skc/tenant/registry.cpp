@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
 #include "skc/common/check.h"
@@ -45,26 +44,23 @@ std::uint64_t replay_crc(const EventBatch& replay) {
 /// Replay section: [count u64][ops: count bytes][coords: count * dim
 /// Coords][crc64 u64], so a flipped op or coordinate fails the restore
 /// instead of replaying as data.
-void put_replay(std::ostream& out, const EventBatch& replay) {
-  serial::put<std::uint64_t>(out, replay.size());
-  out.write(reinterpret_cast<const char*>(replay.ops().data()),
-            static_cast<std::streamsize>(replay.ops().size_bytes()));
-  out.write(reinterpret_cast<const char*>(replay.coords().data()),
-            static_cast<std::streamsize>(replay.coords().size_bytes()));
-  serial::put(out, replay_crc(replay));
+void put_replay(serial::Writer& out, const EventBatch& replay) {
+  out.put<std::uint64_t>(replay.size());
+  out.put_array(replay.ops().data(), replay.ops().size());
+  out.put_array(replay.coords().data(), replay.coords().size());
+  out.put(replay_crc(replay));
 }
 
-bool get_replay(std::istream& in, int dim, std::uint64_t capacity,
+bool get_replay(serial::Reader& in, int dim, std::uint64_t capacity,
                 EventBatch& replay) {
   std::uint64_t count = 0, crc = 0;
-  if (!serial::get(in, count) || count > capacity) return false;
-  std::vector<StreamOp> ops(static_cast<std::size_t>(count));
-  std::vector<Coord> coords(ops.size() * static_cast<std::size_t>(dim));
-  in.read(reinterpret_cast<char*>(ops.data()),
-          static_cast<std::streamsize>(ops.size() * sizeof(StreamOp)));
-  in.read(reinterpret_cast<char*>(coords.data()),
-          static_cast<std::streamsize>(coords.size() * sizeof(Coord)));
-  if (!in || !serial::get(in, crc)) return false;
+  std::vector<StreamOp> ops;
+  std::vector<Coord> coords;
+  if (!in.get(count) || count > capacity || !in.get_array(count, ops) ||
+      !in.get_array(count * static_cast<std::uint64_t>(dim), coords) ||
+      !in.get(crc)) {
+    return false;
+  }
   for (const StreamOp op : ops) {
     if (op != StreamOp::kInsert && op != StreamOp::kDelete) return false;
   }
@@ -284,33 +280,18 @@ bool TenantRegistry::ensure_resident_locked(Tenant& t) {
 bool TenantRegistry::spill_locked(Tenant& t) {
   if (options_.spill_dir.empty() || !t.engine) return false;
   const std::string path = spill_path(t.id);
+  serial::Writer out;
+  out.put(kSpillMagic);
+  out.put<std::uint32_t>(static_cast<std::uint32_t>(t.rung));
+  out.put<std::uint8_t>(t.sealed ? 1 : 0);
+  put_replay(out, t.replay);
+  t.engine->save_state(out);
   // Write to a sibling temp file and rename into place only after a clean
-  // flush: a crash mid-spill must never leave a torn file at the canonical
+  // write: a crash mid-spill must never leave a torn file at the canonical
   // path (the tenant would fail restore on every later touch).
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      spill_failures_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    serial::put(out, kSpillMagic);
-    serial::put<std::uint32_t>(out, static_cast<std::uint32_t>(t.rung));
-    serial::put<std::uint8_t>(out, t.sealed ? 1 : 0);
-    put_replay(out, t.replay);
-    if (!t.engine->save_state(out)) {
-      spill_failures_.fetch_add(1, std::memory_order_relaxed);
-      std::remove(tmp.c_str());
-      return false;
-    }
-    out.flush();
-    if (!out) {
-      spill_failures_.fetch_add(1, std::memory_order_relaxed);
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  if (!serial::write_file(tmp, out.view()) ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
     spill_failures_.fetch_add(1, std::memory_order_relaxed);
     std::remove(tmp.c_str());
     return false;
@@ -326,20 +307,19 @@ bool TenantRegistry::spill_locked(Tenant& t) {
 
 bool TenantRegistry::restore_locked(Tenant& t) {
   const std::string path = spill_path(t.id);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
+  std::string bytes;
+  if (!serial::read_file(path, bytes)) return false;
+  serial::Reader in(bytes);
   std::uint64_t magic = 0;
   std::uint32_t rung = 0;
   std::uint8_t sealed = 0;
-  if (!serial::get(in, magic) || magic != kSpillMagic) return false;
-  if (!serial::get(in, rung) || rung != static_cast<std::uint32_t>(t.rung)) {
-    return false;
-  }
-  if (!serial::get(in, sealed) || (sealed != 0) != t.sealed) return false;
+  if (!in.get(magic) || magic != kSpillMagic) return false;
+  if (!in.get(rung) || rung != static_cast<std::uint32_t>(t.rung)) return false;
+  if (!in.get(sealed) || (sealed != 0) != t.sealed) return false;
   EventBatch replay;
   if (!get_replay(in, options_.dim, options_.replay_capacity, replay)) return false;
   std::unique_ptr<ClusteringEngine> engine = make_engine(t, t.rung);
-  if (!engine->load_state(in)) return false;
+  if (!engine->load_state(in.rest())) return false;
   t.engine = std::move(engine);
   t.replay = std::move(replay);
   t.resident.store(true, std::memory_order_release);

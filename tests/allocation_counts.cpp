@@ -1,6 +1,6 @@
-// Heap allocations per event on the ingest path.  This file is its own test
-// executable (skc_alloc_tests): the replacement operator new below counts
-// every allocation in the process, which must not leak into skc_tests.
+// Heap allocations per event on the ingest path, counted by the
+// replacement operator new of the skc_alloc_tests executable
+// (allocation_probe.h).
 //
 // The reference is the builder itself: the same batches, split by the
 // engine's router and fed to one builder per shard in the slices an engine
@@ -10,11 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <span>
 #include <vector>
 
@@ -23,19 +20,8 @@
 #include "skc/engine/engine.h"
 #include "skc/stream/generators.h"
 #include "skc/tenant/registry.h"
+#include "allocation_probe.h"
 #include "test_util.h"
-
-namespace {
-std::atomic<std::int64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace skc {
 namespace {
@@ -46,9 +32,9 @@ constexpr int kLogDelta = 12;
 /// Allocations made (on any thread) while `fn` runs.
 template <typename Fn>
 std::int64_t allocations_during(Fn&& fn) {
-  const std::int64_t before = g_allocations.load();
+  const std::int64_t before = testutil::allocation_count();
   fn();
-  return g_allocations.load() - before;
+  return testutil::allocation_count() - before;
 }
 
 CoresetParams params() { return CoresetParams::practical(4, LrOrder{2.0}, 0.2, 0.2); }

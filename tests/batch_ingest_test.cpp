@@ -13,11 +13,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
+#include <unistd.h>
+
 #include "skc/common/crc64.h"
+#include "skc/common/serial.h"
 #include "skc/coreset/sampling.h"
 #include "skc/coreset/streaming.h"
 #include "skc/engine/engine.h"
@@ -27,6 +32,7 @@
 #include "skc/sketch/point_store.h"
 #include "node_map_point_store.h"
 #include "skc/stream/generators.h"
+#include "skc/tenant/registry.h"
 #include "test_util.h"
 
 namespace skc {
@@ -117,9 +123,9 @@ TEST(BatchGrid, CellIndexBatchMatchesPointwise) {
 
 template <typename S>
 std::string serialized(const S& s) {
-  std::ostringstream out(std::ios::binary);
+  serial::Writer out;
   s.save(out);
-  return std::move(out).str();
+  return out.take();
 }
 
 struct CellEventBatch {
@@ -339,10 +345,11 @@ void PrintTo(const Digest& d, std::ostream* os) {
   *os << "{0x" << std::hex << d.crc << std::dec << ", " << d.bytes << "}";
 }
 
+Digest digest_of(const std::string& bytes) { return {crc64(bytes), bytes.size()}; }
+
 template <typename S>
 Digest digest(const S& s) {
-  const std::string bytes = serialized(s);
-  return {crc64(bytes), bytes.size()};
+  return digest_of(serialized(s));
 }
 
 StreamingOptions pruning_options(PointIndex n) {
@@ -467,6 +474,73 @@ TEST(IngestDigest, DistinctCells) {
     }
     EXPECT_EQ(digest(dc), (Digest{0x7f519c35f8f851de, 156})) << "batch size " << size;
   }
+}
+
+
+std::string engine_state(ClusteringEngine& engine) {
+  serial::Writer out;
+  engine.save_state(out);
+  return out.take();
+}
+
+TEST(IngestDigest, EngineState) {
+  const Stream stream = churn_10k(33);
+  EngineOptions eopt;
+  eopt.num_shards = 2;
+  eopt.worker_threads = 0;  // inline drains: deterministic
+  eopt.streaming = sketch_options(PointIndex(stream.size()));
+  eopt.streaming.prune_interval = 1024;
+  ClusteringEngine engine(2, CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3), eopt);
+  for (std::size_t base = 0; base < stream.size(); base += 1000) {
+    engine.submit(Stream(stream.begin() + static_cast<std::ptrdiff_t>(base),
+                         stream.begin() + static_cast<std::ptrdiff_t>(
+                                              std::min(base + 1000, stream.size()))));
+  }
+  const std::string bytes = engine_state(engine);
+  engine.shutdown();
+  // Frame (28 bytes) and body header (21), then shard 0's builder: its
+  // first guess flag follows 48 bytes of builder header.
+  ASSERT_GT(bytes.size(), 97u);
+  EXPECT_EQ(bytes[97], 1) << "pruning must have fired";
+  EXPECT_EQ(digest_of(bytes), (Digest{0xce7e36f83d99de9f, 8762082}));
+}
+
+TEST(IngestDigest, TenantSpill) {
+  tenant::TenantRegistryOptions o;
+  o.dim = 2;
+  o.params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
+  o.engine.num_shards = 1;
+  o.engine.streaming = sketch_options(1 << 14);
+  o.pool_threads = 0;
+  o.num_rungs = 3;
+  o.rung_scale = 4;
+  o.min_rung_points = 256;
+  o.max_resident = 1;
+  // A directory of this process's own, so concurrent runs never share a
+  // spill file.
+  o.spill_dir = ::testing::TempDir() + "ingest-digest-" + std::to_string(::getpid());
+  std::filesystem::create_directories(o.spill_dir);
+  const Stream stream = churn_10k(34);
+  tenant::TenantRegistry reg(o);
+  ASSERT_EQ(reg.submit("ingest-digest", Stream(stream.begin(), stream.begin() + 700)),
+            tenant::Admit::kOk);
+  ASSERT_EQ(reg.submit("ingest-digest-other", Stream(stream.begin(), stream.begin() + 5)),
+            tenant::Admit::kOk);  // the LRU tenant spills
+  const std::string path = o.spill_dir + "/ingest-digest.tnt";
+  std::string bytes;
+  ASSERT_TRUE(serial::read_file(path, bytes)) << "expected a spill at " << path;
+  std::filesystem::remove_all(o.spill_dir);
+  for (const tenant::TenantStats& t : reg.stats().per_tenant) {
+    if (t.id == "ingest-digest") {
+      EXPECT_LT(t.rung, 2) << "below the top rung";
+    }
+  }
+  // Magic (8), rung (4), sealed (1), then the replay event count.
+  ASSERT_GT(bytes.size(), 21u);
+  std::uint64_t replay = 0;
+  std::memcpy(&replay, bytes.data() + 13, sizeof replay);
+  EXPECT_EQ(replay, 700u);
+  EXPECT_EQ(digest_of(bytes), (Digest{0xcdb4dd4b32958e2e, 4425461}));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "skc/common/crc64.h"
 #include "skc/coreset/streaming.h"
 #include "skc/engine/engine.h"
 #include "skc/stream/generators.h"
@@ -118,9 +119,9 @@ std::string engine_snapshot(ClusteringEngine& engine, int n) {
   PointSet pts = gaussian_mixture(mixture(n), rng);
   engine.submit(insertion_stream(pts));
   engine.flush();
-  std::stringstream out;
-  EXPECT_TRUE(engine.save_state(out));
-  return out.str();
+  serial::Writer out;
+  engine.save_state(out);
+  return out.take();
 }
 
 TEST(Checkpoint, EngineStateRoundTripsThroughTheCrcFrame) {
@@ -129,8 +130,7 @@ TEST(Checkpoint, EngineStateRoundTripsThroughTheCrcFrame) {
   const std::string blob = engine_snapshot(engine, 400);
 
   ClusteringEngine restored(2, params, engine_options());
-  std::istringstream in(blob);
-  ASSERT_TRUE(restored.load_state(in));
+  ASSERT_TRUE(restored.load_state(blob));
   EXPECT_EQ(restored.net_count(), engine.net_count());
   EngineQuery q;
   q.summary_only = true;
@@ -156,8 +156,7 @@ TEST(Checkpoint, RefusesAnUnframedVersion1EngineFile) {
   v1.append(reinterpret_cast<const char*>(&version), sizeof version);
   v1.append(blob.substr(8 + 4 + 8 + 8));
   ClusteringEngine fresh(2, params, engine_options());
-  std::istringstream in(v1);
-  EXPECT_FALSE(fresh.load_state(in));
+  EXPECT_FALSE(fresh.load_state(v1));
   EXPECT_EQ(fresh.net_count(), 0);
   fresh.shutdown();
 }
@@ -171,8 +170,7 @@ TEST(Checkpoint, EngineStateRejectsEveryTruncationAndBitFlip) {
 
   const auto rejects = [&params](const std::string& bytes) {
     ClusteringEngine fresh(2, params, engine_options());
-    std::istringstream in(bytes);
-    const bool loaded = fresh.load_state(in);
+    const bool loaded = fresh.load_state(bytes);
     fresh.shutdown();
     return !loaded;
   };
@@ -209,6 +207,40 @@ TEST(Checkpoint, EngineStateRejectsEveryTruncationAndBitFlip) {
   // The untouched blob still loads: the sweeps rejected corruption, not
   // the format.
   EXPECT_FALSE(rejects(blob));
+}
+
+// A checkpoint is one frame read whole, and a blob is one builder: a byte
+// past either is refused, after the frame, after the footer inside a frame
+// whose size and CRC cover it, and after an imported blob.
+TEST(Checkpoint, RefusesBytesPastTheFrameTheFooterOrTheBlob) {
+  const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
+  ClusteringEngine engine(2, params, engine_options());
+  const std::string file = engine_snapshot(engine, 400);
+  std::string payload = file.substr(28) + '\0';
+  std::string framed = file.substr(0, 28) + payload;
+  const std::uint64_t size = payload.size(), crc = crc64(payload);
+  std::memcpy(framed.data() + 12, &size, sizeof size);
+  std::memcpy(framed.data() + 20, &crc, sizeof crc);
+  for (const std::string& bad : {file + '\0', framed}) {
+    ClusteringEngine fresh(2, params, engine_options());
+    EXPECT_FALSE(fresh.load_state(bad));
+    fresh.shutdown();
+  }
+  const std::string blob = engine.export_sketch().blob;
+  EXPECT_FALSE(engine.import_sketch(blob + '\0'));
+  EXPECT_TRUE(engine.import_sketch(blob));
+  engine.shutdown();
+}
+
+// Checkpoint files are read whole, sized by the file: a path that is not a
+// regular file is refused, never sized from a stream's end (a directory
+// opens as a stream whose end reads as 2^63 - 1).
+TEST(Checkpoint, RestoreOfADirectoryIsRefused) {
+  const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
+  ClusteringEngine engine(2, params, engine_options());
+  EXPECT_FALSE(engine.restore(::testing::TempDir()));
+  EXPECT_FALSE(engine.restore(::testing::TempDir() + "no-such-checkpoint.skc"));
+  engine.shutdown();
 }
 
 TEST(Checkpoint, ExactModeRoundTripsToo) {

@@ -4,7 +4,6 @@
 
 #include <cstring>
 #include <set>
-#include <sstream>
 #include <string>
 #include <unordered_set>
 
@@ -81,15 +80,15 @@ TEST(DistinctCells, LoadTakesAnyOrderAndRefusesToEmpty) {
   const PointSet pts = testutil::random_points(2, 256, 40, prng);
   DistinctCells dc(grid, 8, 64, 7);
   for (PointIndex i = 0; i < pts.size(); ++i) add(dc, grid, 8, pts[i], +1);
-  std::ostringstream out(std::ios::binary);
+  serial::Writer out;
   dc.save(out);
-  const std::string blob = std::move(out).str();
+  const std::string blob = out.take();
   // [i32 shift][u64 entries] then entries of [u64 2][2 x i32][i64 count].
   const std::size_t head = 4 + 8, entry = 8 + 2 * 4 + 8;
   const std::size_t entries = (blob.size() - head) / entry;
   ASSERT_GT(entries, 1u);
   const auto load = [&](DistinctCells& into, const std::string& bytes) {
-    std::istringstream in(bytes);
+    serial::Reader in(bytes);
     return into.load(in);
   };
 
@@ -98,9 +97,9 @@ TEST(DistinctCells, LoadTakesAnyOrderAndRefusesToEmpty) {
   DistinctCells thawed(grid, 8, 64, 7);
   ASSERT_TRUE(load(thawed, reversed));
   EXPECT_DOUBLE_EQ(thawed.estimate(), dc.estimate());
-  std::ostringstream again(std::ios::binary);
+  serial::Writer again;
   thawed.save(again);
-  EXPECT_TRUE(std::move(again).str() == blob);
+  EXPECT_TRUE(again.view() == blob);
 
   std::string bad = blob;
   const std::int32_t shift = 64;

@@ -150,6 +150,29 @@ TEST(Histogram, PercentileOfSingleValueIsThatValue) {
   EXPECT_DOUBLE_EQ(LatencyHistogram{}.snapshot().percentile_micros(0.5), 0.0);
 }
 
+// A snapshot from a peer's WORKER_STATS reply holds whatever the wire
+// carried.  Min above max used to reach std::clamp with lo > hi (undefined;
+// an assertion failure under _GLIBCXX_ASSERTIONS), and a bucket near
+// INT64_MAX overflowed the running sum; both now give a defined percentile.
+TEST(Histogram, PercentileIsDefinedForAnySnapshot) {
+  HistogramSnapshot s;
+  s.count = 4;
+  s.min_micros = 900;
+  s.max_micros = 100;  // min above max
+  const int b = histogram_bucket_of(500);
+  s.buckets[static_cast<std::size_t>(b)] = 4;
+  const double p50 = s.percentile_micros(0.5);
+  EXPECT_GE(p50, static_cast<double>(histogram_bucket_lower(b)));
+  EXPECT_LE(p50, static_cast<double>(histogram_bucket_upper(b)));
+
+  s.min_micros = 0;
+  s.max_micros = 1000;
+  s.buckets[static_cast<std::size_t>(histogram_bucket_of(10))] = 1;
+  s.buckets[static_cast<std::size_t>(b)] = INT64_MAX;
+  s.count = INT64_MAX;
+  EXPECT_GE(s.percentile_micros(0.99), static_cast<double>(histogram_bucket_lower(b)));
+}
+
 TEST(Histogram, UnitConversionsLandInTheRightBuckets) {
   LatencyHistogram h;
   h.record_millis(1.5);    // 1500 us

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "skc/common/random.h"
 
@@ -60,27 +59,6 @@ TEST(HyperLogLog, MergeRefusesPrecisionMismatch) {
   b.add_hash(hash_of(1));
   EXPECT_FALSE(a.merge(b));
   EXPECT_DOUBLE_EQ(a.estimate(), 0.0);
-}
-
-TEST(HyperLogLog, SaveLoadRoundTrip) {
-  HyperLogLog hll(11);
-  for (std::uint64_t i = 0; i < 10'000; ++i) hll.add_hash(hash_of(i));
-  std::ostringstream out(std::ios::binary);
-  hll.save(out);
-  const std::string blob = std::move(out).str();
-
-  HyperLogLog restored(11);
-  std::istringstream in(blob, std::ios::binary);
-  ASSERT_TRUE(restored.load(in));
-  EXPECT_DOUBLE_EQ(restored.estimate(), hll.estimate());
-
-  // Precision mismatch and truncation both fail closed.
-  HyperLogLog wrong(12);
-  std::istringstream in2(blob, std::ios::binary);
-  EXPECT_FALSE(wrong.load(in2));
-  std::istringstream in3(blob.substr(0, blob.size() / 2), std::ios::binary);
-  HyperLogLog truncated(11);
-  EXPECT_FALSE(truncated.load(in3));
 }
 
 TEST(HyperLogLog, ResetClears) {

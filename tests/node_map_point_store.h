@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <iosfwd>
 #include <optional>
 #include <span>
 #include <string>
@@ -111,48 +110,48 @@ class NodeMapPointStore {
 
   void release() { kill(); }
 
-  void save(std::ostream& out) const {
-    serial::put<std::uint8_t>(out, dead_ ? 1 : 0);
-    serial::put<std::int64_t>(out, events_);
-    serial::put<std::int64_t>(out, live_points_);
-    serial::put<std::uint64_t>(out, cells_.size());
+  void save(serial::Writer& out) const {
+    out.put<std::uint8_t>(dead_ ? 1 : 0);
+    out.put<std::int64_t>(events_);
+    out.put<std::int64_t>(live_points_);
+    out.put<std::uint64_t>(cells_.size());
     for (const auto& [key, entry] : cells_) {
-      serial::put_vector(out, key.index);
-      serial::put<std::int64_t>(out, entry.net);
-      serial::put<std::int64_t>(out, entry.net_peak);
-      serial::put<std::uint8_t>(out, entry.tombstoned ? 1 : 0);
-      serial::put<std::uint64_t>(out, entry.points.size());
+      out.put_vector(key.index);
+      out.put<std::int64_t>(entry.net);
+      out.put<std::int64_t>(entry.net_peak);
+      out.put<std::uint8_t>(entry.tombstoned ? 1 : 0);
+      out.put<std::uint64_t>(entry.points.size());
       for (const auto& [packed, count] : entry.points) {
-        serial::put_string(out, packed);
-        serial::put<std::int64_t>(out, count);
+        out.put_string(packed);
+        out.put<std::int64_t>(count);
       }
     }
   }
 
-  bool load(std::istream& in) {
+  bool load(serial::Reader& in) {
     std::uint8_t dead = 0;
-    if (!serial::get(in, dead)) return false;
+    if (!in.get(dead)) return false;
     dead_ = dead != 0;
-    if (!serial::get(in, events_) || !serial::get(in, live_points_)) return false;
+    if (!in.get(events_) || !in.get(live_points_)) return false;
     std::uint64_t ncells = 0;
-    if (!serial::get(in, ncells)) return false;
+    if (!in.get(ncells)) return false;
     cells_.clear();
     for (std::uint64_t c = 0; c < ncells; ++c) {
       CellKey key;
       key.level = level_;
-      if (!serial::get_vector(in, key.index)) return false;
+      if (!in.get_vector(key.index)) return false;
       Entry entry;
       std::uint8_t tomb = 0;
       std::uint64_t npoints = 0;
-      if (!serial::get(in, entry.net) || !serial::get(in, entry.net_peak) ||
-          !serial::get(in, tomb) || !serial::get(in, npoints)) {
+      if (!in.get(entry.net) || !in.get(entry.net_peak) ||
+          !in.get(tomb) || !in.get(npoints)) {
         return false;
       }
       entry.tombstoned = tomb != 0;
       for (std::uint64_t p = 0; p < npoints; ++p) {
         std::string packed;
         std::int64_t count = 0;
-        if (!serial::get_string(in, packed) || !serial::get(in, count)) return false;
+        if (!in.get_string(packed) || !in.get(count)) return false;
         entry.points.emplace(std::move(packed), count);
       }
       cells_.emplace(std::move(key), std::move(entry));

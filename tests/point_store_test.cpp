@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 #include <span>
 #include <string>
 #include <tuple>
@@ -177,14 +176,14 @@ TEST(CellPointStore, ChurnLeavesOnlySurvivors) {
 
 template <typename Store>
 std::string saved(const Store& store) {
-  std::ostringstream out(std::ios::binary);
+  serial::Writer out;
   store.save(out);
-  return std::move(out).str();
+  return out.take();
 }
 
 template <typename Store>
 bool loads(Store& store, const std::string& blob) {
-  std::istringstream in(blob);
+  serial::Reader in(blob);
   return store.load(in);
 }
 
@@ -328,43 +327,43 @@ struct StoreBlob {
   std::vector<Cell> cells;
 
   static StoreBlob parse(const std::string& bytes) {
-    std::istringstream in(bytes);
+    serial::Reader in(bytes);
     StoreBlob b;
     std::uint64_t ncells = 0;
-    EXPECT_TRUE(serial::get(in, b.dead) && serial::get(in, b.events) &&
-                serial::get(in, b.live) && serial::get(in, ncells));
+    EXPECT_TRUE(in.get(b.dead) && in.get(b.events) &&
+                in.get(b.live) && in.get(ncells));
     b.cells.resize(ncells);
     for (Cell& c : b.cells) {
       std::uint64_t npoints = 0;
-      EXPECT_TRUE(serial::get_vector(in, c.row) && serial::get(in, c.net) &&
-                  serial::get(in, c.peak) && serial::get(in, c.tombstoned) &&
-                  serial::get(in, npoints));
+      EXPECT_TRUE(in.get_vector(c.row) && in.get(c.net) &&
+                  in.get(c.peak) && in.get(c.tombstoned) &&
+                  in.get(npoints));
       c.points.resize(npoints);
       for (auto& [packed, count] : c.points) {
-        EXPECT_TRUE(serial::get_string(in, packed) && serial::get(in, count));
+        EXPECT_TRUE(in.get_string(packed) && in.get(count));
       }
     }
     return b;
   }
 
   std::string str() const {
-    std::ostringstream out(std::ios::binary);
-    serial::put(out, dead);
-    serial::put(out, events);
-    serial::put(out, live);
-    serial::put<std::uint64_t>(out, cells.size());
+    serial::Writer out;
+    out.put(dead);
+    out.put(events);
+    out.put(live);
+    out.put<std::uint64_t>(cells.size());
     for (const Cell& c : cells) {
-      serial::put_vector(out, c.row);
-      serial::put(out, c.net);
-      serial::put(out, c.peak);
-      serial::put(out, c.tombstoned);
-      serial::put<std::uint64_t>(out, c.points.size());
+      out.put_vector(c.row);
+      out.put(c.net);
+      out.put(c.peak);
+      out.put(c.tombstoned);
+      out.put<std::uint64_t>(c.points.size());
       for (const auto& [packed, count] : c.points) {
-        serial::put_string(out, packed);
-        serial::put(out, count);
+        out.put_string(packed);
+        out.put(count);
       }
     }
-    return std::move(out).str();
+    return out.take();
   }
 
   Cell& at(std::int32_t x, std::int32_t y) {
@@ -414,6 +413,57 @@ TEST(CellPointStore, LoadRejectsANonPositiveCount) {
   for (const std::int64_t count : {0, -2}) {
     StoreBlob blob = StoreBlob::parse(node_map_blob());
     blob.at(0, 0).points.front().second = count;
+    expect_refused(blob);
+  }
+}
+
+// Each unit of multiplicity is one applied insert, so a blob's counts sum
+// to at most its events().  A larger count used to load, and the next
+// cell() read expanded it: a store that had applied one event, with that
+// point's count set to 2^40, reserved a 2^40-point PointSet and aborted
+// with bad_alloc.
+TEST(CellPointStore, LoadRejectsCountsPastItsEvents) {
+  const HierarchicalGrid grid = pin_grid();
+  CellPointStore one(grid, 2, pin_config());
+  add(one, grid, std::vector<Coord>{5, 6}, +1);
+  StoreBlob blob = StoreBlob::parse(saved(one));
+  ASSERT_EQ(blob.events, 1);
+  blob.at(0, 0).points.front().second = std::int64_t{1} << 40;
+  expect_refused(blob);
+
+  // The bound is on the sum, and it is exact: with events() at 8 (the
+  // largest cell peak), the pinned blob's counts (7) may grow to 8, not 9.
+  StoreBlob tight = StoreBlob::parse(node_map_blob());
+  tight.events = 8;
+  std::int64_t& count = tight.at(0, 0).points.front().second;
+  ++count;
+  CellPointStore store(grid, 2, pin_config());
+  EXPECT_TRUE(loads(store, tight.str()));
+  ++count;
+  expect_refused(tight);
+  tight.events = -1;
+  expect_refused(tight);
+}
+
+// A cell's net moves by one per event and its peak is a past net, so both
+// are bounded by events(), and events() by kMaxEvents: a fold adds nets,
+// peaks and events of up to 1,023 loaded stores without overflowing.
+TEST(CellPointStore, LoadRejectsEventsNetsAndPeaksNoHistoryWrites) {
+  const StoreBlob pinned = StoreBlob::parse(node_map_blob());
+  ASSERT_EQ(pinned.events, 20);
+  {
+    StoreBlob blob = pinned;
+    blob.events = kMaxEvents + 1;
+    expect_refused(blob);
+  }
+  for (const std::int64_t net : {21, -21}) {
+    StoreBlob blob = pinned;
+    blob.at(3, 0).net = net;
+    expect_refused(blob);
+  }
+  for (const std::int64_t peak : {21, -1}) {
+    StoreBlob blob = pinned;
+    blob.at(3, 0).peak = peak;
     expect_refused(blob);
   }
 }
@@ -695,6 +745,16 @@ TEST(CellPointStore, MatchesTheNodeMapStoreOnRandomOperations) {
     EXPECT_EQ(saw_tombstone, dc.tombstones) << dc.name;
     EXPECT_EQ(saw_dead, dc.dies) << dc.name;
   }
+}
+
+// load() bounds counts by events() because every event moves one point's
+// multiplicity by one; update_batch enforces that in all builds.
+TEST(CellPointStoreDeathTest, AnEventOfAnotherMultiplicityAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const HierarchicalGrid grid = pin_grid();
+  CellPointStore store(grid, 2, pin_config());
+  EXPECT_DEATH(add(store, grid, std::vector<Coord>{5, 6}, 2),
+               "a point store event inserts or deletes one point");
 }
 
 }  // namespace
