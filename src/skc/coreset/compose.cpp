@@ -1,116 +1,11 @@
 #include "skc/coreset/compose.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "skc/common/check.h"
 #include "skc/common/random.h"
-#include "skc/coreset/sampling.h"
 
 namespace skc {
-
-BuildAttempt build_weighted_coreset_at(const WeightedPointSet& points,
-                                       const HierarchicalGrid& grid,
-                                       const CoresetParams& params, double o) {
-  BuildAttempt attempt;
-  const int L = grid.log_delta();
-  const int dim = grid.dim();
-  SKC_CHECK_MSG(points.integral_weights(),
-                "weighted construction requires integral weights");
-
-  const OfflinePartition partition = partition_offline_weighted(
-      points.points(), points.weights(), grid, params.partition(), o);
-  if (partition.fail) {
-    attempt.fail_reason = partition.fail_reason;
-    return attempt;
-  }
-
-  // Per-level weighted mass bound (Algorithm 2 line 6, weight units).
-  std::vector<double> level_mass(static_cast<std::size_t>(L + 1), 0.0);
-  for (const Part& part : partition.parts) {
-    level_mass[static_cast<std::size_t>(part.level)] += part.weight;
-  }
-  const double mass_bound = params.mass_bound(dim, L);
-  for (int i = 0; i <= L; ++i) {
-    const double ti = part_threshold(grid, params.partition(), i, o);
-    if (level_mass[static_cast<std::size_t>(i)] > mass_bound * ti) {
-      attempt.fail_reason = "per-level part mass exceeds bound (guess o too small)";
-      return attempt;
-    }
-  }
-
-  const double gamma = params.gamma(dim, L);
-  const auto hashes = make_level_hashes(params, L, SamplerPurpose::kCoreset);
-
-  Coreset& coreset = attempt.coreset;
-  coreset.o = o;
-  coreset.points = WeightedPointSet(dim);
-  coreset.level_weights.assign(static_cast<std::size_t>(L + 1), 1.0);
-  std::vector<SamplingRate> rate(static_cast<std::size_t>(L + 1));
-  for (int i = 0; i <= L; ++i) {
-    rate[static_cast<std::size_t>(i)] =
-        SamplingRate::from_probability(params.sampling_probability(grid, i, o));
-    coreset.level_weights[static_cast<std::size_t>(i)] =
-        rate[static_cast<std::size_t>(i)].weight();
-  }
-
-  for (const Part& part : partition.parts) {
-    const double ti = part_threshold(grid, params.partition(), part.level, o);
-    if (part.weight < gamma * ti) continue;
-    const SamplingRate& lr = rate[static_cast<std::size_t>(part.level)];
-    for (PointIndex pi : part.points) {
-      const auto p = points.point(pi);
-      const double w = points.weight(pi);
-      // Importance sampling: keep with probability min(1, w * phi) and
-      // reweight to w / p_keep (threshold sampling).  A heavy point
-      // (w >= 1/phi) is kept deterministically at its own weight, which is
-      // what keeps the variance of re-coreset tiers from compounding.
-      const std::uint64_t m_eff = std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(
-                 std::llround(static_cast<double>(lr.m) / w)));
-      const SamplingRate effective{m_eff};
-      if (!kwise_keep(hashes[static_cast<std::size_t>(part.level)], p, effective)) {
-        continue;
-      }
-      coreset.points.push_back(p, w * effective.weight());
-      coreset.levels.push_back(part.level);
-    }
-  }
-  attempt.ok = true;
-  return attempt;
-}
-
-OfflineBuildResult build_weighted_coreset(const WeightedPointSet& points,
-                                          const CoresetParams& params,
-                                          int log_delta) {
-  OfflineBuildResult result;
-  SKC_CHECK(!points.empty());
-  if (log_delta == 0) log_delta = grid_log_delta(points.points().max_coord());
-  const HierarchicalGrid grid = make_grid(points.dim(), log_delta, params.seed);
-
-  const double o_max =
-      max_opt_guess(static_cast<PointIndex>(std::llround(points.total_weight())),
-                    points.dim(), log_delta, params.r);
-  result.diagnostics.o_min = 1.0;
-  result.diagnostics.o_max = o_max;
-
-  for (double o = 1.0; o <= o_max * params.guess_factor; o *= params.guess_factor) {
-    BuildAttempt attempt = build_weighted_coreset_at(points, grid, params, o);
-    result.diagnostics.guesses_tried.push_back(o);
-    result.diagnostics.guess_outcomes.push_back(attempt.ok ? "ok"
-                                                           : attempt.fail_reason);
-    if (attempt.ok) {
-      result.ok = true;
-      result.coreset = std::move(attempt.coreset);
-      return result;
-    }
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// CoresetComposer
-// ---------------------------------------------------------------------------
 
 CoresetComposer::CoresetComposer(int dim, const CoresetParams& params,
                                  const Options& options)
@@ -129,8 +24,7 @@ void CoresetComposer::insert_all(const PointSet& points) {
   for (PointIndex i = 0; i < points.size(); ++i) insert(points[i]);
 }
 
-std::optional<WeightedPointSet> CoresetComposer::reduce(
-    const WeightedPointSet& input) {
+OfflineBuildResult CoresetComposer::reduce(const WeightedPointSet& input) {
   ++reductions_;
   // Each reduction must draw FRESH randomness: reusing the level hashes
   // across tiers correlates the keep decisions (a surviving point has a
@@ -142,22 +36,19 @@ std::optional<WeightedPointSet> CoresetComposer::reduce(
       params_.seed ^ (std::uint64_t{0x9e3779b97f4a7c15} *
                       static_cast<std::uint64_t>(reductions_));
   tier_params.seed = splitmix64(sm);
-  const OfflineBuildResult built =
-      build_weighted_coreset(input, tier_params, options_.log_delta);
-  if (!built.ok) return std::nullopt;
-  return built.coreset.points;
+  return build_weighted_coreset(input, tier_params, options_.log_delta);
 }
 
 void CoresetComposer::flush_buffer() {
   if (buffer_.empty() || failed_) return;
-  auto summary = reduce(WeightedPointSet::unit(buffer_));
+  OfflineBuildResult summary = reduce(WeightedPointSet::unit(buffer_));
   buffer_.clear();
-  if (!summary) {
+  if (!summary.ok) {
     failed_ = true;
     return;
   }
   if (tiers_.empty()) tiers_.emplace_back();
-  tiers_[0].push_back(std::move(*summary));
+  tiers_[0].push_back(std::move(summary.coreset.points));
   reduce_tiers();
   note_memory();
 }
@@ -170,13 +61,13 @@ void CoresetComposer::reduce_tiers() {
         merged.append(tiers_[tier].back());
         tiers_[tier].pop_back();
       }
-      auto summary = reduce(merged);
-      if (!summary) {
+      OfflineBuildResult summary = reduce(merged);
+      if (!summary.ok) {
         failed_ = true;
         return;
       }
       if (tier + 1 >= tiers_.size()) tiers_.emplace_back();
-      tiers_[tier + 1].push_back(std::move(*summary));
+      tiers_[tier + 1].push_back(std::move(summary.coreset.points));
     }
   }
 }
@@ -203,17 +94,10 @@ std::optional<Coreset> CoresetComposer::finalize() {
   if (merged.empty()) return std::nullopt;
   note_memory();
   // One final reduction so the result is coreset-sized even when many tiers
-  // are partially filled (fresh randomness, as in reduce()).
-  ++reductions_;
-  CoresetParams tier_params = params_;
-  std::uint64_t sm =
-      params_.seed ^ (std::uint64_t{0x9e3779b97f4a7c15} *
-                      static_cast<std::uint64_t>(reductions_));
-  tier_params.seed = splitmix64(sm);
-  const OfflineBuildResult built =
-      build_weighted_coreset(merged, tier_params, options_.log_delta);
+  // are partially filled.
+  OfflineBuildResult built = reduce(merged);
   if (!built.ok) return std::nullopt;
-  return built.coreset;
+  return std::move(built.coreset);
 }
 
 }  // namespace skc

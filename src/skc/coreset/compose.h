@@ -1,11 +1,10 @@
-// Weighted-input construction and merge-reduce composition.
+// Merge-reduce composition over the weighted construction.
 //
-// The paper's construction takes an unweighted point set.  Generalizing the
-// partition thresholds and the sample weights to weighted inputs (weights
-// must be positive integers, so a weighted point is semantically a stack of
-// copies) enables the classic merge-reduce tree of [HPM04/BFL16]: buffer a
-// block of the stream, build its coreset, and whenever two summaries of the
-// same tier exist, merge (concatenate) and re-coreset into the next tier.
+// Algorithm 2 takes integral-weighted input too (offline.h: a weighted
+// point is semantically a stack of copies), which enables the classic
+// merge-reduce tree of [HPM04/BFL16]: buffer a block of the stream, build
+// its coreset, and whenever two summaries of the same tier exist, merge
+// (concatenate) and re-coreset into the next tier.
 //
 // This is the INSERTION-ONLY alternative to the paper's linear sketch and a
 // useful baseline: each re-coreset compounds the (eps, eta) error, so a
@@ -22,18 +21,6 @@
 #include "skc/geometry/weighted_set.h"
 
 namespace skc {
-
-/// Algorithm 2 over a weighted input (integral weights).  The output weight
-/// of a sampled point is w(p) / phi_i; the total weight remains an unbiased
-/// estimate of the input's total weight.
-BuildAttempt build_weighted_coreset_at(const WeightedPointSet& points,
-                                       const HierarchicalGrid& grid,
-                                       const CoresetParams& params, double o);
-
-/// Guess enumeration around the weighted construction (Theorem 3.19 rule).
-OfflineBuildResult build_weighted_coreset(const WeightedPointSet& points,
-                                          const CoresetParams& params,
-                                          int log_delta);
 
 /// Merge-reduce composer: feed insertion blocks, get a coreset of the union.
 class CoresetComposer {
@@ -68,7 +55,7 @@ class CoresetComposer {
  private:
   void flush_buffer();
   void reduce_tiers();
-  std::optional<WeightedPointSet> reduce(const WeightedPointSet& input);
+  OfflineBuildResult reduce(const WeightedPointSet& input);
   void note_memory();
 
   int dim_;

@@ -12,13 +12,18 @@
 // build_offline_coreset enumerates o geometrically from 1 to n (sqrt(d)
 // Delta)^r and returns the first (smallest) non-FAILing attempt, exactly the
 // selection rule of Theorem 3.19's proof.
+//
+// The same construction takes integral-weighted input (a point of weight w
+// is a stack of w copies): heaviness and part mass count weight, and a point
+// is kept with probability min(1, w phi_i) at weight w / P(keep).  Unit
+// weights are the paper's input.  The merge-reduce composer (compose.h)
+// re-coresets weighted summaries through it.
 #pragma once
-
-#include <optional>
 
 #include "skc/coreset/coreset.h"
 #include "skc/coreset/params.h"
 #include "skc/geometry/point_set.h"
+#include "skc/geometry/weighted_set.h"
 #include "skc/grid/hierarchical_grid.h"
 
 namespace skc {
@@ -27,6 +32,11 @@ namespace skc {
 BuildAttempt build_offline_coreset_at(const PointSet& points,
                                       const HierarchicalGrid& grid,
                                       const CoresetParams& params, double o);
+
+/// Algorithm 2 for a fixed guess o over integral weights (aborts otherwise).
+BuildAttempt build_weighted_coreset_at(const WeightedPointSet& points,
+                                       const HierarchicalGrid& grid,
+                                       const CoresetParams& params, double o);
 
 struct OfflineBuildResult {
   bool ok = false;
@@ -39,6 +49,11 @@ struct OfflineBuildResult {
 OfflineBuildResult build_offline_coreset(const PointSet& points,
                                          const CoresetParams& params,
                                          int log_delta = 0 /* 0 = derive */);
+
+/// The same over integral weights; n in the guess range is the total weight.
+OfflineBuildResult build_weighted_coreset(const WeightedPointSet& points,
+                                          const CoresetParams& params,
+                                          int log_delta);
 
 /// The upper end of the o-guess range: n * (sqrt(d) * Delta)^r.
 double max_opt_guess(PointIndex n, int dim, int log_delta, LrOrder r);

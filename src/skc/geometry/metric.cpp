@@ -2,8 +2,8 @@
 
 #include "skc/parallel/parallel_for.h"
 
+#include <map>
 #include <mutex>
-#include <vector>
 
 namespace skc {
 
@@ -36,8 +36,9 @@ double unconstrained_cost(const PointSet& points, const PointSet& centers,
   const PointIndex n = points.size();
   if (n == 0) return 0.0;
   SKC_CHECK(!centers.empty());
-  // Block-local partial sums, combined at the end (avoids atomics on doubles).
-  std::vector<double> partial;
+  // Block-local partial sums keyed by block start and added in block order,
+  // not the order blocks finish, so every run returns the same bits.
+  std::map<std::int64_t, double> partial;
   std::mutex mu;
   parallel_for_blocked(0, n, [&](std::int64_t lo, std::int64_t hi) {
     double s = 0.0;
@@ -45,10 +46,10 @@ double unconstrained_cost(const PointSet& points, const PointSet& centers,
       s += nearest_center(points[i], centers, r).cost;
     }
     std::scoped_lock lock(mu);
-    partial.push_back(s);
+    partial.emplace(lo, s);
   });
   double total = 0.0;
-  for (double s : partial) total += s;
+  for (const auto& [lo, s] : partial) total += s;
   return total;
 }
 

@@ -4,19 +4,28 @@
 // is split into one contiguous block per participating thread (caller
 // included), which keeps each worker on a contiguous slice of the flat
 // point arrays for cache locality.
+//
+// A call waits for its own blocks only, never for the pool to go idle, so
+// callers sharing a pool (concurrent queries, a screen beside them) do not
+// wait on each other's work.  Blocks are claimed, not assigned: the caller
+// runs any block no worker has started, so a busy pool delays a call by at
+// most the blocks its workers have already started.
 #pragma once
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 
 #include "skc/parallel/thread_pool.h"
 
 namespace skc {
 
 /// Invokes `body(begin, end)` on disjoint blocks covering [begin, end).
-/// Blocks smaller than `grain` run inline.  The calling thread processes the
-/// first block itself.
+/// Blocks smaller than `grain` run inline.  The calling thread runs blocks
+/// too, and returns once every block has finished.
 template <typename Body>
 void parallel_for_blocked(std::int64_t begin, std::int64_t end, Body&& body,
                           ThreadPool& pool = ThreadPool::global(),
@@ -28,17 +37,34 @@ void parallel_for_blocked(std::int64_t begin, std::int64_t end, Body&& body,
     body(begin, end);
     return;
   }
-  const std::int64_t blocks = std::min<std::int64_t>(
+  const std::int64_t max_blocks = std::min<std::int64_t>(
       static_cast<std::int64_t>(workers), (n + grain - 1) / grain);
-  const std::int64_t block = (n + blocks - 1) / blocks;
-  for (std::int64_t b = 1; b < blocks; ++b) {
-    const std::int64_t lo = begin + b * block;
-    const std::int64_t hi = std::min(end, lo + block);
-    if (lo >= hi) break;
-    pool.submit([lo, hi, &body] { body(lo, hi); });
-  }
-  body(begin, std::min(end, begin + block));
-  pool.wait_idle();
+  const std::int64_t block = (n + max_blocks - 1) / max_blocks;
+  const std::int64_t blocks = (n + block - 1) / block;  // the last may be short
+
+  // Shared with the pool tasks, which may be dequeued after this call has
+  // returned; such a task finds no block left and never touches `body`.
+  struct Join {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::int64_t next = 0;  ///< next unclaimed block, guarded by mu
+    std::int64_t done = 0;  ///< finished blocks, guarded by mu
+  };
+  const auto join = std::make_shared<Join>();
+  const auto run = [join, begin, end, block, blocks, &body] {
+    std::unique_lock<std::mutex> lock(join->mu);
+    while (join->next < blocks) {
+      const std::int64_t lo = begin + join->next++ * block;
+      lock.unlock();
+      body(lo, std::min(end, lo + block));
+      lock.lock();
+      if (++join->done == blocks) join->cv.notify_all();
+    }
+  };
+  for (std::int64_t b = 1; b < blocks; ++b) pool.submit(run);
+  run();
+  std::unique_lock<std::mutex> lock(join->mu);
+  join->cv.wait(lock, [&] { return join->done == blocks; });
 }
 
 /// Element-wise flavor: invokes `body(i)` for i in [begin, end).

@@ -23,13 +23,9 @@ double heavy_cells_bound(const PartitionParams& params, int dim, int log_delta) 
          static_cast<double>(log_delta + 1);
 }
 
-namespace {
-
-/// Shared implementation: when `weights` is empty every point weighs 1.
-OfflinePartition partition_impl(const PointSet& points,
-                                std::span<const double> weights,
-                                const HierarchicalGrid& grid,
-                                const PartitionParams& params, double o) {
+OfflinePartition partition_offline(const PointSet& points, const HierarchicalGrid& grid,
+                                   const PartitionParams& params, double o,
+                                   std::span<const double> weights) {
   OfflinePartition result;
   const int L = grid.log_delta();
   result.heavy_per_level.assign(static_cast<std::size_t>(L + 1), 0);
@@ -118,20 +114,6 @@ OfflinePartition partition_impl(const PointSet& points,
     frontier = std::move(next);
   }
   return result;
-}
-
-}  // namespace
-
-OfflinePartition partition_offline(const PointSet& points, const HierarchicalGrid& grid,
-                                   const PartitionParams& params, double o) {
-  return partition_impl(points, {}, grid, params, o);
-}
-
-OfflinePartition partition_offline_weighted(const PointSet& points,
-                                            std::span<const double> weights,
-                                            const HierarchicalGrid& grid,
-                                            const PartitionParams& params, double o) {
-  return partition_impl(points, weights, grid, params, o);
 }
 
 CellMarking mark_cells(const HierarchicalGrid& grid, const PartitionParams& params,

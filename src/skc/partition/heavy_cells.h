@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -73,17 +74,11 @@ struct OfflinePartition {
 
 /// Exact Algorithm 1.  O(n * L) time, O(n) extra space: only heavy cells are
 /// refined, so each point is touched once per level of its heavy ancestry.
+/// With `weights` (parallel to `points`) heaviness and part mass compare
+/// total WEIGHT, as for a weighted summary; empty means unit weights.
 OfflinePartition partition_offline(const PointSet& points, const HierarchicalGrid& grid,
-                                   const PartitionParams& params, double o);
-
-/// Weighted flavor: heaviness thresholds compare total WEIGHT in a cell
-/// (the generalization needed by composable coresets, where the input is
-/// itself a weighted summary).  `weights` must be parallel to `points`;
-/// unit weights reproduce partition_offline exactly.
-OfflinePartition partition_offline_weighted(const PointSet& points,
-                                            std::span<const double> weights,
-                                            const HierarchicalGrid& grid,
-                                            const PartitionParams& params, double o);
+                                   const PartitionParams& params, double o,
+                                   std::span<const double> weights = {});
 
 // ---------------------------------------------------------------------------
 // Estimated-count flavor (streaming / distributed).

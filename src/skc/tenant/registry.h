@@ -92,8 +92,6 @@ struct TenantRegistryOptions {
   /// then grows without bound).
   std::string spill_dir;
 
-  /// HyperLogLog precision p (2^p byte registers per tenant).
-  int hll_precision = 10;
   /// Ladder depth: number of engine sizes from smallest to the configured
   /// streaming options.  1 = every tenant starts full-size (no promotion).
   int num_rungs = 3;

@@ -19,8 +19,6 @@
 #include <sstream>
 #include <vector>
 
-#include <unistd.h>
-
 #include "skc/common/crc64.h"
 #include "skc/common/serial.h"
 #include "skc/coreset/sampling.h"
@@ -516,9 +514,7 @@ TEST(IngestDigest, TenantSpill) {
   o.rung_scale = 4;
   o.min_rung_points = 256;
   o.max_resident = 1;
-  // A directory of this process's own, so concurrent runs never share a
-  // spill file.
-  o.spill_dir = ::testing::TempDir() + "ingest-digest-" + std::to_string(::getpid());
+  o.spill_dir = testutil::temp_path("ingest-digest");
   std::filesystem::create_directories(o.spill_dir);
   const Stream stream = churn_10k(34);
   tenant::TenantRegistry reg(o);

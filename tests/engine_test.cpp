@@ -74,10 +74,6 @@ Stream churn_workload(int base_n, int extra_n, std::uint64_t seed) {
   return churn_stream(base, extra, ChurnConfig{}, srng);
 }
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
-
 // The headline property: a 4-shard engine (events hash-routed, applied by
 // concurrent workers, sketches merged at query time) produces EXACTLY the
 // coreset of one StreamingCoresetBuilder fed the stream serially.  Exact
@@ -436,7 +432,7 @@ TEST(Engine, QueryWithKAboveTheSummaryIsAnErrorNotAnAbort) {
 TEST(Engine, CheckpointRestoreRoundTrip) {
   const Stream stream = churn_workload(1000, 500, 61);
   const CoresetParams params = test_params();
-  const std::string path = temp_path("engine_ckpt.bin");
+  const std::string path = testutil::temp_path("engine_ckpt.bin");
 
   // Uninterrupted run.
   ClusteringEngine full(kDim, params, engine_options(4, /*exact=*/true));
@@ -471,7 +467,7 @@ TEST(Engine, CheckpointRestoreRoundTrip) {
 TEST(Engine, RestoreRejectsTruncationWithoutCrashing) {
   const Stream stream = churn_workload(600, 300, 71);
   const CoresetParams params = test_params();
-  const std::string path = temp_path("engine_trunc.bin");
+  const std::string path = testutil::temp_path("engine_trunc.bin");
 
   ClusteringEngine engine(kDim, params, engine_options(2, /*exact=*/true));
   engine.submit(stream);
@@ -503,7 +499,7 @@ TEST(Engine, RestoreRejectsTruncationWithoutCrashing) {
 TEST(Engine, RestoreRejectsMismatchedConfiguration) {
   const Stream stream = churn_workload(600, 300, 81);
   const CoresetParams params = test_params();
-  const std::string path = temp_path("engine_mismatch.bin");
+  const std::string path = testutil::temp_path("engine_mismatch.bin");
 
   ClusteringEngine engine(kDim, params, engine_options(2, /*exact=*/true));
   engine.submit(stream);
@@ -526,7 +522,7 @@ TEST(Engine, RestoreRejectsMismatchedConfiguration) {
   }
   ClusteringEngine garbage(kDim, params, engine_options(2, /*exact=*/true));
   EXPECT_FALSE(garbage.restore(path));
-  EXPECT_FALSE(garbage.restore(temp_path("engine_no_such_file.bin")));
+  EXPECT_FALSE(garbage.restore(testutil::temp_path("engine_no_such_file.bin")));
   std::remove(path.c_str());
 }
 
@@ -850,7 +846,7 @@ TEST(Engine, LatencyHistogramsTrackOperations) {
   q.summary_only = true;
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(engine.query(q).ok);
   const std::string snap =
-      std::string(::testing::TempDir()) + "engine_latency_hist_ckpt.bin";
+      testutil::temp_path("engine_latency_hist_ckpt.bin");
   ASSERT_TRUE(engine.checkpoint(snap));
 
   const EngineMetrics m = engine.metrics();

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "skc/parallel/thread_pool.h"
 #include "test_util.h"
 
 namespace skc {
@@ -102,6 +104,31 @@ TEST(Metric, UnconstrainedCostMatchesManualSum) {
     manual += nearest_center(points[i], centers, r).cost;
   }
   EXPECT_NEAR(unconstrained_cost(points, centers, r), manual, 1e-6 * manual);
+}
+
+TEST(Metric, UnconstrainedCostAddsBlocksInOrder) {
+  // The per-block partial sums are added in block order, not in the order
+  // the blocks finish, so every run returns the same bits.
+  Rng rng(6);
+  const PointSet points = testutil::random_points(3, 1 << 20, 20000, rng);
+  const PointSet centers = testutil::random_points(3, 1 << 20, 5, rng);
+  const LrOrder r{1.5};
+  // The blocks parallel_for_blocked cuts on the global pool at grain 1024.
+  const std::int64_t n = points.size();
+  const std::int64_t blocks = std::min<std::int64_t>(
+      static_cast<std::int64_t>(ThreadPool::global().size()) + 1, (n + 1023) / 1024);
+  const std::int64_t block = (n + blocks - 1) / blocks;
+  double want = 0.0;
+  for (std::int64_t lo = 0; lo < n; lo += block) {
+    double s = 0.0;
+    for (std::int64_t i = lo; i < std::min(n, lo + block); ++i) {
+      s += nearest_center(points[i], centers, r).cost;
+    }
+    want += s;
+  }
+  for (int run = 0; run < 20; ++run) {
+    EXPECT_EQ(unconstrained_cost(points, centers, r), want) << "run " << run;
+  }
 }
 
 TEST(Metric, DiameterOfColinearPoints) {

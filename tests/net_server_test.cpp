@@ -60,10 +60,6 @@ Stream churn_workload(int base_n, int extra_n, std::uint64_t seed) {
   return churn_stream(base, extra, ChurnConfig{}, srng);
 }
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
-
 /// Ships a stream through the client as insert/delete batches of at most
 /// `chunk` points (the sketch is linear, so op grouping preserves state).
 void ship_stream(net::SkcClient& client, const Stream& stream,
@@ -145,7 +141,7 @@ TEST(NetServer, LoopbackRoundTripMatchesInProcessEngine) {
 
   // Checkpoint RPC: the server-side snapshot restores into a fresh engine
   // whose merged summary is bit-identical to the in-process reference.
-  const std::string snap = temp_path("net_server_ckpt.bin");
+  const std::string snap = testutil::temp_path("net_server_ckpt.bin");
   ASSERT_TRUE(client.checkpoint(snap)) << client.last_error();
   ClusteringEngine restored(kDim, test_params(), engine_options());
   ASSERT_TRUE(restored.restore(snap));
@@ -473,7 +469,7 @@ TEST(NetServer, ObservabilityRpcsServeTraceAndPrometheus) {
 }
 
 TEST(NetServer, ShutdownDrainsFlushesAndCheckpoints) {
-  const std::string snap = temp_path("net_server_drain_ckpt.bin");
+  const std::string snap = testutil::temp_path("net_server_drain_ckpt.bin");
   net::ServerOptions opts;
   opts.drain_checkpoint_path = snap;
   ServerFixture fx(opts);

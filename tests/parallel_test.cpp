@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "skc/common/timer.h"
@@ -80,6 +84,43 @@ TEST(ParallelForBlocked, BlocksAreDisjointAndCover) {
     expect = hi;
   }
   EXPECT_EQ(expect, 5000);
+}
+
+TEST(ParallelFor, ConcurrentCallersWaitOnlyForTheirOwnBlocks) {
+  // Two callers share one pool.  Both blocks of the first call hold on a
+  // gate, one of them on a pool worker; the second call's blocks are free to
+  // run, so it must return while the first is still held.  A join that
+  // waited for every task on the pool would wait for the first call's block
+  // until the gate opens.
+  ThreadPool pool(2);
+  std::latch started(2);
+  std::latch gate(1);
+  std::thread first([&] {
+    parallel_for_blocked(
+        0, 2,
+        [&](std::int64_t, std::int64_t) {
+          started.count_down();
+          gate.wait();
+        },
+        pool, /*grain=*/1);
+  });
+  started.wait();
+
+  std::promise<void> second_done;
+  std::future<void> second_returned = second_done.get_future();
+  std::atomic<int> second_ran{0};
+  std::thread second([&] {
+    parallel_for(
+        0, 2, [&](std::int64_t) { second_ran.fetch_add(1); }, pool, /*grain=*/1);
+    second_done.set_value();
+  });
+  const bool returned =
+      second_returned.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  gate.count_down();
+  first.join();
+  second.join();
+  EXPECT_TRUE(returned) << "the second call waited for the first call's blocks";
+  EXPECT_EQ(second_ran.load(), 2);
 }
 
 TEST(Timer, MeasuresElapsedTime) {

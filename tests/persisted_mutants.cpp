@@ -24,8 +24,6 @@
 #include <string_view>
 #include <vector>
 
-#include <unistd.h>
-
 #include "allocation_probe.h"
 #include "skc/common/crc64.h"
 #include "skc/common/random.h"
@@ -36,6 +34,7 @@
 #include "skc/net/frame.h"
 #include "skc/stream/generators.h"
 #include "skc/tenant/registry.h"
+#include "test_util.h"
 
 namespace skc {
 namespace {
@@ -382,9 +381,7 @@ TEST(PersistedMutants, TenantSpills) {
   o.rung_scale = 2;
   o.min_rung_points = 256;
   o.max_resident = 1;
-  // A directory of this process's own, so concurrent runs never share a
-  // spill file.
-  o.spill_dir = ::testing::TempDir() + "persisted-mutants-" + std::to_string(::getpid());
+  o.spill_dir = testutil::temp_path("persisted-mutants");
   std::filesystem::create_directories(o.spill_dir);
   tenant::TenantRegistry reg(o);
   const char* victim = "victim";

@@ -354,7 +354,7 @@ TEST(TenantServer, CheckpointAndShutdownAreNamespaced) {
       << alice.last_error();
 
   const std::string snap =
-      std::string(::testing::TempDir()) + "tenant_server_alice.ckpt";
+      testutil::temp_path("tenant_server_alice.ckpt");
   ASSERT_TRUE(alice.checkpoint(snap)) << alice.last_error();
 
   // Checkpointing an unknown namespace is the typed error, not a file.

@@ -247,7 +247,7 @@ TEST(TenantRegistry, FootprintAndBacklogQuotasRefuseTyped) {
 TEST(TenantRegistry, LruEvictionSpillsAndRestoresTransparently) {
   TenantRegistryOptions o = base_options();
   o.max_resident = 2;
-  o.spill_dir = ::testing::TempDir();
+  o.spill_dir = testutil::temp_dir();
   TenantRegistry reg(o);
 
   // Four tenants, distinct sizes; only two engines may stay resident.
@@ -286,7 +286,7 @@ TEST(TenantRegistry, LruEvictionSpillsAndRestoresTransparently) {
 TEST(TenantRegistry, CorruptSpillFilesAreTypedErrorsNeverCrashes) {
   TenantRegistryOptions o = base_options();
   o.max_resident = 1;
-  o.spill_dir = ::testing::TempDir();
+  o.spill_dir = testutil::temp_dir();
   TenantRegistry reg(o);
 
   ASSERT_EQ(reg.submit("victim", distinct_inserts(40, 0)), Admit::kOk);

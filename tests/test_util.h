@@ -1,11 +1,19 @@
 // Shared helpers for the streamkc test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <condition_variable>
+#include <filesystem>
 #include <map>
 #include <mutex>
+#include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
+
+#include <unistd.h>
 
 #include "skc/common/random.h"
 #include "skc/coreset/coreset.h"
@@ -15,6 +23,28 @@
 #include "skc/stream/generators.h"
 
 namespace skc::testutil {
+
+/// This process's own directory under ::testing::TempDir(), created on first
+/// use and removed at exit.  Tests that write files under fixed names (spills,
+/// checkpoints) put them here, so two suites running at once never overwrite
+/// each other's files.
+inline const std::string& temp_dir() {
+  struct Dir {
+    std::string path = ::testing::TempDir() + "skc-" + std::to_string(::getpid());
+    Dir() { std::filesystem::create_directories(path); }
+    ~Dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  };
+  static const Dir dir;
+  return dir.path;
+}
+
+/// `name` inside temp_dir().
+inline std::string temp_path(std::string_view name) {
+  return temp_dir() + "/" + std::string(name);
+}
 
 /// Random points in [1, delta]^d.
 inline PointSet random_points(int dim, Coord delta, PointIndex n, Rng& rng) {
