@@ -5,9 +5,10 @@
 //   engines with 1/2/4/8 shards; throughput = events applied per second
 //   from first submit to flush() (the epoch barrier).  The sketch is linear,
 //   so more shards = more independent builders absorbing the same stream.
-// Series 2: with ingest running, barrier-less clustering queries fold the
-//   shard sketches and solve concurrently; we report per-query merge/solve/
-//   total latency and the ingest throughput sustained while querying.
+// Series 2: with ingest running, barrier-less clustering queries finalize
+//   the live shard sketches in place and solve concurrently; we report
+//   per-query merge (lock wait + finalize)/solve/total latency and the
+//   ingest throughput sustained while querying.
 // E17: the single-shard batched drain's throughput and coreset quality.
 #include <algorithm>
 #include <thread>
@@ -112,8 +113,8 @@ int main() {
   }
 
   header("E13: query latency under concurrent ingest",
-         "barrier-less queries fold the shards + solve while producers keep "
-         "pushing; each shard stalls only for its own merge_from");
+         "barrier-less queries finalize the live shards in place under every "
+         "shard lock, then solve unlocked, while producers keep pushing");
   {
     ClusteringEngine engine(dim, params,
                             engine_options(4, log_delta, 2 * stream.size()));

@@ -26,9 +26,11 @@ ctest --test-dir build --output-on-failure
 # builder blobs must be canonical, the flat point store must match its
 # pointwise node-map oracle, the per-level CountMin must match the per-guess
 # CountMins it replaced, every loader must refuse malformed blobs
-# (DESIGN.md §12), and seeded mutants of every persisted format must be
-# refused or round-trip without a large allocation (PersistedMutants).
-ctest --test-dir build --output-on-failure -R '^(BatchIngest|BatchSketch|IngestDigest|CellPointStore|CountMinOracle|Checkpoint|PersistedMutants)\.'
+# (DESIGN.md §12), seeded mutants of every persisted format must be
+# refused or round-trip without a large allocation (PersistedMutants), and
+# finalize over live builders must equal finalize of their fold
+# (ShardFinalize).
+ctest --test-dir build --output-on-failure -R '^(BatchIngest|BatchSketch|IngestDigest|CellPointStore|CountMinOracle|Checkpoint|PersistedMutants|ShardFinalize)\.'
 
 for b in build/bench/bench_*; do
   echo "== $b"

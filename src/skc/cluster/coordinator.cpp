@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <utility>
 
 #include "skc/common/check.h"
@@ -418,13 +419,11 @@ EngineQueryResult ClusterCoordinator::query(const EngineQuery& q) {
     const Timer merge_timer;
     bool round_failed = false;
     int failed_owner = -1;
-    StreamingCoresetBuilder merged(options_.dim, options_.params,
-                                   options_.streaming);
+    // One builder per worker sketch, finalized together below: the sum is
+    // read in place, never merged into one builder.
+    std::vector<std::unique_ptr<StreamingCoresetBuilder>> sketches;
     {
       SKC_TRACE_SPAN("cluster_merge");
-      StreamingCoresetBuilder scratch(options_.dim, options_.params,
-                                      options_.streaming);
-      bool first = true;
       for (const int owner : owners) {
         WorkerLink& link = *links_[static_cast<std::size_t>(owner)];
         net::SketchSnapshot snap;
@@ -452,23 +451,25 @@ EngineQueryResult ClusterCoordinator::query(const EngineQuery& q) {
         }
         if (round_failed) break;
         serial::Reader in(snap.blob);
-        StreamingCoresetBuilder& target = first ? merged : scratch;
-        if (!target.load(in) || !in.done()) {
+        sketches.push_back(std::make_unique<StreamingCoresetBuilder>(
+            options_.dim, options_.params, options_.streaming));
+        if (!sketches.back()->load(in) || !in.done()) {
           result.error = "worker sketch failed to decode";
           return result;
         }
-        if (!first) merged.merge_from(scratch);
-        first = false;
       }
     }
     if (round_failed) {
       handle_worker_failure(failed_owner);
       continue;
     }
-    // The same finalize-and-solve tail a single engine runs, so a cluster
+    // The same two steps a single engine runs over its shards, so a cluster
     // query over a partitioned stream matches one engine fed the union.
-    return solve_merged(merged, q, options_.params, options_.streaming.log_delta,
-                        merge_timer);
+    std::vector<const StreamingCoresetBuilder*> parts;
+    for (const auto& sketch : sketches) parts.push_back(sketch.get());
+    result = finalize_merged(parts, merge_timer);
+    solve_merged(result, q, options_.params, options_.streaming.log_delta);
+    return result;
   }
   result.error = "query failed after failover retry";
   return result;

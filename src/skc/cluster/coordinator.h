@@ -12,13 +12,14 @@
 //
 //   query     one merge round, as in Lemma 4.6: every live worker returns
 //             its whole engine state as one linear sketch (kMergeSketch);
-//             the coordinator adds the sketches, finalizes once, and solves
-//             capacitated k-median/k-means on the merged coreset exactly
-//             like a single engine would.  The per-round communication is
-//             W sketches, each O~(d poly(eps^-1 eta^-1 k log Delta)) in
-//             sketch mode — independent of n, which bench_cluster measures.
-//             The finalize-and-solve step is solve_merged() (engine.h), the
-//             same function ClusteringEngine::query ends in.
+//             the coordinator loads each into its own builder, finalizes
+//             their sum once in place, and solves capacitated
+//             k-median/k-means on the merged coreset exactly like a single
+//             engine would.  The per-round communication is W sketches,
+//             each O~(d poly(eps^-1 eta^-1 k log Delta)) in sketch mode —
+//             independent of n, which bench_cluster measures.  The two
+//             steps are finalize_merged() and solve_merged() (engine.h), the
+//             functions ClusteringEngine::query runs over its shards.
 //
 //   failover  every fetched sketch doubles as that worker's member
 //             checkpoint: the coordinator keeps the blob plus a replay

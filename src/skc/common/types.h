@@ -45,8 +45,8 @@ inline constexpr double kInfCost = std::numeric_limits<double>::infinity();
 
 /// Most events one sketch may have recorded.  Every count, counter and net
 /// a sketch keeps moves by one per event, so loaders refuse any of them
-/// past this bound, and a sum of up to 1,023 loaded sketches (a query fold,
-/// an import, a cluster merge round) stays inside int64.  No stream reaches
+/// past this bound, and a sum of up to 1,023 loaded sketches (a fold, an
+/// import, a finalize over shards or worker sketches) stays inside int64.  No stream reaches
 /// it: 2^53 events is 285 years at a million events per second.
 inline constexpr std::int64_t kMaxEvents = std::int64_t{1} << 53;
 

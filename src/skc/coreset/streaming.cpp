@@ -28,6 +28,11 @@ SamplingRate rate_or_one(double p) {
   return SamplingRate::from_probability(std::min(1.0, std::max(p, 1e-18)));
 }
 
+/// Seed of level `level`'s distinct-cell estimator.
+std::uint64_t distinct_seed(const CoresetParams& params, int level) {
+  return sketch_seed(params, SamplerPurpose::kCounting, 100 + level);
+}
+
 }  // namespace
 
 StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& params,
@@ -101,8 +106,7 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
 
   distinct_.reserve(static_cast<std::size_t>(L));
   for (int i = 0; i < L; ++i) {
-    distinct_.emplace_back(grid_, i, options.distinct_budget,
-                           sketch_seed(params, SamplerPurpose::kCounting, 100 + i));
+    distinct_.emplace_back(grid_, i, options.distinct_budget, distinct_seed(params, i));
   }
 }
 
@@ -239,7 +243,7 @@ void StreamingCoresetBuilder::prune_prefix(std::size_t lo) {
   for (CellCountMin& cm : counts_) cm.trim(static_cast<int>(lo));
 }
 
-void StreamingCoresetBuilder::merge_from(const StreamingCoresetBuilder& other) {
+void StreamingCoresetBuilder::check_mergeable(const StreamingCoresetBuilder& other) const {
   SKC_CHECK(other.dim_ == dim_);
   SKC_CHECK(other.options_.log_delta == options_.log_delta);
   SKC_CHECK(other.params_.seed == params_.seed);
@@ -250,6 +254,10 @@ void StreamingCoresetBuilder::merge_from(const StreamingCoresetBuilder& other) {
   for (std::size_t g = 0; g < guesses_.size(); ++g) {
     SKC_CHECK(guesses_[g].o == other.guesses_[g].o);
   }
+}
+
+void StreamingCoresetBuilder::merge_from(const StreamingCoresetBuilder& other) {
+  check_mergeable(other);
   // Pass 1: a guess pruned on either side is pruned here (both pruned sets
   // are prefixes, so the union is the longer one).  Each level's CountMin
   // merge trims itself to that prefix; prune_prefix then marks the guesses
@@ -281,23 +289,58 @@ void StreamingCoresetBuilder::consume(const EventBatch& batch) {
 }
 
 StreamingResult StreamingCoresetBuilder::finalize() const {
+  const StreamingCoresetBuilder* self = this;
+  return finalize({&self, 1});
+}
+
+StreamingResult StreamingCoresetBuilder::finalize(
+    std::span<const StreamingCoresetBuilder* const> parts) {
+  SKC_CHECK(!parts.empty());
+  const StreamingCoresetBuilder& first = *parts.front();
+  const HierarchicalGrid& grid = first.grid_;
+  const CoresetParams& params = first.params_;
+  const int dim = first.dim_;
+  const int L = grid.log_delta();
+  const auto levels = static_cast<std::size_t>(L + 1);
+  const std::size_t nparts = parts.size();
+
+  // What merge_from would add up: the net count, the union of the pruned
+  // prefixes, and each level's CountMins, read in place below.
+  std::int64_t net_count = 0;
+  std::size_t pruned = 0;
+  std::vector<const CellCountMin*> counts(levels * nparts);
+  for (std::size_t p = 0; p < nparts; ++p) {
+    const StreamingCoresetBuilder& part = *parts[p];
+    first.check_mergeable(part);
+    net_count += part.net_count_;
+    pruned = std::max(pruned, part.pruned_guesses());
+    for (std::size_t i = 0; i < levels; ++i) counts[i * nparts + p] = &part.counts_[i];
+  }
+
   StreamingResult result;
-  const int L = grid_.log_delta();
-  result.diagnostics.o_min = guesses_.empty() ? 0.0 : guesses_.front().o;
-  result.diagnostics.o_max = guesses_.empty() ? 0.0 : guesses_.back().o;
+  const std::vector<GuessState>& guesses = first.guesses_;
+  result.diagnostics.o_min = guesses.empty() ? 0.0 : guesses.front().o;
+  result.diagnostics.o_max = guesses.empty() ? 0.0 : guesses.back().o;
 
   // OPT lower bound from distinct-cell counts: guesses below bound/10 cannot
-  // be in the valid [OPT/10, OPT] window, so skip their decode cost.
+  // be in the valid [OPT/10, OPT] window, so skip their decode cost.  The
+  // estimators are small, so the parts' are merged into local copies.
   std::vector<double> cell_estimates;
-  cell_estimates.reserve(distinct_.size());
-  for (const DistinctCells& dc : distinct_) cell_estimates.push_back(dc.estimate());
-  result.opt_lower_bound =
-      opt_lower_bound_from_cells(grid_, params_.k, params_.r, cell_estimates);
+  cell_estimates.reserve(first.distinct_.size());
+  for (int i = 0; i < static_cast<int>(first.distinct_.size()); ++i) {
+    DistinctCells sum(grid, i, first.options_.distinct_budget, distinct_seed(params, i));
+    for (const StreamingCoresetBuilder* part : parts) {
+      sum.merge(part->distinct_[static_cast<std::size_t>(i)]);
+    }
+    cell_estimates.push_back(sum.estimate());
+  }
+  result.opt_lower_bound = opt_lower_bound_from_cells(grid, params.k, params.r, cell_estimates);
 
-  for (std::size_t g = 0; g < guesses_.size(); ++g) {
-    const GuessState& guess = guesses_[g];
+  std::vector<const CellPointStore*> stores(nparts);
+  for (std::size_t g = 0; g < guesses.size(); ++g) {
+    const GuessState& guess = guesses[g];
     result.diagnostics.guesses_tried.push_back(guess.o);
-    if (guess.pruned) {
+    if (g < pruned) {
       result.diagnostics.guess_outcomes.push_back(
           "pruned mid-stream (below OPT lower bound)");
       continue;
@@ -312,31 +355,37 @@ StreamingResult StreamingCoresetBuilder::finalize() const {
     SKC_TRACE_SPAN("recover");
     RecoveredLevelData data;
     data.counting.resize(static_cast<std::size_t>(L));
-    data.part_mass.resize(static_cast<std::size_t>(L + 1));
-    data.sample_points.assign(static_cast<std::size_t>(L + 1), PointSet(dim_));
-    data.incomplete_cells.resize(static_cast<std::size_t>(L + 1));
+    data.part_mass.resize(levels);
+    data.sample_points.assign(levels, PointSet(dim));
+    data.incomplete_cells.resize(levels);
     bool failed = false;
     std::string reason;
 
     std::vector<CellKey> heavy_prev;  // heavy cells at level-1 of the loop
-    const double root_tau = static_cast<double>(net_count_);
+    const double root_tau = static_cast<double>(net_count);
     const bool root_heavy =
-        root_tau >= part_threshold(grid_, params_.partition(), -1, guess.o);
+        root_tau >= part_threshold(grid, params.partition(), -1, guess.o);
     if (root_heavy) heavy_prev.push_back(CellKey{});
 
     for (int i = 0; i <= L && !failed; ++i) {
       const std::size_t li = static_cast<std::size_t>(i);
       const double inv_psi = guess.psi[li].weight();
-      const double ti = part_threshold(grid_, params_.partition(), i, guess.o);
-      if (guess.samples[li]->store.dead()) {
+      const double ti = part_threshold(grid, params.partition(), i, guess.o);
+      for (std::size_t p = 0; p < nparts; ++p) {
+        stores[p] = &parts[p]->guesses_[g].samples[li]->store;
+      }
+      if (CellPointStore::summed_dead(stores)) {
         failed = true;
         reason = "sample store saturated";
         break;
       }
+      const std::span<const CellCountMin* const> level_counts(counts.data() + li * nparts,
+                                                              nparts);
       std::vector<CellKey> heavy_here;
       for (const CellKey& parent : heavy_prev) {
-        for (CellKey& child : grid_.children(parent)) {
-          const double tau = counts_[li].query(static_cast<int>(g), child) * inv_psi;
+        for (CellKey& child : grid.children(parent)) {
+          const double tau =
+              CellCountMin::summed_query(level_counts, static_cast<int>(g), child) * inv_psi;
           if (tau <= 0.0) continue;
           if (i < L) {
             data.counting[li].push_back(EstimatedCell{child.index, tau});
@@ -347,7 +396,7 @@ StreamingResult StreamingCoresetBuilder::finalize() const {
             // Crucial candidate: its mass feeds the part estimates and its
             // sampled points feed the coreset.
             data.part_mass[li].push_back(EstimatedCell{child.index, tau});
-            const auto cp = guess.samples[li]->store.cell(child);
+            const auto cp = CellPointStore::summed_cell(stores, child);
             if (cp && cp->complete) {
               data.sample_points[li].append(cp->points);
             } else if (cp && !cp->complete) {
@@ -358,8 +407,7 @@ StreamingResult StreamingCoresetBuilder::finalize() const {
           }
         }
       }
-      const double heavy_bound =
-          heavy_cells_bound(params_.partition(), dim_, L);
+      const double heavy_bound = heavy_cells_bound(params.partition(), dim, L);
       // mark_cells inside assemble re-checks the cumulative bound; a cheap
       // per-level sanity check here avoids quadratic child expansion on
       // hopeless guesses.
@@ -376,8 +424,8 @@ StreamingResult StreamingCoresetBuilder::finalize() const {
     }
 
     SKC_TRACE_SPAN("assemble");
-    BuildAttempt attempt = assemble_coreset(grid_, params_, guess.o, data,
-                                            static_cast<double>(net_count_));
+    BuildAttempt attempt =
+        assemble_coreset(grid, params, guess.o, data, static_cast<double>(net_count));
     if (!attempt.ok) {
       result.diagnostics.guess_outcomes.push_back(attempt.fail_reason);
       continue;

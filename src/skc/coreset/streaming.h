@@ -22,13 +22,15 @@
 // (consume() cuts a batch into slices), which hashes and indexes each slice
 // once per level for every structure.
 //
-// finalize() walks each guess top-down: the root is heavy, heavy candidates
+// finalize walks each guess top-down: the root is heavy, heavy candidates
 // are the 2^d children of heavy cells (heaviness needs a heavy ancestry, so
 // nothing else can qualify), crucial cells are the non-heavy children, and
 // the sampled points of crucial cells of sufficiently large parts become the
 // coreset (assemble_coreset).  The smallest guess with no FAIL wins — the
 // selection rule of Theorem 3.19's proof — with a grid-based OPT lower bound
-// pruning hopeless guesses.
+// pruning hopeless guesses.  It reads any number of identically configured
+// builders in place, as the sum merge_from would build (the engine's live
+// shards, the cluster's worker sketches); finalize() is its one-part case.
 //
 // Pass `exact_storing` to replace every structure by its exact-map reference
 // twin: the result is then bit-identical to the offline construction on the
@@ -40,6 +42,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -140,8 +143,20 @@ class StreamingCoresetBuilder {
   std::int64_t net_count() const { return net_count_; }
   std::int64_t events() const { return events_; }
 
-  /// Decodes and assembles; non-destructive.
+  /// Decodes and assembles; non-destructive.  The one-part case of the
+  /// static finalize.
   StreamingResult finalize() const;
+
+  /// Finalizes the sum of `parts` — builders constructed with IDENTICAL
+  /// (dim, params, options) (checked) — reading them in place: the result
+  /// equals finalize() of an empty builder that merge_from()ed every part in
+  /// order (the ShardFinalize suite pins it), without copying or merging a
+  /// structure.  The pruned prefix is the longest of the parts'; CountMin
+  /// estimates and point-store cells are the summed reads of
+  /// CellCountMin::summed_query and CellPointStore::summed_cell/summed_dead;
+  /// the distinct-cell estimators are merged into local copies.  The parts
+  /// must not change during the call.
+  static StreamingResult finalize(std::span<const StreamingCoresetBuilder* const> parts);
 
   /// Total structure footprint (the space Theorem 4.5's experiment reports).
   std::size_t memory_bytes() const;
@@ -220,6 +235,9 @@ class StreamingCoresetBuilder {
   // guess-side pointers.
   std::vector<std::unique_ptr<SharedStore>> store_pool_;
   std::vector<DistinctCells> distinct_;
+  /// Checks that `other` was constructed like this builder (merge_from and
+  /// finalize over parts require it).
+  void check_mergeable(const StreamingCoresetBuilder& other) const;
   void maybe_prune();
   /// Prunes guesses [0, lo): marks them, drops their store references and
   /// trims every level's CountMin.  No-op for the already-pruned prefix.

@@ -56,11 +56,12 @@ struct ClusteringEngine::Shard {
   std::mutex builder_mu;
   std::unique_ptr<StreamingCoresetBuilder> builder;
 
-  // Every other user of the builder (a fold, a save, a read) takes it here
-  // and is counted in `waiting` until it holds the lock.  A busy drain
-  // re-locks builder_mu microseconds after releasing it, sooner than a
+  // Every other user of the builder (a query, a fold, a save, a read) takes
+  // it here and is counted in `waiting` until it holds the lock.  A busy
+  // drain re-locks builder_mu microseconds after releasing it, sooner than a
   // woken waiter runs, so it waits for `waiting` to reach zero before each
-  // slice: a fold waits for at most one slice, not for the queue to empty.
+  // slice: a query waits for at most one slice per shard, not for the queue
+  // to empty.
   std::atomic<int> waiting{0};
   std::unique_lock<std::mutex> lock_builder() {
     waiting.fetch_add(1, std::memory_order_acq_rel);
@@ -227,55 +228,43 @@ void ClusteringEngine::flush() {
   }
 }
 
-std::unique_ptr<StreamingCoresetBuilder> ClusteringEngine::fold_shards() {
-  SKC_TRACE_SPAN("merge");
-  // The builder is linear, so adding each live shard into an empty builder
-  // yields the sketch of the union.  One shard lock at a time: the others
-  // keep ingesting while this one merges.
-  auto folded =
-      std::make_unique<StreamingCoresetBuilder>(dim_, params_, options_.streaming);
-  for (auto& shard : shards_) {
-    SKC_TRACE_SPAN("snapshot");
-    const auto lock = shard->lock_builder();
-    folded->merge_from(*shard->builder);
-  }
-  return folded;
-}
-
-EngineQueryResult solve_merged(const StreamingCoresetBuilder& merged,
-                               const EngineQuery& q, const CoresetParams& params,
-                               int log_delta, const Timer& merge_timer) {
+EngineQueryResult finalize_merged(std::span<const StreamingCoresetBuilder* const> parts,
+                                  const Timer& merge_timer) {
   EngineQueryResult result;
-  result.net_points = merged.net_count();
+  for (const StreamingCoresetBuilder* part : parts) result.net_points += part->net_count();
   if (result.net_points <= 0) {
     result.error = "the merged sketch holds no surviving points";
     return result;
   }
-  StreamingResult streamed = merged.finalize();
+  StreamingResult streamed = StreamingCoresetBuilder::finalize(parts);
   if (!streamed.ok) {
     result.error = "merged coreset construction failed (every o-guess FAILed)";
     return result;
   }
   result.summary = std::move(streamed.coreset);
   result.merge_millis = merge_timer.millis();
-  if (q.summary_only) {
-    result.ok = true;
-    return result;
-  }
+  result.ok = true;
+  return result;
+}
 
+void solve_merged(EngineQueryResult& result, const EngineQuery& q,
+                  const CoresetParams& params, int log_delta) {
+  if (!result.ok || q.summary_only) return;
   const int k = q.k > 0 ? q.k : params.k;
   const WeightedPointSet& points = result.summary.points;
   if (points.size() < k) {
     // The solvers require k <= n; a tiny stream must get an answer, not an
     // abort.
+    result.ok = false;
     result.error = "k = " + std::to_string(k) + " exceeds the " +
                    std::to_string(points.size()) + "-point merged summary";
-    return result;
+    return;
   }
   const double w = points.total_weight();
   if (w <= 0.0) {
+    result.ok = false;
     result.error = "merged summary carries no weight";
-    return result;
+    return;
   }
   SKC_TRACE_SPAN("solve");
   Timer solve_timer;
@@ -295,8 +284,6 @@ EngineQueryResult solve_merged(const StreamingCoresetBuilder& merged,
     result.solution = capacitated_kmeans(points, k, t_summary, params.r, sopts, rng);
   }
   result.solve_millis = solve_timer.millis();
-  result.ok = true;
-  return result;
 }
 
 EngineQueryResult ClusteringEngine::query(const EngineQuery& q) {
@@ -304,9 +291,23 @@ EngineQueryResult ClusteringEngine::query(const EngineQuery& q) {
   obs::LatencyRecorder latency(counters_.query_latency);
   if (q.barrier) flush();
   const Timer merge_timer;
-  const auto folded = fold_shards();
-  EngineQueryResult result =
-      solve_merged(*folded, q, params_, options_.streaming.log_delta, merge_timer);
+  EngineQueryResult result;
+  {
+    // The live shard builders are finalized in place, so every shard lock is
+    // held for the finalize: taken in index order (the only multi-lock
+    // order in the engine) and released before the solver runs.
+    SKC_TRACE_SPAN("finalize");
+    std::vector<std::unique_lock<std::mutex>> locks;
+    std::vector<const StreamingCoresetBuilder*> parts;
+    locks.reserve(shards_.size());
+    parts.reserve(shards_.size());
+    for (auto& shard : shards_) {
+      locks.push_back(shard->lock_builder());
+      parts.push_back(shard->builder.get());
+    }
+    result = finalize_merged(parts, merge_timer);
+  }
+  solve_merged(result, q, params_, options_.streaming.log_delta);
   counters_.queries.fetch_add(1, std::memory_order_relaxed);
   // `latency` records the full wall time (barrier included) into
   // counters_.query_latency when it leaves scope.
@@ -405,15 +406,24 @@ bool ClusteringEngine::restore(const std::string& path) {
 EngineSketchExport ClusteringEngine::export_sketch() {
   SKC_TRACE_SPAN("export_sketch");
   flush();
-  // The same fold a query runs: the linear sum of the shard sketches, i.e.
-  // exactly what a single builder fed every applied event would hold (the
-  // same multiset of samples in exact mode).
-  const auto folded = fold_shards();
+  // The sum a query finalizes in place, built here: each live shard is added
+  // into an empty builder, i.e. exactly what a single builder fed every
+  // applied event would hold (the same multiset of samples in exact mode).
+  // One shard lock at a time: the others keep ingesting while one merges.
+  StreamingCoresetBuilder folded(dim_, params_, options_.streaming);
+  {
+    SKC_TRACE_SPAN("merge");
+    for (auto& shard : shards_) {
+      SKC_TRACE_SPAN("snapshot");
+      const auto lock = shard->lock_builder();
+      folded.merge_from(*shard->builder);
+    }
+  }
   EngineSketchExport out;
-  out.net_points = folded->net_count();
-  out.events_applied = folded->events();
+  out.net_points = folded.net_count();
+  out.events_applied = folded.events();
   serial::Writer blob;
-  folded->save(blob);
+  folded.save(blob);
   out.blob = blob.take();
   return out;
 }

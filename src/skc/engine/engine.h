@@ -24,14 +24,15 @@
 //            sketch stays a valid summary of its sub-multiset.
 //
 //   query    query(q) takes an epoch barrier (waits until every event
-//            submitted before the call has been applied), then folds the
-//            shards: a query-local builder merge_from()s each live shard
-//            builder under that shard's lock, one shard at a time, so ingest
-//            on the other shards never stalls.  The fold is the linear sum
-//            of the shard sketches: in exact mode, the state of one builder
-//            fed the whole stream.  solve_merged() then finalizes once and
-//            solves capacitated k-median/k-means on the merged coreset — the
-//            same tail the cluster coordinator runs on its workers' sketches.
+//            submitted before the call has been applied), then takes every
+//            shard's builder lock in index order and finalizes the linear
+//            sum of the live shard builders in place (finalize_merged; in
+//            exact mode the result of one builder fed the whole stream),
+//            with no query-local copy or merge.  The locks are released
+//            before solve_merged() solves capacitated k-median/k-means on the
+//            merged coreset, so ingest stalls only for the finalize.  The
+//            cluster coordinator runs the same two steps over its workers'
+//            sketches.
 //
 //   durability  checkpoint(path)/restore(path) persist every shard builder
 //            behind a versioned header; any mismatch or truncation makes
@@ -88,8 +89,8 @@ struct EngineOptions {
 struct EngineQuery {
   int k = 0;                    ///< 0 = the k the engine's params carry
   double capacity_slack = 1.1;  ///< capacity = slack * ceil(n / k)
-  /// Wait for all previously submitted events before folding the shards
-  /// (the epoch barrier).  false = fold whatever has been applied so far.
+  /// Wait for all previously submitted events before reading the shards
+  /// (the epoch barrier).  false = read whatever has been applied so far.
   bool barrier = true;
   /// Skip the solver and return only the merged summary.
   bool summary_only = false;
@@ -106,24 +107,30 @@ struct EngineQueryResult {
   CapacitatedSolution solution;
   std::int64_t net_points = 0;  ///< surviving points at the epoch
   double capacity = 0.0;        ///< per-center capacity used (full-data units)
-  /// Everything before the solver: the shard fold (or the cluster's merge
-  /// round) and the finalize.
+  /// Everything before the solver: the wait for the shard locks (or the
+  /// cluster's merge round) and the finalize.
   double merge_millis = 0.0;
   double solve_millis = 0.0;    ///< the capacitated solver alone
 };
 
-/// The query tail shared by ClusteringEngine::query (after the shard fold)
-/// and cluster::ClusterCoordinator::query (after the worker merge round):
-/// one finalize of the summed sketch, the mapping of its failures onto
-/// `error`, then — unless q.summary_only — capacity scaling onto the
-/// summary's weight, the solver seed and the solver choice (k-median local
-/// search for r <= 1, balanced Lloyd otherwise).  A k larger than the
-/// summary is answered with ok = false, never handed to the solver.
-/// `merge_timer` started before the fold; merge_millis reads it just
-/// before the solver runs.
-EngineQueryResult solve_merged(const StreamingCoresetBuilder& merged,
-                               const EngineQuery& q, const CoresetParams& params,
-                               int log_delta, const Timer& merge_timer);
+/// The query's two steps, shared by ClusteringEngine::query (over its live
+/// shard builders, under their locks) and cluster::ClusterCoordinator::query
+/// (over its workers' loaded sketches).
+///
+/// finalize_merged: one finalize over the sum of `parts`, read in place
+/// (StreamingCoresetBuilder::finalize), and the mapping of its failures onto
+/// `error`.  On success ok is set with net_points and the summary;
+/// merge_millis reads `merge_timer`, started before the parts were gathered
+/// (the engine's lock wait or the cluster's merge round).
+EngineQueryResult finalize_merged(std::span<const StreamingCoresetBuilder* const> parts,
+                                  const Timer& merge_timer);
+
+/// solve_merged: unless the finalize failed or q.summary_only, capacity
+/// scaling onto the summary's weight, the solver seed and the solver choice
+/// (k-median local search for r <= 1, balanced Lloyd otherwise).  A k larger
+/// than the summary is answered with ok = false, never handed to the solver.
+void solve_merged(EngineQueryResult& result, const EngineQuery& q,
+                  const CoresetParams& params, int log_delta);
 
 /// Serialized single-builder export of the engine's whole state plus its
 /// epoch watermarks — the unit the cluster protocol ships (kMergeSketch
@@ -169,8 +176,8 @@ class ClusteringEngine {
   /// been applied to its shard builder.
   void flush();
 
-  /// Merged-coreset clustering query; stalls each shard's ingest only for
-  /// the merge_from of that shard into the query-local fold.
+  /// Merged-coreset clustering query; stalls every shard's ingest for the
+  /// finalize over the live shard builders, not for the solver.
   EngineQueryResult query(const EngineQuery& q);
 
   /// Persists every shard builder behind a versioned header.  Takes the
@@ -195,8 +202,8 @@ class ClusteringEngine {
   bool load_state(std::string_view bytes);
 
   /// Cluster export: takes the epoch barrier, folds every shard builder
-  /// into one via the linear merge (the same fold query() runs), and
-  /// serializes the result.  The blob
+  /// into one via the linear merge (the sum query() finalizes in place),
+  /// and serializes the result.  The blob
   /// summarizes every event applied to this engine and merges losslessly
   /// with any engine of identical configuration (exact mode: bit-identical
   /// to feeding one builder the union).
@@ -237,9 +244,6 @@ class ClusteringEngine {
   void enqueue(Shard& shard, EventBatch part);
   void schedule_drain(Shard& shard);
   void drain(Shard& shard);
-  /// Sums every shard sketch into a fresh query-local builder, holding each
-  /// shard's builder lock only for that shard's merge_from.
-  std::unique_ptr<StreamingCoresetBuilder> fold_shards();
   void save_body(serial::Writer& out);
   bool load_body(serial::Reader& in);
 

@@ -337,8 +337,13 @@ void put_histogram(Writer& w, const HistogramWire& h) {
 }
 
 bool get_histogram(Reader& r, HistogramWire& h) {
-  if (!r.get(h.count) || h.count < 0 || !r.get(h.sum_micros) ||
-      !r.get(h.min_micros) || !r.get(h.max_micros) || !r.get(h.last_micros)) {
+  if (!r.get(h.count) || !r.get(h.sum_micros) || !r.get(h.min_micros) ||
+      !r.get(h.max_micros) || !r.get(h.last_micros)) {
+    return false;
+  }
+  // The bounds of HistogramWire: what a fleet merge adds stays finite.
+  if (h.count < 0 || h.count > kMaxEvents || h.sum_micros < 0 ||
+      h.sum_micros > HistogramWire::kMaxSumMicros) {
     return false;
   }
   if (!r.get_vector(h.bucket_index) || !r.get_vector(h.bucket_value)) {
@@ -347,10 +352,13 @@ bool get_histogram(Reader& r, HistogramWire& h) {
   if (h.bucket_index.size() != h.bucket_value.size()) return false;
   // Strictly increasing in-range indexes: rejects duplicates, disorder, and
   // out-of-bounds writes in to_snapshot() in one pass.
+  std::int64_t total = 0;
   for (std::size_t i = 0; i < h.bucket_index.size(); ++i) {
     if (h.bucket_index[i] >= static_cast<std::uint32_t>(obs::kHistogramBuckets))
       return false;
     if (i > 0 && h.bucket_index[i] <= h.bucket_index[i - 1]) return false;
+    if (h.bucket_value[i] < 0 || h.bucket_value[i] > kMaxEvents - total) return false;
+    total += h.bucket_value[i];
   }
   return true;
 }

@@ -340,7 +340,13 @@ struct SketchSnapshot {
 /// buckets only the nonzero ones travel, as parallel (index, value) arrays.
 /// Scalars ride alongside so the coordinator's bucket-wise merge (the same
 /// linear composition the sketches use) reconstructs the snapshot exactly.
+/// Decoding refuses a negative count, bucket value or sum, a count, bucket
+/// value or bucket total past kMaxEvents (2^53), and a sum past
+/// kMaxSumMicros, so the fleet scrape can add up to 1,023 replies — counts,
+/// buckets, cumulative buckets and sums — without an int64 overflow.
 struct HistogramWire {
+  static constexpr std::int64_t kMaxSumMicros = INT64_MAX / 1024;
+
   std::int64_t count = 0;
   std::int64_t sum_micros = 0;
   std::int64_t min_micros = 0;

@@ -85,23 +85,42 @@ void CellCountMin::update(const std::int32_t* cell_idx, const std::int64_t* delt
 }
 
 double CellCountMin::query(int guess, const CellKey& cell) const {
-  SKC_DCHECK(cell.level == level_);
-  SKC_DCHECK(guess >= 0 && guess < guesses());
-  if (guess < lo_) return 0.0;
-  const auto col = static_cast<std::size_t>(guess - lo_);
-  if (config_.exact) {
-    const auto it = exact_.find(cell);
-    return it == exact_.end() ? 0.0 : static_cast<double>(it->second[col]);
+  const CellCountMin* self = this;
+  return summed_query({&self, 1}, guess, cell);
+}
+
+double CellCountMin::summed_query(std::span<const CellCountMin* const> parts, int guess,
+                                  const CellKey& cell) {
+  SKC_CHECK(!parts.empty());
+  const CellCountMin& first = *parts.front();
+  SKC_DCHECK(cell.level == first.level_);
+  SKC_DCHECK(guess >= 0 && guess < first.guesses());
+  for (const CellCountMin* part : parts) {
+    if (guess < part->lo_) return 0.0;
+  }
+  if (first.config_.exact) {
+    std::int64_t count = 0;
+    for (const CellCountMin* part : parts) {
+      const auto it = part->exact_.find(cell);
+      if (it != part->exact_.end()) {
+        count += it->second[static_cast<std::size_t>(guess - part->lo_)];
+      }
+    }
+    return static_cast<double>(count);
   }
   std::int64_t idx64[64];
   SKC_CHECK(cell.index.size() <= 64);
   for (std::size_t j = 0; j < cell.index.size(); ++j) idx64[j] = cell.index[j];
   const std::uint64_t folded =
-      fold_(std::span<const std::int64_t>(idx64, cell.index.size()));
-  const std::size_t cols = live();
+      first.fold_(std::span<const std::int64_t>(idx64, cell.index.size()));
   std::int64_t best = std::numeric_limits<std::int64_t>::max();
-  for (int r = 0; r < config_.depth; ++r) {
-    best = std::min(best, counters_[slot(r, folded) * cols + col]);
+  for (int r = 0; r < first.config_.depth; ++r) {
+    const std::size_t s = first.slot(r, folded);
+    std::int64_t sum = 0;
+    for (const CellCountMin* part : parts) {
+      sum += part->counters_[s * part->live() + static_cast<std::size_t>(guess - part->lo_)];
+    }
+    best = std::min(best, sum);
   }
   // Deletions can drive collided counters slightly negative relative to the
   // queried cell; clamp (true counts are nonnegative).

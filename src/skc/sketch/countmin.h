@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -74,8 +75,17 @@ class CellCountMin {
 
   /// Guess g's estimated count of `cell` (>= its true count in expectation;
   /// exact in exact mode); 0 for a pruned guess.  `cell.level` must equal
-  /// level().
+  /// level().  The one-part case of summed_query.
   double query(int guess, const CellKey& cell) const;
+
+  /// query() on the sum of `parts` (identically constructed structures),
+  /// read in place: 0 if any part pruned the guess (merge trims to the
+  /// longer prefix), else the minimum over rows of the parts' counters in the
+  /// cell's slot summed (each part's column guess - lo), clamped at 0 — what
+  /// merging the parts would answer.  The slots are the same in every part,
+  /// so the cell is folded and hashed once.
+  static double summed_query(std::span<const CellCountMin* const> parts, int guess,
+                             const CellKey& cell);
 
   /// Prunes guesses [lo(), new_lo): their counters are freed (the block is
   /// reallocated at the smaller size).
@@ -83,7 +93,7 @@ class CellCountMin {
 
   /// Adds `other` (same construction) into this: both sides are trimmed to
   /// the larger lo, then the live columns add.  Into a structure nothing was
-  /// added to yet (the first shard of a query fold) it copies instead.
+  /// added to yet (the first shard of an export fold) it copies instead.
   void merge(const CellCountMin& other);
 
   std::size_t memory_bytes() const;

@@ -211,41 +211,83 @@ void CellPointStore::update_batch(const Coord* points, const std::int32_t* cell_
   }
 }
 
-CellPointStore::CellPoints CellPointStore::points_of(std::uint32_t c) const {
+std::optional<CellPointStore::CellPoints> CellPointStore::cell(
+    const CellKey& key) const {
+  const CellPointStore* self = this;
+  return summed_cell({&self, 1}, key);
+}
+
+std::optional<CellPointStore::CellPoints> CellPointStore::summed_cell(
+    std::span<const CellPointStore* const> parts, const CellKey& key) {
+  SKC_CHECK(!parts.empty());
+  const CellPointStore& first = *parts.front();
+  SKC_DCHECK(key.level == first.level_);
+  if (key.index.size() != first.dim_) return std::nullopt;
+  const std::uint32_t hash = hash_row(key.index.data(), first.dim_);
   CellPoints out;
-  out.net_count = cells_[c].net;
-  out.complete = !cells_[c].tombstoned;
-  out.points = PointSet(grid_->dim());
-  std::vector<std::uint32_t> ids;
-  std::int64_t total = 0;
-  for_each_point(c, [&](std::uint32_t id) {
-    ids.push_back(id);
-    total += std::max<std::int64_t>(points_[id].count, 0);
-  });
+  std::int64_t peak = 0;
+  bool found = false, tombstoned = false;
+  // Each part's point records of the cell: coordinates and count.
+  std::vector<std::pair<const Coord*, std::int64_t>> refs;
+  for (const CellPointStore* part : parts) {
+    if (part->cell_slots_.empty()) continue;
+    const std::uint32_t c =
+        part->cell_slots_[part->probe(part->cell_slots_, part->cell_rows_,
+                                      key.index.data(), hash)]
+            .id;
+    if (c == kNone) continue;
+    found = true;
+    const CellRecord& rec = part->cells_[c];
+    out.net_count += rec.net;
+    peak += rec.net_peak;
+    tombstoned = tombstoned || rec.tombstoned;
+    if (tombstoned) continue;
+    part->for_each_point(c, [&](std::uint32_t id) {
+      refs.emplace_back(part->point_coords(id), part->points_[id].count);
+    });
+  }
+  if (!found) return std::nullopt;
+  // merge adds the peaks and evicts a cell whose sum passes the watermark.
+  tombstoned = tombstoned || (!first.config_.exact && peak > first.config_.watermark);
+  out.complete = !tombstoned;
+  out.points = PointSet(first.grid_->dim());
+  if (!out.complete) return out;
   // Coordinate-lexicographic: the coreset's order then depends only on the
-  // summarized multiset, not on the insert or merge history.
-  std::sort(ids.begin(), ids.end(), [this](std::uint32_t a, std::uint32_t b) {
-    return std::lexicographical_compare(point_coords(a), point_coords(a) + dim_,
-                                        point_coords(b), point_coords(b) + dim_);
+  // summarized multiset, not on the insert or merge history.  Equal
+  // coordinates from two parts end up adjacent, so their counts add.
+  const std::size_t dim = first.dim_;
+  std::sort(refs.begin(), refs.end(), [dim](const auto& a, const auto& b) {
+    return std::lexicographical_compare(a.first, a.first + dim, b.first, b.first + dim);
   });
+  std::int64_t total = 0;
+  for (const auto& ref : refs) total += std::max<std::int64_t>(ref.second, 0);
   out.points.reserve(total);
-  for (const std::uint32_t id : ids) {
-    const std::span<const Coord> p(point_coords(id), dim_);
-    for (std::int64_t k = 0; k < points_[id].count; ++k) out.points.push_back(p);
+  for (const auto& [coords, count] : refs) {
+    const std::span<const Coord> p(coords, dim);
+    for (std::int64_t k = 0; k < count; ++k) out.points.push_back(p);
   }
   return out;
 }
 
-std::optional<CellPointStore::CellPoints> CellPointStore::cell(
-    const CellKey& key) const {
-  SKC_DCHECK(key.level == level_);
-  if (key.index.size() != dim_ || cell_slots_.empty()) return std::nullopt;
-  const std::uint32_t c =
-      cell_slots_[probe(cell_slots_, cell_rows_, key.index.data(),
-                        hash_row(key.index.data(), dim_))]
-          .id;
-  if (c == kNone) return std::nullopt;
-  return points_of(c);
+bool CellPointStore::summed_dead(std::span<const CellPointStore* const> parts) {
+  SKC_CHECK(!parts.empty());
+  std::int64_t live = 0;
+  for (const CellPointStore* part : parts) {
+    if (part->dead_) return true;
+    live += part->live_points_;
+  }
+  // The sum holds at most `live` points, so under the cap no prefix of the
+  // merge can cross it.  Past it, replay the merge: it checks the cap after
+  // each part, so a prefix may die even if later tombstones would bring the
+  // final count back under.
+  const CellPointStore& first = *parts.front();
+  if (first.config_.exact || live <= first.config_.max_live_points) return false;
+  CellPointStore sum(*first.grid_, first.level_, first.config_);
+  for (const CellPointStore* part : parts) {
+    sum.merge(*part);
+    if (sum.dead_) return true;
+  }
+  return false;
 }
 
 std::vector<std::pair<CellKey, CellPointStore::CellPoints>>
@@ -256,7 +298,8 @@ CellPointStore::all_cells() const {
     CellKey key;
     key.level = level_;
     key.index.assign(cell_row(c), cell_row(c) + dim_);
-    out.emplace_back(std::move(key), points_of(c));
+    std::optional<CellPoints> cp = cell(key);
+    out.emplace_back(std::move(key), std::move(*cp));
   }
   return out;
 }

@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -84,8 +85,21 @@ class CellPointStore {
   };
 
   /// Points of one cell (cell.level must equal level()).  nullopt when the
-  /// cell was never touched.
+  /// cell was never touched.  The one-part case of summed_cell.
   std::optional<CellPoints> cell(const CellKey& key) const;
+
+  /// Reads of the sum of `parts` (identically configured stores of one
+  /// level) in place: what merging them in order into an empty store would
+  /// report, without building it.  summed_cell is the union of the parts'
+  /// records of the cell (nets add; counts of equal coordinates add), and is
+  /// incomplete if any part tombstoned it or, in sketch mode, if the parts'
+  /// peaks sum past the watermark (merge's re-check).  summed_dead is true
+  /// if any part is dead, or if merge's cap check, run after each part,
+  /// would fire on some prefix of the parts (death is permanent); that
+  /// prefix pass runs only when the parts' live points sum past the cap.
+  static std::optional<CellPoints> summed_cell(
+      std::span<const CellPointStore* const> parts, const CellKey& key);
+  static bool summed_dead(std::span<const CellPointStore* const> parts);
 
   /// Every touched cell with a nonzero net count (tombstoned ones have
   /// complete == false and empty points).
@@ -173,7 +187,6 @@ class CellPointStore {
   void check_cap();
   /// Drops every record and frees the arrays (death, release, failed load).
   void clear();
-  CellPoints points_of(std::uint32_t c) const;
 
   const HierarchicalGrid* grid_;
   int level_;

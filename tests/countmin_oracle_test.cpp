@@ -151,7 +151,7 @@ class CountMinOracleRun {
   }
 
   /// Folds b into a, then starts b afresh.  Half the time a is first
-  /// folded into a fresh structure, as a query folds its first shard (the
+  /// folded into a fresh structure, as an export folds its first shard (the
   /// merge then copies).
   void merge_b_into_a() {
     if (rng_.uniform_int(0, 1) == 0) {

@@ -8,8 +8,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -579,6 +581,71 @@ TEST(Engine, ConcurrentIngestStress) {
   // Every event was its own one-event batch, and each batch was timed.
   EXPECT_EQ(m.batches, kProducers * kPerProducer);
   EXPECT_EQ(m.submit_latency.count, m.batches);
+}
+
+// A query holds every shard lock at once, taken in index order, while it
+// finalizes; exports, saves and metrics() take the locks one at a time and
+// a drain takes its own.  Two queriers (with and without the barrier), two
+// producers and a thread cycling export_sketch, save_state and metrics()
+// must all finish.  A lock-order cycle would hang them, so the run is
+// bounded: past the timeout the test fails and ends the process.
+TEST(Engine, ConcurrentQueriesExportsAndIngestNeverDeadlock) {
+  EngineOptions opt = engine_options(4, /*exact=*/false, /*workers=*/3);
+  opt.queue_capacity = 256;
+  ClusteringEngine engine(kDim, test_params(), opt);
+  const Stream initial = churn_workload(400, 100, 57);
+  engine.submit(initial);
+
+  constexpr int kBatches = 30;
+  constexpr int kPerBatch = 32;
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&] {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&engine, t] {
+        Rng rng(500 + static_cast<std::uint64_t>(t));
+        for (int b = 0; b < kBatches; ++b) {
+          const PointSet pts =
+              testutil::random_points(kDim, Coord{1} << kLogDelta, kPerBatch, rng);
+          engine.submit(insertion_stream(pts));
+        }
+      });
+    }
+    for (const bool barrier : {true, false}) {
+      threads.emplace_back([&engine, barrier] {
+        EngineQuery q;
+        q.barrier = barrier;
+        q.summary_only = true;
+        for (int i = 0; i < 6; ++i) {
+          const EngineQueryResult res = engine.query(q);
+          EXPECT_TRUE(res.ok) << res.error;
+        }
+      });
+    }
+    threads.emplace_back([&engine] {
+      for (int i = 0; i < 4; ++i) {
+        EXPECT_FALSE(engine.export_sketch().blob.empty());
+        serial::Writer state;
+        engine.save_state(state);
+        EXPECT_GT(state.size(), 0u);
+        EXPECT_GE(engine.metrics().events_applied, 0);
+      }
+    });
+    for (std::thread& t : threads) t.join();
+    done.set_value();
+  });
+  if (finished.wait_for(std::chrono::seconds(120)) != std::future_status::ready) {
+    ADD_FAILURE() << "queries, exports and ingest still running after 120 s: deadlock";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  runner.join();
+  engine.flush();
+  const std::int64_t total =
+      static_cast<std::int64_t>(initial.size()) + 2 * kBatches * kPerBatch;
+  EXPECT_EQ(engine.metrics().events_applied, total);
+  EXPECT_EQ(engine.metrics().queries, 12);
 }
 
 /// `n` distinct points of the [1, 512]^2 grid starting at index `offset`,

@@ -177,5 +177,60 @@ TEST(FleetMetrics, EveryLineIsCommentOrSample) {
   }
 }
 
+// Replies at the HistogramWire decode bounds: 1,023 of them add up in the
+// fleet scrape with no int64 overflow (the UBSan build checks every add),
+// and a reply one step past any bound is refused at decode, before the
+// merge could overflow.
+TEST(FleetMetrics, ExtremeAcceptedRepliesMergeCleanlyAndRepliesPastTheBoundAreRefused) {
+  constexpr int kReplies = 1023;
+  net::WorkerStatsReply extreme;
+  for (net::HistogramWire* h : {&extreme.submit, &extreme.query, &extreme.checkpoint,
+                                &extreme.net_request}) {
+    h->count = kMaxEvents;
+    h->sum_micros = net::HistogramWire::kMaxSumMicros;
+    h->min_micros = 1;
+    h->max_micros = 1'000'000;
+    h->last_micros = 5;
+    h->bucket_index = {0, 100,
+                       static_cast<std::uint32_t>(obs::kHistogramBuckets - 1)};
+    h->bucket_value = {kMaxEvents - 2, 1, 1};
+  }
+  net::WorkerStatsReply accepted;
+  ASSERT_TRUE(accepted.decode(extreme.encode()));
+
+  FleetStats fleet;
+  for (int w = 0; w < kReplies; ++w) {
+    FleetWorker worker;
+    worker.id = w;
+    worker.address = "10.0.0.1:" + std::to_string(7000 + w);
+    worker.alive = true;
+    worker.stats = accepted;
+    fleet.workers.push_back(std::move(worker));
+  }
+  const std::string text = fleet_prometheus_text(fleet);
+  const std::string total = std::to_string(kReplies * kMaxEvents);
+  EXPECT_NE(text.find("skc_cluster_op_latency_fleet_seconds_count{op=\"query\"} " + total),
+            std::string::npos);
+  EXPECT_NE(text.find("skc_cluster_op_latency_fleet_seconds_bucket{op=\"query\",le=\"+Inf\"} " +
+                      total),
+            std::string::npos);
+
+  const auto refused = [&extreme](auto edit) {
+    net::WorkerStatsReply reply = extreme;
+    edit(reply.query);
+    net::WorkerStatsReply got;
+    return !got.decode(reply.encode());
+  };
+  using W = net::HistogramWire;
+  EXPECT_TRUE(refused([](W& h) { h.count = kMaxEvents + 1; }));
+  EXPECT_TRUE(refused([](W& h) { h.count = -1; }));
+  EXPECT_TRUE(refused([](W& h) { h.sum_micros = W::kMaxSumMicros + 1; }));
+  EXPECT_TRUE(refused([](W& h) { h.sum_micros = -1; }));
+  EXPECT_TRUE(refused([](W& h) { h.bucket_value = {kMaxEvents + 1, 0, 0}; }));
+  EXPECT_TRUE(refused([](W& h) { h.bucket_value = {kMaxEvents, -1, 1}; }));
+  EXPECT_TRUE(refused([](W& h) { h.bucket_value[2] = 2; }));  // total 2^53 + 1
+  EXPECT_FALSE(refused([](W& h) { h.bucket_value = {kMaxEvents, 0, 0}; }));
+}
+
 }  // namespace
 }  // namespace skc::cluster

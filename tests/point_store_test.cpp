@@ -724,7 +724,7 @@ TEST(CellPointStore, MatchesTheNodeMapStoreOnRandomOperations) {
           if (rng.uniform() < 0.5) {
             a.merge(b);
           } else {
-            // The query fold's shape: an empty store takes a, then b.
+            // The export fold's shape: an empty store takes a, then b.
             StorePair fold(grid, level, dc.config);
             fold.merge(a);
             fold.merge(b);
