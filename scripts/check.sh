@@ -23,10 +23,11 @@ ctest --test-dir build --output-on-failure
 # Batch determinism gate, run by name so a test-glob change can't silently
 # drop it: update_batch, the one ingest path, must reproduce the frozen
 # digests of the bytes the deleted pointwise path wrote at every batch size,
-# builder blobs must be canonical, the flat point store must match its
-# pointwise node-map oracle, the per-level CountMin must match the per-guess
-# CountMins it replaced, every loader must refuse malformed blobs
-# (DESIGN.md §12), seeded mutants of every persisted format must be
+# every guess must read the frozen answers, builder blobs must be
+# canonical, the flat point store must match its pointwise node-map oracle,
+# the per-level CountMin (one column per keep bound) must match the
+# per-guess CountMins it replaced, every loader must refuse malformed blobs
+# and STRM2/STRM3 ones (DESIGN.md §12), seeded mutants of every persisted format must be
 # refused or round-trip without a large allocation (PersistedMutants), and
 # finalize over live builders must equal finalize of their fold
 # (ShardFinalize).
@@ -49,7 +50,8 @@ done
 
 # Bench regression gate: the benches above wrote BENCH_*.json into the repo
 # root; fail on >20% ingest-throughput drops below the bench/baselines
-# floors or engine query p50 rises above their ceilings.
+# floors (the spill-bound tenant churn of bench_tenant smoke included) or
+# engine query p50 rises above their ceilings.
 if ls BENCH_*.json > /dev/null 2>&1; then
   ./scripts/bench_compare.py
 fi

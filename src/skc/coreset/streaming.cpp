@@ -88,7 +88,8 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
 
   // One CountMin per level for every guess.  T_i(o) grows with o, so psi
   // and the keep bounds fall along the o-ascending guesses (the constructor
-  // checks it): the guesses keeping an event are a prefix.
+  // checks it): the guesses keeping an event are a prefix, and guesses with
+  // equal bounds share a counter column.
   CellCountMinConfig cm;
   cm.width = options.countmin_width;
   cm.depth = options.countmin_depth;
@@ -470,11 +471,13 @@ std::size_t StreamingCoresetBuilder::memory_bytes_per_guess() const {
 
 namespace {
 // Bumped STRM1 -> STRM2 when point stores moved into the deduplicated pool
-// (serialized once each instead of per guess), and STRM2 -> STRM3 when the
-// per-guess CountMins became one per level: every guess but the first now
+// (serialized once each instead of per guess), STRM2 -> STRM3 when the
+// per-guess CountMins became one per level (every guess but the first now
 // hashes with the level seed, so a STRM2 blob's counters would load into
-// the wrong slots.
-constexpr std::uint64_t kCheckpointMagic = 0x534b435354524d33ULL;  // "SKCSTRM3"
+// the wrong slots), and STRM3 -> STRM4 when a level's CountMin kept one
+// column per distinct keep bound instead of one per live guess: a STRM3
+// blob's counters would be read at the wrong strides.
+constexpr std::uint64_t kCheckpointMagic = 0x534b435354524d34ULL;  // "SKCSTRM4"
 }
 
 void StreamingCoresetBuilder::save(serial::Writer& out) const {

@@ -16,8 +16,9 @@
 //     eviction carrying the actual coreset samples.
 //
 // Physically, every guess of a level shares one CellCountMin (one fold and
-// set of row hashes, counters side by side per guess; DESIGN.md §12), and
-// guesses with equal (level, phi) share one point store (SharedStore).
+// set of row hashes, one counter column per distinct keep bound; DESIGN.md
+// §12), and guesses with equal (level, phi) share one point store
+// (SharedStore).
 // Events enter as flat EventBatch slices through one path, update_batch
 // (consume() cuts a batch into slices), which hashes and indexes each slice
 // once per level for every structure.
@@ -71,8 +72,9 @@ struct StreamingOptions {
   /// threshold-size cell carries ~counting_samples sampled points.
   double counting_samples = 64.0;
 
-  /// CountMin geometry per (guess, level): each live guess owns a depth x
-  /// width block of its level's CellCountMin.
+  /// CountMin geometry per (keep bound, level): each distinct keep bound of
+  /// the live guesses owns a depth x width column of its level's
+  /// CellCountMin.
   int countmin_width = 512;
   int countmin_depth = 3;
 
@@ -175,7 +177,7 @@ class StreamingCoresetBuilder {
     return guesses_[static_cast<std::size_t>(guess)].psi[static_cast<std::size_t>(level)];
   }
 
-  /// Checkpointing: save() appends the full builder state (a STRM3 blob);
+  /// Checkpointing: save() appends the full builder state (a STRM4 blob);
   /// load() reads one into a builder constructed with IDENTICAL (dim,
   /// params, options) — a configuration fingerprint is verified and load()
   /// returns false on mismatch, truncation or a record no history writes

@@ -25,8 +25,8 @@ constexpr std::uint64_t kEngineMagic = 0x534b43454e474e31ULL;   // "SKCENGN1"
 constexpr std::uint64_t kEngineFooter = 0x534b43454e444f4bULL;  // "SKCENDOK"
 // Version 2 wraps the body in a [size u64][crc64 u64][payload] frame so
 // corruption anywhere in the file fails the restore up front.  Version 1
-// (no frame) is refused: its files predate STRM3 builders, which load()
-// requires anyway.
+// (no frame) is refused: its files predate STRM3 builders, and load()
+// accepts only STRM4 ones anyway.
 constexpr std::uint32_t kEngineVersion = 2;
 
 }  // namespace
@@ -208,8 +208,10 @@ void ClusteringEngine::drain(Shard& shard) {
       shard.waiting.wait(w, std::memory_order_acquire);
     }
     {
-      SKC_TRACE_SPAN("drain");
       std::lock_guard<std::mutex> lock(shard.builder_mu);
+      // Opened once the lock is held: the span times the apply, not the
+      // wait for a query's finalize or a fold to release the builder.
+      SKC_TRACE_SPAN("drain");
       shard.builder->update_batch(batch, done, n);
     }
     const auto applied = static_cast<std::int64_t>(n);

@@ -2,7 +2,6 @@
 
 #include <functional>
 #include <iterator>
-#include <limits>
 
 #include "skc/common/check.h"
 #include "skc/common/serial.h"
@@ -29,10 +28,15 @@ CellCountMin::CellCountMin(const HierarchicalGrid& grid, int level,
       keep_below_(std::move(keep_below)) {
   SKC_CHECK(level >= 0 && level <= grid.log_delta());
   SKC_CHECK(config.width >= 8);
-  SKC_CHECK(config.depth >= 1 && config.depth <= 8);
+  SKC_CHECK(config.depth >= 1 && config.depth <= CellCountMinConfig::kMaxDepth);
   SKC_CHECK(!keep_below_.empty());
   SKC_CHECK(std::is_sorted(keep_below_.begin(), keep_below_.end(),
                            std::greater<>()));
+  column_.reserve(keep_below_.size());
+  for (std::size_t g = 0; g < keep_below_.size(); ++g) {
+    const bool repeat = g > 0 && keep_below_[g] == keep_below_[g - 1];
+    column_.push_back(g == 0 ? 0 : column_.back() + (repeat ? 0 : 1));
+  }
   if (config_.exact) return;
   Rng rng(seed ^ 0xC0047C0047ULL);
   fold_ = VectorFold(rng);
@@ -46,17 +50,19 @@ void CellCountMin::update(const std::int32_t* cell_idx, const std::int64_t* delt
   if (n == 0 || live() == 0) return;
   empty_ = false;
   const auto dim = static_cast<std::size_t>(grid_->dim());
+  const int first = first_column(lo_);
   if (config_.exact) {
     CellKey key;
     key.level = level_;
     for (std::size_t i = 0; i < n; ++i) {
       SKC_DCHECK(hi[i] <= guesses());
-      if (hi[i] <= lo_ || deltas[i] == 0) continue;
+      const int run = column_end(hi[i]) - first;
+      if (run <= 0 || deltas[i] == 0) continue;
       key.index.assign(cell_idx + i * dim, cell_idx + (i + 1) * dim);
       auto it = exact_.find(key);
       if (it == exact_.end()) it = exact_.emplace(key, std::vector<std::int64_t>(live(), 0)).first;
       std::vector<std::int64_t>& counts = it->second;
-      for (int g = 0; g < hi[i] - lo_; ++g) counts[static_cast<std::size_t>(g)] += deltas[i];
+      for (int c = 0; c < run; ++c) counts[static_cast<std::size_t>(c)] += deltas[i];
       if (all_zero(counts)) exact_.erase(it);
     }
     return;
@@ -65,20 +71,24 @@ void CellCountMin::update(const std::int32_t* cell_idx, const std::int64_t* delt
   const auto width = static_cast<std::uint64_t>(config_.width);
   std::uint64_t folds[f61::kBatchTile];
   std::uint64_t h[f61::kBatchTile];
+  int runs[f61::kBatchTile];
   for (std::size_t base = 0; base < n; base += f61::kBatchTile) {
     const std::size_t tn = std::min(f61::kBatchTile, n - base);
     fold_.fold_cells_batch(cell_idx + base * dim, dim, tn, folds);
+    // One contiguous run per event: the live columns whose bound is above
+    // its hash, i.e. those of the guesses [lo, hi) that kept it.
+    for (std::size_t b = 0; b < tn; ++b) {
+      SKC_DCHECK(hi[base + b] <= guesses());
+      runs[b] = column_end(hi[base + b]) - first;
+    }
     for (int r = 0; r < config_.depth; ++r) {
       for (std::size_t b = 0; b < tn; ++b) h[b] = folds[b];
       row_hash_[static_cast<std::size_t>(r)].eval_batch(h, tn);
       std::int64_t* row = counters_.data() + static_cast<std::size_t>(r) * width * cols;
-      // One contiguous run per event: the guesses [lo, hi) that kept it.
       for (std::size_t b = 0; b < tn; ++b) {
-        SKC_DCHECK(hi[base + b] <= guesses());
-        const int run = hi[base + b] - lo_;
         std::int64_t* c = row + (h[b] % width) * cols;
         const std::int64_t d = deltas[base + b];
-        for (int g = 0; g < run; ++g) c[g] += d;
+        for (int k = 0; k < runs[b]; ++k) c[k] += d;
       }
     }
   }
@@ -98,12 +108,13 @@ double CellCountMin::summed_query(std::span<const CellCountMin* const> parts, in
   for (const CellCountMin* part : parts) {
     if (guess < part->lo_) return 0.0;
   }
+  const int column = first.column_[static_cast<std::size_t>(guess)];
   if (first.config_.exact) {
     std::int64_t count = 0;
     for (const CellCountMin* part : parts) {
       const auto it = part->exact_.find(cell);
       if (it != part->exact_.end()) {
-        count += it->second[static_cast<std::size_t>(guess - part->lo_)];
+        count += it->second[static_cast<std::size_t>(column - part->first_column(part->lo_))];
       }
     }
     return static_cast<double>(count);
@@ -113,15 +124,19 @@ double CellCountMin::summed_query(std::span<const CellCountMin* const> parts, in
   for (std::size_t j = 0; j < cell.index.size(); ++j) idx64[j] = cell.index[j];
   const std::uint64_t folded =
       first.fold_(std::span<const std::int64_t>(idx64, cell.index.size()));
-  std::int64_t best = std::numeric_limits<std::int64_t>::max();
-  for (int r = 0; r < first.config_.depth; ++r) {
-    const std::size_t s = first.slot(r, folded);
-    std::int64_t sum = 0;
-    for (const CellCountMin* part : parts) {
-      sum += part->counters_[s * part->live() + static_cast<std::size_t>(guess - part->lo_)];
-    }
-    best = std::min(best, sum);
+  // The slots are the same in every part; each part is read at its own
+  // column offset and stride (its live columns).
+  const int depth = first.config_.depth;
+  std::size_t row_slots[CellCountMinConfig::kMaxDepth];
+  std::int64_t sums[CellCountMinConfig::kMaxDepth] = {};
+  for (int r = 0; r < depth; ++r) row_slots[r] = first.slot(r, folded);
+  for (const CellCountMin* part : parts) {
+    const std::size_t stride = part->live();
+    const std::int64_t* column_base =
+        part->counters_.data() + (column - part->first_column(part->lo_));
+    for (int r = 0; r < depth; ++r) sums[r] += column_base[row_slots[r] * stride];
   }
+  const std::int64_t best = *std::min_element(sums, sums + depth);
   // Deletions can drive collided counters slightly negative relative to the
   // queried cell; clamp (true counts are nonnegative).
   return static_cast<double>(std::max<std::int64_t>(best, 0));
@@ -130,26 +145,27 @@ double CellCountMin::summed_query(std::span<const CellCountMin* const> parts, in
 void CellCountMin::trim(int new_lo) {
   SKC_CHECK(new_lo <= guesses());
   if (new_lo <= lo_) return;
-  const auto drop = static_cast<std::size_t>(new_lo - lo_);
+  const auto drop = static_cast<std::size_t>(first_column(new_lo) - first_column(lo_));
   const std::size_t cols = live();
   const std::size_t keep = cols - drop;
+  lo_ = new_lo;
+  if (drop == 0) return;  // the pruned guesses share the first live column
   if (config_.exact) {
     for (auto it = exact_.begin(); it != exact_.end();) {
       it->second = std::vector<std::int64_t>(
           it->second.begin() + static_cast<std::ptrdiff_t>(drop), it->second.end());
       it = all_zero(it->second) ? exact_.erase(it) : std::next(it);
     }
-  } else {
-    // A fresh, smaller block: the dropped columns' memory goes back to the
-    // allocator instead of staying behind as capacity.
-    std::vector<std::int64_t> kept(slots() * keep);
-    for (std::size_t rs = 0; rs < slots(); ++rs) {
-      std::copy_n(counters_.begin() + static_cast<std::ptrdiff_t>(rs * cols + drop), keep,
-                  kept.begin() + static_cast<std::ptrdiff_t>(rs * keep));
-    }
-    counters_.swap(kept);
+    return;
   }
-  lo_ = new_lo;
+  // A fresh, smaller block: the dropped columns' memory goes back to the
+  // allocator instead of staying behind as capacity.
+  std::vector<std::int64_t> kept(slots() * keep);
+  for (std::size_t rs = 0; rs < slots(); ++rs) {
+    std::copy_n(counters_.begin() + static_cast<std::ptrdiff_t>(rs * cols + drop), keep,
+                kept.begin() + static_cast<std::ptrdiff_t>(rs * keep));
+  }
+  counters_.swap(kept);
 }
 
 void CellCountMin::merge(const CellCountMin& other) {
@@ -160,7 +176,7 @@ void CellCountMin::merge(const CellCountMin& other) {
   SKC_CHECK(other.config_.depth == config_.depth);
   SKC_CHECK(other.keep_below_ == keep_below_);
   if (empty_ && lo_ <= other.lo_) {
-    // A copy sized to other's live guesses; the old block is freed.
+    // A copy sized to other's live columns; the old block is freed.
     lo_ = other.lo_;
     counters_ = std::vector<std::int64_t>(other.counters_);
     exact_ = other.exact_;
@@ -170,12 +186,13 @@ void CellCountMin::merge(const CellCountMin& other) {
   empty_ = empty_ && other.empty_;
   trim(std::max(lo_, other.lo_));
   const std::size_t cols = live();
-  const auto skip = static_cast<std::size_t>(lo_ - other.lo_);
+  const auto skip =
+      static_cast<std::size_t>(first_column(lo_) - other.first_column(other.lo_));
   if (config_.exact) {
     for (const auto& [key, counts] : other.exact_) {
       auto it = exact_.find(key);
       if (it == exact_.end()) it = exact_.emplace(key, std::vector<std::int64_t>(cols, 0)).first;
-      for (std::size_t g = 0; g < cols; ++g) it->second[g] += counts[skip + g];
+      for (std::size_t c = 0; c < cols; ++c) it->second[c] += counts[skip + c];
       if (all_zero(it->second)) exact_.erase(it);
     }
     return;
@@ -186,8 +203,8 @@ void CellCountMin::merge(const CellCountMin& other) {
   }
   const std::size_t other_cols = cols + skip;
   for (std::size_t rs = 0; rs < slots(); ++rs) {
-    for (std::size_t g = 0; g < cols; ++g) {
-      counters_[rs * cols + g] += other.counters_[rs * other_cols + skip + g];
+    for (std::size_t c = 0; c < cols; ++c) {
+      counters_[rs * cols + c] += other.counters_[rs * other_cols + skip + c];
     }
   }
 }
@@ -214,7 +231,7 @@ bool CellCountMin::load(serial::Reader& in) {
   if (!in.get(lo) || lo > keep_below_.size()) return fail();
   lo_ = static_cast<int>(lo);
   empty_ = false;
-  // Read the counters in place, into exactly the block the live guesses
+  // Read the counters in place, into exactly the block the live columns
   // need: a restore then never holds the constructor's block and a second
   // copy at once.
   const std::size_t want = config_.exact ? 0 : slots() * live();
@@ -247,7 +264,7 @@ bool CellCountMin::load(serial::Reader& in) {
 std::size_t CellCountMin::memory_bytes() const {
   if (config_.exact) {
     // Per row: the key, its index block, node overhead and one count per
-    // live guess.
+    // live column.
     return exact_.size() * (sizeof(CellKey) + static_cast<std::size_t>(grid_->dim()) * 4 +
                             16 + live() * sizeof(std::int64_t));
   }

@@ -13,13 +13,17 @@
 // One structure serves every o-guess of one grid level (DESIGN.md §12).
 // Guess g keeps an event iff the level's counting hash h is below its keep
 // bound; the bounds are non-increasing in g (psi falls as o grows), so the
-// guesses that keep an event form a prefix [0, hi).  All guesses share one
-// fold and `depth` row hashes — each column is still a CountMin of its own
-// substream — and the counters are laid out guess-minor,
-// [row][slot][guess - lo], so an event adds its delta into `depth`
-// contiguous runs.  Guesses [0, lo) are pruned and hold no memory.
+// guesses that keep an event form a prefix [0, hi).  Guesses with equal
+// bounds count the same substream, so the structure holds one counter
+// column per distinct bound, not per guess: column c counts the events
+// whose h is below the c-th largest bound, and guess g reads the column of
+// its own bound.  All columns share one fold and `depth` row hashes, and
+// the counters are laid out column-minor, [row][slot][column - first live
+// column], so an event adds its delta into `depth` contiguous runs of the
+// live columns whose bound is above its h.  Guesses [0, lo) are pruned;
+// a column is freed once every guess reading it is.
 //
-// The exact flag swaps the counters for a cell -> per-guess count map (the
+// The exact flag swaps the counters for a cell -> per-column count map (the
 // infinite-precision mode used by the equality tests).
 #pragma once
 
@@ -37,8 +41,11 @@
 namespace skc {
 
 struct CellCountMinConfig {
+  /// Most rows a structure may have (summed_query keeps a stack array of
+  /// this many row sums).
+  static constexpr int kMaxDepth = 8;
   int width = 2048;  ///< counters per row
-  int depth = 3;     ///< rows (estimate = min over rows)
+  int depth = 3;     ///< rows (estimate = min over rows), at most kMaxDepth
   bool exact = false;
 };
 
@@ -80,15 +87,15 @@ class CellCountMin {
 
   /// query() on the sum of `parts` (identically constructed structures),
   /// read in place: 0 if any part pruned the guess (merge trims to the
-  /// longer prefix), else the minimum over rows of the parts' counters in the
-  /// cell's slot summed (each part's column guess - lo), clamped at 0 — what
-  /// merging the parts would answer.  The slots are the same in every part,
+  /// longer prefix), else the minimum over rows of the parts' counters of the
+  /// guess's column in the cell's slot summed, clamped at 0 — what merging
+  /// the parts would answer.  The slots are the same in every part,
   /// so the cell is folded and hashed once.
   static double summed_query(std::span<const CellCountMin* const> parts, int guess,
                              const CellKey& cell);
 
-  /// Prunes guesses [lo(), new_lo): their counters are freed (the block is
-  /// reallocated at the smaller size).
+  /// Prunes guesses [lo(), new_lo): the columns no live guess reads any
+  /// more are freed (the block is reallocated at the smaller size).
   void trim(int new_lo);
 
   /// Adds `other` (same construction) into this: both sides are trimmed to
@@ -97,14 +104,15 @@ class CellCountMin {
   void merge(const CellCountMin& other);
 
   std::size_t memory_bytes() const;
-  /// One live guess's share: its counter columns plus the shared hashes
+  /// One live guess's share: one counter column plus the shared hashes
   /// (the footprint a per-guess structure would have).
   std::size_t memory_bytes_per_guess() const;
 
-  /// Checkpointing: dumps/restores lo and the counters (exact rows in
-  /// cell-index order, so equal contents give equal bytes; load() accepts
-  /// any order); the hashes are re-derived from the constructor seed, so
-  /// load() must be called on a structure built with identical arguments.
+  /// Checkpointing: dumps/restores lo (a guess index) and the live columns'
+  /// counters (exact rows in cell-index order, so equal contents give equal
+  /// bytes; load() accepts any order); the hashes and the column map are
+  /// re-derived from the constructor arguments, so load() must be called on
+  /// a structure built with identical arguments.
   /// load() returns false on truncation, on any layout that disagrees with
   /// the construction, or on a counter past ±kMaxEvents, and leaves every
   /// guess pruned then.
@@ -112,7 +120,19 @@ class CellCountMin {
   bool load(serial::Reader& in);
 
  private:
-  std::size_t live() const { return keep_below_.size() - static_cast<std::size_t>(lo_); }
+  /// The distinct keep bounds: one counter column each.
+  int columns() const { return column_end(guesses()); }
+  /// The columns read by guesses [0, hi): [0, column_end(hi)).
+  int column_end(int hi) const {
+    return hi == 0 ? 0 : column_[static_cast<std::size_t>(hi - 1)] + 1;
+  }
+  /// The first column guesses [g, guesses()) read: g's own, or columns()
+  /// past the last guess.
+  int first_column(int g) const {
+    return g == guesses() ? columns() : column_[static_cast<std::size_t>(g)];
+  }
+  /// The live columns: [first_column(lo()), columns()).
+  std::size_t live() const { return static_cast<std::size_t>(columns() - first_column(lo_)); }
   /// depth * width: the (row, slot) pairs, each holding live() counters.
   std::size_t slots() const {
     return static_cast<std::size_t>(config_.depth) * static_cast<std::size_t>(config_.width);
@@ -130,13 +150,17 @@ class CellCountMin {
   CellCountMinConfig config_;
   std::uint64_t seed_;
   std::vector<std::uint64_t> keep_below_;
+  /// Guess -> its column: the rank of its bound among the distinct bounds,
+  /// largest first, so it is non-decreasing in the guess.
+  std::vector<int> column_;
   int lo_ = 0;
   VectorFold fold_;
   std::vector<KWiseHash> row_hash_;
-  // Sketch mode: depth * width * live() counters, [row][slot][guess - lo].
+  // Sketch mode: depth * width * live() counters,
+  // [row][slot][column - first_column(lo)].
   std::vector<std::int64_t> counters_;
-  // Exact mode: cell -> live() counts; a row whose counts are all zero is
-  // dropped.
+  // Exact mode: cell -> live() column counts; a row whose counts are all
+  // zero is dropped.
   std::unordered_map<CellKey, std::vector<std::int64_t>, CellKeyHash> exact_;
   // No update, merge or load has reached the counters yet: all are zero.
   bool empty_ = true;

@@ -35,6 +35,21 @@ void free_array(std::vector<T>& v) {
   std::vector<T>().swap(v);
 }
 
+/// Makes room for one more record and its `width` row entries, growing both
+/// arrays by half their capacity rather than by std::vector's doubling.  A
+/// builder holds a few hundred stores that fill at different rates, and at
+/// 2x a store that has just crossed a power of two leaves half its record
+/// bytes unused.
+template <typename Record, typename Entry>
+void reserve_record(std::vector<Record>& records, std::vector<Entry>& rows,
+                    std::size_t width) {
+  if (records.size() < records.capacity()) return;
+  const std::size_t cap =
+      std::max<std::size_t>(4, records.capacity() + records.capacity() / 2);
+  records.reserve(cap);
+  rows.reserve(cap * width);
+}
+
 }  // namespace
 
 CellPointStore::CellPointStore(const HierarchicalGrid& grid, int level,
@@ -96,6 +111,7 @@ std::uint32_t CellPointStore::find_or_add_cell(const std::int32_t* idx) {
   if (cell_slots_[slot].id != kNone) return cell_slots_[slot].id;
   SKC_CHECK(cells_.size() < kNone);
   const auto c = static_cast<std::uint32_t>(cells_.size());
+  reserve_record(cells_, cell_rows_, dim_);
   cells_.emplace_back();
   cell_rows_.insert(cell_rows_.end(), idx, idx + dim_);
   cell_slots_[slot] = Slot{c, hash};
@@ -121,6 +137,7 @@ void CellPointStore::add_count(std::uint32_t c, const Coord* p, std::uint32_t ha
   } else {
     SKC_CHECK(points_.size() < kNone);
     id = static_cast<std::uint32_t>(points_.size());
+    reserve_record(points_, point_coords_, dim_);
     points_.emplace_back();
     point_coords_.insert(point_coords_.end(), p, p + dim_);
   }
@@ -351,7 +368,7 @@ void CellPointStore::release() {
 }
 
 void CellPointStore::save(serial::Writer& out) const {
-  // STRM2/STRM3 records: a cell's index row as put_vector writes it (entry
+  // STRM2-STRM4 records: a cell's index row as put_vector writes it (entry
   // count, entries), a point as put_string writes its packed coordinates
   // (byte count, bytes).
   out.put<std::uint8_t>(dead_ ? 1 : 0);

@@ -114,7 +114,7 @@ class CellPointStore {
   std::size_t memory_bytes() const;
 
   /// Checkpointing (same contract as CellCountMin::save/load; the record
-  /// layout of STRM2 and STRM3 builder blobs).  load() fails closed on a
+  /// layout of STRM2 to STRM4 builder blobs).  load() fails closed on a
   /// record the store could never have written: a cell row or point record
   /// of the wrong length, a count <= 0, counts that sum past events() (each
   /// unit of multiplicity is one applied insert), an events() outside

@@ -12,11 +12,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "skc/common/crc64.h"
@@ -328,7 +333,12 @@ TEST(BatchIngest, EngineCoresetIdenticalToPointwiseBuilderEveryShardCount) {
 // the first tree that wrote canonical blobs (map entries in cell-index
 // order, see BuilderBlobsAreCanonical) and the last whose builder, point
 // store and distinct counter still had a pointwise update(), which fed
-// them one event at a time.  Never regenerate a digest to make a failing
+// them one event at a time.  The five that hold CountMin counters (the
+// three builder digests, EngineState and TenantSpill) were regenerated once,
+// when a level's CountMin came to keep one counter column per distinct keep
+// bound instead of one per live guess (the STRM4 blob): the counters' layout
+// changed, not what any guess reads, which IngestDigest.Answers, frozen
+// before that change, pins.  Never regenerate a digest to make a failing
 // run pass: a mismatch means update_batch no longer writes what the
 // pointwise path wrote.
 // ---------------------------------------------------------------------------
@@ -391,9 +401,9 @@ TEST(IngestDigest, Builder) {
   const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
   const std::vector<std::size_t> every = {1, 7, 64, 256, 1024, 10000};
   const BuilderCase cases[] = {
-      {"exact", exact_options(n), {0x9840d22eccc96d34, 4211014}, every},
-      {"sketch, pruning off", sketch_options(n), {0x5216bfdbc0691364, 5816382}, every},
-      {"sketch, pruning at 4096", pruning_options(n), {0x2fb3efa34f9cbd76, 5079102},
+      {"exact", exact_options(n), {0x139e9c6486db0bb3, 2748454}, every},
+      {"sketch, pruning off", sketch_options(n), {0x7b102923d54efd82, 2990142}, every},
+      {"sketch, pruning at 4096", pruning_options(n), {0xa05fc5daffaba8fa, 2990142},
        {1, 64, 256, 1024, 4096}},
   };
   for (const BuilderCase& c : cases) {
@@ -500,7 +510,7 @@ TEST(IngestDigest, EngineState) {
   // first guess flag follows 48 bytes of builder header.
   ASSERT_GT(bytes.size(), 97u);
   EXPECT_EQ(bytes[97], 1) << "pruning must have fired";
-  EXPECT_EQ(digest_of(bytes), (Digest{0xce7e36f83d99de9f, 8762082}));
+  EXPECT_EQ(digest_of(bytes), (Digest{0x2d09a0a1d899ad28, 4584162}));
 }
 
 TEST(IngestDigest, TenantSpill) {
@@ -536,7 +546,124 @@ TEST(IngestDigest, TenantSpill) {
   std::uint64_t replay = 0;
   std::memcpy(&replay, bytes.data() + 13, sizeof replay);
   EXPECT_EQ(replay, 700u);
-  EXPECT_EQ(digest_of(bytes), (Digest{0xcdb4dd4b32958e2e, 4425461}));
+  EXPECT_EQ(digest_of(bytes), (Digest{0xb70d75b2b7a27059, 1599221}));
+}
+
+// ---------------------------------------------------------------------------
+// Frozen answers: what a builder reports, not the bytes it writes.  Every
+// live guess's CountMin estimate of a fixed set of probe cells at every
+// level, then the whole finalize outcome, digested.  They were generated on
+// commit 4050d7d, the last tree with one CountMin column per live guess, and
+// pin the reads across changes of the counter layout; like the digests
+// above, they are never regenerated to make a failing run pass.
+// ---------------------------------------------------------------------------
+
+/// Every 97th event's point of `stream`, then 24 uniform points of the
+/// [1, 2^9]^2 domain: cells with data, and cells only collisions reach.
+std::vector<Point> probe_points(const Stream& stream) {
+  std::vector<Point> probes;
+  for (std::size_t e = 0; e < stream.size(); e += 97) probes.push_back(stream[e].point);
+  Rng rng(35);
+  for (int i = 0; i < 24; ++i) {
+    probes.push_back(Point{static_cast<Coord>(rng.uniform_int(1, 1 << 9)),
+                           static_cast<Coord>(rng.uniform_int(1, 1 << 9))});
+  }
+  return probes;
+}
+
+/// The digest of the estimates of every live guess (at and above the longest
+/// pruned prefix of `parts`) for every probe's cell at every level, read
+/// through query() on one part and summed_query() on several, followed by
+/// finalize over `parts`: ok, the OPT lower bound, every guess tried with
+/// its outcome, the accepted o, and the coreset's points, weights and
+/// levels.
+Digest answers(std::span<const StreamingCoresetBuilder* const> parts,
+               const std::vector<Point>& probes) {
+  const StreamingCoresetBuilder& first = *parts.front();
+  serial::Writer out;
+  for (int level = 0; level <= first.grid().log_delta(); ++level) {
+    std::vector<const CellCountMin*> counts;
+    int lo = 0;
+    for (const StreamingCoresetBuilder* part : parts) {
+      counts.push_back(&part->level_counts(level));
+      lo = std::max(lo, counts.back()->lo());
+    }
+    out.put<std::int32_t>(lo);
+    for (int g = lo; g < first.num_guesses(); ++g) {
+      for (const Point& p : probes) {
+        const CellKey cell = first.grid().cell_of(p, level);
+        out.put<double>(counts.size() == 1 ? counts[0]->query(g, cell)
+                                           : CellCountMin::summed_query(counts, g, cell));
+      }
+    }
+  }
+  const StreamingResult result = StreamingCoresetBuilder::finalize(parts);
+  out.put<std::uint8_t>(result.ok ? 1 : 0);
+  out.put<double>(result.opt_lower_bound);
+  out.put<std::uint64_t>(result.diagnostics.guess_outcomes.size());
+  for (std::size_t g = 0; g < result.diagnostics.guess_outcomes.size(); ++g) {
+    out.put<double>(result.diagnostics.guesses_tried[g]);
+    out.put_string(result.diagnostics.guess_outcomes[g]);
+  }
+  const Coreset& coreset = result.coreset;
+  out.put<double>(coreset.o);
+  out.put<std::uint64_t>(static_cast<std::uint64_t>(coreset.points.size()));
+  for (PointIndex i = 0; i < coreset.points.size(); ++i) {
+    for (const Coord c : coreset.points.point(i)) out.put<Coord>(c);
+    out.put<double>(coreset.points.weight(i));
+    out.put<std::int32_t>(coreset.levels[static_cast<std::size_t>(i)]);
+  }
+  return digest_of(out.take());
+}
+
+TEST(IngestDigest, Answers) {
+  const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
+  {  // the three IngestDigest.Builder configurations
+    const Stream stream = churn_10k(31);
+    const auto n = PointIndex(stream.size());
+    const std::vector<Point> probes = probe_points(stream);
+    const std::pair<const char*, StreamingOptions> configs[] = {
+        {"exact", exact_options(n)},
+        {"sketch, pruning off", sketch_options(n)},
+        {"sketch, pruning at 4096", pruning_options(n)},
+    };
+    const Digest want[] = {{0x7b38f524c808af21, 373751},
+                           {0xc64d87d8fa260a4e, 373491},
+                           {0x0a866ca548374e37, 312117}};
+    for (std::size_t c = 0; c < std::size(configs); ++c) {
+      StreamingCoresetBuilder builder(2, params, configs[c].second);
+      feed(builder, stream, 256);
+      const StreamingCoresetBuilder* part = &builder;
+      EXPECT_EQ(answers({&part, 1}, probes), want[c]) << configs[c].first;
+    }
+  }
+  {  // the IngestDigest.EngineState engine: one finalize over both shards
+    const Stream stream = churn_10k(33);
+    EngineOptions eopt;
+    eopt.num_shards = 2;
+    eopt.worker_threads = 0;
+    eopt.streaming = sketch_options(PointIndex(stream.size()));
+    eopt.streaming.prune_interval = 1024;
+    ClusteringEngine engine(2, params, eopt);
+    for (std::size_t base = 0; base < stream.size(); base += 1000) {
+      engine.submit(Stream(stream.begin() + static_cast<std::ptrdiff_t>(base),
+                           stream.begin() + static_cast<std::ptrdiff_t>(
+                                                std::min(base + 1000, stream.size()))));
+    }
+    const std::string bytes = engine_state(engine);
+    engine.shutdown();
+    // The shards' builders, read back from the state: past the frame (28
+    // bytes) and the body header (21), the two blobs follow each other.
+    serial::Reader in(std::string_view(bytes).substr(28 + 21));
+    StreamingCoresetBuilder shard0(2, params, eopt.streaming);
+    StreamingCoresetBuilder shard1(2, params, eopt.streaming);
+    ASSERT_TRUE(shard0.load(in));
+    ASSERT_TRUE(shard1.load(in));
+    ASSERT_EQ(in.left(), 8u) << "the footer follows the last shard";
+    EXPECT_GT(shard0.level_counts(0).lo(), 0) << "pruning must have fired";
+    const StreamingCoresetBuilder* parts[] = {&shard0, &shard1};
+    EXPECT_EQ(answers(parts, probe_points(stream)), (Digest{0xa675e075beef98ec, 315617}));
+  }
 }
 
 }  // namespace

@@ -221,7 +221,8 @@ TEST(CountMinOracle, MatchesThePerGuessCountMinsOnRandomChurn) {
 }
 
 // Pruning frees memory: trimming reallocates the counter block at the
-// smaller size, and a fully pruned level holds no counters.
+// smaller size once no live guess reads a column, and a fully pruned level
+// holds no counters.
 TEST(CountMinOracle, TrimShrinksTheCounterBlock) {
   Rng rng(4);
   HierarchicalGrid grid(2, 7, rng);
@@ -230,9 +231,12 @@ TEST(CountMinOracle, TrimShrinksTheCounterBlock) {
   cfg.depth = 2;
   const std::vector<SamplingRate> rates = guess_rates();
   CellCountMin cm(grid, kLevel, cfg, kSeed, keep_bounds(rates));
-  const std::size_t hashes = cm.memory_bytes() - 2 * 64 * rates.size() * 8;
-  cm.trim(4);
-  EXPECT_EQ(cm.memory_bytes(), hashes + 2 * 64 * (rates.size() - 4) * 8);
+  // One column per distinct rate: 1, 1/2, 1/3, 1/4, 1/8 and 1/16.
+  const std::size_t hashes = cm.memory_bytes() - 2 * 64 * 6 * 8;
+  cm.trim(1);  // guess 1 still reads guess 0's column
+  EXPECT_EQ(cm.memory_bytes(), hashes + 2 * 64 * 6 * 8);
+  cm.trim(4);  // guesses 4..8 read the columns of 1/3 .. 1/16
+  EXPECT_EQ(cm.memory_bytes(), hashes + 2 * 64 * 4 * 8);
   EXPECT_EQ(cm.memory_bytes_per_guess(), hashes + 2 * 64 * 8);
   cm.trim(static_cast<int>(rates.size()));
   EXPECT_EQ(cm.memory_bytes(), hashes);

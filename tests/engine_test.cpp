@@ -310,7 +310,7 @@ TEST(Engine, ExportSketchFinalizesToTheQuerySummary) {
   }
 }
 
-/// Rewrites every point-store point record of a serialized builder (STRM3)
+/// Rewrites every point-store point record of a serialized builder (STRM4)
 /// to carry `extra` bytes after its coordinates; `rewritten` counts them.
 /// Walks the layout: header, the per-guess pruned flags, L+1 level
 /// CountMins, the store pool, then the distinct-cell estimators copied

@@ -1,4 +1,4 @@
-// Seeded mutants of every persisted format: STRM3 builder blobs (both
+// Seeded mutants of every persisted format: STRM4 builder blobs (both
 // modes, with pruned guesses), engine checkpoints, tenant spills, and the
 // SketchSnapshot and WorkerStatsReply (HistogramWire) wire bodies.
 //
@@ -95,9 +95,9 @@ struct Field {
 using Fields = std::vector<Field>;
 
 /// Appends the 64-bit count, length, event, net and counter fields of the
-/// STRM3 blob at `pos` to `fields` (the first counter or count of each
+/// STRM4 blob at `pos` to `fields` (the first counter or count of each
 /// block stands for its block); returns the offset past the blob.
-std::size_t walk_strm3(std::string_view b, std::size_t pos, Fields& fields) {
+std::size_t walk_strm4(std::string_view b, std::size_t pos, Fields& fields) {
   const auto field = [&fields](std::size_t at, const char* what) {
     fields.push_back({at, what});
   };
@@ -236,7 +236,7 @@ bool watched_load(std::size_t input_bytes, Load&& load) {
 }
 
 // ---------------------------------------------------------------------------
-// STRM3 builder blobs
+// STRM4 builder blobs
 // ---------------------------------------------------------------------------
 
 std::string builder_blob(const StreamingCoresetBuilder& builder) {
@@ -274,7 +274,7 @@ TEST(PersistedMutants, BuilderBlobs) {
     }
     const std::string blob = builder_blob(builder);
     Fields fields;
-    ASSERT_EQ(walk_strm3(blob, 0, fields), blob.size());
+    ASSERT_EQ(walk_strm4(blob, 0, fields), blob.size());
     check_builder_mutant(blob, opt, blob.size());  // the intact blob loads
     Rng rng(exact ? 12 : 11);
     for (int i = 0; i < 250; ++i) {
@@ -318,7 +318,7 @@ std::string reframe(std::string_view frame, std::string_view payload) {
 Fields engine_payload_fields(std::string_view payload, int shards) {
   Fields fields;
   std::size_t pos = 4 + 4 + 8 + 4 + 1;  // dim, log_delta, seed, shards, exact
-  for (int s = 0; s < shards; ++s) pos = walk_strm3(payload, pos, fields);
+  for (int s = 0; s < shards; ++s) pos = walk_strm4(payload, pos, fields);
   EXPECT_EQ(pos + 8, payload.size()) << "the walk must end at the footer";
   return fields;
 }
@@ -461,7 +461,7 @@ TEST(PersistedMutants, SketchSnapshotBodies) {
   snap.blob = exported.blob;
   const std::string body = snap.encode();
   Fields fields = {{0, "net points"}, {8, "events applied"}, {16, "blob size"}};
-  ASSERT_EQ(walk_strm3(body, 24, fields), body.size());
+  ASSERT_EQ(walk_strm4(body, 24, fields), body.size());
 
   ClusteringEngine target(kDim, params(), eopt);
   target.submit(churn(60, 8));
@@ -556,7 +556,7 @@ TEST(PersistedMutants, EveryFieldPastTheEventBoundIsRefused) {
     const std::string payload = file.substr(kFrameBytes);
     const std::string blob = engine.export_sketch().blob;
     Fields blob_fields;
-    ASSERT_EQ(walk_strm3(blob, 0, blob_fields), blob.size());
+    ASSERT_EQ(walk_strm4(blob, 0, blob_fields), blob.size());
     const Fields kinds = one_of_each(blob_fields);
     ASSERT_EQ(kinds.size(), exact ? 22u : 20u) << "every kind of field must be present";
     for (const std::uint64_t huge : {std::uint64_t{kMaxEvents} + 1, ~std::uint64_t{0} >> 1}) {
