@@ -25,13 +25,15 @@ ctest --test-dir build --output-on-failure
 # digests of the bytes the deleted pointwise path wrote at every batch size,
 # every guess must read the frozen answers, builder blobs must be
 # canonical, the flat point store must match its pointwise node-map oracle,
-# the per-level CountMin (one column per keep bound) must match the
-# per-guess CountMins it replaced, every loader must refuse malformed blobs
-# and STRM2/STRM3 ones (DESIGN.md §12), seeded mutants of every persisted format must be
+# every rate class of the per-level point store must match the per-(level,
+# phi) store it replaced (PointStoreOracle), the per-level CountMin (one
+# column per keep bound) must match the per-guess CountMins it replaced,
+# every loader must refuse malformed blobs and STRM2/STRM3/STRM4 ones
+# (DESIGN.md §12), seeded mutants of every persisted format must be
 # refused or round-trip without a large allocation (PersistedMutants), and
 # finalize over live builders must equal finalize of their fold
 # (ShardFinalize).
-ctest --test-dir build --output-on-failure -R '^(BatchIngest|BatchSketch|IngestDigest|CellPointStore|CountMinOracle|Checkpoint|PersistedMutants|ShardFinalize)\.'
+ctest --test-dir build --output-on-failure -R '^(BatchIngest|BatchSketch|IngestDigest|CellPointStore|PointStoreOracle|CountMinOracle|Checkpoint|PersistedMutants|ShardFinalize)\.'
 
 for b in build/bench/bench_*; do
   echo "== $b"

@@ -55,54 +55,41 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
   for (double o = o_lo; o <= o_hi * params.guess_factor; o *= params.guess_factor) {
     GuessState guess;
     guess.o = o;
-    guess.samples.reserve(static_cast<std::size_t>(L + 1));
     for (int i = 0; i <= L; ++i) {
       const double ti = part_threshold(grid_, params.partition(), i, o);
       guess.psi.push_back(rate_or_one(options.counting_samples / std::max(ti, 1.0)));
       guess.phi.push_back(
           SamplingRate::from_probability(params.sampling_probability(grid_, i, o)));
-      // Point stores are deduplicated by (level, phi.m): guesses with the
-      // same rounded sampling rate at a level would build byte-identical
-      // structures from byte-identical substreams (see SharedStore).
-      SharedStore* shared = nullptr;
-      for (auto& pooled : store_pool_) {
-        if (pooled->level == i && pooled->phi.m == guess.phi.back().m) {
-          shared = pooled.get();
-          break;
-        }
-      }
-      if (shared == nullptr) {
-        PointStoreConfig ps;
-        ps.watermark = kPointWatermark;
-        ps.max_live_points = options.max_live_points;
-        ps.exact = options.exact_storing;
-        store_pool_.push_back(
-            std::make_unique<SharedStore>(i, guess.phi.back(), grid_, ps));
-        shared = store_pool_.back().get();
-      }
-      ++shared->refs;
-      guess.samples.push_back(shared);
     }
     guesses_.push_back(std::move(guess));
   }
 
-  // One CountMin per level for every guess.  T_i(o) grows with o, so psi
-  // and the keep bounds fall along the o-ascending guesses (the constructor
-  // checks it): the guesses keeping an event are a prefix, and guesses with
-  // equal bounds share a counter column.
+  // One CountMin and one point store per level for every guess.  T_i(o)
+  // grows with o, so psi, phi and their keep bounds fall along the
+  // o-ascending guesses (both constructors check it): the guesses keeping an
+  // event are a prefix, guesses with equal counting bounds share a counter
+  // column, and guesses with equal coreset bounds read one rate class.
   CellCountMinConfig cm;
   cm.width = options.countmin_width;
   cm.depth = options.countmin_depth;
   cm.exact = options.exact_storing;
+  PointStoreConfig ps;
+  ps.watermark = kPointWatermark;
+  ps.max_live_points = options.max_live_points;
+  ps.exact = options.exact_storing;
   counts_.reserve(static_cast<std::size_t>(L + 1));
+  stores_.reserve(static_cast<std::size_t>(L + 1));
   for (int i = 0; i <= L; ++i) {
-    std::vector<std::uint64_t> keep_below;
-    keep_below.reserve(guesses_.size());
+    std::vector<std::uint64_t> count_below, sample_below;
+    count_below.reserve(guesses_.size());
+    sample_below.reserve(guesses_.size());
     for (const GuessState& guess : guesses_) {
-      keep_below.push_back(guess.psi[static_cast<std::size_t>(i)].keep_below());
+      count_below.push_back(guess.psi[static_cast<std::size_t>(i)].keep_below());
+      sample_below.push_back(guess.phi[static_cast<std::size_t>(i)].keep_below());
     }
     counts_.emplace_back(grid_, i, cm, sketch_seed(params, SamplerPurpose::kCounting, i),
-                         std::move(keep_below));
+                         std::move(count_below));
+    stores_.emplace_back(grid_, i, ps, std::move(sample_below));
   }
 
   distinct_.reserve(static_cast<std::size_t>(L));
@@ -132,7 +119,6 @@ void StreamingCoresetBuilder::update_batch(const EventBatch& batch, std::size_t 
   batch_h_core_.resize(levels * B);
   batch_idx_.resize(levels * B * dim);
   sel_idx_.resize(B * dim);
-  sel_pts_.resize(B * dim);
   sel_delta_.resize(B);
   sel_hi_.resize(B);
 
@@ -178,27 +164,12 @@ void StreamingCoresetBuilder::update_batch(const EventBatch& batch, std::size_t 
   }
   {
     SKC_TRACE_SPAN("point_store");
-    // Coreset substream, once per deduplicated (level, phi.m) store: the
-    // point store also needs the points themselves (it carries the samples).
-    for (auto& shared : store_pool_) {
-      if (shared->refs == 0 || shared->store.dead()) continue;
-      const auto i = static_cast<std::size_t>(shared->level);
-      const std::uint64_t* hs = batch_h_core_.data() + i * B;
-      const std::int32_t* idx = batch_idx_.data() + i * B * dim;
-      std::size_t nsel = 0;
-      for (std::size_t b = 0; b < B; ++b) {
-        if (hs[b] >= shared->phi.keep_below()) continue;
-        std::copy(idx + b * dim, idx + (b + 1) * dim,
-                  sel_idx_.begin() + static_cast<std::ptrdiff_t>(nsel * dim));
-        std::copy(pts + b * dim, pts + (b + 1) * dim,
-                  sel_pts_.begin() + static_cast<std::ptrdiff_t>(nsel * dim));
-        sel_delta_[nsel] = batch_delta_[b];
-        ++nsel;
-      }
-      if (nsel > 0) {
-        shared->store.update_batch(sel_pts_.data(), sel_idx_.data(),
-                                   sel_delta_.data(), nsel);
-      }
+    // Coreset substream, once per level: each store finds the rate class of
+    // every event from its hash and skips those no live class keeps.  The
+    // store also needs the points themselves (it carries the samples).
+    for (std::size_t i = 0; i < levels; ++i) {
+      stores_[i].update_batch(pts, batch_idx_.data() + i * B * dim, batch_h_core_.data() + i * B,
+                              batch_delta_.data(), B);
     }
   }
   {
@@ -233,15 +204,9 @@ void StreamingCoresetBuilder::maybe_prune() {
 }
 
 void StreamingCoresetBuilder::prune_prefix(std::size_t lo) {
-  for (std::size_t g = 0; g < lo; ++g) {
-    GuessState& guess = guesses_[g];
-    if (guess.pruned) continue;
-    guess.pruned = true;
-    for (SharedStore* shared : guess.samples) {
-      if (--shared->refs == 0) shared->store.release();
-    }
-  }
+  for (std::size_t g = 0; g < lo; ++g) guesses_[g].pruned = true;
   for (CellCountMin& cm : counts_) cm.trim(static_cast<int>(lo));
+  for (CellPointStore& store : stores_) store.trim(static_cast<int>(lo));
 }
 
 void StreamingCoresetBuilder::check_mergeable(const StreamingCoresetBuilder& other) const {
@@ -251,7 +216,6 @@ void StreamingCoresetBuilder::check_mergeable(const StreamingCoresetBuilder& oth
   SKC_CHECK(other.options_.exact_storing == options_.exact_storing);
   SKC_CHECK(other.guesses_.size() == guesses_.size());
   SKC_CHECK(other.distinct_.size() == distinct_.size());
-  SKC_CHECK(other.store_pool_.size() == store_pool_.size());
   for (std::size_t g = 0; g < guesses_.size(); ++g) {
     SKC_CHECK(guesses_[g].o == other.guesses_[g].o);
   }
@@ -259,23 +223,13 @@ void StreamingCoresetBuilder::check_mergeable(const StreamingCoresetBuilder& oth
 
 void StreamingCoresetBuilder::merge_from(const StreamingCoresetBuilder& other) {
   check_mergeable(other);
-  // Pass 1: a guess pruned on either side is pruned here (both pruned sets
-  // are prefixes, so the union is the longer one).  Each level's CountMin
-  // merge trims itself to that prefix; prune_prefix then marks the guesses
-  // and drops their store refs, so the pool merge below sees final refs.
+  // A guess pruned on either side is pruned here (both pruned sets are
+  // prefixes, so the union is the longer one): each level's CountMin and
+  // point store merge trims itself to that prefix.
   const std::size_t pruned = std::max(pruned_guesses(), other.pruned_guesses());
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i].merge(other.counts_[i]);
+  for (std::size_t i = 0; i < stores_.size(); ++i) stores_[i].merge(other.stores_[i]);
   prune_prefix(pruned);
-  // Pass 2: merge the deduplicated stores once each.  Identical options give
-  // identical pools in identical order; a live store here implies at least
-  // one unpruned guess referencing it, which (post pass 1) implies the same
-  // guess is unpruned on the other side, so the peer store is live too.
-  for (std::size_t s = 0; s < store_pool_.size(); ++s) {
-    SKC_CHECK(store_pool_[s]->level == other.store_pool_[s]->level);
-    SKC_CHECK(store_pool_[s]->phi.m == other.store_pool_[s]->phi.m);
-    if (store_pool_[s]->refs == 0) continue;
-    store_pool_[s]->store.merge(other.store_pool_[s]->store);
-  }
   for (std::size_t i = 0; i < distinct_.size(); ++i) {
     distinct_[i].merge(other.distinct_[i]);
   }
@@ -372,10 +326,9 @@ StreamingResult StreamingCoresetBuilder::finalize(
       const std::size_t li = static_cast<std::size_t>(i);
       const double inv_psi = guess.psi[li].weight();
       const double ti = part_threshold(grid, params.partition(), i, guess.o);
-      for (std::size_t p = 0; p < nparts; ++p) {
-        stores[p] = &parts[p]->guesses_[g].samples[li]->store;
-      }
-      if (CellPointStore::summed_dead(stores)) {
+      for (std::size_t p = 0; p < nparts; ++p) stores[p] = &parts[p]->stores_[li];
+      const int cls = first.stores_[li].rate_class(static_cast<int>(g));
+      if (CellPointStore::summed_dead(stores, cls)) {
         failed = true;
         reason = "sample store saturated";
         break;
@@ -397,7 +350,7 @@ StreamingResult StreamingCoresetBuilder::finalize(
             // Crucial candidate: its mass feeds the part estimates and its
             // sampled points feed the coreset.
             data.part_mass[li].push_back(EstimatedCell{child.index, tau});
-            const auto cp = CellPointStore::summed_cell(stores, child);
+            const auto cp = CellPointStore::summed_cell(stores, cls, child);
             if (cp && cp->complete) {
               data.sample_points[li].append(cp->points);
             } else if (cp && !cp->complete) {
@@ -442,9 +395,7 @@ StreamingResult StreamingCoresetBuilder::finalize(
 std::size_t StreamingCoresetBuilder::memory_bytes() const {
   std::size_t total = 0;
   for (const CellCountMin& cm : counts_) total += cm.memory_bytes();
-  // Shared stores are physical memory once, no matter how many guesses
-  // reference them.
-  for (const auto& shared : store_pool_) total += shared->store.memory_bytes();
+  for (const CellPointStore& store : stores_) total += store.memory_bytes();
   for (const DistinctCells& dc : distinct_) total += dc.memory_bytes();
   return total;
 }
@@ -452,17 +403,22 @@ std::size_t StreamingCoresetBuilder::memory_bytes() const {
 std::size_t StreamingCoresetBuilder::memory_bytes_per_guess() const {
   // Report the largest live guess (pruned guesses hold no memory and would
   // understate the per-guess footprint).  A guess is charged its CountMin
-  // columns with the level hashes and its referenced stores in full — the
-  // logical per-guess footprint Theorem 4.5 bounds, even though sharing
-  // makes the physical sum smaller.
+  // columns with the level hashes and, at each level, the records of its
+  // rate class's view with their slots — the logical per-guess footprint
+  // Theorem 4.5 bounds, even though sharing makes the physical sum smaller.
   std::size_t counts = 0;
   for (const CellCountMin& cm : counts_) counts += cm.memory_bytes_per_guess();
+  std::vector<std::vector<std::size_t>> view_bytes(stores_.size());
   std::size_t best = 0;
-  for (const GuessState& guess : guesses_) {
-    if (guess.pruned) continue;
+  for (std::size_t g = pruned_guesses(); g < guesses_.size(); ++g) {
     std::size_t total = counts;
-    for (const SharedStore* shared : guess.samples) {
-      total += shared->store.memory_bytes();
+    for (std::size_t i = 0; i < stores_.size(); ++i) {
+      const CellPointStore& store = stores_[i];
+      std::vector<std::size_t>& bytes = view_bytes[i];
+      if (bytes.empty()) bytes.assign(static_cast<std::size_t>(store.classes()), 0);
+      const auto cls = static_cast<std::size_t>(store.rate_class(static_cast<int>(g)));
+      if (bytes[cls] == 0) bytes[cls] = store.view_bytes(static_cast<int>(cls));
+      total += bytes[cls];
     }
     best = std::max(best, total);
   }
@@ -474,10 +430,12 @@ namespace {
 // (serialized once each instead of per guess), STRM2 -> STRM3 when the
 // per-guess CountMins became one per level (every guess but the first now
 // hashes with the level seed, so a STRM2 blob's counters would load into
-// the wrong slots), and STRM3 -> STRM4 when a level's CountMin kept one
-// column per distinct keep bound instead of one per live guess: a STRM3
-// blob's counters would be read at the wrong strides.
-constexpr std::uint64_t kCheckpointMagic = 0x534b435354524d34ULL;  // "SKCSTRM4"
+// the wrong slots), STRM3 -> STRM4 when a level's CountMin kept one column
+// per distinct keep bound instead of one per live guess (a STRM3 blob's
+// counters would be read at the wrong strides), and STRM4 -> STRM5 when the
+// pool of one store per (level, phi) became one store per level holding
+// every rate class: a STRM4 store record would be read as per-class views.
+constexpr std::uint64_t kCheckpointMagic = 0x534b435354524d35ULL;  // "SKCSTRM5"
 }
 
 void StreamingCoresetBuilder::save(serial::Writer& out) const {
@@ -490,17 +448,14 @@ void StreamingCoresetBuilder::save(serial::Writer& out) const {
   out.put<std::int64_t>(events_);
   for (const GuessState& guess : guesses_) out.put<std::uint8_t>(guess.pruned ? 1 : 0);
   for (const CellCountMin& cm : counts_) cm.save(out);
-  // Pool stores once each, in pool order (deterministic given options, so a
-  // same-configured loader rebuilds the identical pool to read into).
-  out.put<std::uint64_t>(store_pool_.size());
-  for (const auto& shared : store_pool_) shared->store.save(out);
+  for (const CellPointStore& store : stores_) store.save(out);
   for (const DistinctCells& dc : distinct_) dc.save(out);
 }
 
 bool StreamingCoresetBuilder::load(serial::Reader& in) {
   std::uint64_t magic = 0;
   std::int32_t dim = 0, log_delta = 0;
-  std::uint64_t seed = 0, nguesses = 0, nstores = 0;
+  std::uint64_t seed = 0, nguesses = 0;
   if (!in.get(magic) || magic != kCheckpointMagic) return false;
   if (!in.get(dim) || dim != dim_) return false;
   if (!in.get(log_delta) || log_delta != options_.log_delta) return false;
@@ -523,15 +478,9 @@ bool StreamingCoresetBuilder::load(serial::Reader& in) {
   for (CellCountMin& cm : counts_) {
     if (!cm.load(in) || static_cast<std::size_t>(cm.lo()) != pruned) return false;
   }
-  if (!in.get(nstores) || nstores != store_pool_.size()) return false;
-  for (auto& shared : store_pool_) {
-    if (!shared->store.load(in)) return false;
-  }
-  // Refcounts are derived state: recompute from the loaded pruned flags.
-  for (auto& shared : store_pool_) shared->refs = 0;
-  for (const GuessState& guess : guesses_) {
-    if (guess.pruned) continue;
-    for (SharedStore* shared : guess.samples) ++shared->refs;
+  // A store's blob holds the classes of the unpruned guesses only.
+  for (CellPointStore& store : stores_) {
+    if (!store.load(in, static_cast<int>(pruned))) return false;
   }
   for (DistinctCells& dc : distinct_) {
     if (!dc.load(in)) return false;

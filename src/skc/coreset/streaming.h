@@ -16,9 +16,9 @@
 //     eviction carrying the actual coreset samples.
 //
 // Physically, every guess of a level shares one CellCountMin (one fold and
-// set of row hashes, one counter column per distinct keep bound; DESIGN.md
-// §12), and guesses with equal (level, phi) share one point store
-// (SharedStore).
+// set of row hashes, one counter column per distinct keep bound) and one
+// CellPointStore (each point stored once, tagged with its rate class; a
+// guess reads the view of the class of its keep bound; DESIGN.md §12).
 // Events enter as flat EventBatch slices through one path, update_batch
 // (consume() cuts a batch into slices), which hashes and indexes each slice
 // once per level for every structure.
@@ -41,7 +41,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -78,7 +77,8 @@ struct StreamingOptions {
   int countmin_width = 512;
   int countmin_depth = 3;
 
-  /// Per-structure live-point cap of the sampled point stores.
+  /// Live-point cap of one guess's samples at one level: a rate class whose
+  /// view of its level's point store holds more live points dies.
   std::int64_t max_live_points = 1 << 14;
 
   /// Exact reference mode (plain maps, no eviction): bit-identical to the
@@ -176,8 +176,16 @@ class StreamingCoresetBuilder {
   const SamplingRate& counting_rate(int guess, int level) const {
     return guesses_[static_cast<std::size_t>(guess)].psi[static_cast<std::size_t>(level)];
   }
+  /// The level's point store, shared by every guess.
+  const CellPointStore& level_samples(int level) const {
+    return stores_[static_cast<std::size_t>(level)];
+  }
+  /// Guess `guess`'s coreset-substream rate phi at `level`.
+  const SamplingRate& sampling_rate(int guess, int level) const {
+    return guesses_[static_cast<std::size_t>(guess)].phi[static_cast<std::size_t>(level)];
+  }
 
-  /// Checkpointing: save() appends the full builder state (a STRM4 blob);
+  /// Checkpointing: save() appends the full builder state (a STRM5 blob);
   /// load() reads one into a builder constructed with IDENTICAL (dim,
   /// params, options) — a configuration fingerprint is verified and load()
   /// returns false on mismatch, truncation or a record no history writes
@@ -192,33 +200,12 @@ class StreamingCoresetBuilder {
   bool load(std::istream& in);
 
  private:
-  /// One physical CellPointStore shared by every guess with the same
-  /// (level, phi.m).  The store has no per-guess randomness (no seed), and
-  /// the hat-h substream keep predicate `h_core[level] < p / m` depends only
-  /// on the shared per-level hash and the rounded rate m — so all guesses
-  /// with equal (level, m) would feed byte-identical event sequences into
-  /// byte-identical structures.  Deduplicating them is a pure win: the
-  /// profile shows the per-guess copies dominating ingest (hash-map walks),
-  /// and memory drops by the sharing factor.  `refs` counts live (unpruned)
-  /// guesses; the store is released when it hits zero.
-  struct SharedStore {
-    SharedStore(int level_in, SamplingRate phi_in, const HierarchicalGrid& grid,
-                const PointStoreConfig& config)
-        : level(level_in), phi(phi_in), store(grid, level_in, config) {}
-    int level;
-    SamplingRate phi;
-    int refs = 0;
-    CellPointStore store;
-  };
-
   struct GuessState {
     double o = 1.0;
     /// Pruned guesses are always a prefix of guesses_ (o-ascending; see
     /// prune_prefix).
     bool pruned = false;
-    // Indexed by level 0..L.  samples point into store_pool_ (shared across
-    // guesses; see SharedStore).
-    std::vector<SharedStore*> samples;
+    // Indexed by level 0..L.
     std::vector<SamplingRate> psi, phi;
   };
 
@@ -228,21 +215,17 @@ class StreamingCoresetBuilder {
   HierarchicalGrid grid_;
   std::vector<KWiseHash> hash_counting_, hash_coreset_;
   std::vector<GuessState> guesses_;
-  // One CountMin per level 0..L for every guess; each one's lo() is the
-  // number of pruned guesses.
+  // One CountMin and one point store per level 0..L for every guess; each
+  // one's lo() is the number of pruned guesses.
   std::vector<CellCountMin> counts_;
-  // Deduplicated point stores, in creation order (guess-major / level-minor
-  // first occurrence — deterministic given options, which save/load and
-  // merge_from rely on).  unique_ptr keeps addresses stable for the
-  // guess-side pointers.
-  std::vector<std::unique_ptr<SharedStore>> store_pool_;
+  std::vector<CellPointStore> stores_;
   std::vector<DistinctCells> distinct_;
   /// Checks that `other` was constructed like this builder (merge_from and
   /// finalize over parts require it).
   void check_mergeable(const StreamingCoresetBuilder& other) const;
   void maybe_prune();
-  /// Prunes guesses [0, lo): marks them, drops their store references and
-  /// trims every level's CountMin.  No-op for the already-pruned prefix.
+  /// Prunes guesses [0, lo): marks them and trims every level's CountMin and
+  /// point store.  No-op for the already-pruned prefix.
   void prune_prefix(std::size_t lo);
   std::size_t pruned_guesses() const {
     return static_cast<std::size_t>(counts_.front().lo());
@@ -258,7 +241,6 @@ class StreamingCoresetBuilder {
   std::vector<std::uint64_t> batch_h_count_, batch_h_core_;
   std::vector<std::int32_t> batch_idx_;
   std::vector<std::int32_t> sel_idx_;
-  std::vector<Coord> sel_pts_;
   std::vector<std::int64_t> sel_delta_;
   std::vector<int> sel_hi_;
 };

@@ -106,7 +106,7 @@ TEST(Checkpoint, RejectsTruncation) {
 
 // ---------------------------------------------------------------------------
 // Engine-level snapshots: version 2 wraps the whole body (shard builder
-// saves, STRM4 store-pool sections included) in a size + CRC-64 frame, so
+// saves, STRM5 point-store sections included) in a size + CRC-64 frame, so
 // ANY truncation or bit flip must be a clean `false` — never a partial load,
 // never UB (the tier-1 suite runs under sanitizers).
 
@@ -181,7 +181,7 @@ TEST(Checkpoint, EngineStateRejectsEveryTruncationAndBitFlip) {
 
   // Truncation sweep: inside the magic, the version, the size/CRC fields,
   // and at several cuts through the payload (which holds the shard
-  // builders' STRM4 store-pool sections).
+  // builders' STRM5 point-store sections).
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{5}, std::size_t{11}, std::size_t{20},
         std::size_t{27}, blob.size() / 4, blob.size() / 2, blob.size() - 1}) {
@@ -269,15 +269,16 @@ TEST(Checkpoint, ExactModeRoundTripsToo) {
 }
 
 // ---------------------------------------------------------------------------
-// STRM4: the builder layout with one CountMin per level and one counter
-// column per distinct keep bound.  Blobs in the older layouts, STRM2 (one
-// CountMin per guess and level, every guess with its own hashes) and STRM3
-// (one counter column per live guess), must be refused by every loader, and
-// each rule load() enforces on the level CountMins must refuse a blob that
-// breaks only that rule.
+// STRM5: the builder layout with one CountMin per level (one counter column
+// per distinct keep bound) and one point store per level (one view per rate
+// class).  Blobs in the older layouts, STRM2 (one CountMin per guess and
+// level, every guess with its own hashes), STRM3 (one counter column per
+// live guess) and STRM4 (one point store per level and phi), must be
+// refused by every loader, and each rule load() enforces on the level
+// CountMins must refuse a blob that breaks only that rule.
 
-/// The options tests/golden/strm2_builder.hex and strm3_builder.hex were
-/// written with.
+/// The options tests/golden/strm2_builder.hex, strm3_builder.hex and
+/// strm4_builder.hex were written with.
 StreamingOptions strm2_options() {
   StreamingOptions opt;
   opt.log_delta = 3;
@@ -326,7 +327,7 @@ TEST(Checkpoint, RefusesAStrm2BlobAtLoadAndAtImport) {
   std::stringstream current;
   today.save(current);
   std::memcpy(&magic, current.str().data(), sizeof magic);
-  EXPECT_EQ(magic, 0x534b435354524d34ULL);  // "SKCSTRM4"
+  EXPECT_EQ(magic, 0x534b435354524d35ULL);  // "SKCSTRM5"
   StreamingCoresetBuilder thawed(2, params, strm2_options());
   EXPECT_TRUE(thawed.load(current));
 
@@ -414,12 +415,12 @@ TEST(Checkpoint, RefusesAStrm3BlobAtLoadAndAtImport) {
     EXPECT_FALSE(builder.load(old_blob));
     EXPECT_EQ(blob_of(builder), held);
     // Every guess keeps every event here, so STRM3 holds four columns a
-    // slot where STRM4 holds one: relabelled STRM4, its counter counts
+    // slot where STRM5 holds one: relabelled STRM5, its counter counts
     // disagree with the layout and it is refused all the same.
     std::string relabelled = blob;
-    relabelled[0] = '4';  // the magic's low byte: "SKCSTRM3" -> "SKCSTRM4"
+    relabelled[0] = '5';  // the magic's low byte: "SKCSTRM3" -> "SKCSTRM5"
     std::memcpy(&magic, relabelled.data(), sizeof magic);
-    ASSERT_EQ(magic, 0x534b435354524d34ULL);
+    ASSERT_EQ(magic, 0x534b435354524d35ULL);
     std::istringstream relabelled_in(relabelled);
     StreamingCoresetBuilder fresh(2, params, strm2_options());
     EXPECT_FALSE(fresh.load(relabelled_in));
@@ -511,8 +512,132 @@ TEST(Checkpoint, RefusesAStrm3BlobAtLoadAndAtImport) {
   }
 }
 
-/// Byte offsets of the STRM4 fields the load rules read.
-struct Strm4Layout {
+/// The STRM4 golden blob carrying the seed of the builder blob at `at` in
+/// `state`, so only its layout differs from what that builder writes.
+std::string strm4_blob_with_seed_of(const std::string& state, std::size_t at) {
+  std::string blob = read_hex_golden("strm4_builder.hex");
+  std::memcpy(blob.data() + 16, state.data() + at + 16, sizeof(std::uint64_t));
+  return blob;
+}
+
+// STRM4 kept one point store per (level, phi) in a pool; STRM5 keeps one per
+// level with a view per rate class.  A STRM4 blob's CountMin section reads
+// as STRM5's, so what refuses it is the magic, and relabelled, the store
+// section.
+TEST(Checkpoint, RefusesAStrm4BlobAtLoadAndAtImport) {
+  const std::string blob = read_hex_golden("strm4_builder.hex");
+  ASSERT_EQ(blob.size(), 2112u);
+  std::uint64_t magic = 0;
+  std::memcpy(&magic, blob.data(), sizeof magic);
+  ASSERT_EQ(magic, 0x534b435354524d34ULL);  // "SKCSTRM4"
+  const CoresetParams params = CoresetParams::practical(2, LrOrder{2.0}, 0.3, 0.3);
+  Stream events;
+  for (const auto& p : kStrm2Points) events.push_back({StreamOp::kInsert, Point{p[0], p[1]}});
+  events.push_back({StreamOp::kDelete, Point{8, 8}});
+  EngineQuery summary;
+  summary.summary_only = true;
+
+  {  // load(): refused, and the builder keeps what it held
+    StreamingCoresetBuilder builder(2, params, strm2_options());
+    builder.consume(EventBatch(events, 2));
+    const std::string held = blob_of(builder);
+    std::istringstream old_blob(blob);
+    EXPECT_FALSE(builder.load(old_blob));
+    EXPECT_EQ(blob_of(builder), held);
+    // Relabelled STRM5, the pool's store count stands where the first
+    // level's class count belongs, and the blob is refused all the same.
+    std::string relabelled = blob;
+    relabelled[0] = '5';  // the magic's low byte: "SKCSTRM4" -> "SKCSTRM5"
+    std::memcpy(&magic, relabelled.data(), sizeof magic);
+    ASSERT_EQ(magic, 0x534b435354524d35ULL);
+    std::istringstream relabelled_in(relabelled);
+    StreamingCoresetBuilder fresh(2, params, strm2_options());
+    EXPECT_FALSE(fresh.load(relabelled_in));
+    // The same events written today load: the refusal is the layout's.
+    std::istringstream today(held);
+    EXPECT_TRUE(fresh.load(today));
+  }
+
+  {  // import_sketch(), and restore() of a checkpoint whose second shard is
+     // the blob: refused, and the engine answers as before
+    EngineOptions eopt;
+    eopt.num_shards = 2;
+    eopt.worker_threads = 0;
+    eopt.streaming = strm2_options();
+    ClusteringEngine engine(2, params, eopt);
+    engine.submit(events);
+    const EngineQueryResult before = engine.query(summary);
+    ASSERT_TRUE(before.ok) << before.error;
+    const auto unchanged = [&](const char* step) {
+      SCOPED_TRACE(step);
+      EXPECT_EQ(engine.net_count(), 5);
+      const EngineQueryResult after = engine.query(summary);
+      ASSERT_TRUE(after.ok) << after.error;
+      EXPECT_EQ(testutil::sequence(after.summary.points),
+                testutil::sequence(before.summary.points));
+    };
+    EXPECT_FALSE(engine.import_sketch(blob));
+    unchanged("import_sketch");
+
+    serial::Writer out;
+    engine.save_state(out);
+    const std::string state = out.take();
+    const std::size_t at = last_shard_at(state, params, eopt.streaming, 2);
+    const std::string path = testutil::temp_path("strm4-engine.ckpt");
+    ASSERT_TRUE(serial::write_file(path, with_last_shard(state, at,
+                                                         strm4_blob_with_seed_of(state, at))));
+    EXPECT_FALSE(engine.restore(path));
+    unchanged("restore");
+    ASSERT_TRUE(serial::write_file(path, state));
+    EXPECT_TRUE(engine.restore(path));
+    unchanged("restore of the intact checkpoint");
+    std::filesystem::remove(path);
+    engine.shutdown();
+  }
+
+  {  // a .tnt spill whose engine holds the blob: a typed error, and the
+     // intact spill still restores the tenant as it was
+    tenant::TenantRegistryOptions o;
+    o.dim = 2;
+    o.params = params;
+    o.engine.num_shards = 1;
+    o.engine.streaming = strm2_options();
+    o.pool_threads = 0;
+    o.num_rungs = 1;
+    o.max_resident = 1;
+    o.spill_dir = testutil::temp_path("strm4-spill");
+    std::filesystem::create_directories(o.spill_dir);
+    tenant::TenantRegistry reg(o);
+    ASSERT_EQ(reg.submit("strm4", events), tenant::Admit::kOk);
+    EngineQueryResult before, after;
+    ASSERT_EQ(reg.query("strm4", summary, before), tenant::Admit::kOk);
+    ASSERT_TRUE(before.ok) << before.error;
+    ASSERT_EQ(reg.submit("other", Stream(events.begin(), events.begin() + 2)),
+              tenant::Admit::kOk);  // "strm4" spills
+    const std::string path = o.spill_dir + "/strm4.tnt";
+    std::string spill;
+    ASSERT_TRUE(serial::read_file(path, spill)) << "expected a spill at " << path;
+    // Magic, rung and sealed flag (13 bytes), an empty replay section (its
+    // event count and CRC-64), then the engine's save_state.
+    const std::size_t engine_at = 13 + 8 + 8;
+    const std::string state = spill.substr(engine_at);
+    const std::size_t at = last_shard_at(state, params, o.engine.streaming, 1);
+    ASSERT_TRUE(serial::write_file(
+        path, spill.substr(0, engine_at) +
+                  with_last_shard(state, at, strm4_blob_with_seed_of(state, at))));
+    EXPECT_EQ(reg.query("strm4", summary, after), tenant::Admit::kError);
+    ASSERT_TRUE(serial::write_file(path, spill));
+    ASSERT_EQ(reg.query("strm4", summary, after), tenant::Admit::kOk);
+    ASSERT_TRUE(after.ok) << after.error;
+    EXPECT_EQ(after.net_points, 5);
+    EXPECT_EQ(testutil::sequence(after.summary.points),
+              testutil::sequence(before.summary.points));
+    std::filesystem::remove_all(o.spill_dir);
+  }
+}
+
+/// Byte offsets of the STRM5 fields the load rules read.
+struct Strm5Layout {
   struct Level {
     std::size_t lo = 0;        // u64 lo
     std::size_t counters = 0;  // u64 counter count, then the counters
@@ -534,15 +659,15 @@ void set_u64(std::string& blob, std::size_t at, std::uint64_t v) {
   std::memcpy(blob.data() + at, &v, sizeof v);
 }
 
-Strm4Layout walk_strm4(const std::string& blob, int log_delta) {
-  Strm4Layout out;
+Strm5Layout walk_strm5(const std::string& blob, int log_delta) {
+  Strm5Layout out;
   std::size_t pos = 8 + 4 + 4 + 8;  // magic, dim, log_delta, seed
   out.guesses = u64_at(blob, pos);
   pos += 8 + 8 + 8;  // guess count, net count, events
   out.flags = pos;
   pos += out.guesses;
   for (int level = 0; level <= log_delta; ++level) {
-    Strm4Layout::Level lv;
+    Strm5Layout::Level lv;
     lv.lo = pos;
     lv.counters = pos + 8;
     pos = lv.counters + 8 + u64_at(blob, lv.counters) * 8;
@@ -555,16 +680,22 @@ Strm4Layout walk_strm4(const std::string& blob, int log_delta) {
     }
     out.levels.push_back(std::move(lv));
   }
-  const std::uint64_t stores = u64_at(blob, pos);
-  pos += 8;
-  for (std::uint64_t st = 0; st < stores; ++st) {
-    std::uint64_t cells = u64_at(blob, pos + 1 + 8 + 8);  // after dead, events, live
-    pos += 1 + 8 + 8 + 8;
+  for (int level = 0; level <= log_delta; ++level) {
+    std::uint32_t classes = 0;
+    std::memcpy(&classes, blob.data() + pos, sizeof classes);
+    pos += 4 + std::size_t{classes} * (1 + 8 + 8);  // per class: dead, events, live
+    std::uint64_t cells = u64_at(blob, pos);
+    pos += 8;
     for (; cells > 0; --cells) {
-      pos += 8 + u64_at(blob, pos) * 4 + 8 + 8 + 1;  // row, net, peak, tombstone
-      std::uint64_t points = u64_at(blob, pos);
+      pos += 8 + u64_at(blob, pos) * 4;  // row
+      std::uint64_t views = u64_at(blob, pos);
       pos += 8;
-      for (; points > 0; --points) pos += 8 + u64_at(blob, pos) + 8;  // coords, count
+      for (; views > 0; --views) {
+        pos += 8 + 8 + 1;  // net, peak, tombstone
+        std::uint64_t points = u64_at(blob, pos);
+        pos += 8;
+        for (; points > 0; --points) pos += 8 + u64_at(blob, pos) + 8;  // coords, count
+      }
     }
   }
   for (int level = 0; level < log_delta; ++level) {
@@ -594,7 +725,7 @@ TEST(Checkpoint, RefusesLevelCountMinsThatBreakTheLayout) {
     std::stringstream out;
     builder.save(out);
     const std::string blob = out.str();
-    const Strm4Layout layout = walk_strm4(blob, opt.log_delta);
+    const Strm5Layout layout = walk_strm5(blob, opt.log_delta);
     const auto loads = [&](const std::string& bytes) {
       StreamingCoresetBuilder fresh(2, params, opt);
       std::istringstream in(bytes);
@@ -626,7 +757,7 @@ TEST(Checkpoint, RefusesLevelCountMinsThatBreakTheLayout) {
     }
     {  // a counter count other than depth x width x (G - lo)
       std::string bad = blob;
-      const Strm4Layout::Level& lv = layout.levels[3];
+      const Strm5Layout::Level& lv = layout.levels[3];
       const std::uint64_t n = u64_at(blob, lv.counters);
       if (n > 0) {
         set_u64(bad, lv.counters, n - 1);
@@ -638,7 +769,7 @@ TEST(Checkpoint, RefusesLevelCountMinsThatBreakTheLayout) {
       EXPECT_FALSE(loads(bad));
     }
     if (!exact) continue;
-    const Strm4Layout::Level& lv = layout.levels[4];
+    const Strm5Layout::Level& lv = layout.levels[4];
     ASSERT_GT(lv.rows.size(), 1u);
     const std::size_t row = lv.rows[0];
     const std::size_t counts = row + 8 + u64_at(blob, row) * 4;
@@ -677,7 +808,7 @@ TEST(Checkpoint, RefusesDistinctEstimatorsNoHistoryWrites) {
   Rng rng(8);
   engine.submit(insertion_stream(gaussian_mixture(mixture(600), rng)));
   const std::string blob = engine.export_sketch().blob;
-  const std::size_t at = walk_strm4(blob, 12).distinct.back();
+  const std::size_t at = walk_strm5(blob, 12).distinct.back();
   const std::uint64_t entries = u64_at(blob, at + 4);
   ASSERT_GT(entries, 0u);
   const std::size_t first = at + 4 + 8;  // the first entry: u64 2, 2 x i32, i64

@@ -310,11 +310,11 @@ TEST(Engine, ExportSketchFinalizesToTheQuerySummary) {
   }
 }
 
-/// Rewrites every point-store point record of a serialized builder (STRM4)
+/// Rewrites every point-store point record of a serialized builder (STRM5)
 /// to carry `extra` bytes after its coordinates; `rewritten` counts them.
 /// Walks the layout: header, the per-guess pruned flags, L+1 level
-/// CountMins, the store pool, then the distinct-cell estimators copied
-/// verbatim.
+/// CountMins, L+1 level point stores, then the distinct-cell estimators
+/// copied verbatim.
 std::string widen_point_records(const std::string& blob, std::size_t extra,
                                 std::size_t& rewritten) {
   std::size_t pos = 0;
@@ -343,24 +343,30 @@ std::string widen_point_records(const std::string& blob, std::size_t extra,
       copy(8 + peek() * 8);  // per-guess counts
     }
   }
-  const std::uint64_t stores = peek();
-  copy(8);
-  for (std::uint64_t s = 0; s < stores; ++s) {
-    copy(1 + 8 + 8);  // dead, events, live points
+  for (int level = 0; level <= kLogDelta; ++level) {
+    std::uint32_t classes = 0;
+    if (pos + sizeof classes > blob.size()) throw std::out_of_range("truncated blob");
+    std::memcpy(&classes, blob.data() + pos, sizeof classes);
+    copy(4 + std::uint64_t{classes} * (1 + 8 + 8));  // per class: dead, events, live
     const std::uint64_t cells = peek();
     copy(8);
     for (std::uint64_t c = 0; c < cells; ++c) {
-      copy(8 + peek() * 4 + 8 + 8 + 1);  // row, net, peak, tombstone
-      const std::uint64_t points = peek();
+      copy(8 + peek() * 4);  // row
+      const std::uint64_t views = peek();
       copy(8);
-      for (std::uint64_t p = 0; p < points; ++p) {
-        const std::uint64_t bytes = peek() + extra;
-        pos += 8;
-        out.append(reinterpret_cast<const char*>(&bytes), sizeof bytes);
-        copy(bytes - extra);
-        out.append(extra, '\0');
-        copy(8);  // count
-        ++rewritten;
+      for (std::uint64_t v = 0; v < views; ++v) {
+        copy(8 + 8 + 1);  // net, peak, tombstone
+        const std::uint64_t points = peek();
+        copy(8);
+        for (std::uint64_t p = 0; p < points; ++p) {
+          const std::uint64_t bytes = peek() + extra;
+          pos += 8;
+          out.append(reinterpret_cast<const char*>(&bytes), sizeof bytes);
+          copy(bytes - extra);
+          out.append(extra, '\0');
+          copy(8);  // count
+          ++rewritten;
+        }
       }
     }
   }

@@ -1,4 +1,4 @@
-// Seeded mutants of every persisted format: STRM4 builder blobs (both
+// Seeded mutants of every persisted format: STRM5 builder blobs (both
 // modes, with pruned guesses), engine checkpoints, tenant spills, and the
 // SketchSnapshot and WorkerStatsReply (HistogramWire) wire bodies.
 //
@@ -95,9 +95,9 @@ struct Field {
 using Fields = std::vector<Field>;
 
 /// Appends the 64-bit count, length, event, net and counter fields of the
-/// STRM4 blob at `pos` to `fields` (the first counter or count of each
+/// STRM5 blob at `pos` to `fields` (the first counter or count of each
 /// block stands for its block); returns the offset past the blob.
-std::size_t walk_strm4(std::string_view b, std::size_t pos, Fields& fields) {
+std::size_t walk_strm5(std::string_view b, std::size_t pos, Fields& fields) {
   const auto field = [&fields](std::size_t at, const char* what) {
     fields.push_back({at, what});
   };
@@ -124,28 +124,36 @@ std::size_t walk_strm4(std::string_view b, std::size_t pos, Fields& fields) {
       pos += 8 + u64_at(b, pos) * 8;
     }
   }
-  const std::uint64_t stores = u64_at(b, pos);
-  field(pos, "store count");
-  pos += 8;
-  for (std::uint64_t st = 0; st < stores; ++st) {
-    field(pos + 1, "store events");
-    field(pos + 9, "store live points");
-    field(pos + 17, "store cell count");
-    const std::uint64_t cells = u64_at(b, pos + 17);
-    pos += 25;
+  for (int level = 0; level <= kLogDelta; ++level) {
+    std::uint32_t classes = 0;
+    std::memcpy(&classes, b.data() + pos, sizeof classes);
+    pos += 4;
+    for (std::uint32_t c = 0; c < classes; ++c) {
+      field(pos + 1, "store events");
+      field(pos + 9, "store live points");
+      pos += 17;
+    }
+    field(pos, "store cell count");
+    const std::uint64_t cells = u64_at(b, pos);
+    pos += 8;
     for (std::uint64_t c = 0; c < cells; ++c) {
       field(pos, "cell row length");
       pos += 8 + u64_at(b, pos) * 4;
-      field(pos, "cell net");
-      field(pos + 8, "cell peak");
-      field(pos + 17, "cell point count");
-      const std::uint64_t points = u64_at(b, pos + 17);
-      pos += 25;
-      for (std::uint64_t p = 0; p < points; ++p) {
-        field(pos, "point record length");
-        pos += 8 + u64_at(b, pos);
-        field(pos, "point multiplicity");
-        pos += 8;
+      field(pos, "cell view count");
+      const std::uint64_t views = u64_at(b, pos);
+      pos += 8;
+      for (std::uint64_t v = 0; v < views; ++v) {
+        field(pos, "cell net");
+        field(pos + 8, "cell peak");
+        field(pos + 17, "cell point count");
+        const std::uint64_t points = u64_at(b, pos + 17);
+        pos += 25;
+        for (std::uint64_t p = 0; p < points; ++p) {
+          field(pos, "point record length");
+          pos += 8 + u64_at(b, pos);
+          field(pos, "point multiplicity");
+          pos += 8;
+        }
       }
     }
   }
@@ -236,7 +244,7 @@ bool watched_load(std::size_t input_bytes, Load&& load) {
 }
 
 // ---------------------------------------------------------------------------
-// STRM4 builder blobs
+// STRM5 builder blobs
 // ---------------------------------------------------------------------------
 
 std::string builder_blob(const StreamingCoresetBuilder& builder) {
@@ -274,7 +282,7 @@ TEST(PersistedMutants, BuilderBlobs) {
     }
     const std::string blob = builder_blob(builder);
     Fields fields;
-    ASSERT_EQ(walk_strm4(blob, 0, fields), blob.size());
+    ASSERT_EQ(walk_strm5(blob, 0, fields), blob.size());
     check_builder_mutant(blob, opt, blob.size());  // the intact blob loads
     Rng rng(exact ? 12 : 11);
     for (int i = 0; i < 250; ++i) {
@@ -318,7 +326,7 @@ std::string reframe(std::string_view frame, std::string_view payload) {
 Fields engine_payload_fields(std::string_view payload, int shards) {
   Fields fields;
   std::size_t pos = 4 + 4 + 8 + 4 + 1;  // dim, log_delta, seed, shards, exact
-  for (int s = 0; s < shards; ++s) pos = walk_strm4(payload, pos, fields);
+  for (int s = 0; s < shards; ++s) pos = walk_strm5(payload, pos, fields);
   EXPECT_EQ(pos + 8, payload.size()) << "the walk must end at the footer";
   return fields;
 }
@@ -461,7 +469,7 @@ TEST(PersistedMutants, SketchSnapshotBodies) {
   snap.blob = exported.blob;
   const std::string body = snap.encode();
   Fields fields = {{0, "net points"}, {8, "events applied"}, {16, "blob size"}};
-  ASSERT_EQ(walk_strm4(body, 24, fields), body.size());
+  ASSERT_EQ(walk_strm5(body, 24, fields), body.size());
 
   ClusteringEngine target(kDim, params(), eopt);
   target.submit(churn(60, 8));
@@ -556,7 +564,7 @@ TEST(PersistedMutants, EveryFieldPastTheEventBoundIsRefused) {
     const std::string payload = file.substr(kFrameBytes);
     const std::string blob = engine.export_sketch().blob;
     Fields blob_fields;
-    ASSERT_EQ(walk_strm4(blob, 0, blob_fields), blob.size());
+    ASSERT_EQ(walk_strm5(blob, 0, blob_fields), blob.size());
     const Fields kinds = one_of_each(blob_fields);
     ASSERT_EQ(kinds.size(), exact ? 22u : 20u) << "every kind of field must be present";
     for (const std::uint64_t huge : {std::uint64_t{kMaxEvents} + 1, ~std::uint64_t{0} >> 1}) {

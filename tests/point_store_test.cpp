@@ -18,20 +18,27 @@
 namespace skc {
 namespace {
 
-/// Feeds one event to `store` as a one-event batch, skipping a dead store
-/// as the builder does.
+/// A store with one rate class that keeps every event: the shape of one
+/// per-(level, phi) store before rate classes, read as class 0.
+CellPointStore one_class(const HierarchicalGrid& grid, int level, const PointStoreConfig& cfg) {
+  return CellPointStore(grid, level, cfg, {~std::uint64_t{0}});
+}
+
+/// Feeds one event to `store` as a one-event batch (a coreset hash every
+/// class keeps), skipping a dead store as the builder does.
 void add(CellPointStore& store, const HierarchicalGrid& grid, std::span<const Coord> p,
          std::int64_t delta) {
-  if (store.dead()) return;
+  if (store.dead(0)) return;
   const CellKey cell = grid.cell_of(p, store.level());
-  store.update_batch(p.data(), cell.index.data(), &delta, 1);
+  const std::uint64_t h = 0;
+  store.update_batch(p.data(), cell.index.data(), &h, &delta, 1);
 }
 
 TEST(CellPointStore, RoundTripsPointsPerCell) {
   Rng rng(1);
   HierarchicalGrid grid(2, 8, rng);
   PointStoreConfig cfg;
-  CellPointStore store(grid, 4, cfg);
+  CellPointStore store = one_class(grid, 4, cfg);
   Rng prng(2);
   PointSet pts = testutil::random_points(2, 256, 100, prng);
   for (PointIndex i = 0; i < pts.size(); ++i) add(store, grid, pts[i], +1);
@@ -39,11 +46,11 @@ TEST(CellPointStore, RoundTripsPointsPerCell) {
   PointSet recovered(2);
   for (PointIndex i = 0; i < pts.size(); ++i) {
     const CellKey key = grid.cell_of(pts[i], 4);
-    const auto cp = store.cell(key);
+    const auto cp = store.cell(0, key);
     ASSERT_TRUE(cp.has_value());
     EXPECT_TRUE(cp->complete);
   }
-  for (const auto& [key, cp] : store.all_cells()) {
+  for (const auto& [key, cp] : store.all_cells(0)) {
     recovered.append(cp.points);
   }
   EXPECT_EQ(testutil::canonical_multiset(recovered), testutil::canonical_multiset(pts));
@@ -53,13 +60,13 @@ TEST(CellPointStore, DeletionsCancelExactly) {
   Rng rng(3);
   HierarchicalGrid grid(2, 6, rng);
   PointStoreConfig cfg;
-  CellPointStore store(grid, 3, cfg);
+  CellPointStore store = one_class(grid, 3, cfg);
   PointSet p(2);
   p.push_back({5, 5});
   add(store, grid, p[0], +1);
   add(store, grid, p[0], +1);
   add(store, grid, p[0], -1);
-  const auto cp = store.cell(grid.cell_of(p[0], 3));
+  const auto cp = store.cell(0, grid.cell_of(p[0], 3));
   ASSERT_TRUE(cp.has_value());
   EXPECT_EQ(cp->net_count, 1);
   EXPECT_EQ(cp->points.size(), 1);
@@ -71,7 +78,7 @@ TEST(CellPointStore, WatermarkEvictsHeavyCells) {
   HierarchicalGrid grid(2, 6, std::vector<Coord>{0, 0});
   PointStoreConfig cfg;
   cfg.watermark = 10;
-  CellPointStore store(grid, 2, cfg);
+  CellPointStore store = one_class(grid, 2, cfg);
   // 20 points in one cell: evicted; 3 in another: kept.
   PointSet heavy(2);
   for (Coord x = 17; x <= 31; ++x) heavy.push_back({x, 17});
@@ -87,13 +94,13 @@ TEST(CellPointStore, WatermarkEvictsHeavyCells) {
   const CellKey light_cell = grid.cell_of(light[0], 2);
   ASSERT_NE(heavy_cell, light_cell);
 
-  const auto hc = store.cell(heavy_cell);
+  const auto hc = store.cell(0, heavy_cell);
   ASSERT_TRUE(hc.has_value());
   EXPECT_FALSE(hc->complete);
   EXPECT_EQ(hc->net_count, 20);  // net count survives eviction
   EXPECT_TRUE(hc->points.empty());
 
-  const auto lc = store.cell(light_cell);
+  const auto lc = store.cell(0, light_cell);
   ASSERT_TRUE(lc.has_value());
   EXPECT_TRUE(lc->complete);
   EXPECT_EQ(lc->points.size(), 3);
@@ -105,11 +112,11 @@ TEST(CellPointStore, ExactModeNeverEvicts) {
   PointStoreConfig cfg;
   cfg.watermark = 4;
   cfg.exact = true;
-  CellPointStore store(grid, 2, cfg);
+  CellPointStore store = one_class(grid, 2, cfg);
   PointSet pts(2);
   for (Coord x = 1; x <= 30; ++x) pts.push_back({x, 1});
   for (PointIndex i = 0; i < pts.size(); ++i) add(store, grid, pts[i], +1);
-  for (const auto& [key, cp] : store.all_cells()) {
+  for (const auto& [key, cp] : store.all_cells(0)) {
     EXPECT_TRUE(cp.complete);
   }
 }
@@ -120,12 +127,12 @@ TEST(CellPointStore, LivePointCapKillsStructure) {
   PointStoreConfig cfg;
   cfg.watermark = 1000;
   cfg.max_live_points = 50;
-  CellPointStore store(grid, 8, cfg);
+  CellPointStore store = one_class(grid, 8, cfg);
   Rng prng(7);
   PointSet pts = testutil::random_points(2, 1024, 200, prng);
   for (PointIndex i = 0; i < pts.size(); ++i) add(store, grid, pts[i], +1);
-  EXPECT_TRUE(store.dead());
-  EXPECT_TRUE(store.all_cells().empty());
+  EXPECT_TRUE(store.dead(0));
+  EXPECT_TRUE(store.all_cells(0).empty());
   EXPECT_LT(store.memory_bytes(), 1000u);
 }
 
@@ -133,9 +140,9 @@ TEST(CellPointStore, MergeMatchesConcatenation) {
   Rng rng(8);
   HierarchicalGrid grid(2, 7, rng);
   PointStoreConfig cfg;
-  CellPointStore a(grid, 3, cfg);
-  CellPointStore b(grid, 3, cfg);
-  CellPointStore both(grid, 3, cfg);
+  CellPointStore a = one_class(grid, 3, cfg);
+  CellPointStore b = one_class(grid, 3, cfg);
+  CellPointStore both = one_class(grid, 3, cfg);
   Rng prng(9);
   PointSet pa = testutil::random_points(2, 128, 50, prng);
   PointSet pb = testutil::random_points(2, 128, 50, prng);
@@ -149,8 +156,8 @@ TEST(CellPointStore, MergeMatchesConcatenation) {
   }
   a.merge(b);
   PointSet merged(2), direct(2);
-  for (const auto& [key, cp] : a.all_cells()) merged.append(cp.points);
-  for (const auto& [key, cp] : both.all_cells()) direct.append(cp.points);
+  for (const auto& [key, cp] : a.all_cells(0)) merged.append(cp.points);
+  for (const auto& [key, cp] : both.all_cells(0)) direct.append(cp.points);
   EXPECT_EQ(testutil::canonical_multiset(merged), testutil::canonical_multiset(direct));
 }
 
@@ -159,7 +166,7 @@ TEST(CellPointStore, ChurnLeavesOnlySurvivors) {
   HierarchicalGrid grid(2, 7, rng);
   PointStoreConfig cfg;
   cfg.watermark = 1 << 20;  // effectively off
-  CellPointStore store(grid, 4, cfg);
+  CellPointStore store = one_class(grid, 4, cfg);
   Rng prng(11);
   PointSet keep = testutil::random_points(2, 128, 40, prng);
   PointSet churn = testutil::random_points(2, 128, 60, prng);
@@ -167,7 +174,7 @@ TEST(CellPointStore, ChurnLeavesOnlySurvivors) {
   for (PointIndex i = 0; i < churn.size(); ++i) add(store, grid, churn[i], +1);
   for (PointIndex i = 0; i < churn.size(); ++i) add(store, grid, churn[i], -1);
   PointSet recovered(2);
-  for (const auto& [key, cp] : store.all_cells()) {
+  for (const auto& [key, cp] : store.all_cells(0)) {
     EXPECT_TRUE(cp.complete);
     recovered.append(cp.points);
   }
@@ -181,15 +188,21 @@ std::string saved(const Store& store) {
   return out.take();
 }
 
-template <typename Store>
-bool loads(Store& store, const std::string& blob) {
+bool loads(CellPointStore& store, const std::string& blob) {
+  serial::Reader in(blob);
+  return store.load(in, 0) && in.done();
+}
+
+bool loads(oracle::NodeMapPointStore& store, const std::string& blob) {
   serial::Reader in(blob);
   return store.load(in);
 }
 
 // ---------------------------------------------------------------------------
-// STRM2 compatibility: a store blob written by the node-map store this one
-// replaced.  2-D, zero grid shift, level 2 (cells of side 16), watermark 6:
+// A store blob written by the node-map store this one replaced (the STRM2
+// store record), carried into the STRM5 record of a one-class store by
+// StoreBlob below.  2-D, zero grid shift, level 2 (cells of side 16),
+// watermark 6:
 //   cell (0,0): (3,4) x2, (5,6) x1, (9,2) x3 — net 6, complete;
 //   cell (1,1): 8 distinct points (one deleted after the peak) — tombstoned;
 //   cell (2,3): (40,50), plus (41,50) inserted and deleted — net 1;
@@ -242,67 +255,18 @@ std::vector<std::vector<Coord>> coords_of(const PointSet& s) {
   return out;
 }
 
-TEST(CellPointStore, LoadsABlobWrittenByTheNodeMapStore) {
-  const HierarchicalGrid grid = pin_grid();
-  CellPointStore store(grid, 2, pin_config());
-  ASSERT_TRUE(loads(store, node_map_blob()));
-  EXPECT_FALSE(store.dead());
-  EXPECT_EQ(store.events(), 20);
-
-  const auto a = store.cell(level2(0, 0));
-  ASSERT_TRUE(a.has_value());
-  EXPECT_TRUE(a->complete);
-  EXPECT_EQ(a->net_count, 6);
-  // Coordinate-lexicographic and expanded by multiplicity, whatever order
-  // the blob listed the points in.
-  const std::vector<std::vector<Coord>> want_a = {{3, 4}, {3, 4}, {5, 6},
-                                                  {9, 2}, {9, 2}, {9, 2}};
-  EXPECT_EQ(coords_of(a->points), want_a);
-
-  const auto b = store.cell(level2(1, 1));
-  ASSERT_TRUE(b.has_value());
-  EXPECT_FALSE(b->complete);
-  EXPECT_EQ(b->net_count, 7);
-  EXPECT_TRUE(b->points.empty());
-
-  const auto c = store.cell(level2(2, 3));
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(coords_of(c->points), (std::vector<std::vector<Coord>>{{40, 50}}));
-
-  const auto d = store.cell(level2(3, 0));
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->net_count, 0);
-  EXPECT_FALSE(store.cell(level2(0, 1)).has_value());
-  EXPECT_EQ(store.all_cells().size(), 3u);  // the net-0 cell is skipped
-
-  // The node-map store reads the same blob to the same multisets.
-  oracle::NodeMapPointStore reference(grid, 2, pin_config());
-  ASSERT_TRUE(loads(reference, node_map_blob()));
-  for (const auto& [key, want] : reference.all_cells()) {
-    const auto got = store.cell(key);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->net_count, want.net_count);
-    EXPECT_EQ(got->complete, want.complete);
-    EXPECT_EQ(testutil::canonical_multiset(got->points),
-              testutil::canonical_multiset(want.points));
-  }
-
-  // Records keep the blob's order, so re-saving reproduces it byte for byte.
-  EXPECT_EQ(saved(store), node_map_blob());
-}
-
 TEST(CellPointStore, SaveLoadSaveIsByteIdentical) {
   Rng rng(31);
   HierarchicalGrid grid(2, 7, rng);
   PointStoreConfig cfg;
   cfg.watermark = 8;  // tombstones some cells
-  CellPointStore store(grid, 3, cfg);
+  CellPointStore store = one_class(grid, 3, cfg);
   Rng prng(32);
   const PointSet pts = testutil::random_points(2, 60, 900, prng);
   for (PointIndex i = 0; i < pts.size(); ++i) add(store, grid, pts[i], +1);
   for (PointIndex i = 0; i < pts.size(); i += 3) add(store, grid, pts[i], -1);
   const std::string first = saved(store);
-  CellPointStore thawed(grid, 3, cfg);
+  CellPointStore thawed = one_class(grid, 3, cfg);
   ASSERT_TRUE(loads(thawed, first));
   EXPECT_EQ(saved(thawed), first);
 }
@@ -312,7 +276,11 @@ TEST(CellPointStore, SaveLoadSaveIsByteIdentical) {
 // expects a refused load that leaves the store empty.
 // ---------------------------------------------------------------------------
 
-/// A store blob as plain records (the STRM2 store layout).
+/// A one-class store blob as plain records: the STRM5 store record (its
+/// class count, the class's dead flag, events and live points, then each
+/// cell's index row, its one view record and its points), or the STRM2
+/// record the node-map store writes (the same fields without the counts of
+/// classes and views).
 struct StoreBlob {
   struct Cell {
     std::vector<std::int32_t> row;
@@ -326,34 +294,54 @@ struct StoreBlob {
   std::int64_t live = 0;
   std::vector<Cell> cells;
 
-  static StoreBlob parse(const std::string& bytes) {
+  static StoreBlob parse(const std::string& bytes) { return read(bytes, true); }
+  static StoreBlob parse_node_map(const std::string& bytes) { return read(bytes, false); }
+
+  std::string str() const { return write(true); }
+  std::string node_map_str() const { return write(false); }
+
+  Cell& at(std::int32_t x, std::int32_t y) {
+    for (Cell& c : cells) {
+      if (c.row == std::vector<std::int32_t>{x, y}) return c;
+    }
+    ADD_FAILURE() << "no cell (" << x << "," << y << ")";
+    return cells.front();
+  }
+
+ private:
+  static StoreBlob read(const std::string& bytes, bool strm5) {
     serial::Reader in(bytes);
     StoreBlob b;
+    std::uint32_t classes = 1;
     std::uint64_t ncells = 0;
-    EXPECT_TRUE(in.get(b.dead) && in.get(b.events) &&
+    EXPECT_TRUE((!strm5 || in.get(classes)) && in.get(b.dead) && in.get(b.events) &&
                 in.get(b.live) && in.get(ncells));
+    EXPECT_EQ(classes, 1u) << "one class";
     b.cells.resize(ncells);
     for (Cell& c : b.cells) {
-      std::uint64_t npoints = 0;
-      EXPECT_TRUE(in.get_vector(c.row) && in.get(c.net) &&
-                  in.get(c.peak) && in.get(c.tombstoned) &&
-                  in.get(npoints));
+      std::uint64_t views = 1, npoints = 0;
+      EXPECT_TRUE(in.get_vector(c.row) && (!strm5 || in.get(views)) && in.get(c.net) &&
+                  in.get(c.peak) && in.get(c.tombstoned) && in.get(npoints));
+      EXPECT_EQ(views, 1u) << "one class";
       c.points.resize(npoints);
       for (auto& [packed, count] : c.points) {
         EXPECT_TRUE(in.get_string(packed) && in.get(count));
       }
     }
+    EXPECT_TRUE(in.done());
     return b;
   }
 
-  std::string str() const {
+  std::string write(bool strm5) const {
     serial::Writer out;
+    if (strm5) out.put<std::uint32_t>(1);
     out.put(dead);
     out.put(events);
     out.put(live);
     out.put<std::uint64_t>(cells.size());
     for (const Cell& c : cells) {
       out.put_vector(c.row);
+      if (strm5) out.put<std::uint64_t>(1);
       out.put(c.net);
       out.put(c.peak);
       out.put(c.tombstoned);
@@ -365,15 +353,10 @@ struct StoreBlob {
     }
     return out.take();
   }
-
-  Cell& at(std::int32_t x, std::int32_t y) {
-    for (Cell& c : cells) {
-      if (c.row == std::vector<std::int32_t>{x, y}) return c;
-    }
-    ADD_FAILURE() << "no cell (" << x << "," << y << ")";
-    return cells.front();
-  }
 };
+
+/// The node-map store's pinned blob as records.
+StoreBlob pinned() { return StoreBlob::parse_node_map(node_map_blob()); }
 
 std::string packed(std::vector<Coord> p) {
   return std::string(reinterpret_cast<const char*>(p.data()), p.size() * sizeof(Coord));
@@ -381,37 +364,88 @@ std::string packed(std::vector<Coord> p) {
 
 void expect_refused(const StoreBlob& blob) {
   const HierarchicalGrid grid = pin_grid();
-  CellPointStore store(grid, 2, pin_config());
+  CellPointStore store = one_class(grid, 2, pin_config());
   EXPECT_FALSE(loads(store, blob.str()));
-  EXPECT_FALSE(store.dead());
-  EXPECT_TRUE(store.all_cells().empty());
+  EXPECT_FALSE(store.dead(0));
+  EXPECT_TRUE(store.all_cells(0).empty());
   EXPECT_EQ(store.memory_bytes(), 0u);
 }
 
-TEST(CellPointStore, LoadAcceptsTheUnmutatedBlob) {
-  const StoreBlob blob = StoreBlob::parse(node_map_blob());
-  EXPECT_EQ(blob.str(), node_map_blob());
+TEST(CellPointStore, LoadsABlobWrittenByTheNodeMapStore) {
   const HierarchicalGrid grid = pin_grid();
-  CellPointStore store(grid, 2, pin_config());
+  CellPointStore store = one_class(grid, 2, pin_config());
+  const std::string blob = StoreBlob::parse_node_map(node_map_blob()).str();
+  ASSERT_TRUE(loads(store, blob));
+  EXPECT_FALSE(store.dead(0));
+  EXPECT_EQ(store.events(0), 20);
+
+  const auto a = store.cell(0, level2(0, 0));
+  ASSERT_TRUE(a.has_value());
+  EXPECT_TRUE(a->complete);
+  EXPECT_EQ(a->net_count, 6);
+  // Coordinate-lexicographic and expanded by multiplicity, whatever order
+  // the blob listed the points in.
+  const std::vector<std::vector<Coord>> want_a = {{3, 4}, {3, 4}, {5, 6},
+                                                  {9, 2}, {9, 2}, {9, 2}};
+  EXPECT_EQ(coords_of(a->points), want_a);
+
+  const auto b = store.cell(0, level2(1, 1));
+  ASSERT_TRUE(b.has_value());
+  EXPECT_FALSE(b->complete);
+  EXPECT_EQ(b->net_count, 7);
+  EXPECT_TRUE(b->points.empty());
+
+  const auto c = store.cell(0, level2(2, 3));
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(coords_of(c->points), (std::vector<std::vector<Coord>>{{40, 50}}));
+
+  const auto d = store.cell(0, level2(3, 0));
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->net_count, 0);
+  EXPECT_FALSE(store.cell(0, level2(0, 1)).has_value());
+  EXPECT_EQ(store.all_cells(0).size(), 3u);  // the net-0 cell is skipped
+
+  // The node-map store reads the same blob to the same multisets.
+  oracle::NodeMapPointStore reference(grid, 2, pin_config());
+  ASSERT_TRUE(loads(reference, node_map_blob()));
+  for (const auto& [key, want] : reference.all_cells()) {
+    const auto got = store.cell(0, key);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->net_count, want.net_count);
+    EXPECT_EQ(got->complete, want.complete);
+    EXPECT_EQ(testutil::canonical_multiset(got->points),
+              testutil::canonical_multiset(want.points));
+  }
+
+  // Records keep the blob's order, so re-saving reproduces it byte for byte.
+  EXPECT_EQ(saved(store), blob);
+}
+
+TEST(CellPointStore, LoadAcceptsTheUnmutatedBlob) {
+  const StoreBlob blob = pinned();
+  EXPECT_EQ(blob.node_map_str(), node_map_blob());
+  EXPECT_EQ(StoreBlob::parse(blob.str()).str(), blob.str());
+  const HierarchicalGrid grid = pin_grid();
+  CellPointStore store = one_class(grid, 2, pin_config());
   EXPECT_TRUE(loads(store, blob.str()));
 }
 
 TEST(CellPointStore, LoadRejectsACellRowOfTheWrongLength) {
-  StoreBlob blob = StoreBlob::parse(node_map_blob());
+  StoreBlob blob = pinned();
   blob.at(3, 0).row.push_back(0);
   expect_refused(blob);
 }
 
 // The record that used to load and then abort the next cell() call.
 TEST(CellPointStore, LoadRejectsAPointRecordOfTheWrongLength) {
-  StoreBlob blob = StoreBlob::parse(node_map_blob());
+  StoreBlob blob = pinned();
   blob.at(2, 3).points.front().first.append(4, '\0');  // 12 bytes for 2-D
   expect_refused(blob);
 }
 
 TEST(CellPointStore, LoadRejectsANonPositiveCount) {
   for (const std::int64_t count : {0, -2}) {
-    StoreBlob blob = StoreBlob::parse(node_map_blob());
+    StoreBlob blob = pinned();
     blob.at(0, 0).points.front().second = count;
     expect_refused(blob);
   }
@@ -424,7 +458,7 @@ TEST(CellPointStore, LoadRejectsANonPositiveCount) {
 // with bad_alloc.
 TEST(CellPointStore, LoadRejectsCountsPastItsEvents) {
   const HierarchicalGrid grid = pin_grid();
-  CellPointStore one(grid, 2, pin_config());
+  CellPointStore one = one_class(grid, 2, pin_config());
   add(one, grid, std::vector<Coord>{5, 6}, +1);
   StoreBlob blob = StoreBlob::parse(saved(one));
   ASSERT_EQ(blob.events, 1);
@@ -433,11 +467,11 @@ TEST(CellPointStore, LoadRejectsCountsPastItsEvents) {
 
   // The bound is on the sum, and it is exact: with events() at 8 (the
   // largest cell peak), the pinned blob's counts (7) may grow to 8, not 9.
-  StoreBlob tight = StoreBlob::parse(node_map_blob());
+  StoreBlob tight = pinned();
   tight.events = 8;
   std::int64_t& count = tight.at(0, 0).points.front().second;
   ++count;
-  CellPointStore store(grid, 2, pin_config());
+  CellPointStore store = one_class(grid, 2, pin_config());
   EXPECT_TRUE(loads(store, tight.str()));
   ++count;
   expect_refused(tight);
@@ -449,33 +483,33 @@ TEST(CellPointStore, LoadRejectsCountsPastItsEvents) {
 // are bounded by events(), and events() by kMaxEvents: a fold adds nets,
 // peaks and events of up to 1,023 loaded stores without overflowing.
 TEST(CellPointStore, LoadRejectsEventsNetsAndPeaksNoHistoryWrites) {
-  const StoreBlob pinned = StoreBlob::parse(node_map_blob());
-  ASSERT_EQ(pinned.events, 20);
+  const StoreBlob pinned_blob = pinned();
+  ASSERT_EQ(pinned_blob.events, 20);
   {
-    StoreBlob blob = pinned;
+    StoreBlob blob = pinned_blob;
     blob.events = kMaxEvents + 1;
     expect_refused(blob);
   }
   for (const std::int64_t net : {21, -21}) {
-    StoreBlob blob = pinned;
+    StoreBlob blob = pinned_blob;
     blob.at(3, 0).net = net;
     expect_refused(blob);
   }
   for (const std::int64_t peak : {21, -1}) {
-    StoreBlob blob = pinned;
+    StoreBlob blob = pinned_blob;
     blob.at(3, 0).peak = peak;
     expect_refused(blob);
   }
 }
 
 TEST(CellPointStore, LoadRejectsADuplicateCell) {
-  StoreBlob blob = StoreBlob::parse(node_map_blob());
+  StoreBlob blob = pinned();
   blob.cells.push_back(blob.at(3, 0));  // no points: only the key repeats
   expect_refused(blob);
 }
 
 TEST(CellPointStore, LoadRejectsADuplicatePoint) {
-  StoreBlob blob = StoreBlob::parse(node_map_blob());
+  StoreBlob blob = pinned();
   StoreBlob::Cell& cell = blob.at(2, 3);
   cell.points.push_back(cell.points.front());
   ++blob.live;
@@ -483,27 +517,27 @@ TEST(CellPointStore, LoadRejectsADuplicatePoint) {
 }
 
 TEST(CellPointStore, LoadRejectsAPointOutsideItsCell) {
-  StoreBlob blob = StoreBlob::parse(node_map_blob());
+  StoreBlob blob = pinned();
   blob.at(0, 0).points.emplace_back(packed({40, 51}), 1);  // lies in (2,3)
   ++blob.live;
   expect_refused(blob);
 }
 
 TEST(CellPointStore, LoadRejectsPointsOnATombstonedCell) {
-  StoreBlob blob = StoreBlob::parse(node_map_blob());
+  StoreBlob blob = pinned();
   blob.at(1, 1).points.emplace_back(packed({18, 20}), 1);
   ++blob.live;
   expect_refused(blob);
 }
 
 TEST(CellPointStore, LoadRejectsAMismatchedLivePointCount) {
-  StoreBlob blob = StoreBlob::parse(node_map_blob());
+  StoreBlob blob = pinned();
   ++blob.live;
   expect_refused(blob);
 }
 
 TEST(CellPointStore, LoadRejectsADeadStoreWithContents) {
-  StoreBlob blob = StoreBlob::parse(node_map_blob());
+  StoreBlob blob = pinned();
   blob.dead = 1;
   expect_refused(blob);
 }
@@ -520,10 +554,20 @@ CellView view(const CellPointStore::CellPoints& cp) {
   return {cp.net_count, cp.complete, testutil::canonical_multiset(cp.points)};
 }
 
+std::vector<std::pair<CellKey, CellPointStore::CellPoints>> cells_of(
+    const CellPointStore& store) {
+  return store.all_cells(0);
+}
+
+std::vector<std::pair<CellKey, CellPointStore::CellPoints>> cells_of(
+    const oracle::NodeMapPointStore& store) {
+  return store.all_cells();
+}
+
 template <typename Store>
 std::map<std::vector<std::int32_t>, CellView> all_cells_of(const Store& store) {
   std::map<std::vector<std::int32_t>, CellView> out;
-  for (const auto& [key, cp] : store.all_cells()) {
+  for (const auto& [key, cp] : cells_of(store)) {
     EXPECT_TRUE(out.emplace(key.index, view(cp)).second) << "cell listed twice";
   }
   return out;
@@ -534,18 +578,18 @@ std::map<std::vector<std::int32_t>, CellView> all_cells_of(const Store& store) {
 // for blob states the store itself never writes.
 TEST(CellPointStore, MergeEvictsLikeTheNodeMapStoreOnLoadedBlobs) {
   const HierarchicalGrid grid = pin_grid();
-  StoreBlob tombstone = StoreBlob::parse(node_map_blob());
+  StoreBlob tombstone = pinned();
   tombstone.at(1, 1).peak = 0;  // tombstoned below the watermark
-  StoreBlob over = StoreBlob::parse(node_map_blob());
+  StoreBlob over = pinned();
   over.at(0, 0).peak = 7;  // complete above the watermark (6)
   for (const StoreBlob* blob : {&tombstone, &over}) {
-    CellPointStore theirs(grid, 2, pin_config());
+    CellPointStore theirs = one_class(grid, 2, pin_config());
     oracle::NodeMapPointStore theirs_ref(grid, 2, pin_config());
     ASSERT_TRUE(loads(theirs, blob->str()));
-    ASSERT_TRUE(loads(theirs_ref, blob->str()));
+    ASSERT_TRUE(loads(theirs_ref, blob->node_map_str()));
     for (const bool empty : {true, false}) {
       SCOPED_TRACE(empty ? "into an empty store" : "into a fed store");
-      CellPointStore mine(grid, 2, pin_config());
+      CellPointStore mine = one_class(grid, 2, pin_config());
       oracle::NodeMapPointStore mine_ref(grid, 2, pin_config());
       if (!empty) {
         add(mine, grid, std::vector<Coord>{18, 20}, +1);
@@ -554,7 +598,7 @@ TEST(CellPointStore, MergeEvictsLikeTheNodeMapStoreOnLoadedBlobs) {
       mine.merge(theirs);
       mine_ref.merge(theirs_ref);
       EXPECT_EQ(all_cells_of(mine), all_cells_of(mine_ref));
-      EXPECT_FALSE(mine.cell(level2(1, 1))->complete);
+      EXPECT_FALSE(mine.cell(0, level2(1, 1))->complete);
     }
   }
 }
@@ -569,7 +613,7 @@ struct DiffCase {
 class StorePair {
  public:
   StorePair(const HierarchicalGrid& grid, int level, const PointStoreConfig& cfg)
-      : flat(grid, level, cfg), nodes(grid, level, cfg), grid_(&grid), level_(level) {}
+      : flat(one_class(grid, level, cfg)), nodes(grid, level, cfg), grid_(&grid), level_(level) {}
 
   /// One event: a one-event batch on the flat store, the pointwise update
   /// on the node-map store; a dead store is skipped, as the builder does.
@@ -585,7 +629,8 @@ class StorePair {
     const std::size_t n = deltas.size();
     std::vector<std::int32_t> idx(pts.size());
     grid_->cell_index_of_batch(pts.data(), n, level_, idx.data());
-    flat.update_batch(pts.data(), idx.data(), deltas.data(), n);
+    const std::vector<std::uint64_t> h(n, 0);
+    flat.update_batch(pts.data(), idx.data(), h.data(), deltas.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
       touched.insert({idx[2 * i], idx[2 * i + 1]});
       if (nodes.dead()) break;
@@ -599,12 +644,13 @@ class StorePair {
     nodes.merge(other.nodes);
   }
 
-  /// Each store reloads from the OTHER one's blob: the two writers must stay
-  /// interchangeable in both directions.
+  /// Each store reloads from the OTHER one's blob, carried across the record
+  /// layouts by StoreBlob: the two writers must stay interchangeable in both
+  /// directions.
   void swap_blobs(const PointStoreConfig& cfg) {
-    const std::string from_flat = saved(flat);
-    const std::string from_nodes = saved(nodes);
-    CellPointStore flat2(*grid_, level_, cfg);
+    const std::string from_flat = StoreBlob::parse(saved(flat)).node_map_str();
+    const std::string from_nodes = StoreBlob::parse_node_map(saved(nodes)).str();
+    CellPointStore flat2 = one_class(*grid_, level_, cfg);
     oracle::NodeMapPointStore nodes2(*grid_, level_, cfg);
     ASSERT_TRUE(loads(flat2, from_nodes));
     ASSERT_TRUE(loads(nodes2, from_flat));
@@ -614,11 +660,11 @@ class StorePair {
 
   void expect_same(const std::string& where) const {
     SCOPED_TRACE(where);
-    ASSERT_EQ(flat.dead(), nodes.dead());
-    EXPECT_EQ(flat.events(), nodes.events());
+    ASSERT_EQ(flat.dead(0), nodes.dead());
+    EXPECT_EQ(flat.events(0), nodes.events());
     for (const auto& row : touched) {
       const CellKey key{level_, row};
-      const auto got = flat.cell(key);
+      const auto got = flat.cell(0, key);
       const auto want = nodes.cell(key);
       ASSERT_EQ(got.has_value(), want.has_value());
       if (!got) continue;
@@ -736,8 +782,8 @@ TEST(CellPointStore, MatchesTheNodeMapStoreOnRandomOperations) {
         }
         a.expect_same(where);
         if (::testing::Test::HasFatalFailure()) return;
-        saw_dead = saw_dead || a.flat.dead();
-        for (const auto& [key, cp] : a.flat.all_cells()) {
+        saw_dead = saw_dead || a.flat.dead(0);
+        for (const auto& [key, cp] : a.flat.all_cells(0)) {
           saw_tombstone = saw_tombstone || !cp.complete;
         }
       }
@@ -752,7 +798,7 @@ TEST(CellPointStore, MatchesTheNodeMapStoreOnRandomOperations) {
 TEST(CellPointStoreDeathTest, AnEventOfAnotherMultiplicityAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const HierarchicalGrid grid = pin_grid();
-  CellPointStore store(grid, 2, pin_config());
+  CellPointStore store = one_class(grid, 2, pin_config());
   EXPECT_DEATH(add(store, grid, std::vector<Coord>{5, 6}, 2),
                "a point store event inserts or deletes one point");
 }

@@ -222,12 +222,17 @@ TEST(ShardFinalize, PartThatAbsorbedAnotherBuilderMatchesTheFold) {
 
 constexpr int kStoreLevel = 6;
 
+/// A store with one rate class that keeps every event, read as class 0.
+CellPointStore one_class(const HierarchicalGrid& grid, const PointStoreConfig& config) {
+  return CellPointStore(grid, kStoreLevel, config, {~std::uint64_t{0}});
+}
+
 /// Every cell key a store of the parts touched, from a full scan.
 std::vector<CellKey> touched_cells(const std::vector<CellPointStore>& parts) {
   std::set<std::vector<std::int32_t>> seen;
   std::vector<CellKey> out;
   for (const CellPointStore& part : parts) {
-    for (const auto& [key, cp] : part.all_cells()) {
+    for (const auto& [key, cp] : part.all_cells(0)) {
       if (seen.insert(key.index).second) out.push_back(key);
     }
   }
@@ -239,17 +244,17 @@ std::vector<CellKey> touched_cells(const std::vector<CellPointStore>& parts) {
 void expect_store_reads_match_merge(const std::vector<CellPointStore>& parts,
                                     const HierarchicalGrid& grid,
                                     const PointStoreConfig& config) {
-  CellPointStore merged(grid, kStoreLevel, config);
+  CellPointStore merged = one_class(grid, config);
   std::vector<const CellPointStore*> refs;
   for (const CellPointStore& part : parts) {
     merged.merge(part);
     refs.push_back(&part);
   }
-  ASSERT_EQ(CellPointStore::summed_dead(refs), merged.dead());
-  if (merged.dead()) return;
+  ASSERT_EQ(CellPointStore::summed_dead(refs, 0), merged.dead(0));
+  if (merged.dead(0)) return;
   for (const CellKey& key : touched_cells(parts)) {
-    const auto got = CellPointStore::summed_cell(refs, key);
-    const auto want = merged.cell(key);
+    const auto got = CellPointStore::summed_cell(refs, 0, key);
+    const auto want = merged.cell(0, key);
     ASSERT_EQ(got.has_value(), want.has_value());
     if (!want) continue;
     EXPECT_EQ(got->complete, want->complete);
@@ -269,7 +274,8 @@ void apply(CellPointStore& store, const HierarchicalGrid& grid, std::span<const 
            std::int64_t delta) {
   std::vector<std::int32_t> idx(static_cast<std::size_t>(kDim));
   grid.cell_index_of(p, kStoreLevel, idx);
-  store.update_batch(p.data(), idx.data(), &delta, 1);
+  const std::uint64_t h = 0;  // the one class keeps every event
+  store.update_batch(p.data(), idx.data(), &h, &delta, 1);
 }
 
 // Random churn over a coarse grid, split by point hash, with a copy of one
@@ -287,7 +293,7 @@ TEST(ShardFinalize, StoreReadsMatchTheMergedStore) {
         config.max_live_points = cap;
         config.exact = exact;
         std::vector<CellPointStore> parts;
-        for (int p = 0; p < n; ++p) parts.emplace_back(grid, kStoreLevel, config);
+        for (int p = 0; p < n; ++p) parts.push_back(one_class(grid, config));
         Rng rng(300 + static_cast<std::uint64_t>(n));
         const PointSet points = testutil::random_points(kDim, Coord{64}, 400, rng);
         for (PointIndex i = 0; i < points.size(); ++i) {
@@ -316,7 +322,7 @@ TEST(ShardFinalize, EarlyPrefixPastTheCapKillsTheSumForGood) {
   config.watermark = 4;
   config.max_live_points = 5;
   std::vector<CellPointStore> parts;
-  for (int p = 0; p < 3; ++p) parts.emplace_back(grid, kStoreLevel, config);
+  for (int p = 0; p < 3; ++p) parts.push_back(one_class(grid, config));
   const auto at = [](Coord x, Coord y) { return std::vector<Coord>{x, y}; };
   // Level-6 cells of an unshifted 2^9 grid are 8 wide: cell A holds (1..7,
   // 1..7), cell B (200..207, 200..207).
@@ -325,17 +331,17 @@ TEST(ShardFinalize, EarlyPrefixPastTheCapKillsTheSumForGood) {
     apply(parts[1], grid, p, +1);
   }
   for (const auto& p : {at(1, 2), at(2, 2)}) apply(parts[2], grid, p, +1);
-  for (const CellPointStore& part : parts) ASSERT_FALSE(part.dead());
+  for (const CellPointStore& part : parts) ASSERT_FALSE(part.dead(0));
 
   std::vector<const CellPointStore*> in_order = {&parts[0], &parts[1], &parts[2]};
-  EXPECT_TRUE(CellPointStore::summed_dead(in_order));
+  EXPECT_TRUE(CellPointStore::summed_dead(in_order, 0));
   expect_store_reads_match_merge(parts, grid, config);
 
   std::vector<CellPointStore> reordered;
   for (const int p : {2, 0, 1}) reordered.push_back(parts[static_cast<std::size_t>(p)]);
   std::vector<const CellPointStore*> tombstone_first = {&reordered[0], &reordered[1],
                                                         &reordered[2]};
-  EXPECT_FALSE(CellPointStore::summed_dead(tombstone_first));
+  EXPECT_FALSE(CellPointStore::summed_dead(tombstone_first, 0));
   expect_store_reads_match_merge(reordered, grid, config);
 }
 
