@@ -60,9 +60,11 @@ CoresetParams cluster_params() {
 
 bool spawn_worker(cluster::WorkerProcess& w) {
   cluster::WorkerProcessOptions opt;
-  opt.binary = SKC_CLUSTER_HARNESS_BIN;
-  opt.args = {"worker", "--log-delta", "6", "--o-min", "1e6",
-              "--o-max", "2.56e8"};
+  opt.binary = SKC_CLI_BIN;
+  opt.args = {"worker", std::to_string(kDim), std::to_string(kK), "2",
+              std::to_string(kLogDelta), "--eps", "0.3", "--eta", "0.3",
+              "--seed", "20230614", "--queue-capacity", "8192",
+              "--o-min", "1e6", "--o-max", "2.56e8"};
   return w.spawn(opt);
 }
 

@@ -30,10 +30,14 @@ ctest --test-dir build --output-on-failure
 # column per keep bound) must match the per-guess CountMins it replaced,
 # every loader must refuse malformed blobs and STRM2/STRM3/STRM4 ones
 # (DESIGN.md §12), seeded mutants of every persisted format must be
-# refused or round-trip without a large allocation (PersistedMutants), and
+# refused or round-trip without a large allocation (PersistedMutants),
 # finalize over live builders must equal finalize of their fold
-# (ShardFinalize).
-ctest --test-dir build --output-on-failure -R '^(BatchIngest|BatchSketch|IngestDigest|CellPointStore|PointStoreOracle|CountMinOracle|Checkpoint|PersistedMutants|ShardFinalize)\.'
+# (ShardFinalize), the sketch paths' heavy-cell walk must match
+# mark_cells, its reference (HeavyWalk), the offline constructions must
+# reproduce their frozen digests (OfflineDigest), and the distributed
+# protocol must equal offline under exact rates and spend no sample round
+# on a guess the walk FAILs (DistributedCoreset).
+ctest --test-dir build --output-on-failure -R '^(BatchIngest|BatchSketch|IngestDigest|CellPointStore|PointStoreOracle|CountMinOracle|Checkpoint|PersistedMutants|ShardFinalize|HeavyWalk|OfflineDigest|DistributedCoreset)\.'
 
 for b in build/bench/bench_*; do
   echo "== $b"

@@ -1,8 +1,13 @@
 // Shared back end of the streaming (Algorithm 4 steps 4-6) and distributed
-// (Theorem 4.7) constructions: given the recovered/merged per-level data of
-// one o-guess — estimated cell counts for heavy-cell marking, estimated
-// crucial-cell masses for part filtering, and the recovered coreset sample
-// points — run the Algorithm 1/2 decision logic and emit the coreset.
+// (Theorem 4.7) constructions.  Its input is the heavy-cell walk of one
+// o-guess (walk_heavy_cells, which has already applied Algorithm 1's FAIL
+// rule) with each crucial cell's recovered samples attached; it applies
+// Algorithm 2's part rules and emits the coreset:
+//   * the per-level part-mass bound (line 6);
+//   * the lost-mass budget for crucial cells whose samples could not be
+//     recovered;
+//   * the gamma * T_i(o) part filter (line 9) on the samples.
+// Every rule reads tau from the part in hand; nothing is re-marked.
 //
 // The offline path reaches the same outcome through exact counts
 // (offline.cpp); tests pin the three paths against each other.
@@ -10,34 +15,15 @@
 
 #include "skc/coreset/coreset.h"
 #include "skc/coreset/params.h"
-#include "skc/geometry/point_set.h"
 #include "skc/grid/hierarchical_grid.h"
 #include "skc/partition/heavy_cells.h"
 
 namespace skc {
 
-struct RecoveredLevelData {
-  /// counting[i], i in [0, L-1]: estimated tau(C cap Q) per non-empty cell of
-  /// level i (already scaled by the inverse sampling rate 1/psi_i).
-  LevelEstimates counting;
-  /// part_mass[i], i in [0, L]: estimated cell masses at the finer
-  /// resolution 1/psi'_i (already scaled).
-  LevelEstimates part_mass;
-  /// sample_points[i], i in [0, L]: the recovered hat-h_i-sampled points
-  /// (multiplicity expanded); these become the coreset, weighted 1/phi_i.
-  std::vector<PointSet> sample_points;
-  /// incomplete_cells[i]: cells of level i whose sampled points could NOT be
-  /// recovered (over the per-cell budget, or bucket collisions).  Harmless
-  /// for heavy/center cells; fatal when such a cell is crucial to an
-  /// included part (the coreset would silently lose mass there).
-  std::vector<std::vector<CellKey>> incomplete_cells;
-};
-
-/// Runs marking + part filtering + sample selection for one guess o.
-/// `total_count` is the exact net number of stream points (insertions minus
-/// deletions), which every path tracks exactly.
+/// Runs the part rules and sample selection for one guess o whose walk
+/// passed.  `total_count` is the exact net number of stream points
+/// (insertions minus deletions), which every path tracks exactly.
 BuildAttempt assemble_coreset(const HierarchicalGrid& grid, const CoresetParams& params,
-                              double o, const RecoveredLevelData& data,
-                              double total_count);
+                              double o, const HeavyWalk& walk, double total_count);
 
 }  // namespace skc

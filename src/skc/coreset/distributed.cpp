@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "skc/common/check.h"
 #include "skc/coreset/assemble.h"
@@ -142,69 +141,35 @@ DistributedResult build_distributed_coreset(const std::vector<PointSet>& machine
   }
   result.rounds = 2;
 
-  // --- Round 2+: guess loop; the coordinator marks, machines ship samples
-  //     for the crucial cells only. ---
+  // --- Round 2+: guess loop; the coordinator walks the merged counts, and
+  //     machines ship samples for the crucial cells of a guess the walk
+  //     passes. ---
   for (double o = o_lo; o <= o_hi * params.guess_factor && !result.ok;
        o *= params.guess_factor) {
     result.diagnostics.guesses_tried.push_back(o);
-
-    RecoveredLevelData data;
-    data.counting.resize(static_cast<std::size_t>(L));
-    data.part_mass.resize(static_cast<std::size_t>(L + 1));
-    data.sample_points.assign(static_cast<std::size_t>(L + 1), PointSet(dim));
-    bool failed = false;
-    std::string reason;
-
-    // Top-down marking from the merged counts.
-    std::vector<std::vector<CellKey>> crucial(static_cast<std::size_t>(L + 1));
-    std::vector<CellKey> heavy_prev;
-    if (static_cast<double>(total_count) >=
-        part_threshold(grid, params.partition(), -1, o)) {
-      heavy_prev.push_back(CellKey{});
-    }
-    const double heavy_bound = heavy_cells_bound(params.partition(), dim, L);
-    for (int i = 0; i <= L && !failed; ++i) {
-      const std::size_t li = static_cast<std::size_t>(i);
-      const double inv_psi = psi[li].weight();
-      const double ti = part_threshold(grid, params.partition(), i, o);
-      std::vector<CellKey> heavy_here;
-      for (const CellKey& parent : heavy_prev) {
-        for (CellKey& child : grid.children(parent)) {
-          const double tau = merged[li].query(0, child) * inv_psi;
-          if (tau <= 0.0) continue;
-          if (i < L) data.counting[li].push_back(EstimatedCell{child.index, tau});
-          if (i < L && tau >= ti) {
-            heavy_here.push_back(std::move(child));
-          } else {
-            data.part_mass[li].push_back(EstimatedCell{child.index, tau});
-            crucial[li].push_back(std::move(child));
-          }
-        }
-      }
-      if (static_cast<double>(heavy_here.size()) > heavy_bound) {
-        failed = true;
-        reason = "too many heavy cells (guess o too small)";
-        break;
-      }
-      heavy_prev = std::move(heavy_here);
-    }
-    if (failed) {
-      result.diagnostics.guess_outcomes.push_back(reason);
+    HeavyWalk walk = walk_heavy_cells(
+        grid, params.partition(), o, static_cast<double>(total_count),
+        [&](const CellKey& cell) {
+          const auto li = static_cast<std::size_t>(cell.level);
+          return merged[li].query(0, cell) * psi[li].weight();
+        });
+    if (walk.fail) {
+      result.diagnostics.guess_outcomes.push_back(walk.fail_reason);
       continue;
     }
 
     // Broadcast the crucial cells; machines return their phi(o)-sampled
-    // points inside them.
+    // points inside them, each filed under its cell.
     ++result.rounds;
     std::uint64_t crucial_bytes = 8;  // the guess o
-    std::vector<std::unordered_set<CellKey, CellKeyHash>> crucial_set(
+    std::vector<std::unordered_map<CellKey, CrucialCell*, CellKeyHash>> crucial(
         static_cast<std::size_t>(L + 1));
     for (int i = 0; i <= L; ++i) {
-      crucial_bytes += crucial[static_cast<std::size_t>(i)].size() *
-                       (static_cast<std::uint64_t>(dim) * 4 + 4);
-      for (const CellKey& c : crucial[static_cast<std::size_t>(i)]) {
-        crucial_set[static_cast<std::size_t>(i)].insert(c);
+      const auto li = static_cast<std::size_t>(i);
+      for (EstimatedPart& part : walk.parts[li]) {
+        for (CrucialCell& cell : part.cells) crucial[li].emplace(cell.cell, &cell);
       }
+      crucial_bytes += crucial[li].size() * (static_cast<std::uint64_t>(dim) * 4 + 4);
     }
     for (int m = 1; m <= s; ++m) net.send(0, m, crucial_bytes);
 
@@ -213,19 +178,20 @@ DistributedResult build_distributed_coreset(const std::vector<PointSet>& machine
       phi[static_cast<std::size_t>(i)] =
           SamplingRate::from_probability(params.sampling_probability(grid, i, o));
     }
+    bool failed = false;
     for (int m = 0; m < s && !failed; ++m) {
       const PointSet& shard = machines[static_cast<std::size_t>(m)];
       std::int64_t shipped = 0;
       for (int i = 0; i <= L && !failed; ++i) {
         const std::size_t li = static_cast<std::size_t>(i);
-        if (crucial_set[li].empty()) continue;
+        if (crucial[li].empty()) continue;
         for (PointIndex p = 0; p < shard.size(); ++p) {
           if (!kwise_keep(hash_coreset[li], shard[p], phi[li])) continue;
-          if (!crucial_set[li].contains(grid.cell_of(shard[p], i))) continue;
-          data.sample_points[li].push_back(shard[p]);
+          const auto it = crucial[li].find(grid.cell_of(shard[p], i));
+          if (it == crucial[li].end()) continue;
+          it->second->samples.push_back(shard[p]);
           if (++shipped > options.machine_sample_cap) {
             failed = true;
-            reason = "machine sample cap exceeded";
             break;
           }
         }
@@ -236,11 +202,11 @@ DistributedResult build_distributed_coreset(const std::vector<PointSet>& machine
                    8);
     }
     if (failed) {
-      result.diagnostics.guess_outcomes.push_back(reason);
+      result.diagnostics.guess_outcomes.push_back("machine sample cap exceeded");
       continue;
     }
 
-    BuildAttempt attempt = assemble_coreset(grid, params, o, data,
+    BuildAttempt attempt = assemble_coreset(grid, params, o, walk,
                                             static_cast<double>(total_count));
     if (!attempt.ok) {
       result.diagnostics.guess_outcomes.push_back(attempt.fail_reason);

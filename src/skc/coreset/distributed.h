@@ -17,10 +17,12 @@
 //     required resolution).  The coordinator merges them — CountMin is
 //     linear.
 //   Round 2+ (samples): for each guess, ascending, the coordinator runs the
-//     top-down heavy marking on the merged counts, derives the crucial
-//     cells, and broadcasts them; machines return their hat-h_i-sampled
-//     points inside those cells (crucial cells are light, so this is
-//     coreset-sized).  The first guess passing every check wins.
+//     streaming path's top-down heavy-cell walk (walk_heavy_cells) on the
+//     merged counts; a guess it FAILs costs no round.  Otherwise the
+//     coordinator broadcasts the walk's crucial cells, and machines return
+//     their hat-h_i-sampled points inside those cells (crucial cells are
+//     light, so this is coreset-sized), each filed under its cell.  The
+//     first guess passing every check wins.
 //
 // Total communication: s * (O(d) + L * countmin + |crucial cells| * d +
 // coreset-sized samples) bytes — independent of n, linear in s

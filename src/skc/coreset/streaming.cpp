@@ -254,23 +254,30 @@ StreamingResult StreamingCoresetBuilder::finalize(
   const StreamingCoresetBuilder& first = *parts.front();
   const HierarchicalGrid& grid = first.grid_;
   const CoresetParams& params = first.params_;
-  const int dim = first.dim_;
   const int L = grid.log_delta();
   const auto levels = static_cast<std::size_t>(L + 1);
   const std::size_t nparts = parts.size();
 
   // What merge_from would add up: the net count, the union of the pruned
-  // prefixes, and each level's CountMins, read in place below.
+  // prefixes, and each level's CountMins and point stores, read in place
+  // below (level_of(all, i) is level i's structure of every part).
   std::int64_t net_count = 0;
   std::size_t pruned = 0;
   std::vector<const CellCountMin*> counts(levels * nparts);
+  std::vector<const CellPointStore*> stores(levels * nparts);
   for (std::size_t p = 0; p < nparts; ++p) {
     const StreamingCoresetBuilder& part = *parts[p];
     first.check_mergeable(part);
     net_count += part.net_count_;
     pruned = std::max(pruned, part.pruned_guesses());
-    for (std::size_t i = 0; i < levels; ++i) counts[i * nparts + p] = &part.counts_[i];
+    for (std::size_t i = 0; i < levels; ++i) {
+      counts[i * nparts + p] = &part.counts_[i];
+      stores[i * nparts + p] = &part.stores_[i];
+    }
   }
+  const auto level_of = [nparts](const auto& all, std::size_t i) {
+    return std::span(all.data() + i * nparts, nparts);
+  };
 
   StreamingResult result;
   const std::vector<GuessState>& guesses = first.guesses_;
@@ -291,7 +298,6 @@ StreamingResult StreamingCoresetBuilder::finalize(
   }
   result.opt_lower_bound = opt_lower_bound_from_cells(grid, params.k, params.r, cell_estimates);
 
-  std::vector<const CellPointStore*> stores(nparts);
   for (std::size_t g = 0; g < guesses.size(); ++g) {
     const GuessState& guess = guesses[g];
     result.diagnostics.guesses_tried.push_back(guess.o);
@@ -305,81 +311,49 @@ StreamingResult StreamingCoresetBuilder::finalize(
       continue;
     }
 
-    // --- Top-down heavy discovery via CountMin queries (Algorithm 1). ---
-    // Estimates are in sampled units; scale by the inverse rate per level.
+    // --- Algorithm 1 top-down over the summed CountMins (estimates are in
+    //     sampled units, scaled by the inverse rate per level); a level whose
+    //     sample store is saturated FAILs the guess before it is walked. ---
     SKC_TRACE_SPAN("recover");
-    RecoveredLevelData data;
-    data.counting.resize(static_cast<std::size_t>(L));
-    data.part_mass.resize(levels);
-    data.sample_points.assign(levels, PointSet(dim));
-    data.incomplete_cells.resize(levels);
-    bool failed = false;
-    std::string reason;
-
-    std::vector<CellKey> heavy_prev;  // heavy cells at level-1 of the loop
-    const double root_tau = static_cast<double>(net_count);
-    const bool root_heavy =
-        root_tau >= part_threshold(grid, params.partition(), -1, guess.o);
-    if (root_heavy) heavy_prev.push_back(CellKey{});
-
-    for (int i = 0; i <= L && !failed; ++i) {
-      const std::size_t li = static_cast<std::size_t>(i);
-      const double inv_psi = guess.psi[li].weight();
-      const double ti = part_threshold(grid, params.partition(), i, guess.o);
-      for (std::size_t p = 0; p < nparts; ++p) stores[p] = &parts[p]->stores_[li];
-      const int cls = first.stores_[li].rate_class(static_cast<int>(g));
-      if (CellPointStore::summed_dead(stores, cls)) {
-        failed = true;
-        reason = "sample store saturated";
-        break;
-      }
-      const std::span<const CellCountMin* const> level_counts(counts.data() + li * nparts,
-                                                              nparts);
-      std::vector<CellKey> heavy_here;
-      for (const CellKey& parent : heavy_prev) {
-        for (CellKey& child : grid.children(parent)) {
-          const double tau =
-              CellCountMin::summed_query(level_counts, static_cast<int>(g), child) * inv_psi;
-          if (tau <= 0.0) continue;
-          if (i < L) {
-            data.counting[li].push_back(EstimatedCell{child.index, tau});
-          }
-          if (i < L && tau >= ti) {
-            heavy_here.push_back(std::move(child));
-          } else {
-            // Crucial candidate: its mass feeds the part estimates and its
-            // sampled points feed the coreset.
-            data.part_mass[li].push_back(EstimatedCell{child.index, tau});
-            const auto cp = CellPointStore::summed_cell(stores, cls, child);
-            if (cp && cp->complete) {
-              data.sample_points[li].append(cp->points);
-            } else if (cp && !cp->complete) {
-              data.incomplete_cells[li].push_back(std::move(child));
-            }
-            // cp == nullopt: the cell holds mass but no sampled points —
-            // expected at low phi; contributes only its tau.
-          }
+    std::vector<int> cls(levels);
+    HeavyWalk walk = walk_heavy_cells(
+        grid, params.partition(), guess.o, static_cast<double>(net_count),
+        [&](const CellKey& cell) {
+          const auto li = static_cast<std::size_t>(cell.level);
+          const double sampled = CellCountMin::summed_query(
+              level_of(counts, li), static_cast<int>(g), cell);
+          return sampled * guess.psi[li].weight();
+        },
+        [&](int i) -> const char* {
+          const auto li = static_cast<std::size_t>(i);
+          cls[li] = first.stores_[li].rate_class(static_cast<int>(g));
+          return CellPointStore::summed_dead(level_of(stores, li), cls[li])
+                     ? "sample store saturated"
+                     : nullptr;
+        });
+    if (walk.fail) {
+      result.diagnostics.guess_outcomes.push_back(walk.fail_reason);
+      continue;
+    }
+    // Each crucial cell carries its complete samples or its incomplete flag
+    // (a tombstoned cell's points are empty); one with mass but no sampled
+    // points (expected at low phi) carries neither and contributes only its
+    // tau.
+    for (std::size_t li = 0; li < levels; ++li) {
+      for (EstimatedPart& part : walk.parts[li]) {
+        for (CrucialCell& cell : part.cells) {
+          auto cp =
+              CellPointStore::summed_cell(level_of(stores, li), cls[li], cell.cell);
+          if (!cp) continue;
+          cell.incomplete = !cp->complete;
+          cell.samples = std::move(cp->points);
         }
       }
-      const double heavy_bound = heavy_cells_bound(params.partition(), dim, L);
-      // mark_cells inside assemble re-checks the cumulative bound; a cheap
-      // per-level sanity check here avoids quadratic child expansion on
-      // hopeless guesses.
-      if (static_cast<double>(heavy_here.size()) > heavy_bound) {
-        failed = true;
-        reason = "too many heavy cells (guess o too small)";
-        break;
-      }
-      heavy_prev = std::move(heavy_here);
-    }
-    if (failed) {
-      result.diagnostics.guess_outcomes.push_back(reason);
-      continue;
     }
 
     SKC_TRACE_SPAN("assemble");
     BuildAttempt attempt =
-        assemble_coreset(grid, params, guess.o, data, static_cast<double>(net_count));
+        assemble_coreset(grid, params, guess.o, walk, static_cast<double>(net_count));
     if (!attempt.ok) {
       result.diagnostics.guess_outcomes.push_back(attempt.fail_reason);
       continue;

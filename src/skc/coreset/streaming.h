@@ -23,11 +23,14 @@
 // (consume() cuts a batch into slices), which hashes and indexes each slice
 // once per level for every structure.
 //
-// finalize walks each guess top-down: the root is heavy, heavy candidates
-// are the 2^d children of heavy cells (heaviness needs a heavy ancestry, so
-// nothing else can qualify), crucial cells are the non-heavy children, and
-// the sampled points of crucial cells of sufficiently large parts become the
-// coreset (assemble_coreset).  The smallest guess with no FAIL wins — the
+// finalize walks each guess top-down with walk_heavy_cells, the Algorithm 1
+// walk the distributed path shares: heavy candidates are the 2^d children of
+// heavy cells (heaviness needs a heavy ancestry, so nothing else can
+// qualify), crucial cells are the non-heavy children, and the guess FAILs
+// once the running heavy total passes the bound, or at a level whose
+// sample store is saturated.  Each crucial cell of a passing guess gets its
+// samples attached, and those of sufficiently large parts become the coreset
+// (assemble_coreset).  The smallest guess with no FAIL wins — the
 // selection rule of Theorem 3.19's proof — with a grid-based OPT lower bound
 // pruning hopeless guesses.  It reads any number of identically configured
 // builders in place, as the sum merge_from would build (the engine's live

@@ -116,6 +116,56 @@ OfflinePartition partition_offline(const PointSet& points, const HierarchicalGri
   return result;
 }
 
+HeavyWalk walk_heavy_cells(const HierarchicalGrid& grid, const PartitionParams& params,
+                           double o, double total_estimate,
+                           const CellEstimate& estimate, const LevelGate& gate) {
+  HeavyWalk walk;
+  const int L = grid.log_delta();
+  walk.parts.resize(static_cast<std::size_t>(L + 1));
+  walk.heavy.resize(static_cast<std::size_t>(L + 1));
+  if (total_estimate >= part_threshold(grid, params, -1, o)) {
+    walk.heavy[0].push_back(CellKey{});
+    walk.total_heavy = 1;
+  }
+  const double heavy_bound = heavy_cells_bound(params, grid.dim(), L);
+
+  for (int level = 0; level <= L; ++level) {
+    if (const char* reason = gate ? gate(level) : nullptr) {
+      walk.fail = true;
+      walk.fail_reason = reason;
+      return walk;
+    }
+    const auto li = static_cast<std::size_t>(level);
+    const double threshold = part_threshold(grid, params, level, o);
+    std::vector<CellKey> heavy_here;
+    for (const CellKey& parent : walk.heavy[li]) {
+      EstimatedPart part;
+      part.parent = parent;
+      for (CellKey& child : grid.children(parent)) {
+        const double tau = estimate(child);
+        if (tau <= 0.0) continue;
+        if (level < L && tau >= threshold) {
+          heavy_here.push_back(std::move(child));
+        } else {
+          part.tau += tau;
+          part.cells.push_back(
+              CrucialCell{std::move(child), tau, PointSet(grid.dim()), false});
+        }
+      }
+      if (!part.cells.empty()) walk.parts[li].push_back(std::move(part));
+    }
+    if (level == L) break;
+    walk.total_heavy += static_cast<std::int64_t>(heavy_here.size());
+    walk.heavy[li + 1] = std::move(heavy_here);
+    if (static_cast<double>(walk.total_heavy) > heavy_bound) {
+      walk.fail = true;
+      walk.fail_reason = "too many heavy cells (guess o too small)";
+      return walk;
+    }
+  }
+  return walk;
+}
+
 CellMarking mark_cells(const HierarchicalGrid& grid, const PartitionParams& params,
                        double o, const LevelEstimates& estimates,
                        double total_estimate) {

@@ -10,16 +10,23 @@
 // and (up to points whose ancestry exits the heavy tree, which Algorithm 2
 // drops via Lemma 3.4) cover Q.
 //
-// Two entry points:
+// One rule, three entry points.  The rule: a cell is heavy when its count
+// meets T_i(o) and its parent is heavy, and the guess FAILs once the running
+// heavy total (the root included) passes heavy_cells_bound.
 //  * `partition_offline` — exact counts, walks the point set top-down and
 //    returns explicit per-part point-index lists (used by the offline
 //    coreset and as the ground truth in tests);
-//  * `mark_cells` — the same marking rule applied to per-level estimated
-//    cell counts (used by the streaming and distributed paths, which only
-//    see sampled cells).
+//  * `walk_heavy_cells` — the same top-down walk over a caller-supplied
+//    estimate: it queries only the 2^d children of heavy cells and returns
+//    the crucial cells grouped into parts, each with its estimate (the
+//    streaming and distributed finalizes, which only see sketched counts);
+//  * `mark_cells` — the rule applied to given per-level lists of estimated
+//    cell counts (the assignment oracle, which re-estimates cells from a
+//    coreset; the walk's tests use it as their reference).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -83,6 +90,54 @@ OfflinePartition partition_offline(const PointSet& points, const HierarchicalGri
 // ---------------------------------------------------------------------------
 // Estimated-count flavor (streaming / distributed).
 // ---------------------------------------------------------------------------
+
+/// A crucial cell found by the walk: a non-heavy child of a heavy cell with
+/// a positive estimate.  The walk fills `cell` and `tau`; the caller then
+/// attaches the cell's sampled points, or flags them unrecoverable.
+struct CrucialCell {
+  CellKey cell;
+  double tau = 0.0;          ///< estimated tau(C cap Q)
+  PointSet samples;          ///< the cell's coreset samples (empty: none)
+  bool incomplete = false;   ///< the samples could not be recovered
+};
+
+/// Part Q_{i,j} as estimated: the crucial children of one heavy cell of
+/// G_{i-1}, in expansion order; `tau` sums their estimates in that order.
+struct EstimatedPart {
+  CellKey parent;
+  std::vector<CrucialCell> cells;
+  double tau = 0.0;
+};
+
+struct HeavyWalk {
+  bool fail = false;
+  std::string fail_reason;
+  /// parts[i], i in [0, L]: the parts of level i in expansion order.
+  std::vector<std::vector<EstimatedPart>> parts;
+  /// heavy[i + 1]: the heavy cells of grid level i (i = -1..L-1), in
+  /// expansion order; the root's entry is one empty index when it is heavy.
+  std::vector<std::vector<CellKey>> heavy;
+  std::int64_t total_heavy = 0;
+};
+
+/// Estimated tau(C cap Q) of one cell of grid level 0..L.
+using CellEstimate = std::function<double(const CellKey&)>;
+/// Called before grid level i is walked; a non-null reason FAILs the walk
+/// there (the streaming finalize refuses a level whose sample store is
+/// saturated).
+using LevelGate = std::function<const char*(int level)>;
+
+/// Algorithm 1 top-down over estimates.  The root is heavy iff
+/// `total_estimate` >= T_{-1}(o).  Levels 0..L are walked in order, each
+/// first through `gate` (if given), even below a non-heavy root.  At level i
+/// every child of a heavy cell of level i-1 is estimated once: a
+/// non-positive estimate drops it, tau >= T_i(o) with i < L makes it heavy,
+/// and anything else makes it crucial.  After each level the running heavy
+/// total is tested against heavy_cells_bound, and the walk FAILs at the
+/// level that passes it, with no parts below.
+HeavyWalk walk_heavy_cells(const HierarchicalGrid& grid, const PartitionParams& params,
+                           double o, double total_estimate,
+                           const CellEstimate& estimate, const LevelGate& gate = {});
 
 /// Estimated point count tau(C cap Q) for one cell, keyed by cell index.
 struct EstimatedCell {

@@ -1,6 +1,6 @@
-// Direct tests of the shared assembly step with synthetic recovered data —
-// pins the FAIL rules (mass bound, lost-mass budget) independent of any
-// sketch.
+// Direct tests of the shared assembly step on a synthetic heavy-cell walk —
+// pins the part rules (mass bound, lost-mass budget, gamma * T_i filter)
+// independent of any sketch.
 #include "skc/coreset/assemble.h"
 
 #include <gtest/gtest.h>
@@ -14,41 +14,49 @@ namespace {
 struct Fixture {
   CoresetParams params = CoresetParams::practical(2, LrOrder{2.0}, 0.2, 0.2);
   HierarchicalGrid grid = make_grid(2, 4, params.seed);
+  PointSet probe = [] {
+    PointSet p(2);
+    p.push_back({8, 8});
+    return p;
+  }();
 
-  /// Builds recovered data describing one heavy chain root->level0 cell with
-  /// crucial children at level 1 carrying `mass` points each.
-  RecoveredLevelData simple_data(double child_mass, double o) {
-    RecoveredLevelData data;
-    const int L = grid.log_delta();
-    data.counting.resize(static_cast<std::size_t>(L));
-    data.part_mass.resize(static_cast<std::size_t>(L + 1));
-    data.sample_points.assign(static_cast<std::size_t>(L + 1), PointSet(2));
-    data.incomplete_cells.resize(static_cast<std::size_t>(L + 1));
-
-    // One heavy level-0 cell (the one containing point (8, 8)).
-    PointSet probe(2);
-    probe.push_back({8, 8});
+  /// The walk of one heavy chain root -> the level-0 cell holding (8, 8),
+  /// whose level-1 children are crucial with `child_mass` points each.
+  HeavyWalk walk(double child_mass, double o, double total_count) const {
     const CellKey c0 = grid.cell_of(probe[0], 0);
     const double t0 = part_threshold(grid, params.partition(), 0, o);
-    data.counting[0].push_back(EstimatedCell{c0.index, t0 + child_mass * 4.0});
-    // Its level-1 children carry the mass as crucial cells.
-    for (const CellKey& child : grid.children(c0)) {
-      data.counting[1].push_back(EstimatedCell{child.index, child_mass});
-      data.part_mass[1].push_back(EstimatedCell{child.index, child_mass});
+    return walk_heavy_cells(grid, params.partition(), o, total_count,
+                            [&](const CellKey& cell) {
+                              if (cell == c0) return t0 + child_mass * 4.0;
+                              return cell.level == 1 && grid.parent(cell) == c0
+                                         ? child_mass
+                                         : 0.0;
+                            });
+  }
+
+  /// The walk's crucial cell holding (8, 8).
+  CrucialCell& probe_cell(HeavyWalk& walk) const {
+    const CellKey key = grid.cell_of(probe[0], 1);
+    for (EstimatedPart& part : walk.parts[1]) {
+      for (CrucialCell& cell : part.cells) {
+        if (cell.cell == key) return cell;
+      }
     }
-    return data;
+    ADD_FAILURE() << "no crucial cell holds the probe";
+    return walk.parts[1].front().cells.front();
   }
 };
 
 TEST(Assemble, AcceptsCleanData) {
   Fixture f;
   const double o = 2e5;
-  RecoveredLevelData data = f.simple_data(12.0, o);
+  HeavyWalk walk = f.walk(12.0, o, 60.0);
+  ASSERT_FALSE(walk.fail);
+  ASSERT_EQ(walk.parts[1].size(), 1u);
+  EXPECT_EQ(walk.parts[1][0].cells.size(), 4u);
   // A sample point inside one crucial child.
-  PointSet probe(2);
-  probe.push_back({8, 8});
-  data.sample_points[1].push_back(probe[0]);
-  const BuildAttempt attempt = assemble_coreset(f.grid, f.params, o, data, 60.0);
+  f.probe_cell(walk).samples.push_back(f.probe[0]);
+  const BuildAttempt attempt = assemble_coreset(f.grid, f.params, o, walk, 60.0);
   ASSERT_TRUE(attempt.ok) << attempt.fail_reason;
   EXPECT_EQ(attempt.coreset.points.size(), 1);
   EXPECT_EQ(attempt.coreset.levels[0], 1);
@@ -60,8 +68,8 @@ TEST(Assemble, MassBoundFails) {
   // Crucial cells cannot individually exceed T_1, so trip the level bound by
   // shrinking the bound constant instead.
   f.params.mass_bound_const = 0.001;
-  RecoveredLevelData data = f.simple_data(12.0, o);
-  const BuildAttempt attempt = assemble_coreset(f.grid, f.params, o, data, 1e9);
+  const HeavyWalk walk = f.walk(12.0, o, 1e9);
+  const BuildAttempt attempt = assemble_coreset(f.grid, f.params, o, walk, 1e9);
   ASSERT_FALSE(attempt.ok);
   EXPECT_NE(std::string(attempt.fail_reason).find("part mass"), std::string::npos);
 }
@@ -69,52 +77,44 @@ TEST(Assemble, MassBoundFails) {
 TEST(Assemble, SmallLostMassIsAbsorbed) {
   Fixture f;
   const double o = 2e5;
-  RecoveredLevelData data = f.simple_data(12.0, o);
-  PointSet probe(2);
-  probe.push_back({8, 8});
-  data.sample_points[1].push_back(probe[0]);
+  HeavyWalk walk = f.walk(12.0, o, 4000.0);
   // One incomplete crucial cell: budget is eta * n / (4k) = 0.2*4000/8 = 100
   // "points"; the cell's charge min(tau, T_1) is far below that.
-  data.incomplete_cells[1].push_back(f.grid.cell_of(probe[0], 1));
-  const BuildAttempt attempt = assemble_coreset(f.grid, f.params, o, data, 4000.0);
+  f.probe_cell(walk).incomplete = true;
+  const BuildAttempt attempt = assemble_coreset(f.grid, f.params, o, walk, 4000.0);
   EXPECT_TRUE(attempt.ok) << attempt.fail_reason;
 }
 
 TEST(Assemble, LargeLostMassFails) {
   Fixture f;
   const double o = 2e5;
-  RecoveredLevelData data = f.simple_data(12.0, o);
-  PointSet probe(2);
-  probe.push_back({8, 8});
+  HeavyWalk walk = f.walk(12.0, o, 60.0);
   // Tiny n makes the budget eta*n/(4k) tiny; the incomplete cell's charge
   // exceeds it.
-  data.incomplete_cells[1].push_back(f.grid.cell_of(probe[0], 1));
-  const BuildAttempt attempt = assemble_coreset(f.grid, f.params, o, data, 60.0);
+  f.probe_cell(walk).incomplete = true;
+  const BuildAttempt attempt = assemble_coreset(f.grid, f.params, o, walk, 60.0);
   ASSERT_FALSE(attempt.ok);
   EXPECT_NE(std::string(attempt.fail_reason).find("lost-mass"), std::string::npos);
 }
 
-TEST(Assemble, SamplesOutsideCrucialCellsAreIgnored) {
+TEST(Assemble, APartBelowGammaThresholdIsDroppedWithItsLostCells) {
   Fixture f;
   const double o = 2e5;
-  RecoveredLevelData data = f.simple_data(12.0, o);
-  // A point far from the heavy chain: its cell is not crucial (parent not
-  // heavy), so it must not enter the coreset.
-  PointSet inside(2), outside(2);
-  inside.push_back({8, 8});
-  data.sample_points[1].push_back(inside[0]);
-  // Find a point in a different level-0 cell.
-  for (Coord x = 1; x <= 16; ++x) {
-    PointSet cand(2);
-    cand.push_back({x, 16});
-    if (!(f.grid.cell_of(cand[0], 0) == f.grid.cell_of(inside[0], 0))) {
-      data.sample_points[1].push_back(cand[0]);
-      break;
-    }
+  // The part's tau (4 cells of 1e-9) is far below gamma * T_1(o): neither
+  // its samples reach the coreset nor its incomplete cells the lost-mass
+  // budget, which one charged cell already exceeds at n = 60
+  // (LargeLostMassFails).
+  HeavyWalk walk = f.walk(1e-9, o, 60.0);
+  ASSERT_EQ(walk.parts[1].size(), 1u);
+  EXPECT_LT(walk.parts[1][0].tau,
+            f.params.gamma(2, 4) * part_threshold(f.grid, f.params.partition(), 1, o));
+  f.probe_cell(walk).samples.push_back(f.probe[0]);
+  for (CrucialCell& cell : walk.parts[1][0].cells) {
+    cell.incomplete = cell.samples.empty();
   }
-  const BuildAttempt attempt = assemble_coreset(f.grid, f.params, o, data, 60.0);
+  const BuildAttempt attempt = assemble_coreset(f.grid, f.params, o, walk, 60.0);
   ASSERT_TRUE(attempt.ok) << attempt.fail_reason;
-  EXPECT_EQ(attempt.coreset.points.size(), 1);
+  EXPECT_EQ(attempt.coreset.points.size(), 0);
 }
 
 }  // namespace

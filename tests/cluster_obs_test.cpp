@@ -1,5 +1,5 @@
-// Cluster observability plane end to end: coordinator + cluster_harness
-// worker processes over loopback TCP, tracing on everywhere.  One query
+// Cluster observability plane end to end: coordinator + `skc_cli worker`
+// processes over loopback TCP, tracing on everywhere.  One query
 // must produce ONE merged chrome://tracing timeline with a process lane
 // per node and a single trace_id spanning the coordinator's drain and the
 // workers' request handling — the PR-10 acceptance scenario — plus the
@@ -61,8 +61,11 @@ CoordinatorOptions coordinator_options(
 
 bool spawn_traced_worker(WorkerProcess& w) {
   WorkerProcessOptions opt;
-  opt.binary = SKC_CLUSTER_HARNESS_BIN;
-  opt.args = {"worker", "--exact", "--trace"};
+  opt.binary = SKC_CLI_BIN;
+  opt.args = {"worker", std::to_string(kDim), std::to_string(kK), "2",
+              std::to_string(kLogDelta), "--eps", "0.3", "--eta", "0.3",
+              "--seed", "20230614", "--queue-capacity", "8192", "--exact",
+              "--trace"};
   return w.spawn(opt);
 }
 

@@ -3,8 +3,8 @@
 // + worker processes over loopback TCP, including the kill-a-worker
 // failover path the design exists for.
 //
-// The multi-process tests exec the cluster_harness binary (path injected by
-// CMake as SKC_CLUSTER_HARNESS_BIN) and run in exact mode on small streams,
+// The multi-process tests exec `skc_cli worker` (path injected by CMake as
+// SKC_CLI_BIN) and run in exact mode on small streams,
 // where the merged cluster state is bit-identical to a single engine fed
 // the union — so parity assertions can be tight instead of statistical.
 #include <gtest/gtest.h>
@@ -31,8 +31,9 @@ constexpr int kDim = 2;
 constexpr int kK = 4;
 constexpr int kLogDelta = 6;
 
-// The configuration the harness defaults to (plus --exact): both sides of
-// the WORKER_HELLO handshake must derive the same fingerprint from it.
+// The workers' configuration (spawn_worker passes it, plus --exact): both
+// sides of the WORKER_HELLO handshake must derive the same fingerprint
+// from it.
 CoresetParams cluster_params() {
   return CoresetParams::practical(kK, LrOrder{2.0}, 0.3, 0.3);
 }
@@ -58,8 +59,10 @@ CoordinatorOptions coordinator_options(const std::vector<WorkerProcess*>& ws,
 
 bool spawn_worker(WorkerProcess& w, std::vector<std::string> extra = {}) {
   WorkerProcessOptions opt;
-  opt.binary = SKC_CLUSTER_HARNESS_BIN;
-  opt.args = {"worker", "--exact"};
+  opt.binary = SKC_CLI_BIN;
+  opt.args = {"worker", std::to_string(kDim), std::to_string(kK), "2",
+              std::to_string(kLogDelta), "--eps", "0.3", "--eta", "0.3",
+              "--seed", "20230614", "--queue-capacity", "8192", "--exact"};
   for (std::string& a : extra) opt.args.push_back(std::move(a));
   return w.spawn(opt);
 }
@@ -261,7 +264,7 @@ TEST(ClusterSketch, FingerprintPinsEverySketchShapingKnob) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-process: coordinator + cluster_harness workers over loopback TCP
+// Multi-process: coordinator + `skc_cli worker` processes over loopback TCP
 
 TEST(Cluster, TwoWorkerIngestAndQueryMatchSingleEngine) {
   WorkerProcess w0, w1;

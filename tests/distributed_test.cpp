@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "skc/coreset/offline.h"
+#include "skc/coreset/sampling.h"
+#include "skc/partition/heavy_cells.h"
 #include "skc/stream/generators.h"
 #include "test_util.h"
 
@@ -122,6 +126,56 @@ TEST(DistributedCoreset, RoundsAreConstant) {
   // round 0 (sizes/centroid) + round 1 (counts) + one sample round per
   // decoded guess; the pruned range keeps this small.
   EXPECT_LE(result.rounds, 2 + 24);
+}
+
+TEST(DistributedCoreset, AGuessFailingOnHeavyCellsCostsNoSampleRound) {
+  Rng rng(8);
+  const PointSet pts = gaussian_mixture(mixture(800), rng);
+  const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
+  DistributedOptions opt = lossless_options();
+  const std::vector<PointSet> machines = split_round_robin(pts, 4);
+  const DistributedResult full = build_distributed_coreset(machines, params, opt);
+  ASSERT_TRUE(full.ok);
+
+  // At psi = 1 the merged counts are exact, so the offline partition shows
+  // each guess's heavy cells per level.  Some guess FAILs only on the
+  // running total: no level alone passes the bound.
+  const std::string heavy_fail = "too many heavy cells (guess o too small)";
+  const HierarchicalGrid grid = make_grid(2, 9, params.seed);
+  const double bound = heavy_cells_bound(params.partition(), 2, 9);
+  const auto& tried = full.diagnostics.guesses_tried;
+  const auto& outcomes = full.diagnostics.guess_outcomes;
+  std::size_t heavy_fails = 0, first_walked = tried.size();
+  bool cumulative_only = false;
+  for (std::size_t g = 0; g < tried.size(); ++g) {
+    if (outcomes[g] != heavy_fail) {
+      first_walked = std::min(first_walked, g);
+      continue;
+    }
+    ++heavy_fails;
+    const OfflinePartition exact =
+        partition_offline(pts, grid, params.partition(), tried[g]);
+    EXPECT_TRUE(exact.fail) << "o = " << tried[g];
+    const std::int64_t widest =
+        *std::max_element(exact.heavy_per_level.begin(), exact.heavy_per_level.end());
+    cumulative_only = cumulative_only || static_cast<double>(widest) <= bound;
+  }
+  ASSERT_TRUE(cumulative_only);
+  ASSERT_LT(first_walked, tried.size());
+
+  // Only the guesses the walk passes broadcast cells and collect samples.
+  EXPECT_EQ(full.rounds, 2 + static_cast<int>(tried.size() - heavy_fails));
+  // Starting at the first guess the walk passes costs the same rounds and
+  // bytes: the guesses below it cost nothing past the count round (psi = 1
+  // and exact counts, so round 1 is the same for both ranges).
+  opt.o_min = tried[first_walked];
+  opt.o_max = full.diagnostics.o_max;
+  const DistributedResult skip = build_distributed_coreset(machines, params, opt);
+  ASSERT_TRUE(skip.ok);
+  EXPECT_EQ(skip.coreset.o, full.coreset.o);
+  EXPECT_EQ(skip.rounds, full.rounds);
+  EXPECT_EQ(skip.communication.bytes, full.communication.bytes);
+  EXPECT_EQ(skip.communication.messages, full.communication.messages);
 }
 
 TEST(DistributedCoreset, SingleMachineDegeneratesToOffline) {

@@ -26,11 +26,11 @@ namespace {
 
 constexpr int kDim = 2;
 constexpr int kK = 4;
-constexpr int kLogDelta = 6;  // the cluster harness worker's default
+constexpr int kLogDelta = 6;
 
-// The cluster harness worker's configuration (plus --exact): the
-// coordinator's WORKER_HELLO fingerprint must match it, and the other two
-// servers use the same shape so one body fits all three.
+// The cluster worker's configuration (Door::start passes it, plus --exact):
+// the coordinator's WORKER_HELLO fingerprint must match it, and the other
+// two servers use the same shape so one body fits all three.
 CoresetParams door_params() {
   return CoresetParams::practical(kK, LrOrder{2.0}, 0.3, 0.3);
 }
@@ -76,8 +76,10 @@ class Door {
       }
       case Kind::kCluster: {
         cluster::WorkerProcessOptions wopts;
-        wopts.binary = SKC_CLUSTER_HARNESS_BIN;
-        wopts.args = {"worker", "--exact"};
+        wopts.binary = SKC_CLI_BIN;
+        wopts.args = {"worker", std::to_string(kDim), std::to_string(kK), "2",
+                      std::to_string(kLogDelta), "--eps", "0.3", "--eta", "0.3",
+                      "--seed", "20230614", "--queue-capacity", "8192", "--exact"};
         worker_ = std::make_unique<cluster::WorkerProcess>();
         if (!worker_->spawn(wopts)) {
           error = worker_->error();

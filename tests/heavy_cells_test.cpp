@@ -6,6 +6,7 @@
 #include <numeric>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "skc/stream/generators.h"
 #include "test_util.h"
@@ -172,6 +173,225 @@ TEST(MarkCells, NonHeavyRootBlocksEverything) {
   const CellMarking marking = mark_cells(grid, small_params(), 1e15, estimates, 1.0);
   ASSERT_FALSE(marking.fail);
   EXPECT_EQ(marking.total_heavy, 0);
+}
+
+// --- walk_heavy_cells against mark_cells, its reference on a cell list. ---
+
+using EstimateTable = std::unordered_map<CellKey, double, CellKeyHash>;
+
+/// The table as mark_cells reads it: per-level lists for levels 0..L-1.
+LevelEstimates as_levels(const EstimateTable& table, int log_delta) {
+  LevelEstimates out(static_cast<std::size_t>(log_delta));
+  for (const auto& [cell, estimate] : table) {
+    if (cell.level < log_delta) {
+      out[static_cast<std::size_t>(cell.level)].push_back(
+          EstimatedCell{cell.index, estimate});
+    }
+  }
+  return out;
+}
+
+HeavyWalk walk_table(const HierarchicalGrid& grid, const PartitionParams& params,
+                     double o, const EstimateTable& table, double total,
+                     const LevelGate& gate = {}) {
+  return walk_heavy_cells(
+      grid, params, o, total,
+      [&table](const CellKey& cell) {
+        const auto it = table.find(cell);
+        return it == table.end() ? 0.0 : it->second;
+      },
+      gate);
+}
+
+/// The walk's verdict, heavy sets and parts against mark_cells on the same
+/// estimates: every part sits under a heavy cell and holds exactly its
+/// non-heavy children with a positive estimate, each with its table value.
+void expect_walk_matches_marking(const HierarchicalGrid& grid,
+                                 const PartitionParams& params, double o,
+                                 const EstimateTable& table, double total) {
+  const int L = grid.log_delta();
+  const HeavyWalk walk = walk_table(grid, params, o, table, total);
+  const CellMarking marking = mark_cells(grid, params, o, as_levels(table, L), total);
+  ASSERT_EQ(walk.fail, marking.fail) << "o = " << o;
+  EXPECT_EQ(walk.fail_reason, marking.fail_reason);
+  EXPECT_EQ(walk.total_heavy, marking.total_heavy);
+  ASSERT_EQ(walk.heavy.size(), marking.heavy.size());
+  for (std::size_t slot = 0; slot < walk.heavy.size(); ++slot) {
+    const std::unordered_set<CellKey, CellKeyHash> heavy(walk.heavy[slot].begin(),
+                                                         walk.heavy[slot].end());
+    EXPECT_EQ(heavy.size(), walk.heavy[slot].size()) << "duplicate heavy cell";
+    EXPECT_EQ(heavy, marking.heavy[slot])
+        << "o = " << o << ", level " << static_cast<int>(slot) - 1;
+  }
+  if (walk.fail) return;
+  ASSERT_EQ(walk.parts.size(), static_cast<std::size_t>(L + 1));
+  for (int i = 0; i <= L; ++i) {
+    std::size_t expected_parts = 0;
+    for (const CellKey& parent : walk.heavy[static_cast<std::size_t>(i)]) {
+      std::vector<std::pair<CellKey, double>> crucial;
+      for (const CellKey& child : grid.children(parent)) {
+        const auto it = table.find(child);
+        if (it != table.end() && it->second > 0.0 && !marking.is_heavy(child)) {
+          crucial.emplace_back(child, it->second);
+        }
+      }
+      if (crucial.empty()) continue;
+      ASSERT_LT(expected_parts, walk.parts[static_cast<std::size_t>(i)].size());
+      const EstimatedPart& part =
+          walk.parts[static_cast<std::size_t>(i)][expected_parts++];
+      EXPECT_EQ(part.parent, parent);
+      ASSERT_EQ(part.cells.size(), crucial.size());
+      double tau = 0.0;
+      for (std::size_t c = 0; c < crucial.size(); ++c) {
+        EXPECT_EQ(part.cells[c].cell, crucial[c].first);
+        EXPECT_EQ(part.cells[c].tau, crucial[c].second);
+        EXPECT_TRUE(part.cells[c].samples.empty());
+        EXPECT_FALSE(part.cells[c].incomplete);
+        tau += crucial[c].second;
+      }
+      EXPECT_EQ(part.tau, tau);
+    }
+    EXPECT_EQ(walk.parts[static_cast<std::size_t>(i)].size(), expected_parts);
+  }
+}
+
+TEST(HeavyWalk, MatchesMarkCellsOnSeededEstimateTables) {
+  PartitionParams params = small_params(3);
+  params.heavy_bound_const = 1.0;  // bound 88: small guesses FAIL
+  int passed = 0, failed = 0;
+  for (std::uint64_t seed = 11; seed < 15; ++seed) {
+    Rng rng(seed);
+    MixtureConfig cfg;
+    cfg.dim = 2;
+    cfg.log_delta = 7;
+    cfg.clusters = 3;
+    cfg.n = 900;
+    cfg.spread = 0.05;
+    const PointSet pts = gaussian_mixture(cfg, rng);
+    HierarchicalGrid grid(2, 7, rng);
+    // Exact counts of levels 0..L, each scaled by a seeded factor in
+    // [0.5, 1.5), as a sketch's estimates would wobble.
+    EstimateTable table;
+    for (int level = 0; level <= grid.log_delta(); ++level) {
+      for (PointIndex i = 0; i < pts.size(); ++i) {
+        table[grid.cell_of(pts[i], level)] += 1.0;
+      }
+    }
+    for (auto& [cell, estimate] : table) estimate *= 0.5 + rng.uniform();
+    for (double o = 1.0; o < 1e12; o *= 4.0) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << ", o " << o);
+      const auto total = static_cast<double>(pts.size());
+      expect_walk_matches_marking(grid, params, o, table, total);
+      const bool fail = walk_table(grid, params, o, table, total).fail;
+      (fail ? failed : passed) += 1;
+    }
+  }
+  // Both verdicts occur, so the comparison covers both.
+  EXPECT_GT(passed, 0);
+  EXPECT_GT(failed, 0);
+}
+
+TEST(HeavyWalk, FailsWhereTheRunningTotalPassesTheBound) {
+  Rng rng(9);
+  HierarchicalGrid grid(2, 6, rng);
+  const int L = grid.log_delta();
+  PartitionParams params = small_params(4);
+  params.heavy_bound_const = 0.25;  // bound 0.25 * (4 + 2^3) * 7 = 21
+  const double bound = heavy_cells_bound(params, 2, L);
+  const double o = 1e8;  // 1 < T_i(o) < 1e12 at every level
+  // Every level-0 cell is heavy, and below it the children of the first two
+  // heavy cells of the level above: 4, 8, 8, ... heavy cells per level, each
+  // under the bound, and 1 + 4 + 8 + 8 + 8 = 29 passes it at level 3.
+  // Every other child of a heavy cell is a light crucial cell.
+  EstimateTable table;
+  std::vector<CellKey> heavy = grid.children(CellKey{});
+  for (const CellKey& c : heavy) table[c] = 1e12;
+  for (int level = 1; level < L; ++level) {
+    std::vector<CellKey> next;
+    for (std::size_t h = 0; h < heavy.size(); ++h) {
+      for (const CellKey& child : grid.children(heavy[h])) {
+        table[child] = h < 2 ? 1e12 : 1.0;
+        if (h < 2) next.push_back(child);
+      }
+    }
+    heavy = std::move(next);
+  }
+  ASSERT_LE(8.0, bound);
+  ASSERT_GT(1.0 + 4.0 + 3.0 * 8.0, bound);
+  ASSERT_LE(1.0 + 4.0 + 2.0 * 8.0, bound);
+
+  const HeavyWalk walk = walk_table(grid, params, o, table, 1e12);
+  ASSERT_TRUE(walk.fail);
+  EXPECT_EQ(walk.fail_reason, "too many heavy cells (guess o too small)");
+  EXPECT_EQ(walk.total_heavy, 29);
+  const std::vector<std::size_t> per_level = {1, 4, 8, 8, 8, 0, 0};  // levels -1..5
+  for (std::size_t slot = 0; slot < walk.heavy.size(); ++slot) {
+    EXPECT_EQ(walk.heavy[slot].size(), per_level[slot])
+        << "level " << static_cast<int>(slot) - 1;
+  }
+  // Levels 1..3 were expanded (light siblings make parts there); nothing
+  // below the crossing level was.
+  for (std::size_t i = 1; i < walk.parts.size(); ++i) {
+    EXPECT_EQ(walk.parts[i].empty(), i > 3) << "level " << i;
+  }
+  expect_walk_matches_marking(grid, params, o, table, 1e12);
+
+  // Under a bound of 84, above the table's 45 heavy cells, it passes.
+  params.heavy_bound_const = 1.0;
+  EXPECT_FALSE(walk_table(grid, params, o, table, 1e12).fail);
+}
+
+TEST(HeavyWalk, TheGateRunsBeforeEachLevelAndCanFailIt) {
+  Rng rng(10);
+  MixtureConfig cfg;
+  cfg.dim = 2;
+  cfg.log_delta = 7;
+  cfg.clusters = 2;
+  cfg.n = 500;
+  const PointSet pts = gaussian_mixture(cfg, rng);
+  HierarchicalGrid grid(2, 7, rng);
+  const int L = grid.log_delta();
+  EstimateTable table;
+  for (int level = 0; level <= L; ++level) {
+    for (PointIndex i = 0; i < pts.size(); ++i) {
+      table[grid.cell_of(pts[i], level)] += 1.0;
+    }
+  }
+  const PartitionParams params = small_params(2);
+  const double o = 5e5;
+  const auto total = static_cast<double>(pts.size());
+  std::vector<int> gated;
+  const auto record = [&gated](int level) -> const char* {
+    gated.push_back(level);
+    return nullptr;
+  };
+  const HeavyWalk full = walk_table(grid, params, o, table, total, record);
+  ASSERT_FALSE(full.fail);
+  ASSERT_FALSE(full.heavy[4].empty());  // the walk goes below level 2
+  EXPECT_EQ(gated, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+
+  // A gate refusing level 3 FAILs the walk there, with its reason, before
+  // the level is expanded.
+  gated.clear();
+  const HeavyWalk cut = walk_table(grid, params, o, table, total, [&](int level) {
+    gated.push_back(level);
+    return level == 3 ? "level 3 refused" : nullptr;
+  });
+  ASSERT_TRUE(cut.fail);
+  EXPECT_EQ(cut.fail_reason, "level 3 refused");
+  EXPECT_EQ(gated, (std::vector<int>{0, 1, 2, 3}));
+  for (std::size_t i = 0; i < full.parts.size(); ++i) {
+    EXPECT_EQ(cut.parts[i].size(), i < 3 ? full.parts[i].size() : 0u) << "level " << i;
+  }
+  EXPECT_EQ(cut.heavy[3], full.heavy[3]);  // level 2, the last walked
+  EXPECT_TRUE(cut.heavy[4].empty());
+
+  // Below a non-heavy root every level is still gated.
+  gated.clear();
+  const HeavyWalk empty = walk_table(grid, params, o, table, 0.0, record);
+  ASSERT_FALSE(empty.fail);
+  EXPECT_EQ(empty.total_heavy, 0);
+  EXPECT_EQ(gated.size(), static_cast<std::size_t>(L + 1));
 }
 
 TEST(HeavyCellsBound, GrowsWithKAndL) {

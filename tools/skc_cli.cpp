@@ -29,8 +29,11 @@
 //   skc_cli flight   <host> <port> [out.json]           fetch the slow-query
 //                                                       flight recorder ring
 //   skc_cli worker   <dim> <k> [shards] [log_delta] [--port N] [--trace]
-//                    [--slow-ms <t>]                    cluster worker: engine
-//                                                       on TCP, prints PORT <n>
+//                    [--slow-ms <t>] [--seed X] [--eps E] cluster worker: engine
+//                    [--eta H] [--exact] [--max-points N] on TCP, prints PORT <n>
+//                    [--o-min V] [--o-max V] [--counting-samples V]
+//                    [--countmin-width W] [--countmin-depth D]
+//                    [--queue-capacity N] [--busy-backlog N]
 //   skc_cli coordinator <dim> <k> [log_delta] --worker host:port ...
 //                    [--tcp N] [--trace] [--slow-ms <t>]
 //                                                       cluster front end over
@@ -69,6 +72,11 @@ int usage() {
                "  skc_cli flight   <host> <port> [out.json]\n"
                "  skc_cli worker   <dim> <k> [shards=4] [log_delta=12] "
                "[--port N] [--trace] [--slow-ms <t>]\n"
+               "                   [--seed X] [--eps E] [--eta H] [--exact] "
+               "[--max-points N] [--o-min V] [--o-max V]\n"
+               "                   [--counting-samples V] [--countmin-width W] "
+               "[--countmin-depth D]\n"
+               "                   [--queue-capacity N] [--busy-backlog N]\n"
                "  skc_cli coordinator <dim> <k> [log_delta=12] "
                "--worker host:port [--worker ...] [--tcp N]\n"
                "                   [--trace] [--slow-ms <t>]\n");
@@ -721,28 +729,68 @@ int cmd_client(int argc, char** argv) {
   return 0;
 }
 
-// Cluster worker: one engine behind an EngineServer, configured exactly
-// like `skc_cli coordinator` configures itself (CoresetParams::practical
-// with eps = eta = 0.2 — the WORKER_HELLO fingerprint handshake refuses a
-// drifted pairing).  Prints "PORT <n>" on stdout so spawners (and humans)
-// learn the kernel-assigned port when started with --port 0.
+// Cluster worker: one engine behind an EngineServer.  By default it is
+// configured exactly like `skc_cli coordinator` configures itself
+// (CoresetParams::practical with eps = eta = 0.2); the named flags change
+// the coreset and engine options, and the coordinator must use the same
+// ones (the WORKER_HELLO fingerprint handshake refuses a drifted pairing).
+// Prints "PORT <n>" on stdout so spawners (cluster::WorkerProcess, and
+// humans) learn the kernel-assigned port when started with --port 0.
 int cmd_worker(int argc, char** argv) {
   std::vector<const char*> pos;
   long port = 0;
+  double eps = 0.2, eta = 0.2;
+  const char* seed = nullptr;  // practical()'s default seed unless given
+  EngineOptions opts;
+  net::ServerOptions sopts;
   for (int i = 2; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--port")) {
-      if (i + 1 >= argc) return usage();
-      port = std::atol(argv[++i]);
-      if (port < 0 || port > 65535) return usage();
-    } else if (!std::strcmp(argv[i], "--trace")) {
+    const char* flag = argv[i];
+    if (!std::strcmp(flag, "--trace")) {
       obs::Tracer::instance().set_enabled(true);
-    } else if (!std::strcmp(argv[i], "--slow-ms")) {
-      if (i + 1 >= argc) return usage();
-      const double threshold = std::atof(argv[++i]);
+      continue;
+    }
+    if (!std::strcmp(flag, "--exact")) {
+      opts.streaming.exact_storing = true;
+      continue;
+    }
+    if (std::strncmp(flag, "--", 2) != 0) {
+      pos.push_back(flag);
+      continue;
+    }
+    if (i + 1 >= argc) return usage();
+    const char* value = argv[++i];
+    if (!std::strcmp(flag, "--port")) {
+      port = std::atol(value);
+      if (port < 0 || port > 65535) return usage();
+    } else if (!std::strcmp(flag, "--slow-ms")) {
+      const double threshold = std::atof(value);
       if (threshold < 0) return usage();
       obs::FlightRecorder::instance().set_threshold_millis(threshold);
+    } else if (!std::strcmp(flag, "--seed")) {
+      seed = value;
+    } else if (!std::strcmp(flag, "--eps")) {
+      eps = std::atof(value);
+    } else if (!std::strcmp(flag, "--eta")) {
+      eta = std::atof(value);
+    } else if (!std::strcmp(flag, "--max-points")) {
+      opts.streaming.max_points = static_cast<PointIndex>(std::atoll(value));
+    } else if (!std::strcmp(flag, "--o-min")) {
+      opts.streaming.o_min = std::atof(value);
+    } else if (!std::strcmp(flag, "--o-max")) {
+      opts.streaming.o_max = std::atof(value);
+    } else if (!std::strcmp(flag, "--counting-samples")) {
+      opts.streaming.counting_samples = std::atof(value);
+    } else if (!std::strcmp(flag, "--countmin-width")) {
+      opts.streaming.countmin_width = std::atoi(value);
+    } else if (!std::strcmp(flag, "--countmin-depth")) {
+      opts.streaming.countmin_depth = std::atoi(value);
+    } else if (!std::strcmp(flag, "--queue-capacity")) {
+      opts.queue_capacity = static_cast<std::size_t>(std::atol(value));
+    } else if (!std::strcmp(flag, "--busy-backlog")) {
+      sopts.busy_backlog = std::atoll(value);
     } else {
-      pos.push_back(argv[i]);
+      std::fprintf(stderr, "error: unknown flag %s\n", flag);
+      return usage();
     }
   }
   if (pos.size() < 2) return usage();
@@ -752,13 +800,12 @@ int cmd_worker(int argc, char** argv) {
   const int log_delta = pos.size() >= 4 ? std::atoi(pos[3]) : 12;
   if (dim < 1 || k < 1 || shards < 1 || log_delta < 2) return usage();
 
-  const CoresetParams params = CoresetParams::practical(k, LrOrder{2.0}, 0.2, 0.2);
-  EngineOptions opts;
+  CoresetParams params = CoresetParams::practical(k, LrOrder{2.0}, eps, eta);
+  if (seed) params.seed = std::strtoull(seed, nullptr, 10);
   opts.num_shards = shards;
   opts.streaming.log_delta = log_delta;
   ClusteringEngine engine(dim, params, opts);
 
-  net::ServerOptions sopts;
   sopts.port = static_cast<std::uint16_t>(port);
   net::EngineServer server(engine, sopts);
   std::string error;
