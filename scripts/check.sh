@@ -28,9 +28,10 @@ ctest --test-dir build --output-on-failure
 # every rate class of the per-level point store must match the per-(level,
 # phi) store it replaced (PointStoreOracle), the per-level CountMin (one
 # column per keep bound) must match the per-guess CountMins it replaced,
-# every loader must refuse malformed blobs and STRM2/STRM3/STRM4 ones
-# (DESIGN.md §12), seeded mutants of every persisted format must be
-# refused or round-trip without a large allocation (PersistedMutants),
+# every loader must refuse malformed blobs (a run-coded CountMin block
+# included) and STRM2/STRM3/STRM4/STRM5 ones (DESIGN.md §12), seeded
+# mutants of every persisted format must be refused or round-trip without
+# a large allocation (PersistedMutants),
 # finalize over live builders must equal finalize of their fold
 # (ShardFinalize), the sketch paths' heavy-cell walk must match
 # mark_cells, its reference (HeavyWalk), the offline constructions must

@@ -406,10 +406,13 @@ namespace {
 // hashes with the level seed, so a STRM2 blob's counters would load into
 // the wrong slots), STRM3 -> STRM4 when a level's CountMin kept one column
 // per distinct keep bound instead of one per live guess (a STRM3 blob's
-// counters would be read at the wrong strides), and STRM4 -> STRM5 when the
+// counters would be read at the wrong strides), STRM4 -> STRM5 when the
 // pool of one store per (level, phi) became one store per level holding
-// every rate class: a STRM4 store record would be read as per-class views.
-constexpr std::uint64_t kCheckpointMagic = 0x534b435354524d35ULL;  // "SKCSTRM5"
+// every rate class: a STRM4 store record would be read as per-class views,
+// and STRM5 -> STRM6 when a level's counter block came to be written as zero
+// runs and literal runs instead of every counter: a STRM5 counter count
+// would be read as a run count.
+constexpr std::uint64_t kCheckpointMagic = 0x534b435354524d36ULL;  // "SKCSTRM6"
 }
 
 void StreamingCoresetBuilder::save(serial::Writer& out) const {

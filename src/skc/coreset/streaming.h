@@ -188,7 +188,7 @@ class StreamingCoresetBuilder {
     return guesses_[static_cast<std::size_t>(guess)].phi[static_cast<std::size_t>(level)];
   }
 
-  /// Checkpointing: save() appends the full builder state (a STRM5 blob);
+  /// Checkpointing: save() appends the full builder state (a STRM6 blob);
   /// load() reads one into a builder constructed with IDENTICAL (dim,
   /// params, options) — a configuration fingerprint is verified and load()
   /// returns false on mismatch, truncation or a record no history writes

@@ -26,7 +26,7 @@ constexpr std::uint64_t kEngineFooter = 0x534b43454e444f4bULL;  // "SKCENDOK"
 // Version 2 wraps the body in a [size u64][crc64 u64][payload] frame so
 // corruption anywhere in the file fails the restore up front.  Version 1
 // (no frame) is refused: its files predate STRM3 builders, and load()
-// accepts only STRM5 ones anyway.
+// accepts only STRM6 ones anyway.
 constexpr std::uint32_t kEngineVersion = 2;
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include "skc/sketch/countmin.h"
 
+#include <cstring>
 #include <functional>
 #include <iterator>
+#include <limits>
 
 #include "skc/common/check.h"
 #include "skc/common/serial.h"
@@ -42,6 +44,7 @@ CellCountMin::CellCountMin(const HierarchicalGrid& grid, int level,
   fold_ = VectorFold(rng);
   row_hash_.reserve(static_cast<std::size_t>(config.depth));
   for (int r = 0; r < config.depth; ++r) row_hash_.emplace_back(8, rng);
+  SKC_CHECK(slots() * live() <= std::numeric_limits<std::uint32_t>::max());
   counters_.assign(slots() * live(), 0);
 }
 
@@ -211,7 +214,23 @@ void CellCountMin::merge(const CellCountMin& other) {
 
 void CellCountMin::save(serial::Writer& out) const {
   out.put<std::uint64_t>(static_cast<std::uint64_t>(lo_));
-  out.put_vector(counters_);
+  // The block as maximal runs: zeros, then the nonzero counters after them.
+  const std::size_t runs_at = out.size();
+  out.put<std::uint64_t>(0);
+  std::uint64_t runs = 0;
+  const std::int64_t* c = counters_.data();
+  const std::size_t n = counters_.size();
+  for (std::size_t at = 0; at < n; ++runs) {
+    std::size_t literal = at;
+    while (literal < n && c[literal] == 0) ++literal;
+    std::size_t end = literal;
+    while (end < n && c[end] != 0) ++end;
+    out.put(static_cast<std::uint32_t>(literal - at));
+    out.put(static_cast<std::uint32_t>(end - literal));
+    out.put_array(c + literal, end - literal);
+    at = end;
+  }
+  out.put_at(runs_at, runs);
   out.put<std::uint64_t>(exact_.size());
   for (const auto* entry : in_cell_order(exact_)) {
     out.put_vector(entry->first.index);
@@ -231,19 +250,40 @@ bool CellCountMin::load(serial::Reader& in) {
   if (!in.get(lo) || lo > keep_below_.size()) return fail();
   lo_ = static_cast<int>(lo);
   empty_ = false;
-  // Read the counters in place, into exactly the block the live columns
-  // need: a restore then never holds the constructor's block and a second
-  // copy at once.
+  const auto bounded = [](std::int64_t c) { return c >= -kMaxEvents && c <= kMaxEvents; };
+  // Decode in place, into exactly the block the live columns need: the
+  // constructor's when the sizes agree, else one allocated after the old
+  // one is freed, so a restore never holds two blocks at once.
   const std::size_t want = config_.exact ? 0 : slots() * live();
-  const auto bounded = [](const std::vector<std::int64_t>& v) {
-    return std::all_of(v.begin(), v.end(), [](std::int64_t c) {
-      return c >= -kMaxEvents && c <= kMaxEvents;
-    });
-  };
-  std::uint64_t count = 0;
-  if (!in.get(count) || count != want) return fail();
-  if (counters_.capacity() != want) std::vector<std::int64_t>().swap(counters_);
-  if (!in.get_array(count, counters_) || !bounded(counters_)) return fail();
+  if (counters_.size() == want) {
+    std::fill(counters_.begin(), counters_.end(), 0);
+  } else {
+    std::vector<std::int64_t>().swap(counters_);
+    counters_.resize(want);
+  }
+  std::uint64_t runs = 0;
+  if (!in.get(runs)) return fail();
+  std::size_t at = 0;
+  for (std::uint64_t r = 0; r < runs; ++r) {
+    std::uint32_t zeros = 0, literals = 0;
+    std::string_view bytes;
+    if (!in.get(zeros) || !in.get(literals)) return fail();
+    const std::uint64_t covers = std::uint64_t{zeros} + literals;
+    // A run covers part of what is left of the block, and runs are maximal:
+    // only the first starts without zeros, only the last ends without
+    // literals.
+    if (covers == 0 || covers > want - at) return fail();
+    if ((r > 0 && zeros == 0) || (literals == 0 && covers != want - at)) return fail();
+    if (!in.get_view(std::uint64_t{literals} * sizeof(std::int64_t), bytes)) return fail();
+    std::int64_t* dst = counters_.data() + at + zeros;
+    std::memcpy(dst, bytes.data(), bytes.size());
+    if (!std::all_of(dst, dst + literals,
+                     [&](std::int64_t c) { return c != 0 && bounded(c); })) {
+      return fail();
+    }
+    at += static_cast<std::size_t>(covers);
+  }
+  if (at != want) return fail();
   std::uint64_t entries = 0;
   if (!in.get(entries) || (!config_.exact && entries != 0)) return fail();
   exact_.clear();
@@ -253,7 +293,8 @@ bool CellCountMin::load(serial::Reader& in) {
     std::vector<std::int64_t> counts;
     if (!in.get_vector(key.index) ||
         key.index.size() != static_cast<std::size_t>(grid_->dim()) ||
-        !in.get_vector(counts) || counts.size() != live() || !bounded(counts) ||
+        !in.get_vector(counts) || counts.size() != live() ||
+        !std::all_of(counts.begin(), counts.end(), bounded) ||
         !exact_.emplace(std::move(key), std::move(counts)).second) {
       return fail();
     }

@@ -113,9 +113,16 @@ class CellCountMin {
   /// bytes; load() accepts any order); the hashes and the column map are
   /// re-derived from the constructor arguments, so load() must be called on
   /// a structure built with identical arguments.
+  /// The counter block is written as runs: a u64 run count, then per run a
+  /// u32 zero-run length, a u32 literal-run length and that many nonzero
+  /// int64 counters.  Runs are maximal (only the first may start without
+  /// zeros, only the last may end without literals), so equal counters
+  /// give equal bytes.  load() decodes into the block the live columns
+  /// need and allocates nothing the input sizes.
   /// load() returns false on truncation, on any layout that disagrees with
-  /// the construction, or on a counter past ±kMaxEvents, and leaves every
-  /// guess pruned then.
+  /// the construction (a run that covers nothing, runs past the block or
+  /// short of it, a run split in two, a zero literal), or on a counter past
+  /// ±kMaxEvents, and leaves every guess pruned then.
   void save(serial::Writer& out) const;
   bool load(serial::Reader& in);
 
@@ -157,7 +164,8 @@ class CellCountMin {
   VectorFold fold_;
   std::vector<KWiseHash> row_hash_;
   // Sketch mode: depth * width * live() counters,
-  // [row][slot][column - first_column(lo)].
+  // [row][slot][column - first_column(lo)]; at most 2^32 - 1 of them, so a
+  // run length fits its u32.
   std::vector<std::int64_t> counters_;
   // Exact mode: cell -> live() column counts; a row whose counts are all
   // zero is dropped.

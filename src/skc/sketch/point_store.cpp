@@ -609,7 +609,7 @@ void CellPointStore::merge(const CellPointStore& other) {
 }
 
 void CellPointStore::save(serial::Writer& out) const {
-  // STRM5 records: the live class count (so a reader can walk the record
+  // Store records (since STRM5): the live class count (so a reader can walk the record
   // without the construction), per live class its state, then per cell its
   // index row as put_vector writes it (entry count, entries), its view
   // count (views from the first live class not dead), and per view its

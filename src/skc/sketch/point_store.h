@@ -176,13 +176,13 @@ class CellPointStore {
   /// record (the tables stay at most half full); 0 for a dead view.
   std::size_t view_bytes(int cls) const;
 
-  /// Checkpointing (the store record of STRM5 builder blobs): the live class
-  /// count, per live class its death flag, events and live points, then
-  /// every cell with its index row and, per class from the first live one
-  /// not dead up to the cell's highest, its net, peak, tombstone and the
-  /// points of that class.  Released classes are not written: load() reads
-  /// a blob written by a store of the same construction whose lo() was
-  /// `lo`, and takes that lo().  load() fails closed on a record the store
+  /// Checkpointing (the store record of STRM6 builder blobs, unchanged since
+  /// STRM5): the live class count, per live class its death flag, events
+  /// and live points, then every cell with its index row and, per class
+  /// from the first live one not dead up to the cell's highest, its net,
+  /// peak, tombstone and the points of that class.  Released classes are
+  /// not written: load() reads a blob written by a store of the same
+  /// construction whose lo() was `lo`, and takes that lo().  load() fails closed on a record the store
   /// could never have written: a live class count other than the
   /// construction's past `lo`, a cell row or point record of the wrong
   /// length, a cell with no view record or more than the live classes, a

@@ -9,6 +9,7 @@
 #include "skc/common/random.h"
 #include "skc/common/serial.h"
 #include "skc/net/frame.h"
+#include "skc/obs/trace.h"
 #include "skc/parallel/thread_pool.h"
 
 namespace skc::tenant {
@@ -280,19 +281,27 @@ bool TenantRegistry::ensure_resident_locked(Tenant& t) {
 
 bool TenantRegistry::spill_locked(Tenant& t) {
   if (options_.spill_dir.empty() || !t.engine) return false;
+  SKC_TRACE_SPAN("spill");
   const std::string path = spill_path(t.id);
   serial::Writer out;
   out.put(kSpillMagic);
   out.put<std::uint32_t>(static_cast<std::uint32_t>(t.rung));
   out.put<std::uint8_t>(t.sealed ? 1 : 0);
   put_replay(out, t.replay);
-  t.engine->save_state(out);
+  {
+    SKC_TRACE_SPAN("save_state");
+    t.engine->save_state(out);
+  }
   // Write to a sibling temp file and rename into place only after a clean
   // write: a crash mid-spill must never leave a torn file at the canonical
   // path (the tenant would fail restore on every later touch).
   const std::string tmp = path + ".tmp";
-  if (!serial::write_file(tmp, out.view()) ||
-      std::rename(tmp.c_str(), path.c_str()) != 0) {
+  const bool written = [&] {
+    SKC_TRACE_SPAN("write_file");
+    return serial::write_file(tmp, out.view()) &&
+           std::rename(tmp.c_str(), path.c_str()) == 0;
+  }();
+  if (!written) {
     spill_failures_.fetch_add(1, std::memory_order_relaxed);
     std::remove(tmp.c_str());
     return false;
@@ -307,9 +316,13 @@ bool TenantRegistry::spill_locked(Tenant& t) {
 }
 
 bool TenantRegistry::restore_locked(Tenant& t) {
+  SKC_TRACE_SPAN("restore");
   const std::string path = spill_path(t.id);
   std::string bytes;
-  if (!serial::read_file(path, bytes)) return false;
+  {
+    SKC_TRACE_SPAN("read_file");
+    if (!serial::read_file(path, bytes)) return false;
+  }
   serial::Reader in(bytes);
   std::uint64_t magic = 0;
   std::uint32_t rung = 0;
@@ -320,7 +333,10 @@ bool TenantRegistry::restore_locked(Tenant& t) {
   EventBatch replay;
   if (!get_replay(in, options_.dim, options_.replay_capacity, replay)) return false;
   std::unique_ptr<ClusteringEngine> engine = make_engine(t, t.rung);
-  if (!engine->load_state(in.rest())) return false;
+  {
+    SKC_TRACE_SPAN("load_state");
+    if (!engine->load_state(in.rest())) return false;
+  }
   t.engine = std::move(engine);
   t.replay = std::move(replay);
   t.resident.store(true, std::memory_order_release);

@@ -27,7 +27,7 @@
 //
 //   LRU spill  above `max_resident` live engines, the least-recently-used
 //              tenant is checkpointed to disk (engine save_state — the
-//              CRC-framed STRM5-backed format — plus the replay buffer,
+//              CRC-framed STRM6-backed format — plus the replay buffer,
 //              under its own CRC-64)
 //              and its engine freed; the next touch restores it
 //              transparently.  HLL, quota, and stats state stay in RAM

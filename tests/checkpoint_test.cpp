@@ -3,6 +3,7 @@
 // uninterrupted run exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -269,16 +270,17 @@ TEST(Checkpoint, ExactModeRoundTripsToo) {
 }
 
 // ---------------------------------------------------------------------------
-// STRM5: the builder layout with one CountMin per level (one counter column
-// per distinct keep bound) and one point store per level (one view per rate
-// class).  Blobs in the older layouts, STRM2 (one CountMin per guess and
-// level, every guess with its own hashes), STRM3 (one counter column per
-// live guess) and STRM4 (one point store per level and phi), must be
-// refused by every loader, and each rule load() enforces on the level
-// CountMins must refuse a blob that breaks only that rule.
+// STRM6: the builder layout with one CountMin per level (one counter column
+// per distinct keep bound, the counter block written as zero runs and
+// literal runs) and one point store per level (one view per rate class).
+// Blobs in the older layouts, STRM2 (one CountMin per guess and level, every
+// guess with its own hashes), STRM3 (one counter column per live guess),
+// STRM4 (one point store per level and phi) and STRM5 (every counter of the
+// block written), must be refused by every loader, and each rule load()
+// enforces on the level CountMins must refuse a blob that breaks only that
+// rule.
 
-/// The options tests/golden/strm2_builder.hex, strm3_builder.hex and
-/// strm4_builder.hex were written with.
+/// The options tests/golden/strm{2,3,4,5}_builder.hex were written with.
 StreamingOptions strm2_options() {
   StreamingOptions opt;
   opt.log_delta = 3;
@@ -293,6 +295,22 @@ StreamingOptions strm2_options() {
 }
 
 const Coord kStrm2Points[][2] = {{1, 1}, {2, 1}, {7, 8}, {8, 8}, {3, 5}, {6, 2}};
+
+/// The magic of layout version `version`: "SKCSTRM" then the version digit,
+/// which is the low byte.
+constexpr std::uint64_t strm_magic(char version) {
+  return 0x534b435354524d00ULL | static_cast<unsigned char>(version);
+}
+
+std::uint64_t u64_at(const std::string& blob, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, blob.data() + at, sizeof v);
+  return v;
+}
+
+void set_u64(std::string& blob, std::size_t at, std::uint64_t v) {
+  std::memcpy(blob.data() + at, &v, sizeof v);
+}
 
 std::string read_hex_golden(const char* name) {
   std::ifstream in(std::string(SKC_GOLDEN_DIR) + "/" + name);
@@ -309,9 +327,7 @@ std::string read_hex_golden(const char* name) {
 TEST(Checkpoint, RefusesAStrm2BlobAtLoadAndAtImport) {
   const std::string blob = read_hex_golden("strm2_builder.hex");
   ASSERT_EQ(blob.size(), 3184u);
-  std::uint64_t magic = 0;
-  std::memcpy(&magic, blob.data(), sizeof magic);
-  ASSERT_EQ(magic, 0x534b435354524d32ULL);  // "SKCSTRM2"
+  ASSERT_EQ(u64_at(blob, 0), strm_magic('2'));
   const CoresetParams params = CoresetParams::practical(2, LrOrder{2.0}, 0.3, 0.3);
 
   StreamingCoresetBuilder builder(2, params, strm2_options());
@@ -326,8 +342,7 @@ TEST(Checkpoint, RefusesAStrm2BlobAtLoadAndAtImport) {
   today.consume(EventBatch(events, 2));
   std::stringstream current;
   today.save(current);
-  std::memcpy(&magic, current.str().data(), sizeof magic);
-  EXPECT_EQ(magic, 0x534b435354524d35ULL);  // "SKCSTRM5"
+  EXPECT_EQ(u64_at(current.str(), 0), strm_magic('6'));
   StreamingCoresetBuilder thawed(2, params, strm2_options());
   EXPECT_TRUE(thawed.load(current));
 
@@ -386,20 +401,23 @@ std::string with_last_shard(const std::string& state, std::size_t at,
   return out + payload;
 }
 
-/// The STRM3 golden blob carrying the seed of the builder blob at `at` in
-/// `state`, so only its layout differs from what that builder writes.
-std::string strm3_blob_with_seed_of(const std::string& state, std::size_t at) {
-  std::string blob = read_hex_golden("strm3_builder.hex");
-  std::memcpy(blob.data() + 16, state.data() + at + 16, sizeof(std::uint64_t));
-  return blob;
+/// `old` carrying the seed of the builder blob at `at` in `state`, so only
+/// its layout differs from what that builder writes.
+std::string with_seed_of(std::string old, const std::string& state, std::size_t at) {
+  std::memcpy(old.data() + 16, state.data() + at + 16, sizeof(std::uint64_t));
+  return old;
 }
 
-TEST(Checkpoint, RefusesAStrm3BlobAtLoadAndAtImport) {
-  const std::string blob = read_hex_golden("strm3_builder.hex");
-  ASSERT_EQ(blob.size(), 2880u);
-  std::uint64_t magic = 0;
-  std::memcpy(&magic, blob.data(), sizeof magic);
-  ASSERT_EQ(magic, 0x534b435354524d33ULL);  // "SKCSTRM3"
+/// The golden blob `name` (`bytes` long, layout `version`, the events of
+/// kStrm2Points and one delete) must be refused by load(), import_sketch(),
+/// engine restore() and a .tnt restore, each leaving the state as it was.
+/// Relabelled with today's magic it is refused by its first level's counter
+/// section: the old u64 counter count reads as the run count and the first
+/// counter, 0 in every golden, as a run that covers nothing.
+void expect_every_loader_refuses(const char* name, std::size_t bytes, char version) {
+  const std::string blob = read_hex_golden(name);
+  ASSERT_EQ(blob.size(), bytes);
+  ASSERT_EQ(u64_at(blob, 0), strm_magic(version));
   const CoresetParams params = CoresetParams::practical(2, LrOrder{2.0}, 0.3, 0.3);
   Stream events;
   for (const auto& p : kStrm2Points) events.push_back({StreamOp::kInsert, Point{p[0], p[1]}});
@@ -414,16 +432,18 @@ TEST(Checkpoint, RefusesAStrm3BlobAtLoadAndAtImport) {
     std::istringstream old_blob(blob);
     EXPECT_FALSE(builder.load(old_blob));
     EXPECT_EQ(blob_of(builder), held);
-    // Every guess keeps every event here, so STRM3 holds four columns a
-    // slot where STRM5 holds one: relabelled STRM5, its counter counts
-    // disagree with the layout and it is refused all the same.
+    // Header (24 bytes), guess count, net count, events, 4 pruned flags,
+    // then the first level's lo and counter count.
+    constexpr std::size_t kFirstCounterAt = 24 + 3 * 8 + 4 + 2 * 8;
+    ASSERT_EQ(u64_at(blob, kFirstCounterAt), 0u);
     std::string relabelled = blob;
-    relabelled[0] = '5';  // the magic's low byte: "SKCSTRM3" -> "SKCSTRM5"
-    std::memcpy(&magic, relabelled.data(), sizeof magic);
-    ASSERT_EQ(magic, 0x534b435354524d35ULL);
+    relabelled[0] = '6';
+    ASSERT_EQ(u64_at(relabelled, 0), strm_magic('6'));
     std::istringstream relabelled_in(relabelled);
     StreamingCoresetBuilder fresh(2, params, strm2_options());
     EXPECT_FALSE(fresh.load(relabelled_in));
+    EXPECT_EQ(fresh.level_counts(0).lo(), fresh.level_counts(0).guesses())
+        << "a refused counter section leaves every guess pruned";
     // The same events written today load: the refusal is the layout's.
     std::istringstream today(held);
     EXPECT_TRUE(fresh.load(today));
@@ -457,9 +477,8 @@ TEST(Checkpoint, RefusesAStrm3BlobAtLoadAndAtImport) {
     ASSERT_EQ(with_last_shard(state, at, std::string_view(state).substr(at, state.size() - 8 - at)),
               state)
         << "the splice must be exact";
-    const std::string path = testutil::temp_path("strm3-engine.ckpt");
-    ASSERT_TRUE(serial::write_file(path, with_last_shard(state, at,
-                                                         strm3_blob_with_seed_of(state, at))));
+    const std::string path = testutil::temp_path(std::string(name) + ".ckpt");
+    ASSERT_TRUE(serial::write_file(path, with_last_shard(state, at, with_seed_of(blob, state, at))));
     EXPECT_FALSE(engine.restore(path));
     unchanged("restore");
     ASSERT_TRUE(serial::write_file(path, state));
@@ -479,16 +498,16 @@ TEST(Checkpoint, RefusesAStrm3BlobAtLoadAndAtImport) {
     o.pool_threads = 0;
     o.num_rungs = 1;
     o.max_resident = 1;
-    o.spill_dir = testutil::temp_path("strm3-spill");
+    o.spill_dir = testutil::temp_path(std::string(name) + "-spill");
     std::filesystem::create_directories(o.spill_dir);
     tenant::TenantRegistry reg(o);
-    ASSERT_EQ(reg.submit("strm3", events), tenant::Admit::kOk);
+    ASSERT_EQ(reg.submit("old", events), tenant::Admit::kOk);
     EngineQueryResult before, after;
-    ASSERT_EQ(reg.query("strm3", summary, before), tenant::Admit::kOk);
+    ASSERT_EQ(reg.query("old", summary, before), tenant::Admit::kOk);
     ASSERT_TRUE(before.ok) << before.error;
     ASSERT_EQ(reg.submit("other", Stream(events.begin(), events.begin() + 2)),
-              tenant::Admit::kOk);  // "strm3" spills
-    const std::string path = o.spill_dir + "/strm3.tnt";
+              tenant::Admit::kOk);  // "old" spills
+    const std::string path = o.spill_dir + "/old.tnt";
     std::string spill;
     ASSERT_TRUE(serial::read_file(path, spill)) << "expected a spill at " << path;
     // Magic, rung and sealed flag (13 bytes), an empty replay section (its
@@ -500,10 +519,10 @@ TEST(Checkpoint, RefusesAStrm3BlobAtLoadAndAtImport) {
     const std::size_t at = last_shard_at(state, params, o.engine.streaming, 1);
     ASSERT_TRUE(serial::write_file(
         path, spill.substr(0, engine_at) +
-                  with_last_shard(state, at, strm3_blob_with_seed_of(state, at))));
-    EXPECT_EQ(reg.query("strm3", summary, after), tenant::Admit::kError);
+                  with_last_shard(state, at, with_seed_of(blob, state, at))));
+    EXPECT_EQ(reg.query("old", summary, after), tenant::Admit::kError);
     ASSERT_TRUE(serial::write_file(path, spill));
-    ASSERT_EQ(reg.query("strm3", summary, after), tenant::Admit::kOk);
+    ASSERT_EQ(reg.query("old", summary, after), tenant::Admit::kOk);
     ASSERT_TRUE(after.ok) << after.error;
     EXPECT_EQ(after.net_points, 5);
     EXPECT_EQ(testutil::sequence(after.summary.points),
@@ -512,136 +531,32 @@ TEST(Checkpoint, RefusesAStrm3BlobAtLoadAndAtImport) {
   }
 }
 
-/// The STRM4 golden blob carrying the seed of the builder blob at `at` in
-/// `state`, so only its layout differs from what that builder writes.
-std::string strm4_blob_with_seed_of(const std::string& state, std::size_t at) {
-  std::string blob = read_hex_golden("strm4_builder.hex");
-  std::memcpy(blob.data() + 16, state.data() + at + 16, sizeof(std::uint64_t));
-  return blob;
+// STRM3 held one counter column per live guess: every guess keeps every
+// event here, so four columns a slot where today's block holds one.  Read
+// at today's strides it would answer with other guesses' counts.
+TEST(Checkpoint, RefusesAStrm3BlobAtLoadAndAtImport) {
+  expect_every_loader_refuses("strm3_builder.hex", 2880, '3');
 }
 
-// STRM4 kept one point store per (level, phi) in a pool; STRM5 keeps one per
-// level with a view per rate class.  A STRM4 blob's CountMin section reads
-// as STRM5's, so what refuses it is the magic, and relabelled, the store
-// section.
+// STRM4 kept one point store per (level, phi) in a pool; STRM5 and STRM6
+// keep one per level with a view per rate class.
 TEST(Checkpoint, RefusesAStrm4BlobAtLoadAndAtImport) {
-  const std::string blob = read_hex_golden("strm4_builder.hex");
-  ASSERT_EQ(blob.size(), 2112u);
-  std::uint64_t magic = 0;
-  std::memcpy(&magic, blob.data(), sizeof magic);
-  ASSERT_EQ(magic, 0x534b435354524d34ULL);  // "SKCSTRM4"
-  const CoresetParams params = CoresetParams::practical(2, LrOrder{2.0}, 0.3, 0.3);
-  Stream events;
-  for (const auto& p : kStrm2Points) events.push_back({StreamOp::kInsert, Point{p[0], p[1]}});
-  events.push_back({StreamOp::kDelete, Point{8, 8}});
-  EngineQuery summary;
-  summary.summary_only = true;
-
-  {  // load(): refused, and the builder keeps what it held
-    StreamingCoresetBuilder builder(2, params, strm2_options());
-    builder.consume(EventBatch(events, 2));
-    const std::string held = blob_of(builder);
-    std::istringstream old_blob(blob);
-    EXPECT_FALSE(builder.load(old_blob));
-    EXPECT_EQ(blob_of(builder), held);
-    // Relabelled STRM5, the pool's store count stands where the first
-    // level's class count belongs, and the blob is refused all the same.
-    std::string relabelled = blob;
-    relabelled[0] = '5';  // the magic's low byte: "SKCSTRM4" -> "SKCSTRM5"
-    std::memcpy(&magic, relabelled.data(), sizeof magic);
-    ASSERT_EQ(magic, 0x534b435354524d35ULL);
-    std::istringstream relabelled_in(relabelled);
-    StreamingCoresetBuilder fresh(2, params, strm2_options());
-    EXPECT_FALSE(fresh.load(relabelled_in));
-    // The same events written today load: the refusal is the layout's.
-    std::istringstream today(held);
-    EXPECT_TRUE(fresh.load(today));
-  }
-
-  {  // import_sketch(), and restore() of a checkpoint whose second shard is
-     // the blob: refused, and the engine answers as before
-    EngineOptions eopt;
-    eopt.num_shards = 2;
-    eopt.worker_threads = 0;
-    eopt.streaming = strm2_options();
-    ClusteringEngine engine(2, params, eopt);
-    engine.submit(events);
-    const EngineQueryResult before = engine.query(summary);
-    ASSERT_TRUE(before.ok) << before.error;
-    const auto unchanged = [&](const char* step) {
-      SCOPED_TRACE(step);
-      EXPECT_EQ(engine.net_count(), 5);
-      const EngineQueryResult after = engine.query(summary);
-      ASSERT_TRUE(after.ok) << after.error;
-      EXPECT_EQ(testutil::sequence(after.summary.points),
-                testutil::sequence(before.summary.points));
-    };
-    EXPECT_FALSE(engine.import_sketch(blob));
-    unchanged("import_sketch");
-
-    serial::Writer out;
-    engine.save_state(out);
-    const std::string state = out.take();
-    const std::size_t at = last_shard_at(state, params, eopt.streaming, 2);
-    const std::string path = testutil::temp_path("strm4-engine.ckpt");
-    ASSERT_TRUE(serial::write_file(path, with_last_shard(state, at,
-                                                         strm4_blob_with_seed_of(state, at))));
-    EXPECT_FALSE(engine.restore(path));
-    unchanged("restore");
-    ASSERT_TRUE(serial::write_file(path, state));
-    EXPECT_TRUE(engine.restore(path));
-    unchanged("restore of the intact checkpoint");
-    std::filesystem::remove(path);
-    engine.shutdown();
-  }
-
-  {  // a .tnt spill whose engine holds the blob: a typed error, and the
-     // intact spill still restores the tenant as it was
-    tenant::TenantRegistryOptions o;
-    o.dim = 2;
-    o.params = params;
-    o.engine.num_shards = 1;
-    o.engine.streaming = strm2_options();
-    o.pool_threads = 0;
-    o.num_rungs = 1;
-    o.max_resident = 1;
-    o.spill_dir = testutil::temp_path("strm4-spill");
-    std::filesystem::create_directories(o.spill_dir);
-    tenant::TenantRegistry reg(o);
-    ASSERT_EQ(reg.submit("strm4", events), tenant::Admit::kOk);
-    EngineQueryResult before, after;
-    ASSERT_EQ(reg.query("strm4", summary, before), tenant::Admit::kOk);
-    ASSERT_TRUE(before.ok) << before.error;
-    ASSERT_EQ(reg.submit("other", Stream(events.begin(), events.begin() + 2)),
-              tenant::Admit::kOk);  // "strm4" spills
-    const std::string path = o.spill_dir + "/strm4.tnt";
-    std::string spill;
-    ASSERT_TRUE(serial::read_file(path, spill)) << "expected a spill at " << path;
-    // Magic, rung and sealed flag (13 bytes), an empty replay section (its
-    // event count and CRC-64), then the engine's save_state.
-    const std::size_t engine_at = 13 + 8 + 8;
-    const std::string state = spill.substr(engine_at);
-    const std::size_t at = last_shard_at(state, params, o.engine.streaming, 1);
-    ASSERT_TRUE(serial::write_file(
-        path, spill.substr(0, engine_at) +
-                  with_last_shard(state, at, strm4_blob_with_seed_of(state, at))));
-    EXPECT_EQ(reg.query("strm4", summary, after), tenant::Admit::kError);
-    ASSERT_TRUE(serial::write_file(path, spill));
-    ASSERT_EQ(reg.query("strm4", summary, after), tenant::Admit::kOk);
-    ASSERT_TRUE(after.ok) << after.error;
-    EXPECT_EQ(after.net_points, 5);
-    EXPECT_EQ(testutil::sequence(after.summary.points),
-              testutil::sequence(before.summary.points));
-    std::filesystem::remove_all(o.spill_dir);
-  }
+  expect_every_loader_refuses("strm4_builder.hex", 2112, '4');
 }
 
-/// Byte offsets of the STRM5 fields the load rules read.
-struct Strm5Layout {
+// STRM5 wrote every counter of a level's block after a u64 counter count;
+// STRM6 writes the block as zero runs and literal runs after a run count.
+TEST(Checkpoint, RefusesAStrm5BlobAtLoadAndAtImport) {
+  expect_every_loader_refuses("strm5_builder.hex", 2280, '5');
+}
+
+/// Byte offsets of the STRM6 fields the load rules read.
+struct Strm6Layout {
   struct Level {
-    std::size_t lo = 0;        // u64 lo
-    std::size_t counters = 0;  // u64 counter count, then the counters
-    std::vector<std::size_t> rows;  // per exact row: u64 index length
+    std::size_t lo = 0;    // u64 lo
+    std::size_t runs = 0;  // u64 run count
+    std::vector<std::size_t> pairs;  // per run: u32 zeros, u32 literals, literals
+    std::vector<std::size_t> rows;   // per exact row: u64 index length
   };
   std::uint64_t guesses = 0;
   std::size_t flags = 0;  // one byte per guess
@@ -649,28 +564,32 @@ struct Strm5Layout {
   std::vector<std::size_t> distinct;  // per estimator: i32 shift
 };
 
-std::uint64_t u64_at(const std::string& blob, std::size_t at) {
-  std::uint64_t v = 0;
+std::uint32_t u32_at(const std::string& blob, std::size_t at) {
+  std::uint32_t v = 0;
   std::memcpy(&v, blob.data() + at, sizeof v);
   return v;
 }
 
-void set_u64(std::string& blob, std::size_t at, std::uint64_t v) {
+void set_u32(std::string& blob, std::size_t at, std::uint32_t v) {
   std::memcpy(blob.data() + at, &v, sizeof v);
 }
 
-Strm5Layout walk_strm5(const std::string& blob, int log_delta) {
-  Strm5Layout out;
+Strm6Layout walk_strm6(const std::string& blob, int log_delta) {
+  Strm6Layout out;
   std::size_t pos = 8 + 4 + 4 + 8;  // magic, dim, log_delta, seed
   out.guesses = u64_at(blob, pos);
   pos += 8 + 8 + 8;  // guess count, net count, events
   out.flags = pos;
   pos += out.guesses;
   for (int level = 0; level <= log_delta; ++level) {
-    Strm5Layout::Level lv;
+    Strm6Layout::Level lv;
     lv.lo = pos;
-    lv.counters = pos + 8;
-    pos = lv.counters + 8 + u64_at(blob, lv.counters) * 8;
+    lv.runs = pos + 8;
+    pos = lv.runs + 8;
+    for (std::uint64_t r = u64_at(blob, lv.runs); r > 0; --r) {
+      lv.pairs.push_back(pos);
+      pos += 8 + std::size_t{u32_at(blob, pos + 4)} * 8;  // zeros, literals, literals
+    }
     const std::uint64_t rows = u64_at(blob, pos);
     pos += 8;
     for (std::uint64_t r = 0; r < rows; ++r) {
@@ -681,8 +600,7 @@ Strm5Layout walk_strm5(const std::string& blob, int log_delta) {
     out.levels.push_back(std::move(lv));
   }
   for (int level = 0; level <= log_delta; ++level) {
-    std::uint32_t classes = 0;
-    std::memcpy(&classes, blob.data() + pos, sizeof classes);
+    std::uint32_t classes = u32_at(blob, pos);
     pos += 4 + std::size_t{classes} * (1 + 8 + 8);  // per class: dead, events, live
     std::uint64_t cells = u64_at(blob, pos);
     pos += 8;
@@ -725,7 +643,7 @@ TEST(Checkpoint, RefusesLevelCountMinsThatBreakTheLayout) {
     std::stringstream out;
     builder.save(out);
     const std::string blob = out.str();
-    const Strm5Layout layout = walk_strm5(blob, opt.log_delta);
+    const Strm6Layout layout = walk_strm6(blob, opt.log_delta);
     const auto loads = [&](const std::string& bytes) {
       StreamingCoresetBuilder fresh(2, params, opt);
       std::istringstream in(bytes);
@@ -755,21 +673,100 @@ TEST(Checkpoint, RefusesLevelCountMinsThatBreakTheLayout) {
       set_u64(bad, layout.levels[2].lo, layout.guesses + 1);
       EXPECT_FALSE(loads(bad));
     }
-    {  // a counter count other than depth x width x (G - lo)
-      std::string bad = blob;
-      const Strm5Layout::Level& lv = layout.levels[3];
-      const std::uint64_t n = u64_at(blob, lv.counters);
-      if (n > 0) {
-        set_u64(bad, lv.counters, n - 1);
-        bad.erase(lv.counters + 8, 8);
-      } else {
-        set_u64(bad, lv.counters, 1);
-        bad.insert(lv.counters + 8, 8, '\0');
+    const auto header = [](std::uint32_t zeros, std::uint32_t literals) {
+      std::string h(8, '\0');
+      set_u32(h, 0, zeros);
+      set_u32(h, 4, literals);
+      return h;
+    };
+    if (!exact) {
+      // The counter block's rules, each broken alone on the first level
+      // with a literal run of two or more counters; a refused level leaves
+      // every guess pruned.
+      const auto zeros = [&](std::size_t pair) { return u32_at(blob, pair); };
+      const auto literals = [&](std::size_t pair) { return u32_at(blob, pair + 4); };
+      const auto coded = std::find_if(layout.levels.begin(), layout.levels.end(),
+                                      [&](const Strm6Layout::Level& lv) {
+                                        return std::any_of(lv.pairs.begin(), lv.pairs.end(),
+                                                           [&](std::size_t p) {
+                                                             return literals(p) > 1;
+                                                           });
+                                      });
+      ASSERT_NE(coded, layout.levels.end());
+      ASSERT_GT(coded->pairs.size(), 2u);
+      const Strm6Layout::Level& lv = *coded;
+      const int level = static_cast<int>(coded - layout.levels.begin());
+      const auto refused = [&](const std::string& bad) {
+        StreamingCoresetBuilder fresh(2, params, opt);
+        std::istringstream in(bad);
+        EXPECT_FALSE(fresh.load(in));
+        EXPECT_EQ(fresh.level_counts(level).lo(), fresh.level_counts(level).guesses());
+      };
+      const std::uint64_t runs = u64_at(blob, lv.runs);
+      const auto with_runs = [&](std::uint64_t count) {
+        std::string bad = blob;
+        set_u64(bad, lv.runs, count);
+        return bad;
+      };
+      const std::size_t first = lv.pairs.front(), last = lv.pairs.back();
+      ASSERT_GT(literals(first), 0u);
+      {  // a run past the block: the last one zero longer
+        std::string bad = blob;
+        set_u32(bad, last, zeros(last) + 1);
+        refused(bad);
       }
+      {  // a zero literal
+        std::string bad = blob;
+        set_u64(bad, first + 8, 0);
+        refused(bad);
+      }
+      for (const std::int64_t past : {kMaxEvents + 1, -kMaxEvents - 1}) {
+        // a literal past ±kMaxEvents
+        std::string bad = blob;
+        set_u64(bad, first + 8, static_cast<std::uint64_t>(past));
+        refused(bad);
+      }
+      {  // runs that stop short of the block: the last one left out
+        std::string bad = with_runs(runs - 1);
+        bad.erase(last, 8 + std::size_t{literals(last)} * 8);
+        refused(bad);
+      }
+      // Runs that split one in two decode to the same counters, so they are
+      // refused too: equal counters have one coding.
+      const auto split_zeros = std::find_if(lv.pairs.begin(), lv.pairs.end(),
+                                            [&](std::size_t p) { return zeros(p) > 1; });
+      ASSERT_NE(split_zeros, lv.pairs.end());
+      {  // a zero run split by a run without literals
+        std::string bad = with_runs(runs + 1);
+        set_u32(bad, *split_zeros, zeros(*split_zeros) - 1);
+        bad.insert(*split_zeros, header(1, 0));
+        refused(bad);
+      }
+      const auto split_literals = std::find_if(lv.pairs.begin(), lv.pairs.end(),
+                                               [&](std::size_t p) { return literals(p) > 1; });
+      ASSERT_NE(split_literals, lv.pairs.end());
+      {  // a literal run split by a run without zeros
+        std::string bad = with_runs(runs + 1);
+        set_u32(bad, *split_literals + 4, 1);
+        bad.insert(*split_literals + 8 + 8, header(0, literals(*split_literals) - 1));
+        refused(bad);
+      }
+      continue;
+    }
+    // An exact level has no counter block, so no run fits: one with a
+    // literal is past the block, and an empty one, which breaks no other
+    // rule there, covers nothing.
+    const std::size_t runs = layout.levels[3].runs;
+    ASSERT_EQ(u64_at(blob, runs), 0u);
+    std::string literal(8, '\0');
+    set_u64(literal, 0, 1);
+    for (const std::string& run : {header(0, 1) + literal, header(0, 0)}) {
+      std::string bad = blob;
+      set_u64(bad, runs, 1);
+      bad.insert(runs + 8, run);
       EXPECT_FALSE(loads(bad));
     }
-    if (!exact) continue;
-    const Strm5Layout::Level& lv = layout.levels[4];
+    const Strm6Layout::Level& lv = layout.levels[4];
     ASSERT_GT(lv.rows.size(), 1u);
     const std::size_t row = lv.rows[0];
     const std::size_t counts = row + 8 + u64_at(blob, row) * 4;
@@ -808,7 +805,7 @@ TEST(Checkpoint, RefusesDistinctEstimatorsNoHistoryWrites) {
   Rng rng(8);
   engine.submit(insertion_stream(gaussian_mixture(mixture(600), rng)));
   const std::string blob = engine.export_sketch().blob;
-  const std::size_t at = walk_strm5(blob, 12).distinct.back();
+  const std::size_t at = walk_strm6(blob, 12).distinct.back();
   const std::uint64_t entries = u64_at(blob, at + 4);
   ASSERT_GT(entries, 0u);
   const std::size_t first = at + 4 + 8;  // the first entry: u64 2, 2 x i32, i64

@@ -310,7 +310,7 @@ TEST(Engine, ExportSketchFinalizesToTheQuerySummary) {
   }
 }
 
-/// Rewrites every point-store point record of a serialized builder (STRM5)
+/// Rewrites every point-store point record of a serialized builder (STRM6)
 /// to carry `extra` bytes after its coordinates; `rewritten` counts them.
 /// Walks the layout: header, the per-guess pruned flags, L+1 level
 /// CountMins, L+1 level point stores, then the distinct-cell estimators
@@ -334,8 +334,12 @@ std::string widen_point_records(const std::string& blob, std::size_t extra,
   copy(8 + 8 + 8);  // guess count, net count, events
   copy(guesses);     // pruned flags
   for (int level = 0; level <= kLogDelta; ++level) {
-    copy(8);               // lo
-    copy(8 + peek() * 8);  // counters
+    copy(8);  // lo
+    const std::uint64_t runs = peek();
+    copy(8);
+    for (std::uint64_t r = 0; r < runs; ++r) {
+      copy(8 + (peek() >> 32) * 8);  // u32 zeros, u32 literals, the literals
+    }
     const std::uint64_t entries = peek();
     copy(8);
     for (std::uint64_t e = 0; e < entries; ++e) {

@@ -1,4 +1,4 @@
-// Seeded mutants of every persisted format: STRM5 builder blobs (both
+// Seeded mutants of every persisted format: STRM6 builder blobs (both
 // modes, with pruned guesses), engine checkpoints, tenant spills, and the
 // SketchSnapshot and WorkerStatsReply (HistogramWire) wire bodies.
 //
@@ -95,9 +95,10 @@ struct Field {
 using Fields = std::vector<Field>;
 
 /// Appends the 64-bit count, length, event, net and counter fields of the
-/// STRM5 blob at `pos` to `fields` (the first counter or count of each
-/// block stands for its block); returns the offset past the blob.
-std::size_t walk_strm5(std::string_view b, std::size_t pos, Fields& fields) {
+/// STRM6 blob at `pos` to `fields` (a run header's two u32 lengths count as
+/// one field, and the first counter or count of each run or block stands for
+/// it); returns the offset past the blob.
+std::size_t walk_strm6(std::string_view b, std::size_t pos, Fields& fields) {
   const auto field = [&fields](std::size_t at, const char* what) {
     fields.push_back({at, what});
   };
@@ -109,10 +110,15 @@ std::size_t walk_strm5(std::string_view b, std::size_t pos, Fields& fields) {
   pos += 24 + guesses;  // + pruned flags
   for (int level = 0; level <= kLogDelta; ++level) {
     field(pos, "CountMin lo");
-    field(pos + 8, "CountMin counter count");
-    const std::uint64_t counters = u64_at(b, pos + 8);
-    if (counters > 0) field(pos + 16, "CountMin counter");
-    pos += 16 + counters * 8;
+    field(pos + 8, "CountMin run count");
+    const std::uint64_t runs = u64_at(b, pos + 8);
+    pos += 16;
+    for (std::uint64_t r = 0; r < runs; ++r) {
+      field(pos, "CountMin run header");
+      const std::uint64_t literals = u64_at(b, pos) >> 32;
+      if (literals > 0) field(pos + 8, "CountMin counter");
+      pos += 8 + literals * 8;
+    }
     const std::uint64_t rows = u64_at(b, pos);
     field(pos, "exact rows");
     pos += 8;
@@ -244,7 +250,7 @@ bool watched_load(std::size_t input_bytes, Load&& load) {
 }
 
 // ---------------------------------------------------------------------------
-// STRM5 builder blobs
+// STRM6 builder blobs
 // ---------------------------------------------------------------------------
 
 std::string builder_blob(const StreamingCoresetBuilder& builder) {
@@ -282,7 +288,7 @@ TEST(PersistedMutants, BuilderBlobs) {
     }
     const std::string blob = builder_blob(builder);
     Fields fields;
-    ASSERT_EQ(walk_strm5(blob, 0, fields), blob.size());
+    ASSERT_EQ(walk_strm6(blob, 0, fields), blob.size());
     check_builder_mutant(blob, opt, blob.size());  // the intact blob loads
     Rng rng(exact ? 12 : 11);
     for (int i = 0; i < 250; ++i) {
@@ -326,7 +332,7 @@ std::string reframe(std::string_view frame, std::string_view payload) {
 Fields engine_payload_fields(std::string_view payload, int shards) {
   Fields fields;
   std::size_t pos = 4 + 4 + 8 + 4 + 1;  // dim, log_delta, seed, shards, exact
-  for (int s = 0; s < shards; ++s) pos = walk_strm5(payload, pos, fields);
+  for (int s = 0; s < shards; ++s) pos = walk_strm6(payload, pos, fields);
   EXPECT_EQ(pos + 8, payload.size()) << "the walk must end at the footer";
   return fields;
 }
@@ -469,7 +475,7 @@ TEST(PersistedMutants, SketchSnapshotBodies) {
   snap.blob = exported.blob;
   const std::string body = snap.encode();
   Fields fields = {{0, "net points"}, {8, "events applied"}, {16, "blob size"}};
-  ASSERT_EQ(walk_strm5(body, 24, fields), body.size());
+  ASSERT_EQ(walk_strm6(body, 24, fields), body.size());
 
   ClusteringEngine target(kDim, params(), eopt);
   target.submit(churn(60, 8));
@@ -564,9 +570,9 @@ TEST(PersistedMutants, EveryFieldPastTheEventBoundIsRefused) {
     const std::string payload = file.substr(kFrameBytes);
     const std::string blob = engine.export_sketch().blob;
     Fields blob_fields;
-    ASSERT_EQ(walk_strm5(blob, 0, blob_fields), blob.size());
+    ASSERT_EQ(walk_strm6(blob, 0, blob_fields), blob.size());
     const Fields kinds = one_of_each(blob_fields);
-    ASSERT_EQ(kinds.size(), exact ? 22u : 20u) << "every kind of field must be present";
+    ASSERT_EQ(kinds.size(), exact ? 22u : 21u) << "every kind of field must be present";
     for (const std::uint64_t huge : {std::uint64_t{kMaxEvents} + 1, ~std::uint64_t{0} >> 1}) {
       for (const Field& f : kinds) {
         SCOPED_TRACE(testing::Message() << f.what << " set to " << huge);

@@ -9,11 +9,14 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "skc/obs/trace.h"
 #include "skc/tenant/registry.h"
 #include "test_util.h"
 
@@ -281,6 +284,43 @@ TEST(TenantRegistry, LruEvictionSpillsAndRestoresTransparently) {
   ASSERT_EQ(reference.query("t3", q, want), Admit::kOk);
   EXPECT_EQ(testutil::canonical_multiset(got.summary.points),
             testutil::canonical_multiset(want.summary.points));
+}
+
+// The cold path is traced: each eviction is one `spill` span and each cold
+// touch one `restore` span, with one child for the engine state and one for
+// the file write or read.
+TEST(TenantRegistry, SpillAndRestoreAreTracedWithTheirSteps) {
+  TenantRegistryOptions o = base_options();
+  o.max_resident = 1;
+  o.spill_dir = testutil::temp_dir();
+  TenantRegistry reg(o);
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+  ASSERT_EQ(reg.submit("cold", distinct_inserts(10, 0)), Admit::kOk);
+  ASSERT_EQ(reg.submit("warm", distinct_inserts(10, 100)), Admit::kOk);  // "cold" spills
+  EXPECT_EQ(net_points(reg, "cold"), 10);  // "cold" restores, "warm" spills
+  tracer.set_enabled(false);
+  const std::vector<obs::TaggedTraceEvent> events = tracer.events();
+  tracer.clear();
+  std::map<std::uint64_t, std::string> name_of;
+  for (const obs::TaggedTraceEvent& e : events) name_of[e.event.span_id] = e.event.name;
+  std::map<std::uint64_t, std::multiset<std::string>> children;
+  for (const obs::TaggedTraceEvent& e : events) {
+    if (name_of.count(e.event.parent_id) != 0) children[e.event.parent_id].insert(e.event.name);
+  }
+  int spills = 0, restores = 0;
+  for (const auto& [id, name] : name_of) {
+    if (name == "spill") {
+      ++spills;
+      EXPECT_EQ(children[id], (std::multiset<std::string>{"save_state", "write_file"}));
+    } else if (name == "restore") {
+      ++restores;
+      EXPECT_EQ(children[id], (std::multiset<std::string>{"load_state", "read_file"}));
+    }
+  }
+  EXPECT_EQ(spills, 2);
+  EXPECT_EQ(restores, 1);
 }
 
 TEST(TenantRegistry, CorruptSpillFilesAreTypedErrorsNeverCrashes) {
