@@ -1,13 +1,13 @@
 // E17a — Hash kernel microbenchmark: ns per hash for the scalar path vs the
-// batched SoA path (and, when compiled with -DSKC_SIMD=ON, the AVX2 lanes —
-// the batch numbers then ARE the SIMD numbers, since the lanes live inside
-// fold_step/horner_step).
+// batched SoA path on the lane kernel the process picked (f61::
+// default_kernel(): the AVX2 lanes on a CPU with AVX2, the portable lanes
+// elsewhere).  The report's `simd` key says which one ran.
 //
 // The measured quantity is the full point hash (VectorFold + degree-7 Horner)
 // the streaming builder evaluates 2(L+1) times per event, plus the raw
-// eval-only cost the CountMin row hashes pay.  The batch path must win on
-// ILP alone in portable builds; SKC_SIMD stacks 4-lane AVX2 on top with
-// bit-identical outputs (pinned by BatchHash.* tests).
+// eval-only cost the CountMin row hashes pay.  The portable lanes must win on
+// ILP alone; the AVX2 lanes stack 4-lane vectors on top with bit-identical
+// outputs (pinned on both kernels by the BatchHash.* tests).
 #include <numeric>
 
 #include "bench_util.h"
@@ -40,9 +40,10 @@ int main() {
 
   header("E17a: hash kernel ns/op — scalar vs batch (SoA) vs SIMD",
          "the batched Horner sweep amortizes the per-event field ops of the "
-         "ingest hot path; AVX2 lanes are bit-identical when compiled in");
-  row("keys=%zu dim=%zu lambda=%d rounds=%d simd_compiled=%s", kKeys, kDim,
-      kLambda, kRounds, f61::simd_enabled() ? "yes" : "no");
+         "ingest hot path; AVX2 lanes are bit-identical where the CPU has them");
+  const bool simd = f61::default_kernel() == f61::Kernel::kAvx2;
+  row("keys=%zu dim=%zu lambda=%d rounds=%d kernel=%s", kKeys, kDim, kLambda,
+      kRounds, simd ? "avx2" : "portable");
 
   // Scalar: one fold + Horner per key, the cost shape of hashing one event
   // at a time.
@@ -98,7 +99,7 @@ int main() {
   JsonReport report("hash");
   report.record()
       .kv("series", "point_hash")
-      .kv("simd", f61::simd_enabled())
+      .kv("simd", simd)
       .kv("keys", static_cast<std::int64_t>(kKeys))
       .kv("dim", static_cast<std::int64_t>(kDim))
       .kv("lambda", kLambda)
@@ -107,7 +108,7 @@ int main() {
       .kv("batch_speedup", scalar_ms / batch_ms);
   report.record()
       .kv("series", "eval_only")
-      .kv("simd", f61::simd_enabled())
+      .kv("simd", simd)
       .kv("lambda", kLambda)
       .kv("scalar_ns_per_hash", ns_per_op(eval_scalar_ms, ops))
       .kv("batch_ns_per_hash", ns_per_op(eval_batch_ms, ops))

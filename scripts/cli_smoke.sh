@@ -1,9 +1,15 @@
 #!/usr/bin/env bash
 # End-to-end smoke runs of skc_cli, shared by scripts/check.sh and CI:
 #   * the CSV pipeline (generate / coreset / assign);
-#   * `serve`: the single-engine REPL answers a query over two points;
+#   * `serve`: the command loop over a loopback engine answers a query over
+#     two points;
 #   * `serve --tenants`: two isolated namespaces, and a Prometheus scrape
 #     that carries the tenant families and no engine-level ones;
+#   * README's two `client` drives, against `serve --tcp 0` and
+#     `serve --tenants --tcp 0`: both answer their query, and each server
+#     exits 0 on SHUTDOWN;
+#   * `serve 21 4`: a dimension above the finalize walk's limit of 20 is a
+#     usage error (exit 2) that names the limit;
 #   * a coordinator with two worker processes over loopback: ingest, query,
 #     SIGKILL one worker, query again (checkpoint + failover end to end);
 #   * one traced query against a coordinator and two traced workers, fetched
@@ -40,6 +46,16 @@ worker_port() {
   awk '/^PORT /{print $2}' "$1"
 }
 
+# Prints the port a server announced in its "listening on" line on stderr,
+# waiting up to 10 s.
+listen_port() {
+  for _ in $(seq 1 50); do
+    grep -q 'listening on 127.0.0.1:' "$1" && break
+    sleep 0.2
+  done
+  sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$1"
+}
+
 echo "== CSV pipeline"
 "$cli" generate 2000 4 2 10 1.2 > "$tmp/pts.csv"
 "$cli" coreset "$tmp/pts.csv" 4 "$tmp/coreset.csv"
@@ -60,6 +76,34 @@ grep -q '^skc_tenant_events_total{tenant="a"} 2$' "$tmp/tenants.txt" \
 if grep -q '^skc_events_submitted_total' "$tmp/tenants.txt"; then
   fail "tenants: scrape carries engine-level families"
 fi
+
+echo "== README drives: client against serve --tcp and serve --tenants --tcp"
+"$cli" serve 2 4 4 12 --tcp 0 > /dev/null 2> "$tmp/tcp.err" &
+srv=$!
+pids+=("$srv")
+port=$(listen_port "$tmp/tcp.err")
+printf 'insert 5 5\ninsert 900 900\ninsert 5 900\ninsert 900 5\nquery\nmetrics\nshutdown\n' \
+  | "$cli" client 127.0.0.1 "$port" > "$tmp/tcp.txt"
+grep -q '^ok n=4' "$tmp/tcp.txt" || fail "README TCP drive: no 'ok n=4' answer"
+wait "$srv" || fail "serve --tcp did not exit 0 on SHUTDOWN"
+"$cli" serve 2 4 2 12 --tenants --tcp 0 > /dev/null 2> "$tmp/ttcp.err" &
+srv=$!
+pids=("$srv")
+port=$(listen_port "$tmp/ttcp.err")
+printf 'insert 5 5\ninsert 900 900\ninsert 5 900\ninsert 900 5\nflush\nquery\ntenant-stats\nquit\n' \
+  | "$cli" client 127.0.0.1 "$port" --tenant alice > "$tmp/ttcp.txt"
+printf 'tenant-stats\nquit\n' | "$cli" client 127.0.0.1 "$port" >> "$tmp/ttcp.txt"
+grep -q '^ok n=4' "$tmp/ttcp.txt" || fail "README tenant drive: no 'ok n=4' answer"
+grep -q '"tenants":1' "$tmp/ttcp.txt" || fail "README tenant drive: no registry stats"
+printf 'shutdown\n' | "$cli" client 127.0.0.1 "$port" > /dev/null
+wait "$srv" || fail "serve --tenants --tcp did not exit 0 on SHUTDOWN"
+pids=()
+
+echo "== serve 21 4 is refused"
+rc=0
+"$cli" serve 21 4 < /dev/null > /dev/null 2> "$tmp/dim.err" || rc=$?
+[[ $rc -eq 2 ]] || fail "serve 21 4: expected exit 2, got $rc"
+grep -q 'exceeds 20' "$tmp/dim.err" || fail "serve 21 4: the usage error does not name the limit"
 
 echo "== coordinator + 2 workers, failover"
 "$cli" worker 2 2 2 6 > "$tmp/w1.log" 2> /dev/null &

@@ -12,6 +12,7 @@
 #include "skc/common/random.h"
 #include "skc/common/serial.h"
 #include "skc/common/timer.h"
+#include "skc/grid/hierarchical_grid.h"
 #include "skc/obs/flight_recorder.h"
 #include "skc/obs/trace.h"
 
@@ -65,6 +66,10 @@ ClusterCoordinator::ClusterCoordinator(const CoordinatorOptions& options)
       protocol_net_(static_cast<int>(options.workers.size()) + 1),
       ingest_net_(static_cast<int>(options.workers.size()) + 1) {
   SKC_CHECK(options_.dim >= 1);
+  // The query finalizes the workers' sketches here; refuse a dimension the
+  // walk cannot enumerate before any worker is dialled.
+  SKC_CHECK_MSG(options_.dim <= HierarchicalGrid::kMaxWalkDim,
+                "the finalize walk enumerates 2^d children; dimension too large");
   fingerprint_ = engine_config_fingerprint(options_.dim, options_.params,
                                            options_.streaming);
   // Same derivation discipline as the engine's shard routing: key the point

@@ -32,6 +32,8 @@ DistributedResult build_distributed_coreset(const std::vector<PointSet>& machine
   const int s = static_cast<int>(machines.size());
   SKC_CHECK(s >= 1);
   const int dim = machines.front().dim();
+  SKC_CHECK_MSG(dim <= HierarchicalGrid::kMaxWalkDim,
+                "the heavy-cell walk enumerates 2^d children; dimension too large");
   const int L = options.log_delta;
   for (const PointSet& m : machines) {
     SKC_CHECK(m.empty() || m.dim() == dim);

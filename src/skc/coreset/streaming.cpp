@@ -40,11 +40,14 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
     : dim_(dim),
       params_(params),
       options_(options),
-      grid_(make_grid(dim, options.log_delta, params.seed)),
+      grid_(std::make_unique<const HierarchicalGrid>(
+          make_grid(dim, options.log_delta, params.seed))),
       hash_counting_(make_level_hashes(params, options.log_delta,
                                        SamplerPurpose::kCounting)),
       hash_coreset_(make_level_hashes(params, options.log_delta,
                                       SamplerPurpose::kCoreset)) {
+  SKC_CHECK_MSG(dim <= HierarchicalGrid::kMaxWalkDim,
+                "the finalize walk enumerates 2^d children; dimension too large");
   const int L = options.log_delta;
   double o_lo = options.o_min > 0 ? options.o_min : 1.0;
   double o_hi = options.o_max > 0
@@ -56,10 +59,10 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
     GuessState guess;
     guess.o = o;
     for (int i = 0; i <= L; ++i) {
-      const double ti = part_threshold(grid_, params.partition(), i, o);
+      const double ti = part_threshold(*grid_, params.partition(), i, o);
       guess.psi.push_back(rate_or_one(options.counting_samples / std::max(ti, 1.0)));
       guess.phi.push_back(
-          SamplingRate::from_probability(params.sampling_probability(grid_, i, o)));
+          SamplingRate::from_probability(params.sampling_probability(*grid_, i, o)));
     }
     guesses_.push_back(std::move(guess));
   }
@@ -87,14 +90,14 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
       count_below.push_back(guess.psi[static_cast<std::size_t>(i)].keep_below());
       sample_below.push_back(guess.phi[static_cast<std::size_t>(i)].keep_below());
     }
-    counts_.emplace_back(grid_, i, cm, sketch_seed(params, SamplerPurpose::kCounting, i),
+    counts_.emplace_back(*grid_, i, cm, sketch_seed(params, SamplerPurpose::kCounting, i),
                          std::move(count_below));
-    stores_.emplace_back(grid_, i, ps, std::move(sample_below));
+    stores_.emplace_back(*grid_, i, ps, std::move(sample_below));
   }
 
   distinct_.reserve(static_cast<std::size_t>(L));
   for (int i = 0; i < L; ++i) {
-    distinct_.emplace_back(grid_, i, options.distinct_budget, distinct_seed(params, i));
+    distinct_.emplace_back(*grid_, i, options.distinct_budget, distinct_seed(params, i));
   }
 }
 
@@ -108,7 +111,7 @@ void StreamingCoresetBuilder::update_batch(const EventBatch& batch, std::size_t 
   SKC_CHECK(batch.dim() == dim_ && begin + count <= batch.size());
   const std::size_t B = count;
   if (B == 0) return;
-  const int L = grid_.log_delta();
+  const int L = grid_->log_delta();
   const auto dim = static_cast<std::size_t>(dim_);
   const auto levels = static_cast<std::size_t>(L + 1);
   const Coord* pts = batch.coords().data() + begin * dim;
@@ -136,7 +139,7 @@ void StreamingCoresetBuilder::update_batch(const EventBatch& batch, std::size_t 
     for (std::size_t i = 0; i < levels; ++i) {
       hash_counting_[i].hash_batch(pts, dim, B, batch_h_count_.data() + i * B);
       hash_coreset_[i].hash_batch(pts, dim, B, batch_h_core_.data() + i * B);
-      grid_.cell_index_of_batch(pts, B, static_cast<int>(i),
+      grid_->cell_index_of_batch(pts, B, static_cast<int>(i),
                                 batch_idx_.data() + i * B * dim);
     }
   }
@@ -194,7 +197,7 @@ void StreamingCoresetBuilder::maybe_prune() {
   cell_estimates.reserve(distinct_.size());
   for (const DistinctCells& dc : distinct_) cell_estimates.push_back(dc.estimate());
   const double lb =
-      opt_lower_bound_from_cells(grid_, params_.k, params_.r, cell_estimates);
+      opt_lower_bound_from_cells(*grid_, params_.k, params_.r, cell_estimates);
   if (lb <= 0.0) return;
   // Guesses are o-ascending, so the ones below the cut are a prefix.
   const auto cut = std::partition_point(
@@ -252,7 +255,7 @@ StreamingResult StreamingCoresetBuilder::finalize(
     std::span<const StreamingCoresetBuilder* const> parts) {
   SKC_CHECK(!parts.empty());
   const StreamingCoresetBuilder& first = *parts.front();
-  const HierarchicalGrid& grid = first.grid_;
+  const HierarchicalGrid& grid = *first.grid_;
   const CoresetParams& params = first.params_;
   const int L = grid.log_delta();
   const auto levels = static_cast<std::size_t>(L + 1);

@@ -44,9 +44,11 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "skc/coreset/assemble.h"
@@ -107,8 +109,18 @@ struct StreamingResult {
 
 class StreamingCoresetBuilder {
  public:
+  /// `dim` must be at most HierarchicalGrid::kMaxWalkDim (checked): the
+  /// finalize walk enumerates the 2^d children of every heavy cell.
   StreamingCoresetBuilder(int dim, const CoresetParams& params,
                           const StreamingOptions& options);
+
+  // The structures point at the heap-held grid, so a move keeps them valid
+  // (the engine and perfbench keep builders in vectors); a copy would leave
+  // them reading the source's grid.
+  StreamingCoresetBuilder(const StreamingCoresetBuilder&) = delete;
+  StreamingCoresetBuilder& operator=(const StreamingCoresetBuilder&) = delete;
+  StreamingCoresetBuilder(StreamingCoresetBuilder&&) = default;
+  StreamingCoresetBuilder& operator=(StreamingCoresetBuilder&&) = default;
 
   /// consume()'s slice, and the most events the engine applies per locked
   /// builder call: amortizes the per-batch hash sweeps without letting the
@@ -169,7 +181,7 @@ class StreamingCoresetBuilder {
   /// log(n Delta^r) multiplier an OPT estimate removes).
   std::size_t memory_bytes_per_guess() const;
 
-  const HierarchicalGrid& grid() const { return grid_; }
+  const HierarchicalGrid& grid() const { return *grid_; }
   int num_guesses() const { return static_cast<int>(guesses_.size()); }
   /// The level's CountMin, shared by every guess.
   const CellCountMin& level_counts(int level) const {
@@ -215,7 +227,7 @@ class StreamingCoresetBuilder {
   int dim_;
   CoresetParams params_;
   StreamingOptions options_;
-  HierarchicalGrid grid_;
+  std::unique_ptr<const HierarchicalGrid> grid_;
   std::vector<KWiseHash> hash_counting_, hash_coreset_;
   std::vector<GuessState> guesses_;
   // One CountMin and one point store per level 0..L for every guess; each
@@ -247,6 +259,9 @@ class StreamingCoresetBuilder {
   std::vector<std::int64_t> sel_delta_;
   std::vector<int> sel_hi_;
 };
+
+static_assert(!std::is_copy_constructible_v<StreamingCoresetBuilder>);
+static_assert(std::is_move_constructible_v<StreamingCoresetBuilder>);
 
 /// Convenience: stream -> coreset in one call.
 StreamingResult build_streaming_coreset(const Stream& stream, int dim,

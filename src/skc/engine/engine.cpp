@@ -50,9 +50,8 @@ struct ClusteringEngine::Shard {
   // only when it finds the queue empty.
   std::atomic<bool> drain_scheduled{false};
 
-  // The builder is heap-allocated and never moved: its sketch structures
-  // hold pointers into the builder's own grid, so identity must be stable
-  // (restore swaps the unique_ptr, not the object).
+  // The builder is heap-allocated so that restore can parse fresh builders
+  // before taking any lock and swap the pointers in under builder_mu.
   std::mutex builder_mu;
   std::unique_ptr<StreamingCoresetBuilder> builder;
 

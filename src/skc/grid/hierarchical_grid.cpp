@@ -83,7 +83,7 @@ CellKey HierarchicalGrid::parent(const CellKey& cell) const {
 
 std::vector<CellKey> HierarchicalGrid::children(const CellKey& cell) const {
   SKC_CHECK(cell.level < log_delta_);
-  SKC_CHECK_MSG(dim_ <= 20, "child enumeration is 2^d; dimension too large");
+  SKC_CHECK_MSG(dim_ <= kMaxWalkDim, "child enumeration is 2^d; dimension too large");
   const int child_level = cell.level + 1;
   std::vector<CellKey> out;
   out.reserve(std::size_t{1} << dim_);

@@ -108,11 +108,18 @@ class HierarchicalGrid {
   /// True if `p` lies inside `cell`.
   bool contains(const CellKey& cell, std::span<const Coord> p) const;
 
+  /// The largest dimension children() enumerates.  The builders whose
+  /// finalize walks heavy cells (StreamingCoresetBuilder,
+  /// build_distributed_coreset) and the tenant registry and cluster
+  /// coordinator that make them refuse a larger one up front, so no query
+  /// reaches the check in children().
+  static constexpr int kMaxWalkDim = 20;
+
   /// The 2^d children (one level finer) of a non-leaf cell.  For the root
   /// this returns the candidate level-0 cells overlapping [1, Delta]^d
   /// (index coordinates in {-1, 0}) — also 2^d cells.  Enumeration is how
   /// the streaming path discovers heavy candidates top-down, so dim must be
-  /// small enough for 2^d to be practical (checked: dim <= 20).
+  /// small enough for 2^d to be practical (checked: dim <= kMaxWalkDim).
   std::vector<CellKey> children(const CellKey& cell) const;
 
  private:

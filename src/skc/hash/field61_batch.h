@@ -7,9 +7,12 @@
 // independent lane multiplies — the win over the scalar path is instruction-
 // level parallelism even without explicit SIMD.
 //
-// With -DSKC_SIMD=ON (adds -mavx2 and defines SKC_SIMD) the same kernels
-// run 4 lanes per AVX2 vector.  AVX2 has no 64x64->128 multiply, so the
-// modular product is assembled from 32-bit limbs:
+// Two lane kernels exist.  The portable one is plain C++ and is the
+// reference.  On x86-64 the AVX2 one runs 4 lanes per vector; it is compiled
+// with a per-function target("avx2") attribute, so the build sets no ISA
+// flag, and default_kernel() picks it once per process when the CPU has
+// AVX2.  AVX2 has no 64x64->128 multiply, so the modular product is
+// assembled from 32-bit limbs:
 //
 //   a = a0 + a1*2^32,  b = b0 + b1*2^32   (a1, b1 < 2^29 since a, b < p)
 //   a*b = a0*b0 + (a0*b1 + a1*b0)*2^32 + (a1*b1)*2^64
@@ -22,8 +25,8 @@
 //
 // The partial sums stay under 2^63, one fold plus one conditional subtract
 // canonicalizes, and the result is bit-identical to the scalar f61::mul —
-// the batched path is a pure reorganization of the same field ops, which is
-// what the batch-vs-scalar kernel tests (BatchHash) pin.
+// both kernels are pure reorganizations of the same field ops, which is
+// what the batch-vs-scalar kernel tests (BatchHash, run on each kernel) pin.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +34,7 @@
 
 #include "skc/hash/field61.h"
 
-#if defined(SKC_SIMD) && defined(__AVX2__)
+#if defined(__x86_64__)
 #include <immintrin.h>
 #endif
 
@@ -42,11 +45,47 @@ namespace skc::f61 {
 /// the per-tile loop overhead.
 inline constexpr std::size_t kBatchTile = 16;
 
-#if defined(SKC_SIMD) && defined(__AVX2__)
+/// The lane kernel a batch evaluator runs.
+enum class Kernel { kPortable, kAvx2 };
+
+/// True when this CPU can run `kernel` (kAvx2: x86-64 with AVX2).
+inline bool kernel_supported(Kernel kernel) {
+#if defined(__x86_64__)
+  if (kernel == Kernel::kAvx2) {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+  }
+#endif
+  return kernel == Kernel::kPortable;
+}
+
+/// The kernel the batch evaluators run unless told otherwise: AVX2 where
+/// the CPU has it, portable elsewhere.  Decided once per process.
+inline Kernel default_kernel() {
+  static const Kernel chosen =
+      kernel_supported(Kernel::kAvx2) ? Kernel::kAvx2 : Kernel::kPortable;
+  return chosen;
+}
+
+/// One Horner step over a lane batch: acc[i] = acc[i] * x[i] + c (mod p).
+/// All inputs must be canonical (< p); outputs are canonical.
+inline void horner_step(std::uint64_t* acc, const std::uint64_t* x,
+                        std::uint64_t c, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) acc[i] = add(mul(acc[i], x[i]), c);
+}
+
+/// One polynomial-fold step over a lane batch: acc[i] = acc[i] * theta + v[i]
+/// (mod p).  `v` must already be canonical.
+inline void fold_step(std::uint64_t* acc, const std::uint64_t* v,
+                      std::uint64_t theta, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) acc[i] = add(mul(acc[i], theta), v[i]);
+}
+
+#if defined(__x86_64__)
 
 namespace detail {
 
-inline __m256i mul_mod_avx2(__m256i a, __m256i b) {
+__attribute__((target("avx2"))) inline __m256i mul_mod_avx2(__m256i a, __m256i b) {
   const __m256i mask_p = _mm256_set1_epi64x(static_cast<long long>(kP));
   const __m256i a1 = _mm256_srli_epi64(a, 32);
   const __m256i b1 = _mm256_srli_epi64(b, 32);
@@ -69,7 +108,7 @@ inline __m256i mul_mod_avx2(__m256i a, __m256i b) {
   return _mm256_sub_epi64(s, _mm256_and_si256(ge, mask_p));
 }
 
-inline __m256i add_mod_avx2(__m256i a, __m256i b) {
+__attribute__((target("avx2"))) inline __m256i add_mod_avx2(__m256i a, __m256i b) {
   const __m256i mask_p = _mm256_set1_epi64x(static_cast<long long>(kP));
   __m256i s = _mm256_add_epi64(a, b);  // < 2^62, signed compare safe
   const __m256i ge = _mm256_cmpgt_epi64(s, _mm256_set1_epi64x(
@@ -79,14 +118,10 @@ inline __m256i add_mod_avx2(__m256i a, __m256i b) {
 
 }  // namespace detail
 
-#endif  // SKC_SIMD && __AVX2__
-
-/// One Horner step over a lane batch: acc[i] = acc[i] * x[i] + c (mod p).
-/// All inputs must be canonical (< p); outputs are canonical.
-inline void horner_step(std::uint64_t* acc, const std::uint64_t* x,
-                        std::uint64_t c, std::size_t n) {
+/// horner_step on the AVX2 kernel, 4 lanes per vector.
+__attribute__((target("avx2"))) inline void horner_step_avx2(
+    std::uint64_t* acc, const std::uint64_t* x, std::uint64_t c, std::size_t n) {
   std::size_t i = 0;
-#if defined(SKC_SIMD) && defined(__AVX2__)
   const __m256i cv = _mm256_set1_epi64x(static_cast<long long>(c));
   for (; i + 4 <= n; i += 4) {
     const __m256i av =
@@ -96,16 +131,13 @@ inline void horner_step(std::uint64_t* acc, const std::uint64_t* x,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
                         detail::add_mod_avx2(detail::mul_mod_avx2(av, xv), cv));
   }
-#endif
-  for (; i < n; ++i) acc[i] = add(mul(acc[i], x[i]), c);
+  horner_step(acc + i, x + i, c, n - i);
 }
 
-/// One polynomial-fold step over a lane batch: acc[i] = acc[i] * theta + v[i]
-/// (mod p).  `v` must already be canonical.
-inline void fold_step(std::uint64_t* acc, const std::uint64_t* v,
-                      std::uint64_t theta, std::size_t n) {
+/// fold_step on the AVX2 kernel, 4 lanes per vector.
+__attribute__((target("avx2"))) inline void fold_step_avx2(
+    std::uint64_t* acc, const std::uint64_t* v, std::uint64_t theta, std::size_t n) {
   std::size_t i = 0;
-#if defined(SKC_SIMD) && defined(__AVX2__)
   const __m256i tv = _mm256_set1_epi64x(static_cast<long long>(theta));
   for (; i + 4 <= n; i += 4) {
     const __m256i av =
@@ -115,17 +147,9 @@ inline void fold_step(std::uint64_t* acc, const std::uint64_t* v,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
                         detail::add_mod_avx2(detail::mul_mod_avx2(av, tv), vv));
   }
-#endif
-  for (; i < n; ++i) acc[i] = add(mul(acc[i], theta), v[i]);
+  fold_step(acc + i, v + i, theta, n - i);
 }
 
-/// True when the AVX2 lanes are compiled in (reported by bench_hash).
-inline constexpr bool simd_enabled() {
-#if defined(SKC_SIMD) && defined(__AVX2__)
-  return true;
-#else
-  return false;
-#endif
-}
+#endif  // __x86_64__
 
 }  // namespace skc::f61

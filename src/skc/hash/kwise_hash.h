@@ -61,16 +61,18 @@ class VectorFold {
   /// Folds `n` keys of `len` coordinates stored back-to-back (row-major) into
   /// `out[0..n)`.  Bit-identical to n calls of the Coord overload; the
   /// coordinate loop is hoisted outside the lane loop (SoA order) so the
-  /// field multiplies of independent keys pipeline (and vectorize under
-  /// SKC_SIMD).
+  /// field multiplies of independent keys pipeline, on the lane `kernel`
+  /// (which the CPU must support; see f61::kernel_supported).
   void fold_batch(const Coord* keys, std::size_t len, std::size_t n,
-                  std::uint64_t* out) const;
+                  std::uint64_t* out,
+                  f61::Kernel kernel = f61::default_kernel()) const;
 
   /// Same, for keys already widened to int64 semantics (matches the int64
   /// overload's 2^62 offset) but stored as int32 — the cell-index layout the
   /// sketch batch paths carry.
   void fold_cells_batch(const std::int32_t* keys, std::size_t len, std::size_t n,
-                        std::uint64_t* out) const;
+                        std::uint64_t* out,
+                        f61::Kernel kernel = f61::default_kernel()) const;
 
  private:
   std::uint64_t theta_ = 3;
@@ -98,7 +100,8 @@ class KWiseHash {
   /// Horner evaluation over a batch of field elements, in place: xs[i] is
   /// replaced by eval(xs[i]).  Bit-identical to n scalar eval() calls; the
   /// coefficient loop runs outside the lane loop (SoA order).
-  void eval_batch(std::uint64_t* xs, std::size_t n) const;
+  void eval_batch(std::uint64_t* xs, std::size_t n,
+                  f61::Kernel kernel = f61::default_kernel()) const;
 
   /// Hash of a coordinate vector via the fold.
   std::uint64_t operator()(std::span<const Coord> p) const { return eval(fold_(p)); }
@@ -107,9 +110,10 @@ class KWiseHash {
   /// out[i] = eval(fold(keys[i*len .. i*len+len))).  Bit-identical to n
   /// scalar operator() calls.
   void hash_batch(const Coord* keys, std::size_t len, std::size_t n,
-                  std::uint64_t* out) const {
-    fold_.fold_batch(keys, len, n, out);
-    eval_batch(out, n);
+                  std::uint64_t* out,
+                  f61::Kernel kernel = f61::default_kernel()) const {
+    fold_.fold_batch(keys, len, n, out, kernel);
+    eval_batch(out, n, kernel);
   }
 
   const VectorFold& fold() const { return fold_; }

@@ -12,8 +12,8 @@
 // is pushed into a bounded process-wide ring for post-hoc diagnosis.
 //
 // The ring holds the most recent kFlightRecorderCapacity slow queries and
-// is dumped as JSON via the FLIGHT_RECORDER RPC, `skc_cli client`'s `slow`
-// REPL command, and the serve REPL — no restart, no pre-enabled tracing.
+// is dumped as JSON via the FLIGHT_RECORDER RPC (`skc_cli flight`, or the
+// command loop's `flight`) — no restart, no pre-enabled tracing.
 #pragma once
 
 #include <atomic>

@@ -23,7 +23,6 @@
 #include "skc/geometry/point_set.h"
 #include "skc/geometry/weighted_set.h"
 #include "skc/geometry/io.h"
-#include "skc/geometry/jl_transform.h"
 #include "skc/grid/hierarchical_grid.h"
 #include "skc/partition/heavy_cells.h"
 #include "skc/coreset/coreset.h"

@@ -8,6 +8,7 @@
 #include "skc/common/crc64.h"
 #include "skc/common/random.h"
 #include "skc/common/serial.h"
+#include "skc/grid/hierarchical_grid.h"
 #include "skc/net/frame.h"
 #include "skc/obs/trace.h"
 #include "skc/parallel/thread_pool.h"
@@ -189,6 +190,10 @@ struct TenantRegistry::Tenant {
 TenantRegistry::TenantRegistry(const TenantRegistryOptions& options)
     : options_(options) {
   SKC_CHECK(options_.dim >= 1);
+  // Tenant engines are made lazily; refuse a dimension their finalize walk
+  // cannot enumerate before the first one is.
+  SKC_CHECK_MSG(options_.dim <= HierarchicalGrid::kMaxWalkDim,
+                "the finalize walk enumerates 2^d children; dimension too large");
   SKC_CHECK(options_.max_resident >= 1);
   SKC_CHECK(options_.num_rungs >= 1);
   SKC_CHECK(options_.rung_scale >= 2);

@@ -56,8 +56,7 @@ class TenantServer : public net::FrameServer {
 /// The per-tenant families (skc_tenants, skc_tenant_events_total{tenant=...},
 /// rung, sketch bytes, quota rejections, evictions/restores, and the
 /// skc_tenant_op_latency_seconds{tenant=...,op=ingest|query} histogram
-/// family).  The PROMETHEUS RPC appends it to the transport families; the
-/// in-process REPL, which has no transport, prints it alone.
+/// family).  The PROMETHEUS RPC appends it to the transport families.
 std::string tenant_prometheus_text(const RegistryStats& stats);
 
 }  // namespace skc::tenant

@@ -42,62 +42,85 @@ namespace skc {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Hash kernels: batch forms are bit-identical to the scalar loops.
+// Hash kernels: batch forms are bit-identical to the scalar loops, on every
+// lane kernel the CPU runs (the AVX2 case skips itself without AVX2).
 // ---------------------------------------------------------------------------
 
+std::vector<f61::Kernel> kernels_here() {
+  std::vector<f61::Kernel> out{f61::Kernel::kPortable};
+  if (f61::kernel_supported(f61::Kernel::kAvx2)) out.push_back(f61::Kernel::kAvx2);
+  return out;
+}
+
+const char* kernel_name(f61::Kernel kernel) {
+  return kernel == f61::Kernel::kAvx2 ? "avx2 kernel" : "portable kernel";
+}
+
 TEST(BatchHash, FoldBatchMatchesScalar) {
-  Rng rng(11);
-  VectorFold fold(rng);
-  const std::size_t len = 5, n = 67;  // non-multiple of the batch tile
-  std::vector<Coord> keys(n * len);
-  for (auto& c : keys) c = static_cast<Coord>(rng.uniform_int(-1000, 1000));
-  std::vector<std::uint64_t> batch(n);
-  fold.fold_batch(keys.data(), len, n, batch.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(batch[i], fold(std::span<const Coord>(keys.data() + i * len, len)))
-        << "lane " << i;
+  for (const f61::Kernel kernel : kernels_here()) {
+    SCOPED_TRACE(kernel_name(kernel));
+    Rng rng(11);
+    VectorFold fold(rng);
+    const std::size_t len = 5, n = 67;  // non-multiple of the batch tile
+    std::vector<Coord> keys(n * len);
+    for (auto& c : keys) c = static_cast<Coord>(rng.uniform_int(-1000, 1000));
+    std::vector<std::uint64_t> batch(n);
+    fold.fold_batch(keys.data(), len, n, batch.data(), kernel);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(batch[i], fold(std::span<const Coord>(keys.data() + i * len, len)))
+          << "lane " << i;
+    }
   }
 }
 
 TEST(BatchHash, FoldCellsBatchMatchesInt64Overload) {
-  Rng rng(12);
-  VectorFold fold(rng);
-  const std::size_t len = 3, n = 40;
-  std::vector<std::int32_t> keys(n * len);
-  for (auto& c : keys) c = static_cast<std::int32_t>(rng.uniform_int(-512, 512));
-  std::vector<std::uint64_t> batch(n);
-  fold.fold_cells_batch(keys.data(), len, n, batch.data());
-  std::vector<std::int64_t> wide(len);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < len; ++j) wide[j] = keys[i * len + j];
-    EXPECT_EQ(batch[i], fold(std::span<const std::int64_t>(wide))) << "lane " << i;
+  for (const f61::Kernel kernel : kernels_here()) {
+    SCOPED_TRACE(kernel_name(kernel));
+    Rng rng(12);
+    VectorFold fold(rng);
+    const std::size_t len = 3, n = 40;
+    std::vector<std::int32_t> keys(n * len);
+    for (auto& c : keys) c = static_cast<std::int32_t>(rng.uniform_int(-512, 512));
+    std::vector<std::uint64_t> batch(n);
+    fold.fold_cells_batch(keys.data(), len, n, batch.data(), kernel);
+    std::vector<std::int64_t> wide(len);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < len; ++j) wide[j] = keys[i * len + j];
+      EXPECT_EQ(batch[i], fold(std::span<const std::int64_t>(wide))) << "lane " << i;
+    }
   }
 }
 
 TEST(BatchHash, EvalBatchMatchesScalar) {
-  Rng rng(14);
-  KWiseHash hash(8, rng);
-  const std::size_t n = 100;
-  std::vector<std::uint64_t> xs(n), expect(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    xs[i] = rng.next() % f61::kP;
-    expect[i] = hash.eval(xs[i]);
+  for (const f61::Kernel kernel : kernels_here()) {
+    SCOPED_TRACE(kernel_name(kernel));
+    Rng rng(14);
+    KWiseHash hash(8, rng);
+    const std::size_t n = 100;
+    std::vector<std::uint64_t> xs(n), expect(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      xs[i] = rng.next() % f61::kP;
+      expect[i] = hash.eval(xs[i]);
+    }
+    hash.eval_batch(xs.data(), n, kernel);
+    EXPECT_EQ(xs, expect);
   }
-  hash.eval_batch(xs.data(), n);
-  EXPECT_EQ(xs, expect);
 }
 
 TEST(BatchHash, HashBatchMatchesScalar) {
-  Rng rng(15);
-  KWiseHash hash(6, rng);
-  const std::size_t len = 2, n = 51;
-  std::vector<Coord> keys(n * len);
-  for (auto& c : keys) c = static_cast<Coord>(rng.uniform_int(1, 1 << 14));
-  std::vector<std::uint64_t> batch(n);
-  hash.hash_batch(keys.data(), len, n, batch.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(batch[i], hash(std::span<const Coord>(keys.data() + i * len, len)))
-        << "lane " << i;
+  for (const f61::Kernel kernel : kernels_here()) {
+    SCOPED_TRACE(kernel_name(kernel));
+    Rng rng(15);
+    KWiseHash hash(6, rng);
+    const std::size_t len = 2, n = 51;
+    std::vector<Coord> keys(n * len);
+    for (auto& c : keys) c = static_cast<Coord>(rng.uniform_int(1, 1 << 14));
+    std::vector<std::uint64_t> batch(n);
+    hash.hash_batch(keys.data(), len, n, batch.data(), kernel);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(batch[i], hash(std::span<const Coord>(keys.data() + i * len, len)))
+          << "lane " << i;
+    }
   }
 }
 

@@ -502,5 +502,16 @@ TEST(ClusterProcess, SpawnFailsCleanlyOnABadBinary) {
   EXPECT_FALSE(w.error().empty());
 }
 
+// A query finalizes the workers' sketches at the coordinator, so it refuses
+// a dimension above the finalize walk's limit when it is made, before it
+// dials any worker.
+TEST(ClusterDeathTest, DimensionAboveTheWalkLimitAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  CoordinatorOptions copts = coordinator_options({}, /*exact=*/true);
+  copts.dim = HierarchicalGrid::kMaxWalkDim + 1;
+  copts.workers.push_back({"127.0.0.1", 1});
+  EXPECT_DEATH(ClusterCoordinator coordinator(copts), "dimension too large");
+}
+
 }  // namespace
 }  // namespace skc::cluster

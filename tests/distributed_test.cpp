@@ -192,5 +192,17 @@ TEST(DistributedCoreset, SingleMachineDegeneratesToOffline) {
             testutil::canonical_multiset(offline.coreset.points));
 }
 
+// The protocol walks heavy cells on the merged counts, so it refuses a
+// dimension above the walk's limit at its entry.
+TEST(DistributedCoresetDeathTest, DimensionAboveTheWalkLimitAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const int dim = HierarchicalGrid::kMaxWalkDim + 1;
+  std::vector<PointSet> machines(2, PointSet(dim));
+  machines[0].push_back(Point(static_cast<std::size_t>(dim), 1));
+  const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
+  EXPECT_DEATH(build_distributed_coreset(machines, params, lossless_options()),
+               "dimension too large");
+}
+
 }  // namespace
 }  // namespace skc

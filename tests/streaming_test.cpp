@@ -219,5 +219,50 @@ TEST(StreamingCoreset, UpdatePathsRecordOneSpanPerStage) {
   EXPECT_EQ(traced_spans([&] { one.update_batch(std::span(stream).first(1)); }), stages);
 }
 
+// The structures of a builder point at its grid, which lives on the heap, so
+// builders that a growing vector (no reserve) moved finalize exactly like
+// twins that never moved.  While the grid was a member, the moved builders'
+// structures kept reading the grid inside the vector's freed buffer.
+TEST(StreamingCoreset, BuildersMovedByAGrowingVectorFinalizeLikeUnmovedTwins) {
+  const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
+  StreamingOptions opt;
+  opt.log_delta = 9;
+  opt.max_points = 4000;
+  std::vector<EventBatch> streams;
+  std::vector<StreamingCoresetBuilder> moved;
+  for (int b = 0; b < 5; ++b) {
+    Rng rng(static_cast<std::uint64_t>(40 + b));
+    streams.emplace_back(insertion_stream(gaussian_mixture(mixture(600), rng)), 2);
+    moved.emplace_back(2, params, opt);  // may move every earlier builder
+  }
+  for (std::size_t b = 0; b < moved.size(); ++b) {
+    moved[b].consume(streams[b]);
+    StreamingCoresetBuilder twin(2, params, opt);
+    twin.consume(streams[b]);
+    const StreamingResult got = moved[b].finalize();
+    const StreamingResult want = twin.finalize();
+    ASSERT_TRUE(want.ok) << "builder " << b;
+    ASSERT_TRUE(got.ok) << "builder " << b;
+    EXPECT_EQ(got.coreset.o, want.coreset.o) << "builder " << b;
+    EXPECT_EQ(testutil::canonical_multiset(got.coreset.points),
+              testutil::canonical_multiset(want.coreset.points))
+        << "builder " << b;
+  }
+}
+
+// The finalize walk enumerates the 2^d children of heavy cells, so a builder
+// refuses a dimension above the walk's limit when it is made, not in the
+// middle of a query.
+TEST(StreamingCoresetDeathTest, DimensionAboveTheWalkLimitAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  StreamingOptions opt;
+  opt.log_delta = 6;
+  const CoresetParams params = CoresetParams::practical(3, LrOrder{2.0}, 0.3, 0.3);
+  StreamingCoresetBuilder at_limit(HierarchicalGrid::kMaxWalkDim, params, opt);
+  EXPECT_EQ(at_limit.grid().dim(), HierarchicalGrid::kMaxWalkDim);
+  EXPECT_DEATH(StreamingCoresetBuilder(HierarchicalGrid::kMaxWalkDim + 1, params, opt),
+               "dimension too large");
+}
+
 }  // namespace
 }  // namespace skc

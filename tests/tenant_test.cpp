@@ -467,5 +467,14 @@ TEST(TenantRegistry, StatsJsonCarriesTheRegistryShape) {
   EXPECT_FALSE(reg.tenant_stats_json("ghost", one));
 }
 
+// Tenant engines are made lazily, so the registry refuses a dimension above
+// the finalize walk's limit when it is made, before any tenant exists.
+TEST(TenantRegistryDeathTest, DimensionAboveTheWalkLimitAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TenantRegistryOptions o = base_options();
+  o.dim = HierarchicalGrid::kMaxWalkDim + 1;
+  EXPECT_DEATH(tenant::TenantRegistry registry(o), "dimension too large");
+}
+
 }  // namespace
 }  // namespace skc

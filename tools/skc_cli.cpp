@@ -6,8 +6,11 @@
 //                                                  assignment (§3.3), printed
 //                                                  as one center index per line
 //   skc_cli generate <n> <k> <dim> <log_delta> [skew]   synthetic workload CSV
-//   skc_cli serve    <dim> <k> [shards] [log_delta]     interactive engine REPL
+//   skc_cli serve    <dim> <k> [shards] [log_delta]     engine on a loopback
+//                                                       port, driven by the
+//                                                       command loop on stdin
 //   skc_cli serve    ... --tcp <port>                   host the engine on TCP
+//                                                       until SHUTDOWN instead
 //   skc_cli serve    ... --trace                        start with tracing on
 //   skc_cli serve    ... --tenants                      multi-tenant mode: each
 //                                                       stream id gets its own
@@ -15,8 +18,8 @@
 //                                                       --spill <dir>,
 //                                                       --max-resident <n>,
 //                                                       --rate <events/s>
-//   skc_cli client   <host> <port>                      REPL against a remote
-//                                                       server (same commands)
+//   skc_cli client   <host> <port>                      the command loop
+//                                                       against a remote server
 //   skc_cli client   ... --tenant <id>                  address one namespace
 //                                                       of a --tenants server
 //                                                       (switch with `tenant`)
@@ -37,15 +40,30 @@
 //   skc_cli coordinator <dim> <k> [log_delta] --worker host:port ...
 //                    [--tcp N] [--trace] [--slow-ms <t>]
 //                                                       cluster front end over
-//                                                       the given workers
+//                                                       the given workers,
+//                                                       driven by the command
+//                                                       loop on stdin
+//
+// One command loop, over SkcClient, drives every live mode.  `serve` and
+// `serve --tenants` start their server on an ephemeral loopback port and
+// `coordinator` starts its own front door; each then talks to it exactly as
+// `client` talks to a remote server, so every check, error and reply comes
+// from the server's front door (net::FrameServer).  The few commands with no
+// wire message are answered in-process by the modes that offer them.
 //
 // Points are integer CSV rows; see src/skc/geometry/io.h for the format.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <initializer_list>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "skc/geometry/io.h"
@@ -223,360 +241,374 @@ int cmd_generate(int argc, char** argv) {
   return 0;
 }
 
-// Multi-tenant serve mode (`serve ... --tenants`): every stream id owns an
-// independent namespace inside one TenantRegistry.  With --tcp the registry
-// is hosted behind a TenantServer (version-2 frames; old clients land on
-// the default tenant); without it the REPL grows `tenant <id>` to switch
-// the addressed namespace and `tenants` / `stats [id]` for accounting.
-int serve_tenants(const tenant::TenantRegistryOptions& topts, int dim, int k,
-                  long tcp_port) {
-  tenant::TenantRegistry registry(topts);
-  const int log_delta = topts.engine.streaming.log_delta;
+// ---------------------------------------------------------------------------
+// Argument parsing shared by serve, worker and coordinator.
 
-  if (tcp_port >= 0) {
-    net::ServerOptions sopts;
-    sopts.port = static_cast<std::uint16_t>(tcp_port);
-    tenant::TenantServer server(registry, sopts);
-    std::string error;
-    if (!server.start(error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
+/// Splits argv[2..] into positionals and --flags.  --trace and --slow-ms,
+/// the process-wide observability settings, are applied here; every other
+/// flag goes to `on_flag` with the argument after it (nullptr for the
+/// `switches`), which returns false to refuse it.  False = usage error.
+bool parse_args(int argc, char** argv, std::initializer_list<std::string_view> switches,
+                std::vector<const char*>& pos,
+                const std::function<bool(std::string_view, const char*)>& on_flag) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view flag = argv[i];
+    if (flag.substr(0, 2) != "--") {
+      pos.push_back(argv[i]);
+    } else if (flag == "--trace") {
+      obs::Tracer::instance().set_enabled(true);
+    } else if (std::find(switches.begin(), switches.end(), flag) != switches.end()) {
+      if (!on_flag(flag, nullptr)) return false;
+    } else if (i + 1 >= argc) {
+      return false;
+    } else if (flag == "--slow-ms") {
+      const double threshold = std::atof(argv[++i]);
+      if (threshold < 0) return false;
+      obs::FlightRecorder::instance().set_threshold_millis(threshold);
+    } else if (!on_flag(flag, argv[++i])) {
+      std::fprintf(stderr, "error: bad flag %s %s\n", argv[i - 1], argv[i]);
+      return false;
     }
-    std::fprintf(stderr,
-                 "tenant server listening on 127.0.0.1:%u (dim=%d k=%d "
-                 "log_delta=%d max_resident=%d spill=%s)\n"
-                 "drive it with: skc_cli client 127.0.0.1 %u --tenant <id>\n",
-                 server.port(), dim, k, log_delta, topts.max_resident,
-                 topts.spill_dir.empty() ? "<off>" : topts.spill_dir.c_str(),
-                 server.port());
-    server.wait();
-    server.stop();
-    std::fprintf(stderr, "%s\n", registry.stats_json().c_str());
-    return 0;
   }
-
-  const long long max_coord = 1LL << log_delta;
-  std::fprintf(stderr,
-               "tenant registry up: dim=%d k=%d log_delta=%d max_resident=%d\n"
-               "commands:  tenant [id] | tenants | stats [id]\n"
-               "           insert c1 .. c%d | delete c1 .. c%d | query [slack]\n"
-               "           flush | metrics | prom | checkpoint <path> | quit\n",
-               dim, k, log_delta, topts.max_resident, dim, dim);
-
-  std::string current;  // addressed namespace ("" = default tenant)
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    std::istringstream in(line);
-    std::string cmd;
-    if (!(in >> cmd) || cmd[0] == '#') continue;
-    if (cmd == "quit" || cmd == "exit") break;
-    if (cmd == "tenant") {
-      std::string id;
-      in >> id;  // no argument = back to the default tenant
-      if (!id.empty() && !net::valid_tenant_id(id)) {
-        std::printf("err invalid tenant id '%s'\n", id.c_str());
-        continue;
-      }
-      current = id;
-      std::printf("ok tenant '%s'\n", current.c_str());
-    } else if (cmd == "tenants") {
-      std::printf("%s\n", registry.stats_json().c_str());
-    } else if (cmd == "stats") {
-      std::string id = current;
-      in >> id;
-      std::string json;
-      if (registry.tenant_stats_json(id, json)) {
-        std::printf("%s\n", json.c_str());
-      } else {
-        std::printf("err unknown tenant '%s'\n", id.c_str());
-      }
-    } else if (cmd == "insert" || cmd == "delete") {
-      std::vector<Coord> p(static_cast<std::size_t>(dim));
-      bool ok = true;
-      for (int i = 0; i < dim; ++i) {
-        long long c = 0;
-        if (!(in >> c) || c < 1 || c > max_coord) {
-          ok = false;
-          break;
-        }
-        p[static_cast<std::size_t>(i)] = static_cast<Coord>(c);
-      }
-      if (!ok) {
-        std::printf("err %s needs %d coordinates in [1, %lld]\n", cmd.c_str(),
-                    dim, max_coord);
-        continue;
-      }
-      Stream batch;
-      batch.push_back(StreamEvent{
-          cmd == "insert" ? StreamOp::kInsert : StreamOp::kDelete,
-          std::move(p)});
-      const tenant::Admit verdict = registry.submit(current, batch);
-      if (verdict == tenant::Admit::kOk) {
-        std::printf("ok\n");
-      } else {
-        std::printf("err %s\n", tenant::admit_name(verdict));
-      }
-    } else if (cmd == "query") {
-      EngineQuery q;
-      if (double slack = 0; in >> slack) q.capacity_slack = slack;
-      EngineQueryResult res;
-      const tenant::Admit verdict = registry.query(current, q, res);
-      if (verdict != tenant::Admit::kOk) {
-        std::printf("err %s\n", tenant::admit_name(verdict));
-        continue;
-      }
-      if (!res.ok) {
-        std::printf("err %s\n", res.error.c_str());
-        continue;
-      }
-      std::printf("ok n=%lld summary=%lld capacity=%.0f cost=%.6g "
-                  "merge_ms=%.1f solve_ms=%.1f\n",
-                  static_cast<long long>(res.net_points),
-                  static_cast<long long>(res.summary.points.size()),
-                  res.capacity, res.solution.cost, res.merge_millis,
-                  res.solve_millis);
-      for (PointIndex c = 0; c < res.solution.centers.size(); ++c) {
-        std::printf("center %s\n", to_string(res.solution.centers[c]).c_str());
-      }
-    } else if (cmd == "flush") {
-      registry.flush();
-      std::printf("ok\n");
-    } else if (cmd == "metrics") {
-      std::printf("%s\n", registry.stats_json().c_str());
-    } else if (cmd == "prom") {
-      // No transport in-process: only the tenant families.
-      std::printf("%s",
-                  tenant::tenant_prometheus_text(registry.stats()).c_str());
-    } else if (cmd == "checkpoint") {
-      std::string path;
-      if (!(in >> path)) {
-        std::printf("err checkpoint needs a path\n");
-        continue;
-      }
-      const tenant::Admit verdict = registry.checkpoint(current, path);
-      if (verdict == tenant::Admit::kOk) {
-        std::printf("ok %s\n", path.c_str());
-      } else {
-        std::printf("err %s\n", tenant::admit_name(verdict));
-      }
-    } else {
-      std::printf("err unknown command '%s'\n", cmd.c_str());
-    }
-    std::fflush(stdout);
-  }
-  std::fprintf(stderr, "%s\n", registry.stats_json().c_str());
-  return 0;
+  return true;
 }
 
-// Line-oriented REPL over a live ClusteringEngine.  Reads commands from
-// stdin, answers on stdout ("ok ..." / "err ..."), diagnostics on stderr —
-// scriptable with a pipe, usable by hand.  With --tcp <port> the engine is
-// hosted on a loopback TCP socket instead (drive it with `skc_cli client`);
-// port 0 picks an ephemeral port, printed to stderr.
-int cmd_serve(int argc, char** argv) {
-  std::vector<const char*> pos;
-  long tcp_port = -1;
-  bool tenants = false;
-  std::string spill_dir;
-  int max_resident = 256;
-  double rate = 0.0;
-  for (int i = 2; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--tcp")) {
-      if (i + 1 >= argc) return usage();
-      tcp_port = std::atol(argv[++i]);
-      if (tcp_port < 0 || tcp_port > 65535) return usage();
-    } else if (!std::strcmp(argv[i], "--trace")) {
-      obs::Tracer::instance().set_enabled(true);
-    } else if (!std::strcmp(argv[i], "--slow-ms")) {
-      if (i + 1 >= argc) return usage();
-      const double threshold = std::atof(argv[++i]);
-      if (threshold < 0) return usage();
-      obs::FlightRecorder::instance().set_threshold_millis(threshold);
-    } else if (!std::strcmp(argv[i], "--tenants")) {
-      tenants = true;
-    } else if (!std::strcmp(argv[i], "--spill")) {
-      if (i + 1 >= argc) return usage();
-      spill_dir = argv[++i];
-    } else if (!std::strcmp(argv[i], "--max-resident")) {
-      if (i + 1 >= argc) return usage();
-      max_resident = std::atoi(argv[++i]);
-      if (max_resident < 1) return usage();
-    } else if (!std::strcmp(argv[i], "--rate")) {
-      if (i + 1 >= argc) return usage();
-      rate = std::atof(argv[++i]);
-      if (rate < 0) return usage();
-    } else {
-      pos.push_back(argv[i]);
-    }
-  }
-  if (pos.size() < 2) return usage();
-  const int dim = std::atoi(pos[0]);
-  const int k = std::atoi(pos[1]);
-  const int shards = pos.size() >= 3 ? std::atoi(pos[2]) : 4;
-  const int log_delta = pos.size() >= 4 ? std::atoi(pos[3]) : 12;
-  if (dim < 1 || k < 1 || shards < 1 || log_delta < 2) return usage();
+bool parse_port(const char* text, long lowest, long& port) {
+  port = std::atol(text);
+  return port >= lowest && port <= 65535;
+}
 
-  const CoresetParams params = CoresetParams::practical(k, LrOrder{2.0}, 0.2, 0.2);
-  EngineOptions opts;
-  opts.num_shards = shards;
-  opts.streaming.log_delta = log_delta;
+/// The `<dim> <k> [shards] [log_delta]` positionals (the coordinator has no
+/// shards).
+struct Shape {
+  int dim = 0;
+  int k = 0;
+  int shards = 4;
+  int log_delta = 12;
+};
 
-  if (tenants) {
-    tenant::TenantRegistryOptions topts;
-    topts.dim = dim;
-    topts.params = params;
-    topts.engine = opts;
-    topts.max_resident = max_resident;
-    topts.spill_dir = spill_dir;
-    topts.quotas.max_events_per_second = rate;
-    return serve_tenants(topts, dim, k, tcp_port);
-  }
-
-  ClusteringEngine engine(dim, params, opts);
-
-  if (tcp_port >= 0) {
-    net::ServerOptions sopts;
-    sopts.port = static_cast<std::uint16_t>(tcp_port);
-    net::EngineServer server(engine, sopts);
-    std::string error;
-    if (!server.start(error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
+/// A dim the finalize walk cannot enumerate is refused here, with its own
+/// message, before anything is built.
+bool parse_shape(const std::vector<const char*>& pos, bool with_shards, Shape& s) {
+  if (pos.size() < 2) return false;
+  s.dim = std::atoi(pos[0]);
+  s.k = std::atoi(pos[1]);
+  std::size_t next = 2;
+  if (with_shards && pos.size() > next) s.shards = std::atoi(pos[next++]);
+  if (pos.size() > next) s.log_delta = std::atoi(pos[next]);
+  if (s.dim > HierarchicalGrid::kMaxWalkDim) {
     std::fprintf(stderr,
-                 "engine listening on 127.0.0.1:%u (dim=%d k=%d shards=%d "
-                 "log_delta=%d)\ndrive it with: skc_cli client 127.0.0.1 %u\n",
-                 server.port(), dim, k, shards, log_delta, server.port());
-    server.wait();  // until a client sends SHUTDOWN (or the process is killed)
-    server.stop();
-    const EngineMetrics m = server.metrics();
-    engine.shutdown();
-    std::fprintf(stderr, "%s\n", metrics_json(m).c_str());
-    return 0;
+                 "error: dim %d exceeds %d, the largest dimension the streaming "
+                 "finalize walks (it enumerates 2^dim child cells)\n",
+                 s.dim, HierarchicalGrid::kMaxWalkDim);
+    return false;
   }
+  return s.dim >= 1 && s.k >= 1 && s.shards >= 1 && s.log_delta >= 2;
+}
 
-  const long long max_coord = 1LL << log_delta;
-  std::fprintf(stderr,
-               "engine up: dim=%d k=%d shards=%d log_delta=%d\n"
-               "commands:  insert c1 .. c%d | delete c1 .. c%d | query [slack]\n"
-               "           flush | metrics | prom | trace on|off|dump <path>\n"
-               "           slow [ms] | flight [path]\n"
-               "           checkpoint <path> | restore <path> | quit\n",
-               dim, k, shards, log_delta, dim, dim);
+// ---------------------------------------------------------------------------
+// The command loop.
 
+/// Commands with no wire message, answered in-process by the local mode
+/// that offers them; each gets the rest of its line.
+using LocalCommands = std::map<std::string, std::function<void(std::istream&)>>;
+
+constexpr const char* kCommandHelp =
+    "commands:  insert c1 c2 .. | delete c1 c2 .. | query [slack] | flush\n"
+    "           ping | metrics | prom | checkpoint [path] | tenant [id]\n"
+    "           tenants | stats [id] | tenant-stats | trace-dump [path]\n"
+    "           cluster-trace [path] | flight [path] | shutdown | quit\n";
+
+void print_error(const net::SkcClient& client) {
+  std::printf("err %s\n", client.last_error().c_str());
+}
+
+/// Prints `text` and `end` when the request went through, the client's
+/// error otherwise.
+void print_reply(const net::SkcClient& client, bool ok, const std::string& text,
+                 const char* end = "\n") {
+  if (ok) {
+    std::printf("%s%s", text.c_str(), end);
+  } else {
+    print_error(client);
+  }
+}
+
+void print_query(const net::QueryReply& res) {
+  std::printf("ok n=%lld summary=%llu capacity=%.0f cost=%.6g "
+              "merge_ms=%.1f solve_ms=%.1f\n",
+              static_cast<long long>(res.net_points),
+              static_cast<unsigned long long>(res.summary_points), res.capacity,
+              res.cost, res.merge_millis, res.solve_millis);
+  const std::size_t dim = static_cast<std::size_t>(res.dim);
+  for (std::size_t c = 0; dim > 0 && c + dim <= res.center_coords.size(); c += dim) {
+    std::printf("center");
+    for (std::size_t i = 0; i < dim; ++i) std::printf(" %d", res.center_coords[c + i]);
+    std::printf("\n");
+  }
+}
+
+/// Reads one command per line from stdin until quit, end of input or a
+/// shutdown the server accepted; answers go to stdout ("ok ..." / "err ..."
+/// or a document), so it is scriptable with a pipe.  The point dimension
+/// lives server-side: insert/delete send every coordinate on the line.
+void command_loop(net::SkcClient& client, const LocalCommands& local) {
   std::string line;
   while (std::getline(std::cin, line)) {
     std::istringstream in(line);
     std::string cmd;
     if (!(in >> cmd) || cmd[0] == '#') continue;
     if (cmd == "quit" || cmd == "exit") break;
-    if (cmd == "insert" || cmd == "delete") {
-      std::vector<Coord> p(static_cast<std::size_t>(dim));
-      bool ok = true;
-      for (int i = 0; i < dim; ++i) {
-        long long c = 0;
-        if (!(in >> c) || c < 1 || c > max_coord) {
-          ok = false;
-          break;
-        }
-        p[static_cast<std::size_t>(i)] = static_cast<Coord>(c);
+    std::string arg, text;
+    if (const auto handler = local.find(cmd); handler != local.end()) {
+      handler->second(in);
+    } else if (cmd == "insert" || cmd == "delete") {
+      // A value no Coord holds becomes 0, which the server's [1, Delta]
+      // check refuses, rather than wrapping into range.
+      std::vector<Coord> p;
+      for (long long c = 0; in >> c;) {
+        p.push_back(c < 1 || c > std::numeric_limits<Coord>::max()
+                        ? Coord{0}
+                        : static_cast<Coord>(c));
       }
-      if (!ok) {
-        std::printf("err %s needs %d coordinates in [1, %lld]\n", cmd.c_str(),
-                    dim, max_coord);
-        continue;
-      }
-      engine.submit(Stream{StreamEvent{
-          cmd == "insert" ? StreamOp::kInsert : StreamOp::kDelete,
-          std::move(p)}});
-      std::printf("ok\n");
-    } else if (cmd == "query") {
-      EngineQuery q;
-      if (double slack = 0; in >> slack) q.capacity_slack = slack;
-      const EngineQueryResult res = engine.query(q);
-      if (!res.ok) {
-        std::printf("err %s\n", res.error.c_str());
-        continue;
-      }
-      std::printf("ok n=%lld summary=%lld capacity=%.0f cost=%.6g "
-                  "merge_ms=%.1f solve_ms=%.1f\n",
-                  static_cast<long long>(res.net_points),
-                  static_cast<long long>(res.summary.points.size()),
-                  res.capacity, res.solution.cost, res.merge_millis,
-                  res.solve_millis);
-      for (PointIndex c = 0; c < res.solution.centers.size(); ++c) {
-        std::printf("center %s\n", to_string(res.solution.centers[c]).c_str());
-      }
-    } else if (cmd == "flush") {
-      engine.flush();
-      std::printf("ok applied=%lld\n",
-                  static_cast<long long>(engine.metrics().events_applied));
-    } else if (cmd == "metrics") {
-      std::printf("%s\n", metrics_json(engine.metrics()).c_str());
-    } else if (cmd == "prom") {
-      std::printf("%s", obs::prometheus_text(engine.metrics()).c_str());
-    } else if (cmd == "trace") {
-      std::string sub;
-      if (!(in >> sub)) {
-        std::printf("err trace needs on|off|dump <path>\n");
-      } else if (sub == "on" || sub == "off") {
-        obs::Tracer::instance().set_enabled(sub == "on");
-        std::printf("ok tracing %s\n", sub.c_str());
-      } else if (sub == "dump") {
-        std::string path;
-        if (!(in >> path)) {
-          std::printf("err trace dump needs a path (or -)\n");
-        } else if (write_text_file(path, obs::Tracer::instance().dump_chrome_json())) {
-          std::printf("ok %lld spans\n",
-                      static_cast<long long>(
-                          obs::Tracer::instance().events().size()));
-        } else {
-          std::printf("err cannot write %s\n", path.c_str());
-        }
+      if (p.empty()) {
+        std::printf("err %s needs coordinates\n", cmd.c_str());
       } else {
-        std::printf("err unknown trace subcommand '%s'\n", sub.c_str());
+        print_reply(client, cmd == "insert" ? client.insert(p) : client.erase(p), "ok");
       }
-    } else if (cmd == "slow") {
-      if (double threshold = 0; in >> threshold) {
-        if (threshold < 0) {
-          std::printf("err slow threshold must be >= 0 ms\n");
-          continue;
-        }
-        obs::FlightRecorder::instance().set_threshold_millis(threshold);
+    } else if (cmd == "query" || cmd == "flush") {
+      // flush is the epoch barrier alone: a summary-only query.
+      net::QueryRequest req;
+      req.summary_only = cmd == "flush";
+      if (double slack = 0; !req.summary_only && in >> slack) req.capacity_slack = slack;
+      net::QueryReply res;
+      if (!client.query(req, res)) {
+        print_error(client);
+      } else if (req.summary_only) {
+        std::printf("ok\n");
+      } else if (!res.ok) {
+        std::printf("err %s\n", res.error.c_str());
+      } else {
+        print_query(res);
       }
-      std::printf("ok slow threshold %.3f ms\n",
-                  obs::FlightRecorder::instance().threshold_millis());
-    } else if (cmd == "flight") {
+    } else if (cmd == "ping") {
+      print_reply(client, client.ping(), "ok");
+    } else if (cmd == "metrics") {
+      const bool got = client.metrics_json(text);
+      print_reply(client, got, text);
+    } else if (cmd == "prom") {
+      const bool got = client.prometheus_text(text);
+      print_reply(client, got, text, "");  // the exposition ends its own lines
+    } else if (cmd == "tenant") {
+      in >> arg;  // no argument = back to the default tenant
+      if (!arg.empty() && !net::valid_tenant_id(arg)) {
+        std::printf("err invalid tenant id '%s'\n", arg.c_str());
+      } else {
+        client.set_tenant(arg);
+        std::printf("ok tenant '%s'\n", arg.c_str());
+      }
+    } else if (cmd == "tenants" || cmd == "stats" || cmd == "tenant-stats") {
+      // TENANT_STATS: one tenant's object, or, addressed to the default
+      // tenant, the whole registry (which `tenants` always asks for).
+      const std::string current = client.tenant();
+      arg = cmd == "tenants" ? "" : current;
+      if (cmd != "tenants") in >> arg;  // stats [id]: the current tenant by default
+      if (!arg.empty() && !net::valid_tenant_id(arg)) {
+        std::printf("err invalid tenant id '%s'\n", arg.c_str());
+      } else {
+        client.set_tenant(arg);
+        const bool got = client.tenant_stats(text);
+        client.set_tenant(current);
+        print_reply(client, got, text);
+      }
+    } else if (cmd == "trace-dump" || cmd == "cluster-trace" || cmd == "flight") {
       std::string path = "-";
       in >> path;
-      if (write_text_file(path, obs::FlightRecorder::instance().dump_json())) {
+      const bool got = cmd == "trace-dump"      ? client.trace_json(text)
+                       : cmd == "cluster-trace" ? client.cluster_trace_json(text)
+                                                : client.flight_recorder_json(text);
+      if (!got) {
+        print_error(client);
+      } else if (write_text_file(path, text)) {
         if (path != "-") std::printf("ok %s\n", path.c_str());
       } else {
         std::printf("err cannot write %s\n", path.c_str());
       }
-    } else if (cmd == "checkpoint" || cmd == "restore") {
-      std::string path;
-      if (!(in >> path)) {
-        std::printf("err %s needs a path\n", cmd.c_str());
-        continue;
+    } else if (cmd == "checkpoint") {
+      in >> arg;  // server-side; a coordinator checkpoints its members and needs none
+      const bool done = client.checkpoint(arg);
+      print_reply(client, done, arg.empty() ? "ok" : "ok " + arg);
+    } else if (cmd == "shutdown") {
+      if (client.shutdown_server()) {
+        std::printf("ok server draining\n");
+        break;
       }
-      const bool saved = cmd == "checkpoint" ? engine.checkpoint(path)
-                                             : engine.restore(path);
-      std::printf(saved ? "ok %s\n" : "err %s failed\n", path.c_str());
+      print_error(client);
     } else {
       std::printf("err unknown command '%s'\n", cmd.c_str());
     }
     std::fflush(stdout);
   }
-  engine.shutdown();
-  std::fprintf(stderr, "%s\n", metrics_json(engine.metrics()).c_str());
+}
+
+/// The in-process commands of every local mode: tracing and the flight
+/// recorder's threshold are settings of this process, with no wire message.
+LocalCommands process_commands() {
+  LocalCommands commands;
+  commands["trace"] = [](std::istream& in) {
+    std::string sub, path;
+    in >> sub;
+    if (sub == "on" || sub == "off") {
+      obs::Tracer::instance().set_enabled(sub == "on");
+      std::printf("ok tracing %s\n", sub.c_str());
+    } else if (sub != "dump") {
+      std::printf("err trace needs on|off|dump <path>\n");
+    } else if (!(in >> path)) {
+      std::printf("err trace dump needs a path (or -)\n");
+    } else if (write_text_file(path, obs::Tracer::instance().dump_chrome_json())) {
+      std::printf("ok %lld spans\n",
+                  static_cast<long long>(obs::Tracer::instance().events().size()));
+    } else {
+      std::printf("err cannot write %s\n", path.c_str());
+    }
+  };
+  commands["slow"] = [](std::istream& in) {
+    if (double threshold = 0; in >> threshold) {
+      if (threshold < 0) {
+        std::printf("err slow threshold must be >= 0 ms\n");
+        return;
+      }
+      obs::FlightRecorder::instance().set_threshold_millis(threshold);
+    }
+    std::printf("ok slow threshold %.3f ms\n",
+                obs::FlightRecorder::instance().threshold_millis());
+  };
+  return commands;
+}
+
+/// Connects to the local server on `port` and runs the command loop over
+/// it.  No timeouts: the loop waits at the prompt and on queries as long as
+/// an in-process call would.
+int drive(std::uint16_t port, const LocalCommands& local) {
+  net::ClientOptions copts;
+  copts.io_timeout_ms = -1;
+  net::SkcClient client(copts);
+  if (!client.connect("127.0.0.1", port)) {
+    std::fprintf(stderr, "error: connect 127.0.0.1:%u: %s\n", port,
+                 client.last_error().c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "%sin-process:", kCommandHelp);
+  for (const auto& [name, handler] : local) std::fprintf(stderr, " %s", name.c_str());
+  std::fprintf(stderr, "\n");
+  command_loop(client, local);
   return 0;
 }
 
-// REPL against a remote EngineServer — the network twin of cmd_serve's
-// in-process loop, speaking the same commands over SkcClient.  The point
-// dimension lives server-side, so insert/delete take however many
-// coordinates appear on the line.
+/// Starts `server` on loopback and prints "<what> listening on
+/// 127.0.0.1:<port> (<config>)" (spawners read the port from it).  With
+/// --tcp it serves until a client sends SHUTDOWN; otherwise the command
+/// loop drives it from stdin.
+int host(net::FrameServer& server, bool tcp, const char* what,
+         const std::string& config, const char* client_args,
+         const LocalCommands& local) {
+  std::string error;
+  if (!server.start(error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "%s listening on 127.0.0.1:%u (%s)\n", what, server.port(),
+               config.c_str());
+  int rc = 0;
+  if (tcp) {
+    std::fprintf(stderr, "drive it with: skc_cli client 127.0.0.1 %u%s\n",
+                 server.port(), client_args);
+    server.wait();  // until a client sends SHUTDOWN (or the process is killed)
+  } else {
+    rc = drive(server.port(), local);
+  }
+  server.stop();
+  return rc;
+}
+
+// `serve`: one engine, or with --tenants a TenantRegistry in which every
+// stream id owns an independent namespace (version-2 frames; old clients
+// land on the default tenant).  --tcp <port> hosts it for remote clients
+// (port 0 picks an ephemeral port, printed to stderr).
+int cmd_serve(int argc, char** argv) {
+  std::vector<const char*> pos;
+  long tcp_port = -1;
+  bool tenants = false;
+  tenant::TenantRegistryOptions topts;
+  topts.max_resident = 256;
+  const bool parsed = parse_args(
+      argc, argv, {"--tenants"}, pos, [&](std::string_view flag, const char* value) {
+        if (flag == "--tcp") return parse_port(value, 0, tcp_port);
+        if (flag == "--tenants") {
+          tenants = true;
+        } else if (flag == "--spill") {
+          topts.spill_dir = value;
+        } else if (flag == "--max-resident") {
+          topts.max_resident = std::atoi(value);
+        } else if (flag == "--rate") {
+          topts.quotas.max_events_per_second = std::atof(value);
+        } else {
+          return false;
+        }
+        return topts.max_resident >= 1 && topts.quotas.max_events_per_second >= 0;
+      });
+  Shape shape;
+  if (!parsed || !parse_shape(pos, true, shape)) return usage();
+
+  const CoresetParams params =
+      CoresetParams::practical(shape.k, LrOrder{2.0}, 0.2, 0.2);
+  EngineOptions opts;
+  opts.num_shards = shape.shards;
+  opts.streaming.log_delta = shape.log_delta;
+  const bool tcp = tcp_port >= 0;
+  net::ServerOptions sopts;
+  sopts.port = static_cast<std::uint16_t>(tcp ? tcp_port : 0);
+  if (!tcp) sopts.idle_timeout_ms = -1;  // the loop's connection idles at the prompt
+  char config[192];
+
+  if (tenants) {
+    topts.dim = shape.dim;
+    topts.params = params;
+    topts.engine = opts;
+    tenant::TenantRegistry registry(topts);
+    tenant::TenantServer server(registry, sopts);
+    std::snprintf(config, sizeof(config),
+                  "dim=%d k=%d log_delta=%d max_resident=%d spill=%s", shape.dim,
+                  shape.k, shape.log_delta, topts.max_resident,
+                  topts.spill_dir.empty() ? "<off>" : topts.spill_dir.c_str());
+    const int rc = host(server, tcp, "tenant server", config, " --tenant <id>",
+                        process_commands());
+    if (rc == 0) std::fprintf(stderr, "%s\n", registry.stats_json().c_str());
+    return rc;
+  }
+
+  ClusteringEngine engine(shape.dim, params, opts);
+  net::EngineServer server(engine, sopts);
+  LocalCommands local = process_commands();
+  local["restore"] = [&engine](std::istream& in) {
+    std::string path;
+    if (!(in >> path)) {
+      std::printf("err restore needs a path\n");
+    } else {
+      std::printf(engine.restore(path) ? "ok %s\n" : "err %s failed\n", path.c_str());
+    }
+  };
+  std::snprintf(config, sizeof(config), "dim=%d k=%d shards=%d log_delta=%d",
+                shape.dim, shape.k, shape.shards, shape.log_delta);
+  const int rc = host(server, tcp, "engine", config, "", local);
+  if (rc != 0) return rc;
+  const EngineMetrics m = server.metrics();
+  engine.shutdown();
+  std::fprintf(stderr, "%s\n", metrics_json(m).c_str());
+  return 0;
+}
+
+// `client`: the command loop against a remote server.
 int cmd_client(int argc, char** argv) {
   std::vector<const char*> pos;
   std::string tenant_id;
@@ -593,10 +625,9 @@ int cmd_client(int argc, char** argv) {
       pos.push_back(argv[i]);
     }
   }
-  if (pos.size() < 2) return usage();
+  long port = 0;
+  if (pos.size() < 2 || !parse_port(pos[1], 1, port)) return usage();
   const std::string host = pos[0];
-  const long port = std::atol(pos[1]);
-  if (port < 1 || port > 65535) return usage();
 
   net::SkcClient client;
   client.set_tenant(tenant_id);
@@ -605,127 +636,9 @@ int cmd_client(int argc, char** argv) {
                  client.last_error().c_str());
     return 1;
   }
-  std::fprintf(stderr,
-               "connected to %s:%ld (tenant '%s')\n"
-               "commands:  insert c1 c2 .. | delete c1 c2 .. | query [slack]\n"
-               "           ping | metrics | prom | trace-dump [path]\n"
-               "           cluster-trace [path] | flight [path]\n"
-               "           tenant [id] | tenant-stats\n"
-               "           checkpoint <path> | shutdown | quit\n",
-               host.c_str(), port, tenant_id.c_str());
-
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    std::istringstream in(line);
-    std::string cmd;
-    if (!(in >> cmd) || cmd[0] == '#') continue;
-    if (cmd == "quit" || cmd == "exit") break;
-    if (cmd == "insert" || cmd == "delete") {
-      std::vector<Coord> p;
-      for (long long c = 0; in >> c;) p.push_back(static_cast<Coord>(c));
-      const bool sent = cmd == "insert" ? client.insert(p) : client.erase(p);
-      if (sent) {
-        std::printf("ok\n");
-      } else {
-        std::printf("err %s\n", client.last_error().c_str());
-      }
-    } else if (cmd == "query") {
-      net::QueryRequest req;
-      if (double slack = 0; in >> slack) req.capacity_slack = slack;
-      net::QueryReply res;
-      if (!client.query(req, res)) {
-        std::printf("err %s\n", client.last_error().c_str());
-        continue;
-      }
-      if (!res.ok) {
-        std::printf("err %s\n", res.error.c_str());
-        continue;
-      }
-      std::printf("ok n=%lld summary=%llu capacity=%.0f cost=%.6g "
-                  "merge_ms=%.1f solve_ms=%.1f\n",
-                  static_cast<long long>(res.net_points),
-                  static_cast<unsigned long long>(res.summary_points),
-                  res.capacity, res.cost, res.merge_millis, res.solve_millis);
-      const std::size_t dim = static_cast<std::size_t>(res.dim);
-      for (std::size_t c = 0; dim > 0 && c + dim <= res.center_coords.size();
-           c += dim) {
-        std::printf("center");
-        for (std::size_t i = 0; i < dim; ++i) {
-          std::printf(" %d", res.center_coords[c + i]);
-        }
-        std::printf("\n");
-      }
-    } else if (cmd == "ping") {
-      if (client.ping()) {
-        std::printf("ok\n");
-      } else {
-        std::printf("err %s\n", client.last_error().c_str());
-      }
-    } else if (cmd == "metrics") {
-      std::string json;
-      if (client.metrics_json(json)) {
-        std::printf("%s\n", json.c_str());
-      } else {
-        std::printf("err %s\n", client.last_error().c_str());
-      }
-    } else if (cmd == "prom") {
-      std::string text;
-      if (client.prometheus_text(text)) {
-        std::printf("%s", text.c_str());
-      } else {
-        std::printf("err %s\n", client.last_error().c_str());
-      }
-    } else if (cmd == "tenant") {
-      std::string id;
-      in >> id;  // no argument = back to the default tenant
-      if (!id.empty() && !net::valid_tenant_id(id)) {
-        std::printf("err invalid tenant id '%s'\n", id.c_str());
-        continue;
-      }
-      client.set_tenant(id);
-      std::printf("ok tenant '%s'\n", id.c_str());
-    } else if (cmd == "tenant-stats") {
-      std::string json;
-      if (client.tenant_stats(json)) {
-        std::printf("%s\n", json.c_str());
-      } else {
-        std::printf("err %s\n", client.last_error().c_str());
-      }
-    } else if (cmd == "trace-dump" || cmd == "cluster-trace" ||
-               cmd == "flight") {
-      std::string path = "-";
-      in >> path;
-      std::string json;
-      const bool fetched = cmd == "trace-dump" ? client.trace_json(json)
-                           : cmd == "cluster-trace"
-                               ? client.cluster_trace_json(json)
-                               : client.flight_recorder_json(json);
-      if (!fetched) {
-        std::printf("err %s\n", client.last_error().c_str());
-      } else if (write_text_file(path, json)) {
-        if (path != "-") std::printf("ok %s\n", path.c_str());
-      } else {
-        std::printf("err cannot write %s\n", path.c_str());
-      }
-    } else if (cmd == "checkpoint") {
-      std::string path;
-      if (!(in >> path)) {
-        std::printf("err checkpoint needs a server-side path\n");
-        continue;
-      }
-      std::printf(client.checkpoint(path) ? "ok %s\n" : "err %s failed\n",
-                  path.c_str());
-    } else if (cmd == "shutdown") {
-      if (client.shutdown_server()) {
-        std::printf("ok server draining\n");
-        break;
-      }
-      std::printf("err %s\n", client.last_error().c_str());
-    } else {
-      std::printf("err unknown command '%s'\n", cmd.c_str());
-    }
-    std::fflush(stdout);
-  }
+  std::fprintf(stderr, "connected to %s:%ld (tenant '%s')\n%s", host.c_str(), port,
+               tenant_id.c_str(), kCommandHelp);
+  command_loop(client, {});
   return 0;
 }
 
@@ -743,68 +656,47 @@ int cmd_worker(int argc, char** argv) {
   const char* seed = nullptr;  // practical()'s default seed unless given
   EngineOptions opts;
   net::ServerOptions sopts;
-  for (int i = 2; i < argc; ++i) {
-    const char* flag = argv[i];
-    if (!std::strcmp(flag, "--trace")) {
-      obs::Tracer::instance().set_enabled(true);
-      continue;
-    }
-    if (!std::strcmp(flag, "--exact")) {
-      opts.streaming.exact_storing = true;
-      continue;
-    }
-    if (std::strncmp(flag, "--", 2) != 0) {
-      pos.push_back(flag);
-      continue;
-    }
-    if (i + 1 >= argc) return usage();
-    const char* value = argv[++i];
-    if (!std::strcmp(flag, "--port")) {
-      port = std::atol(value);
-      if (port < 0 || port > 65535) return usage();
-    } else if (!std::strcmp(flag, "--slow-ms")) {
-      const double threshold = std::atof(value);
-      if (threshold < 0) return usage();
-      obs::FlightRecorder::instance().set_threshold_millis(threshold);
-    } else if (!std::strcmp(flag, "--seed")) {
-      seed = value;
-    } else if (!std::strcmp(flag, "--eps")) {
-      eps = std::atof(value);
-    } else if (!std::strcmp(flag, "--eta")) {
-      eta = std::atof(value);
-    } else if (!std::strcmp(flag, "--max-points")) {
-      opts.streaming.max_points = static_cast<PointIndex>(std::atoll(value));
-    } else if (!std::strcmp(flag, "--o-min")) {
-      opts.streaming.o_min = std::atof(value);
-    } else if (!std::strcmp(flag, "--o-max")) {
-      opts.streaming.o_max = std::atof(value);
-    } else if (!std::strcmp(flag, "--counting-samples")) {
-      opts.streaming.counting_samples = std::atof(value);
-    } else if (!std::strcmp(flag, "--countmin-width")) {
-      opts.streaming.countmin_width = std::atoi(value);
-    } else if (!std::strcmp(flag, "--countmin-depth")) {
-      opts.streaming.countmin_depth = std::atoi(value);
-    } else if (!std::strcmp(flag, "--queue-capacity")) {
-      opts.queue_capacity = static_cast<std::size_t>(std::atol(value));
-    } else if (!std::strcmp(flag, "--busy-backlog")) {
-      sopts.busy_backlog = std::atoll(value);
-    } else {
-      std::fprintf(stderr, "error: unknown flag %s\n", flag);
-      return usage();
-    }
-  }
-  if (pos.size() < 2) return usage();
-  const int dim = std::atoi(pos[0]);
-  const int k = std::atoi(pos[1]);
-  const int shards = pos.size() >= 3 ? std::atoi(pos[2]) : 4;
-  const int log_delta = pos.size() >= 4 ? std::atoi(pos[3]) : 12;
-  if (dim < 1 || k < 1 || shards < 1 || log_delta < 2) return usage();
+  const bool parsed = parse_args(
+      argc, argv, {"--exact"}, pos, [&](std::string_view flag, const char* value) {
+        if (flag == "--exact") {
+          opts.streaming.exact_storing = true;
+        } else if (flag == "--port") {
+          return parse_port(value, 0, port);
+        } else if (flag == "--seed") {
+          seed = value;
+        } else if (flag == "--eps") {
+          eps = std::atof(value);
+        } else if (flag == "--eta") {
+          eta = std::atof(value);
+        } else if (flag == "--max-points") {
+          opts.streaming.max_points = static_cast<PointIndex>(std::atoll(value));
+        } else if (flag == "--o-min") {
+          opts.streaming.o_min = std::atof(value);
+        } else if (flag == "--o-max") {
+          opts.streaming.o_max = std::atof(value);
+        } else if (flag == "--counting-samples") {
+          opts.streaming.counting_samples = std::atof(value);
+        } else if (flag == "--countmin-width") {
+          opts.streaming.countmin_width = std::atoi(value);
+        } else if (flag == "--countmin-depth") {
+          opts.streaming.countmin_depth = std::atoi(value);
+        } else if (flag == "--queue-capacity") {
+          opts.queue_capacity = static_cast<std::size_t>(std::atol(value));
+        } else if (flag == "--busy-backlog") {
+          sopts.busy_backlog = std::atoll(value);
+        } else {
+          return false;
+        }
+        return true;
+      });
+  Shape shape;
+  if (!parsed || !parse_shape(pos, true, shape)) return usage();
 
-  CoresetParams params = CoresetParams::practical(k, LrOrder{2.0}, eps, eta);
+  CoresetParams params = CoresetParams::practical(shape.k, LrOrder{2.0}, eps, eta);
   if (seed) params.seed = std::strtoull(seed, nullptr, 10);
-  opts.num_shards = shards;
-  opts.streaming.log_delta = log_delta;
-  ClusteringEngine engine(dim, params, opts);
+  opts.num_shards = shape.shards;
+  opts.streaming.log_delta = shape.log_delta;
+  ClusteringEngine engine(shape.dim, params, opts);
 
   sopts.port = static_cast<std::uint16_t>(port);
   net::EngineServer server(engine, sopts);
@@ -818,7 +710,7 @@ int cmd_worker(int argc, char** argv) {
   std::fprintf(stderr,
                "worker listening on 127.0.0.1:%u (dim=%d k=%d shards=%d "
                "log_delta=%d)\n",
-               server.port(), dim, k, shards, log_delta);
+               server.port(), shape.dim, shape.k, shape.shards, shape.log_delta);
   server.wait();
   server.stop();
   engine.shutdown();
@@ -826,156 +718,55 @@ int cmd_worker(int argc, char** argv) {
 }
 
 // Cluster coordinator: dials the given workers, serves the same wire
-// protocol on its own TCP port (drive it with `skc_cli client`), and offers
-// the serve-style REPL locally.
+// protocol on its own TCP port (drive it remotely with `skc_cli client`),
+// and runs the command loop over that front door.
 int cmd_coordinator(int argc, char** argv) {
   std::vector<const char*> pos;
   cluster::CoordinatorOptions copts;
   long tcp_port = 0;
-  for (int i = 2; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--worker")) {
-      if (i + 1 >= argc) return usage();
-      const std::string spec = argv[++i];
-      const std::size_t colon = spec.rfind(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "error: --worker needs host:port, got %s\n",
-                     spec.c_str());
-        return 2;
-      }
-      const long port = std::atol(spec.c_str() + colon + 1);
-      if (port < 1 || port > 65535) return usage();
-      copts.workers.push_back(
-          {spec.substr(0, colon), static_cast<std::uint16_t>(port)});
-    } else if (!std::strcmp(argv[i], "--tcp")) {
-      if (i + 1 >= argc) return usage();
-      tcp_port = std::atol(argv[++i]);
-      if (tcp_port < 0 || tcp_port > 65535) return usage();
-    } else if (!std::strcmp(argv[i], "--trace")) {
-      obs::Tracer::instance().set_enabled(true);
-    } else if (!std::strcmp(argv[i], "--slow-ms")) {
-      if (i + 1 >= argc) return usage();
-      const double threshold = std::atof(argv[++i]);
-      if (threshold < 0) return usage();
-      obs::FlightRecorder::instance().set_threshold_millis(threshold);
-    } else if (!std::strncmp(argv[i], "--", 2)) {
-      return usage();  // unknown option
-    } else {
-      pos.push_back(argv[i]);
-    }
+  const bool parsed =
+      parse_args(argc, argv, {}, pos, [&](std::string_view flag, const char* value) {
+        if (flag == "--tcp") return parse_port(value, 0, tcp_port);
+        if (flag != "--worker") return false;
+        const std::string spec = value;
+        const std::size_t colon = spec.rfind(':');
+        long port = 0;
+        if (colon == std::string::npos || !parse_port(spec.c_str() + colon + 1, 1, port)) {
+          return false;
+        }
+        copts.workers.push_back(
+            {spec.substr(0, colon), static_cast<std::uint16_t>(port)});
+        return true;
+      });
+  Shape shape;
+  if (!parsed || !parse_shape(pos, false, shape) || copts.workers.empty()) {
+    return usage();
   }
-  if (pos.size() < 2 || copts.workers.empty()) return usage();
-  const int dim = std::atoi(pos[0]);
-  const int k = std::atoi(pos[1]);
-  const int log_delta = pos.size() >= 3 ? std::atoi(pos[2]) : 12;
-  if (dim < 1 || k < 1 || log_delta < 2) return usage();
 
-  copts.dim = dim;
-  copts.params = CoresetParams::practical(k, LrOrder{2.0}, 0.2, 0.2);
-  copts.streaming.log_delta = log_delta;
+  copts.dim = shape.dim;
+  copts.params = CoresetParams::practical(shape.k, LrOrder{2.0}, 0.2, 0.2);
+  copts.streaming.log_delta = shape.log_delta;
   copts.server.port = static_cast<std::uint16_t>(tcp_port);
+  copts.server.idle_timeout_ms = -1;  // the loop's connection idles at the prompt
 
   cluster::ClusterCoordinator coordinator(copts);
   std::string error;
-  if (!coordinator.connect(error)) {
+  if (!coordinator.connect(error) || !coordinator.start(error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  if (!coordinator.start(error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "coordinator on 127.0.0.1:%u over %d worker(s)\n"
-               "commands:  insert c1 .. c%d | delete c1 .. c%d | "
-               "query [slack]\n"
-               "           flush | metrics | prom | cluster-trace [path] | "
-               "flight [path]\n"
-               "           checkpoint | shutdown-workers | quit\n",
-               coordinator.port(), coordinator.workers(), dim, dim);
-
-  const long long max_coord = 1LL << log_delta;
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    std::istringstream in(line);
-    std::string cmd;
-    if (!(in >> cmd) || cmd[0] == '#') continue;
-    if (cmd == "quit" || cmd == "exit") break;
-    if (cmd == "insert" || cmd == "delete") {
-      std::vector<Coord> p(static_cast<std::size_t>(dim));
-      bool ok = true;
-      for (int i = 0; i < dim; ++i) {
-        long long c = 0;
-        if (!(in >> c) || c < 1 || c > max_coord) {
-          ok = false;
-          break;
-        }
-        p[static_cast<std::size_t>(i)] = static_cast<Coord>(c);
-      }
-      if (!ok) {
-        std::printf("err %s needs %d coordinates in [1, %lld]\n", cmd.c_str(),
-                    dim, max_coord);
-        continue;
-      }
-      EventBatch event(dim);
-      event.push_back(cmd == "insert" ? StreamOp::kInsert : StreamOp::kDelete, p);
-      const bool sent = coordinator.submit(event);
-      std::printf(sent ? "ok\n" : "err cluster rejected the event\n");
-    } else if (cmd == "query") {
-      EngineQuery q;
-      if (double slack = 0; in >> slack) q.capacity_slack = slack;
-      const EngineQueryResult res = coordinator.query(q);
-      if (!res.ok) {
-        std::printf("err %s\n", res.error.c_str());
-        continue;
-      }
-      std::printf("ok n=%lld summary=%lld capacity=%.0f cost=%.6g "
-                  "merge_ms=%.1f solve_ms=%.1f\n",
-                  static_cast<long long>(res.net_points),
-                  static_cast<long long>(res.summary.points.size()),
-                  res.capacity, res.solution.cost, res.merge_millis,
-                  res.solve_millis);
-      for (PointIndex c = 0; c < res.solution.centers.size(); ++c) {
-        std::printf("center %s\n", to_string(res.solution.centers[c]).c_str());
-      }
-    } else if (cmd == "flush") {
-      coordinator.flush();
-      std::printf("ok\n");
-    } else if (cmd == "metrics") {
-      std::printf("%s\n", cluster::cluster_metrics_json(coordinator.metrics()).c_str());
-    } else if (cmd == "prom") {
-      std::printf("%s",
-                  cluster::cluster_prometheus_text(coordinator.metrics()).c_str());
-    } else if (cmd == "cluster-trace") {
-      std::string path = "-";
-      in >> path;
-      if (write_text_file(path, coordinator.cluster_trace_json())) {
-        if (path != "-") std::printf("ok %s\n", path.c_str());
-      } else {
-        std::printf("err cannot write %s\n", path.c_str());
-      }
-    } else if (cmd == "flight") {
-      std::string path = "-";
-      in >> path;
-      if (write_text_file(path, obs::FlightRecorder::instance().dump_json())) {
-        if (path != "-") std::printf("ok %s\n", path.c_str());
-      } else {
-        std::printf("err cannot write %s\n", path.c_str());
-      }
-    } else if (cmd == "checkpoint") {
-      std::printf(coordinator.checkpoint_members() ? "ok\n"
-                                                   : "err a member failed\n");
-    } else if (cmd == "shutdown-workers") {
-      coordinator.shutdown_workers();
-      std::printf("ok\n");
-    } else {
-      std::printf("err unknown command '%s'\n", cmd.c_str());
-    }
-    std::fflush(stdout);
-  }
+  std::fprintf(stderr, "coordinator on 127.0.0.1:%u over %d worker(s)\n",
+               coordinator.port(), coordinator.workers());
+  LocalCommands local = process_commands();
+  local["shutdown-workers"] = [&coordinator](std::istream&) {
+    coordinator.shutdown_workers();
+    std::printf("ok\n");
+  };
+  const int rc = drive(coordinator.port(), local);
   coordinator.stop();
   std::fprintf(stderr, "%s\n",
                cluster::cluster_metrics_json(coordinator.metrics()).c_str());
-  return 0;
+  return rc;
 }
 
 // One-shot TRACE_DUMP / CLUSTER_TRACE_DUMP RPC: fetch the server's span
