@@ -37,8 +37,11 @@ ctest --test-dir build --output-on-failure
 # mark_cells, its reference (HeavyWalk), the offline constructions must
 # reproduce their frozen digests (OfflineDigest), and the distributed
 # protocol must equal offline under exact rates and spend no sample round
-# on a guess the walk FAILs (DistributedCoreset).
-ctest --test-dir build --output-on-failure -R '^(BatchIngest|BatchSketch|IngestDigest|CellPointStore|PointStoreOracle|CountMinOracle|Checkpoint|PersistedMutants|ShardFinalize|HeavyWalk|OfflineDigest|DistributedCoreset)\.'
+# on a guess the walk FAILs (DistributedCoreset), both CRC-64 kernels must
+# compute the bitwise reference's values that every checkpoint, spill and
+# frozen digest depends on (Crc64), and the flat distinct-cell estimator
+# must match the node-map one it replaced (DistinctCellsOracle).
+ctest --test-dir build --output-on-failure -R '^(BatchIngest|BatchSketch|IngestDigest|CellPointStore|PointStoreOracle|CountMinOracle|Checkpoint|PersistedMutants|ShardFinalize|HeavyWalk|OfflineDigest|DistributedCoreset|Crc64|DistinctCellsOracle)\.'
 
 for b in build/bench/bench_*; do
   echo "== $b"

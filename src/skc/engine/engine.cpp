@@ -328,7 +328,8 @@ void ClusteringEngine::save_body(serial::Writer& out) {
   out.put(kEngineFooter);
 }
 
-bool ClusteringEngine::load_body(serial::Reader& in) {
+bool ClusteringEngine::parse_body(
+    serial::Reader& in, std::span<StreamingCoresetBuilder* const> builders) const {
   std::uint64_t seed = 0, footer = 0;
   std::int32_t dim = 0, log_delta = 0, shards = 0;
   std::uint8_t exact = 0;
@@ -337,17 +338,25 @@ bool ClusteringEngine::load_body(serial::Reader& in) {
   if (!in.get(seed) || seed != params_.seed) return false;
   if (!in.get(shards) || shards != num_shards()) return false;
   if (!in.get(exact) || (exact != 0) != options_.streaming.exact_storing) return false;
+  for (StreamingCoresetBuilder* builder : builders) {
+    if (!builder->load(in)) return false;
+  }
+  return in.get(footer) && footer == kEngineFooter && in.done();
+}
+
+bool ClusteringEngine::load_body(serial::Reader& in) {
   // Parse into fresh builders first; the engine is only touched once the
   // whole body (footer included) has validated.
   std::vector<std::unique_ptr<StreamingCoresetBuilder>> fresh;
+  std::vector<StreamingCoresetBuilder*> into;
   fresh.reserve(shards_.size());
+  into.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    auto builder = std::make_unique<StreamingCoresetBuilder>(dim_, params_,
-                                                             options_.streaming);
-    if (!builder->load(in)) return false;
-    fresh.push_back(std::move(builder));
+    fresh.push_back(
+        std::make_unique<StreamingCoresetBuilder>(dim_, params_, options_.streaming));
+    into.push_back(fresh.back().get());
   }
-  if (!in.get(footer) || footer != kEngineFooter || !in.done()) return false;
+  if (!parse_body(in, into)) return false;
 
   flush();  // quiesce in-flight events so the swap is a clean epoch
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -369,22 +378,46 @@ void ClusteringEngine::save_state(serial::Writer& out) {
   save_body(out);
   const std::string_view payload = out.view().substr(body);
   out.put_at<std::uint64_t>(frame, payload.size());
+  SKC_TRACE_SPAN("checksum");
   out.put_at<std::uint64_t>(frame + 8, crc64(payload));
 }
 
-bool ClusteringEngine::load_state(std::string_view bytes) {
+bool ClusteringEngine::open_frame(std::string_view bytes, std::string_view& payload) {
   serial::Reader in(bytes);
   std::uint64_t magic = 0, size = 0, crc = 0;
   std::uint32_t version = 0;
-  std::string_view payload;
   if (!in.get(magic) || magic != kEngineMagic) return false;
   if (!in.get(version) || version != kEngineVersion) return false;
   if (!in.get(size) || !in.get(crc) || !in.get_view(size, payload) || !in.done()) {
     return false;
   }
-  if (crc64(payload) != crc) return false;  // torn write or flipped bit
+  SKC_TRACE_SPAN("checksum");
+  return crc64(payload) == crc;  // else a torn write or flipped bit
+}
+
+bool ClusteringEngine::load_state(std::string_view bytes) {
+  std::string_view payload;
+  if (!open_frame(bytes, payload)) return false;
   serial::Reader body(payload);
   return load_body(body);
+}
+
+std::unique_ptr<ClusteringEngine> ClusteringEngine::from_state(int dim,
+                                                               const CoresetParams& params,
+                                                               const EngineOptions& options,
+                                                               std::string_view bytes) {
+  std::string_view payload;
+  if (!open_frame(bytes, payload)) return nullptr;
+  auto engine = std::make_unique<ClusteringEngine>(dim, params, options);
+  // No other thread knows the engine and it has seen no event, so its own
+  // builders take the parse; a refusal drops the whole engine.
+  std::vector<StreamingCoresetBuilder*> own;
+  own.reserve(engine->shards_.size());
+  for (const auto& shard : engine->shards_) own.push_back(shard->builder.get());
+  serial::Reader body(payload);
+  if (!engine->parse_body(body, own)) return nullptr;
+  engine->counters_.restores.fetch_add(1, std::memory_order_relaxed);
+  return engine;
 }
 
 bool ClusteringEngine::checkpoint(const std::string& path) {

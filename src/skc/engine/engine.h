@@ -201,6 +201,14 @@ class ClusteringEngine {
   void save_state(serial::Writer& out);
   bool load_state(std::string_view bytes);
 
+  /// A new engine of (dim, params, options) holding the state of a
+  /// save_state() frame, parsed straight into the shard builders it
+  /// creates rather than into a second builder per shard; null when such
+  /// an engine's load_state() would refuse `bytes`.  Counts one restore.
+  static std::unique_ptr<ClusteringEngine> from_state(int dim, const CoresetParams& params,
+                                                      const EngineOptions& options,
+                                                      std::string_view bytes);
+
   /// Cluster export: takes the epoch barrier, folds every shard builder
   /// into one via the linear merge (the sum query() finalizes in place),
   /// and serializes the result.  The blob
@@ -245,6 +253,15 @@ class ClusteringEngine {
   void schedule_drain(Shard& shard);
   void drain(Shard& shard);
   void save_body(serial::Writer& out);
+  /// The payload of one save_state() frame that fills `bytes` exactly, its
+  /// CRC checked; false if refused.
+  static bool open_frame(std::string_view bytes, std::string_view& payload);
+  /// Parses a body written by an engine of this configuration, one shard
+  /// builder blob into each of `builders`; false on any refusal, leaving
+  /// them part-loaded.
+  bool parse_body(serial::Reader& in, std::span<StreamingCoresetBuilder* const> builders) const;
+  /// parse_body into fresh builders, then swapped in: a refusal leaves the
+  /// engine unchanged.
   bool load_body(serial::Reader& in);
 
   int dim_;

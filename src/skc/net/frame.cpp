@@ -228,7 +228,7 @@ std::string CheckpointRequest::encode() const {
 
 bool CheckpointRequest::decode(std::string_view body) {
   Reader r(body);
-  return r.get_string(path) && !path.empty() && r.done();
+  return r.get_string(path) && r.done();
 }
 
 std::string WorkerHello::encode() const {

@@ -274,7 +274,9 @@ struct QueryReply {
 };
 
 /// CHECKPOINT request: server-side destination path (the blob itself is not
-/// shipped; checkpoints are written where the engine runs).
+/// shipped; checkpoints are written where the engine runs).  An empty path
+/// decodes: the coordinator ignores the path, and engine and tenant servers
+/// answer it with an engine error, not as a malformed frame.
 struct CheckpointRequest {
   std::string path;
 

@@ -440,6 +440,10 @@ Status EngineServer::serve(MsgType type, std::string_view /*tenant*/,
       if (!request.decode(body)) {
         return malformed("undecodable checkpoint request", reply);
       }
+      if (request.path.empty()) {
+        reply = encode_text("checkpoint needs a path");
+        return Status::kEngineError;
+      }
       if (!engine_.checkpoint(request.path)) {
         reply = encode_text("checkpoint write failed");
         return Status::kEngineError;

@@ -249,14 +249,16 @@ bool CellCountMin::load(serial::Reader& in) {
   std::uint64_t lo = 0;
   if (!in.get(lo) || lo > keep_below_.size()) return fail();
   lo_ = static_cast<int>(lo);
+  const bool zeroed = empty_;
   empty_ = false;
   const auto bounded = [](std::int64_t c) { return c >= -kMaxEvents && c <= kMaxEvents; };
   // Decode in place, into exactly the block the live columns need: the
-  // constructor's when the sizes agree, else one allocated after the old
-  // one is freed, so a restore never holds two blocks at once.
+  // constructor's when the sizes agree (already zero if nothing has written
+  // to it), else one allocated after the old one is freed, so a restore
+  // never holds two blocks at once.
   const std::size_t want = config_.exact ? 0 : slots() * live();
   if (counters_.size() == want) {
-    std::fill(counters_.begin(), counters_.end(), 0);
+    if (!zeroed) std::fill(counters_.begin(), counters_.end(), 0);
   } else {
     std::vector<std::int64_t>().swap(counters_);
     counters_.resize(want);

@@ -9,22 +9,25 @@
 // time (DESIGN.md §3).
 //
 // m_i is tracked with an adaptive-threshold F0 structure that tolerates
-// deletions: cells whose hash falls under the current threshold are kept in
-// a count map (entries dropping to zero are erased); when the map outgrows
-// its budget the threshold halves and off-threshold entries are evicted.
-// The estimate is |map| / threshold_fraction.  Events arrive through one
-// path, update_batch, as the level's cell index rows the builder computed
-// once for every structure of the level.
+// deletions: cells whose hash falls under the current threshold are kept
+// with their net count (a cell dropping to zero is erased); when more cells
+// than the budget are kept the threshold halves and off-threshold cells are
+// evicted.  The estimate is |kept| / threshold_fraction.  The kept cells are
+// flat records (index row, count, hash) behind an open-addressing slot
+// table (slot_table.h), so a kept cell costs no node and no vector of its
+// own.  Events arrive through one path, update_batch, as the level's cell
+// index rows the builder computed once for every structure of the level.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "skc/common/serial.h"
 #include "skc/common/types.h"
 #include "skc/grid/hierarchical_grid.h"
 #include "skc/hash/kwise_hash.h"
+#include "skc/sketch/slot_table.h"
 
 namespace skc {
 
@@ -52,6 +55,7 @@ class DistinctCells {
   /// semantics.
   void merge(const DistinctCells& other);
 
+  /// Capacity bytes of the kept-cell arrays and the slot table.
   std::size_t memory_bytes() const;
 
   /// Checkpointing (hash re-derived from the constructor seed; entries in
@@ -65,18 +69,32 @@ class DistinctCells {
 
  private:
   std::uint64_t threshold() const { return f61::kP >> shift_; }
-  std::uint64_t cell_hash(const CellKey& key) const;
+  std::size_t kept() const { return counts_.size(); }
+  const std::int32_t* row(std::size_t id) const { return rows_.data() + id * dim_; }
+  /// count[cell] += delta for a cell whose hash is `hash`: a missing cell is
+  /// added only for delta > 0, and a cell whose count drops to zero or
+  /// below is erased.
+  void add(const std::int32_t* cell, std::uint64_t hash, std::int64_t delta);
+  /// Erases the cell at `slot`; the last record moves into its place.
+  void erase_at(std::size_t slot);
   /// Sets the shift and drops every kept cell at or above the new threshold.
   void raise_shift(int shift);
   void shrink_to_budget();
+  /// Drops every kept cell and frees the arrays.
+  void clear();
 
-  const HierarchicalGrid* grid_;
   int level_;
+  std::size_t dim_;
   std::size_t budget_;
   std::uint64_t seed_ = 0;
   int shift_ = 0;  ///< kept iff hash < 2^61 / 2^shift
   KWiseHash hash_;
-  std::unordered_map<CellKey, std::int64_t, CellKeyHash> kept_;
+  // One record per kept cell: its index row (dim_ words), its net count and
+  // its hash, found by row through slots_.
+  std::vector<std::int32_t> rows_;
+  std::vector<std::int64_t> counts_;
+  std::vector<std::uint64_t> hashes_;
+  slot_table::Slots slots_;
 };
 
 /// OPT^{(r)} lower bound from per-level distinct-cell estimates

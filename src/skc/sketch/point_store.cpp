@@ -11,25 +11,8 @@ namespace skc {
 
 namespace {
 
-/// 32-bit hash of a row of int32 words (a cell index row or a point's
-/// coordinates).  Deterministic, so equal histories give equal tables.
-std::uint32_t hash_row(const std::int32_t* w, std::size_t n) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h = (h ^ static_cast<std::uint32_t>(w[i])) * 0xff51afd7ed558ccdULL;
-    h ^= h >> 32;
-  }
-  return static_cast<std::uint32_t>((h * 0xc4ceb9fe1a85ec53ULL) >> 32);
-}
-
-/// Home slot of a hash in a table of `size` slots: its high bits.
-std::size_t home_slot(std::uint32_t hash, std::size_t size) {
-  return static_cast<std::size_t>((std::uint64_t{hash} * size) >> 32);
-}
-
-bool rows_equal(const std::int32_t* a, const std::int32_t* b, std::size_t n) {
-  return std::equal(a, a + n, b);
-}
+using slot_table::hash_row;
+using slot_table::home_slot;
 
 template <typename T>
 void free_array(std::vector<T>& v) {
@@ -67,48 +50,6 @@ CellPointStore::CellPointStore(const HierarchicalGrid& grid, int level,
   state_.resize(bounds_.size());
 }
 
-void CellPointStore::grow_slots(std::vector<Slot>& slots, std::size_t count) {
-  // Linear probing at load <= 1/2; power-of-two sizes.
-  if ((count + 1) * 2 <= slots.size()) return;
-  std::vector<Slot> bigger(std::max<std::size_t>(16, slots.size() * 2));
-  const std::size_t mask = bigger.size() - 1;
-  for (const Slot& s : slots) {
-    if (s.id == kNone) continue;
-    std::size_t i = home_slot(s.hash, bigger.size());
-    while (bigger[i].id != kNone) i = (i + 1) & mask;
-    bigger[i] = s;
-  }
-  slots.swap(bigger);
-}
-
-void CellPointStore::erase_slot(std::vector<Slot>& slots, std::size_t hole) {
-  // Backward-shift deletion: pull each later entry of the probe run into the
-  // hole unless its home slot lies cyclically after the hole.
-  const std::size_t mask = slots.size() - 1;
-  for (std::size_t j = (hole + 1) & mask; slots[j].id != kNone; j = (j + 1) & mask) {
-    const std::size_t home = home_slot(slots[j].hash, slots.size());
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      slots[hole] = slots[j];
-      hole = j;
-    }
-  }
-  slots[hole] = Slot{};
-}
-
-std::size_t CellPointStore::probe(const std::vector<Slot>& slots,
-                                  const std::vector<std::int32_t>& keys,
-                                  const std::int32_t* key, std::uint32_t hash) const {
-  const std::size_t mask = slots.size() - 1;
-  std::size_t i = home_slot(hash, slots.size());
-  for (; slots[i].id != kNone; i = (i + 1) & mask) {
-    const Slot& s = slots[i];
-    if (s.hash == hash && rows_equal(keys.data() + std::size_t{s.id} * dim_, key, dim_)) {
-      break;
-    }
-  }
-  return i;
-}
-
 int CellPointStore::first_alive(int from) const {
   while (from < classes() && !alive(from)) ++from;
   return from;
@@ -141,8 +82,8 @@ std::uint32_t CellPointStore::alloc_views(std::uint32_t n) {
 
 std::uint32_t CellPointStore::find_or_add_cell(const std::int32_t* idx, int top) {
   const std::uint32_t hash = hash_row(idx, dim_);
-  grow_slots(cell_slots_, cells_.size());
-  const std::size_t slot = probe(cell_slots_, cell_rows_, idx, hash);
+  slot_table::grow(cell_slots_, cells_.size());
+  const std::size_t slot = slot_table::probe(cell_slots_, cell_rows_.data(), dim_, idx, hash);
   const auto need = static_cast<std::uint32_t>(top - base_ + 1);
   if (const std::uint32_t c = cell_slots_[slot].id; c != kNone) {
     if (static_cast<int>(cells_[c].top) < top) {
@@ -216,8 +157,8 @@ void CellPointStore::count_live(std::uint32_t c, int cls, std::int64_t by) {
 
 void CellPointStore::add_count(std::uint32_t c, const Coord* p, std::uint32_t hash, int cls,
                                std::int64_t count, bool create) {
-  grow_slots(point_slots_, npoints_);
-  const std::size_t slot = probe(point_slots_, point_coords_, p, hash);
+  slot_table::grow(point_slots_, npoints_);
+  const std::size_t slot = slot_table::probe(point_slots_, point_coords_.data(), dim_, p, hash);
   if (const std::uint32_t found = point_slots_[slot].id; found != kNone) {
     PointRecord& rec = points_[found];
     rec.count += count;
@@ -247,15 +188,12 @@ void CellPointStore::erase_point(std::uint32_t c, std::size_t slot) {
   }
   rec.next = free_points_;
   free_points_ = id;
-  erase_slot(point_slots_, slot);
+  slot_table::erase(point_slots_, slot);
   --npoints_;
 }
 
 void CellPointStore::erase_point_id(std::uint32_t c, std::uint32_t id) {
-  const std::size_t mask = point_slots_.size() - 1;
-  std::size_t slot = home_slot(hash_row(point_coords(id), dim_), point_slots_.size());
-  while (point_slots_[slot].id != id) slot = (slot + 1) & mask;
-  erase_point(c, slot);
+  erase_point(c, slot_table::find_id(point_slots_, id, hash_row(point_coords(id), dim_)));
 }
 
 void CellPointStore::maybe_evict(std::uint32_t c, int cls) {
@@ -335,8 +273,9 @@ void CellPointStore::compact(int new_first) {
         for_each_point(c, q, [&](std::uint32_t id) {
           const Coord* p = point_coords(id);
           const std::uint32_t hash = hash_row(p, dim_);
-          out.grow_slots(out.point_slots_, out.npoints_);
-          const std::size_t slot = out.probe(out.point_slots_, out.point_coords_, p, hash);
+          slot_table::grow(out.point_slots_, out.npoints_);
+          const std::size_t slot =
+              slot_table::probe(out.point_slots_, out.point_coords_.data(), dim_, p, hash);
           out.new_point(nc, q, p, hash, points_[id].count, slot);
         });
       }
@@ -431,8 +370,8 @@ std::optional<CellPointStore::CellPoints> CellPointStore::summed_cell(
   for (const CellPointStore* part : parts) {
     if (part->dead(cls) || part->cell_slots_.empty()) continue;
     const std::uint32_t c =
-        part->cell_slots_[part->probe(part->cell_slots_, part->cell_rows_,
-                                      key.index.data(), hash)]
+        part->cell_slots_[slot_table::probe(part->cell_slots_, part->cell_rows_.data(),
+                                             first.dim_, key.index.data(), hash)]
             .id;
     if (c == kNone) continue;
     const int top = static_cast<int>(part->cells_[c].top);
@@ -717,8 +656,9 @@ bool CellPointStore::load(serial::Reader& in, int lo) {
           grid_->cell_index_of(coords, level_, home);
           if (home != row) return false;  // point outside its cell
           const std::uint32_t hash = hash_row(coords.data(), dim_);
-          grow_slots(point_slots_, npoints_);
-          const std::size_t slot = probe(point_slots_, point_coords_, coords.data(), hash);
+          slot_table::grow(point_slots_, npoints_);
+          const std::size_t slot = slot_table::probe(point_slots_, point_coords_.data(),
+                                                     dim_, coords.data(), hash);
           if (point_slots_[slot].id != kNone) return false;  // duplicate point
           new_point(c, j, coords.data(), hash, count, slot);
         }

@@ -43,8 +43,9 @@
 // traffic.  Cells are append-only records (index row, the highest class
 // that touched the cell, and the offset of its run of per-class view
 // records, one for each live class up to that highest one) found through an
-// open-addressing slot table.  Points are records keyed by their coordinates
-// in a second slot table with backward-shift erase, chained per (cell,
+// open-addressing slot table (slot_table.h).  Points are records keyed by
+// their coordinates in a second slot table with backward-shift erase,
+// chained per (cell,
 // class) by an intrusive circular list, so a read of view j walks the points
 // of classes >= j only, and recycled through a free list.  Events arrive
 // through one path, update_batch, with the cell index rows and coreset
@@ -63,6 +64,7 @@
 #include "skc/common/types.h"
 #include "skc/geometry/point_set.h"
 #include "skc/grid/hierarchical_grid.h"
+#include "skc/sketch/slot_table.h"
 
 namespace skc {
 
@@ -199,7 +201,7 @@ class CellPointStore {
   bool load(serial::Reader& in, int lo);
 
  private:
-  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  static constexpr std::uint32_t kNone = slot_table::kNone;
 
   struct ClassState {
     std::int64_t events = 0;
@@ -240,13 +242,7 @@ class CellPointStore {
     std::uint32_t prev = kNone;
     std::uint32_t next = kNone;  ///< also the free-list link
   };
-  /// One open-addressing slot: a record id and its key's hash (whose high
-  /// bits pick the home slot, so a rehash and the backward-shift erase never
-  /// reread keys).
-  struct Slot {
-    std::uint32_t id = kNone;
-    std::uint32_t hash = 0;
-  };
+  using Slot = slot_table::Slot;
 
   const std::int32_t* cell_row(std::uint32_t c) const {
     return cell_rows_.data() + std::size_t{c} * dim_;
@@ -282,14 +278,6 @@ class CellPointStore {
     } while (id != first);
   }
 
-  /// Grows a slot table so that `count + 1` entries keep it at most half full.
-  static void grow_slots(std::vector<Slot>& slots, std::size_t count);
-  static void erase_slot(std::vector<Slot>& slots, std::size_t hole);
-
-  /// The slot of `slots` whose record's key (dim_ entries of `keys`) equals
-  /// `key`, or the empty slot that ends its probe run.
-  std::size_t probe(const std::vector<Slot>& slots, const std::vector<std::int32_t>& keys,
-                    const std::int32_t* key, std::uint32_t hash) const;
   /// The cell of `idx`, created if missing; its view records reach class
   /// `top` at least.
   std::uint32_t find_or_add_cell(const std::int32_t* idx, int top);

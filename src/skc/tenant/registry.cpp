@@ -227,14 +227,15 @@ TenantRegistry::~TenantRegistry() {
   tenants_.clear();
 }
 
-std::unique_ptr<ClusteringEngine> TenantRegistry::make_engine(const Tenant& t,
-                                                              int rung) const {
+std::unique_ptr<ClusteringEngine> TenantRegistry::make_engine(
+    const Tenant& t, int rung, std::optional<std::string_view> state) const {
   EngineOptions eo = options_.engine;
   eo.streaming = rungs_[static_cast<std::size_t>(rung)];
   eo.shared_pool = pool_.get();
   CoresetParams params = options_.params;
-  std::uint64_t state = options_.params.seed ^ id_hash(t.id);
-  params.seed = splitmix64(state);
+  std::uint64_t seed_state = options_.params.seed ^ id_hash(t.id);
+  params.seed = splitmix64(seed_state);
+  if (state) return ClusteringEngine::from_state(options_.dim, params, eo, *state);
   return std::make_unique<ClusteringEngine>(options_.dim, params, eo);
 }
 
@@ -337,12 +338,11 @@ bool TenantRegistry::restore_locked(Tenant& t) {
   if (!in.get(sealed) || (sealed != 0) != t.sealed) return false;
   EventBatch replay;
   if (!get_replay(in, options_.dim, options_.replay_capacity, replay)) return false;
-  std::unique_ptr<ClusteringEngine> engine = make_engine(t, t.rung);
   {
     SKC_TRACE_SPAN("load_state");
-    if (!engine->load_state(in.rest())) return false;
+    t.engine = make_engine(t, t.rung, in.rest());
   }
-  t.engine = std::move(engine);
+  if (!t.engine) return false;
   t.replay = std::move(replay);
   t.resident.store(true, std::memory_order_release);
   resident_count_.fetch_add(1, std::memory_order_acq_rel);

@@ -47,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -205,7 +206,11 @@ class TenantRegistry {
   bool restore_locked(Tenant& t);
   void maybe_promote_locked(Tenant& t);
 
-  std::unique_ptr<ClusteringEngine> make_engine(const Tenant& t, int rung) const;
+  /// The tenant's engine at `rung`: empty, or holding `state` (a
+  /// save_state() frame) parsed into its own shard builders, null if the
+  /// state is refused.
+  std::unique_ptr<ClusteringEngine> make_engine(
+      const Tenant& t, int rung, std::optional<std::string_view> state = std::nullopt) const;
   std::string spill_path(const std::string& id) const;
   /// Spills LRU victims until the resident set fits max_resident.
   void enforce_residency();

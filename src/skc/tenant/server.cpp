@@ -94,6 +94,10 @@ Status TenantServer::serve(MsgType type, std::string_view tenant,
       if (!request.decode(body)) {
         return malformed("undecodable checkpoint request", reply);
       }
+      if (request.path.empty()) {
+        reply = net::encode_text("checkpoint needs a path");
+        return Status::kEngineError;
+      }
       return admit_status(registry_.checkpoint(tenant, request.path), reply);
     }
 

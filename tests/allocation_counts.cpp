@@ -11,13 +11,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "skc/common/random.h"
+#include "skc/common/serial.h"
 #include "skc/coreset/streaming.h"
 #include "skc/engine/engine.h"
+#include "skc/parallel/thread_pool.h"
 #include "skc/stream/generators.h"
 #include "skc/tenant/registry.h"
 #include "allocation_probe.h"
@@ -253,6 +257,84 @@ TEST(Allocations, TenantReplayAppendIsAmortized) {
   EXPECT_LE(buffered - sealed, 2 * 2 * kPairs)
       << "replay on " << buffered << " vs off " << sealed << " allocations over "
       << 2 * kPairs << " 512-event batches";
+}
+
+// A tenant restore builds its engine once and parses each shard's builder
+// blob into the builder that engine made: it allocates no more than
+// building that engine and loading the blobs into ready builders, plus the
+// spill file, its replay section and the spill of the tenant it evicts.  A
+// restore that parsed into a second builder per shard pays every shard
+// builder's construction twice.
+TEST(Allocations, TenantRestoreBuildsEachShardBuilderOnce) {
+  tenant::TenantRegistryOptions o;
+  o.dim = kDim;
+  o.params = params();
+  o.engine.num_shards = 2;
+  o.engine.streaming = streaming();
+  o.pool_threads = 0;
+  o.num_rungs = 1;
+  o.max_resident = 1;
+  o.spill_dir = testutil::temp_dir() + "/restore_allocations";
+  std::filesystem::create_directories(o.spill_dir);
+  tenant::TenantRegistry reg(o);
+  for (const EventBatch& batch : churn_batches(512)) {
+    ASSERT_EQ(reg.submit("cold", batch), tenant::Admit::kOk);
+  }
+  // The state the spill will hold, as a checkpoint frame.
+  const std::string checkpoint = o.spill_dir + "/cold.ckpt";
+  ASSERT_EQ(reg.checkpoint("cold", checkpoint), tenant::Admit::kOk);
+  // One event for a second tenant: "cold" spills.
+  EventBatch one(kDim);
+  one.push_back(StreamOp::kInsert, std::vector<Coord>{7, 7});
+  ASSERT_EQ(reg.submit("tiny", one), tenant::Admit::kOk);
+  ASSERT_EQ(reg.resident_count(), 1);
+
+  EngineQuery q;
+  q.summary_only = true;
+  EngineQueryResult result;
+  // Restores "cold" and spills "tiny"; then the same query with "cold"
+  // resident and nothing to spill.
+  const std::int64_t restored = allocations_during(
+      [&] { ASSERT_EQ(reg.query("cold", q, result), tenant::Admit::kOk); });
+  const std::int64_t resident = allocations_during(
+      [&] { ASSERT_EQ(reg.query("cold", q, result), tenant::Admit::kOk); });
+  ASSERT_EQ(reg.stats().restores, 1);
+
+  // The reference: the tenant's engine built once (its seed read from the
+  // frame's body header), and the shard blobs loaded into ready builders.
+  std::string frame;
+  ASSERT_TRUE(serial::read_file(checkpoint, frame));
+  serial::Reader in(frame);
+  std::uint64_t magic = 0, size = 0, crc = 0, seed = 0;
+  std::uint32_t version = 0;
+  std::int32_t dim = 0, log_delta = 0, shards = 0;
+  std::uint8_t exact = 0;
+  ASSERT_TRUE(in.get(magic) && in.get(version) && in.get(size) && in.get(crc) &&
+              in.get(dim) && in.get(log_delta) && in.get(seed) && in.get(shards) &&
+              in.get(exact));
+  ASSERT_EQ(shards, o.engine.num_shards);
+  CoresetParams tenant_params = o.params;
+  tenant_params.seed = seed;
+  EngineOptions eo = o.engine;
+  eo.streaming = reg.rungs().front();
+  ThreadPool pool(0);
+  eo.shared_pool = &pool;
+  const std::int64_t build =
+      allocations_during([&] { ClusteringEngine engine(kDim, tenant_params, eo); });
+  std::vector<std::unique_ptr<StreamingCoresetBuilder>> builders;
+  for (int s = 0; s < shards; ++s) {
+    builders.push_back(
+        std::make_unique<StreamingCoresetBuilder>(kDim, tenant_params, eo.streaming));
+  }
+  const std::int64_t parse = allocations_during([&] {
+    for (auto& builder : builders) ASSERT_TRUE(builder->load(in));
+  });
+  // The spill file and its replay section, and the one-event tenant's
+  // spill: a few dozen allocations, against a few hundred per builder.
+  constexpr std::int64_t kSlack = 96;
+  EXPECT_LE(restored - resident, build + parse + kSlack)
+      << "restore " << restored - resident << ", engine build " << build
+      << ", shard blob loads " << parse;
 }
 
 }  // namespace

@@ -199,6 +199,22 @@ net::Status inject(std::uint16_t port, std::string_view bytes,
   return h.status;
 }
 
+// A CHECKPOINT without a path is a request the engine cannot serve, not a
+// broken peer: it gets a typed engine error on a live connection and does
+// not count as a malformed frame.
+TEST(NetServer, BareCheckpointIsAnEngineErrorNotAMalformedFrame) {
+  ServerFixture fx;
+  ASSERT_TRUE(fx.started);
+  net::SkcClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", fx.server.port())) << client.last_error();
+  EXPECT_FALSE(client.checkpoint(""));
+  EXPECT_EQ(client.last_status(), net::Status::kEngineError);
+  EXPECT_NE(client.last_error().find("checkpoint needs a path"), std::string::npos)
+      << client.last_error();
+  EXPECT_TRUE(client.ping()) << client.last_error();
+  EXPECT_EQ(fx.server.metrics().net_malformed_frames, 0);
+}
+
 TEST(NetServer, MalformedFramesNeverKillTheServer) {
   ServerFixture fx;
   ASSERT_TRUE(fx.started);

@@ -371,6 +371,23 @@ TEST(TenantServer, CheckpointAndShutdownAreNamespaced) {
   EXPECT_EQ(fx.registry.stats().per_tenant.at(0).events, 25);
 }
 
+// A CHECKPOINT without a path gets a typed engine error, as on an engine
+// server, and does not count as a malformed frame.
+TEST(TenantServer, BareCheckpointIsAnEngineErrorNotAMalformedFrame) {
+  TenantServerFixture fx;
+  ASSERT_TRUE(fx.started);
+  net::SkcClient alice;
+  alice.set_tenant("alice");
+  ASSERT_TRUE(alice.connect("127.0.0.1", fx.server.port()));
+  ASSERT_TRUE(alice.insert_batch(kDim, grid_coords(5, 0))) << alice.last_error();
+  EXPECT_FALSE(alice.checkpoint(""));
+  EXPECT_EQ(alice.last_status(), net::Status::kEngineError);
+  EXPECT_NE(alice.last_error().find("checkpoint needs a path"), std::string::npos)
+      << alice.last_error();
+  EXPECT_TRUE(alice.ping()) << alice.last_error();
+  EXPECT_EQ(fx.server.transport_metrics().net_malformed_frames, 0);
+}
+
 // --------------------------------------------------------------------------
 // Observability: a tenant host has no engine of its own, so it must not
 // export engine-level families (they could only ever read 0).

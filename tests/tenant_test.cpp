@@ -323,6 +323,38 @@ TEST(TenantRegistry, SpillAndRestoreAreTracedWithTheirSteps) {
   EXPECT_EQ(restores, 1);
 }
 
+// The frame's CRC-64 is its own step under each spill's save_state and
+// each restore's load_state.
+TEST(TenantRegistry, SpillAndRestoreTraceTheirChecksums) {
+  TenantRegistryOptions o = base_options();
+  o.max_resident = 1;
+  o.spill_dir = testutil::temp_dir();
+  TenantRegistry reg(o);
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+  ASSERT_EQ(reg.submit("sum_cold", distinct_inserts(10, 0)), Admit::kOk);
+  ASSERT_EQ(reg.submit("sum_warm", distinct_inserts(10, 100)), Admit::kOk);
+  EXPECT_EQ(net_points(reg, "sum_cold"), 10);
+  tracer.set_enabled(false);
+  const std::vector<obs::TaggedTraceEvent> events = tracer.events();
+  tracer.clear();
+  std::map<std::uint64_t, std::string> name_of;
+  for (const obs::TaggedTraceEvent& e : events) name_of[e.event.span_id] = e.event.name;
+  std::map<std::uint64_t, std::multiset<std::string>> children;
+  for (const obs::TaggedTraceEvent& e : events) {
+    if (name_of.count(e.event.parent_id) != 0) children[e.event.parent_id].insert(e.event.name);
+  }
+  int saves = 0, loads = 0;
+  for (const auto& [id, name] : name_of) {
+    if (name != "save_state" && name != "load_state") continue;
+    ++(name == "save_state" ? saves : loads);
+    EXPECT_EQ(children[id], (std::multiset<std::string>{"checksum"})) << name;
+  }
+  EXPECT_EQ(saves, 2);
+  EXPECT_EQ(loads, 1);
+}
+
 TEST(TenantRegistry, CorruptSpillFilesAreTypedErrorsNeverCrashes) {
   TenantRegistryOptions o = base_options();
   o.max_resident = 1;
